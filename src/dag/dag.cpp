@@ -384,8 +384,9 @@ void DagScheduler::run_node(TaskContext& tctx) {
     args_len = h->body_len;
     const std::byte* base = dyn_buf_.data() + sizeof(DynHeader);
     dyn_succ.resize(static_cast<std::size_t>(h->nsucc));
-    std::memcpy(dyn_succ.data(), base,
-                static_cast<std::size_t>(h->nsucc) * sizeof(NodeId));
+    if (!dyn_succ.empty()) {
+      std::memcpy(dyn_succ.data(), base, dyn_succ.size() * sizeof(NodeId));
+    }
     args = base + static_cast<std::size_t>(cfg_.max_dynamic_succ) *
                       sizeof(NodeId);
     fn = &kinds_[static_cast<std::size_t>(h->kind)];
@@ -640,12 +641,18 @@ void DagScheduler::publish_and_release_children() {
     h.body_len = static_cast<std::int32_t>(c.body.size());
     h.nsucc = static_cast<std::int32_t>(c.succ.size());
     std::memcpy(pub_buf_.data(), &h, sizeof(h));
-    std::memcpy(pub_buf_.data() + sizeof(h), c.succ.data(),
-                c.succ.size() * sizeof(NodeId));
-    std::memcpy(pub_buf_.data() + sizeof(h) +
-                    static_cast<std::size_t>(cfg_.max_dynamic_succ) *
-                        sizeof(NodeId),
-                c.body.data(), c.body.size());
+    // memcpy from an empty vector's null data() is undefined even for 0
+    // bytes.
+    if (!c.succ.empty()) {
+      std::memcpy(pub_buf_.data() + sizeof(h), c.succ.data(),
+                  c.succ.size() * sizeof(NodeId));
+    }
+    if (!c.body.empty()) {
+      std::memcpy(pub_buf_.data() + sizeof(h) +
+                      static_cast<std::size_t>(cfg_.max_dynamic_succ) *
+                          sizeof(NodeId),
+                  c.body.data(), c.body.size());
+    }
     const auto idx = static_cast<std::size_t>(dyn_idx(c.id));
     rt_.put(seg_, c.home, desc_base_ + idx * desc_stride_, pub_buf_.data(),
             desc_stride_);

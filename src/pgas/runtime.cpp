@@ -42,10 +42,11 @@ SegId Runtime::seg_alloc(std::size_t bytes_per_rank) {
     Segment& s = segments_[static_cast<std::size_t>(id)];
     s.per_rank = bytes_per_rank;
     s.stride = align_up(std::max<std::size_t>(bytes_per_rank, 1), 64);
-    s.mem = std::make_unique<std::byte[]>(
-        s.stride * static_cast<std::size_t>(nprocs()));
-    std::memset(s.mem.get(), 0,
-                s.stride * static_cast<std::size_t>(nprocs()));
+    const std::size_t bytes = s.stride * static_cast<std::size_t>(nprocs());
+    s.mem = std::make_unique<std::byte[]>(bytes + 63);
+    s.base = reinterpret_cast<std::byte*>(
+        align_up(reinterpret_cast<std::uintptr_t>(s.mem.get()), 64));
+    std::memset(s.base, 0, bytes);
     s.live = true;
     nsegments_.store(id + 1, std::memory_order_release);
   }
@@ -67,7 +68,7 @@ void Runtime::seg_free(SegId id) {
 std::byte* Runtime::seg_ptr(SegId id, Rank r) {
   Segment& s = segments_[static_cast<std::size_t>(id)];
   SCIOTO_CHECK_MSG(s.live, "access to freed segment " << id);
-  return s.mem.get() + static_cast<std::size_t>(r) * s.stride;
+  return s.base + static_cast<std::size_t>(r) * s.stride;
 }
 
 std::size_t Runtime::seg_bytes(SegId id) const {

@@ -275,6 +275,10 @@ class Runtime {
 
   struct Segment {
     std::unique_ptr<std::byte[]> mem;
+    // mem rounded up to 64 bytes, like the per-rank stride, so every
+    // rank's slice can hold cache-line-aligned control blocks (e.g.
+    // termination's alignas(64) TdCtl).
+    std::byte* base = nullptr;
     std::size_t per_rank = 0;
     std::size_t stride = 0;
     bool live = false;

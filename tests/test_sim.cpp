@@ -3,6 +3,12 @@
 // and RMA target occupancy.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "base/error.hpp"
@@ -45,6 +51,137 @@ TEST(Fiber, YieldSuspendsAndResumes) {
   f.resume();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_TRUE(f.finished());
+}
+
+[[gnu::noinline]] void yield_then_throw(Fiber* self, int yields) {
+  for (int i = 0; i < yields; ++i) self->yield();
+  throw std::runtime_error("thrown on a fiber stack");
+}
+
+TEST(Fiber, ExceptionIsCaughtInsideTheFiberAfterYields) {
+  std::string caught;
+  Fiber* self = nullptr;
+  Fiber f(
+      [&] {
+        try {
+          yield_then_throw(self, 3);
+        } catch (const std::runtime_error& e) {
+          caught = e.what();
+        }
+        self->yield();
+      },
+      64 * 1024);
+  self = &f;
+  int resumes = 0;
+  while (!f.finished()) {
+    f.resume();
+    ++resumes;
+  }
+  EXPECT_EQ(caught, "thrown on a fiber stack");
+  EXPECT_EQ(resumes, 5);
+}
+
+TEST(Fiber, EachFiberKeepsItsOwnRoundingMode) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  int up_after_resume = -1;
+  int other_saw = -1;
+  Fiber* up_self = nullptr;
+  Fiber up(
+      [&] {
+        std::fesetround(FE_UPWARD);
+        up_self->yield();
+        up_after_resume = std::fegetround();
+      },
+      64 * 1024);
+  up_self = &up;
+  Fiber other([&] { other_saw = std::fegetround(); }, 64 * 1024);
+
+  up.resume();
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  other.resume();
+  EXPECT_EQ(other_saw, FE_TONEAREST);
+  up.resume();
+  EXPECT_EQ(up_after_resume, FE_UPWARD);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+// Recurses `depth` frames of ~1 KiB each, yields twice at the bottom, and
+// returns how many marker bytes in its frames survived intact.
+[[gnu::noinline]] int descend(Fiber* self, int depth, char mark) {
+  volatile char frame[1024];
+  for (std::size_t i = 0; i < sizeof frame; i += 64) frame[i] = mark;
+  int intact = 0;
+  if (depth > 0) {
+    intact = descend(self, depth - 1, static_cast<char>(mark + 1));
+  } else {
+    self->yield();
+    self->yield();
+  }
+  for (std::size_t i = 0; i < sizeof frame; i += 64) {
+    intact += frame[i] == mark ? 1 : 0;
+  }
+  return intact;
+}
+
+TEST(Fiber, ThousandFibersRoundRobinOnDeepStacks) {
+  constexpr int kFibers = 1024;
+  constexpr int kDepth = 40;  // ~42 KiB of each 64 KiB stack
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  std::vector<int> intact(kFibers, -1);
+  fibers.reserve(kFibers);
+  for (int i = 0; i < kFibers; ++i) {
+    fibers.push_back(std::make_unique<Fiber>(
+        [&fibers, &intact, i] {
+          intact[static_cast<std::size_t>(i)] =
+              descend(fibers[static_cast<std::size_t>(i)].get(), kDepth,
+                      static_cast<char>(i));
+        },
+        64 * 1024));
+  }
+  for (int live = kFibers; live > 0;) {
+    for (auto& f : fibers) {
+      if (f->finished()) continue;
+      f->resume();
+      if (f->finished()) --live;
+    }
+  }
+  for (int i = 0; i < kFibers; ++i) {
+    EXPECT_EQ(intact[static_cast<std::size_t>(i)], (kDepth + 1) * 16)
+        << "fiber " << i;
+  }
+}
+
+TEST(Fiber, EntryStackIs16ByteAligned) {
+  std::uintptr_t addr = 1;
+  Fiber f(
+      [&] {
+        alignas(16) char probe[16];
+        // Through a volatile, so the compiler cannot fold the check.
+        volatile std::uintptr_t seen = reinterpret_cast<std::uintptr_t>(probe);
+        addr = seen;
+      },
+      64 * 1024);
+  f.resume();
+  EXPECT_EQ(addr % 16, 0u);
+}
+
+// Recurses until the stack runs out; the bound only keeps the compiler from
+// proving the recursion infinite. Frames stay well under a page, so the
+// overrun cannot step over the guard page.
+[[gnu::noinline]] int overrun(int depth) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  if (depth == std::numeric_limits<int>::max()) return 0;
+  return overrun(depth + 1) + frame[0];
+}
+
+TEST(FiberDeathTest, StackOverrunCrashes) {
+  EXPECT_DEATH(
+      {
+        Fiber f([] { overrun(0); }, 64 * 1024);
+        f.resume();
+      },
+      "");
 }
 
 TEST(Engine, ClocksAdvanceIndependently) {
