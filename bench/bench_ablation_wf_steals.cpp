@@ -1,11 +1,11 @@
-// Ablation: locked vs wait-free steals (the paper's §8 "wait-free
+// Ablation: locked vs lock-free steals (the paper's §8 "wait-free
 // implementations of the distributed task collection").
 //
 // Under the locked design a thief can wait behind another thief (and
-// behind the victim's own locked operations); the wait-free variant
-// publishes a whole stolen chunk with one CAS, so thieves never block each
-// other. The effect shows where steal traffic concentrates: many ranks
-// draining one victim.
+// behind the victim's own locked operations); the LockFree queue mode
+// claims a whole stolen chunk with one CAS on the victim's tagged
+// steal_head, so thieves never block each other. The effect shows where
+// steal traffic concentrates: many ranks draining one victim.
 #include <cstdio>
 
 #include "apps/uts/uts_drivers.hpp"
@@ -17,7 +17,7 @@ using namespace scioto::apps;
 
 int main(int argc, char** argv) {
   Options opts("bench_ablation_wf_steals",
-               "locked vs wait-free (CAS) steal path on UTS");
+               "locked vs lock-free (CAS) steal path on UTS");
   opts.add_int("scale", 11, "geometric tree depth");
   opts.add_flag("aborting", true, "adaptive-engine row: trylock-abort steals");
   opts.add_flag("adaptive", true, "adaptive-engine row: steal-half chunking");
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   nic_amo.rmw_service = nic_amo.rma_service;
 
   // The adaptive steal engine is the locked design's answer to the same
-  // convoying problem the wait-free path attacks: thieves abort instead of
+  // convoying problem the lock-free path attacks: thieves abort instead of
   // blocking, and the owner publishes split moves without the lock.
   auto run_one = [&](int p, const sim::MachineModel& m, QueueMode mode,
                      bool adaptive_engine) {
@@ -62,26 +62,26 @@ int main(int argc, char** argv) {
     return res;
   };
 
-  Table t({"Procs", "Locked(Mn/s)", "Adaptive(Mn/s)", "WF-HostAMO(Mn/s)",
-           "WF-NicAMO(Mn/s)", "WF-NicAMO/Locked", "Busy", "Retargets"});
+  Table t({"Procs", "Locked(Mn/s)", "Adaptive(Mn/s)", "LF-HostAMO(Mn/s)",
+           "LF-NicAMO(Mn/s)", "LF-NicAMO/Locked", "Busy", "Retargets"});
   for (int p : {8, 16, 32, 64}) {
     UtsResult locked = run_one(p, host_amo, QueueMode::Split, false);
     UtsResult adaptive = run_one(p, host_amo, QueueMode::Split, true);
-    UtsResult wf_host = run_one(p, host_amo, QueueMode::WaitFreeSteal, false);
-    UtsResult wf_nic = run_one(p, nic_amo, QueueMode::WaitFreeSteal, false);
+    UtsResult lf_host = run_one(p, host_amo, QueueMode::LockFree, false);
+    UtsResult lf_nic = run_one(p, nic_amo, QueueMode::LockFree, false);
     t.add_row({Table::fmt(std::int64_t{p}),
                Table::fmt(locked.mnodes_per_sec, 2),
                Table::fmt(adaptive.mnodes_per_sec, 2),
-               Table::fmt(wf_host.mnodes_per_sec, 2),
-               Table::fmt(wf_nic.mnodes_per_sec, 2),
-               Table::fmt(wf_nic.mnodes_per_sec / locked.mnodes_per_sec,
+               Table::fmt(lf_host.mnodes_per_sec, 2),
+               Table::fmt(lf_nic.mnodes_per_sec, 2),
+               Table::fmt(lf_nic.mnodes_per_sec / locked.mnodes_per_sec,
                           3),
                Table::fmt(static_cast<std::int64_t>(
                    adaptive.stats.steals_lock_busy)),
                Table::fmt(static_cast<std::int64_t>(
                    adaptive.stats.steal_retargets))});
   }
-  t.print("Ablation: §8 wait-free steal path vs the locked shared portion "
+  t.print("Ablation: §8 lock-free steal path vs the locked shared portion "
           "(UTS). Host-assisted atomics make CAS steals a wash; "
           "NIC-offloaded atomics are the hardware the idea anticipates.");
   return 0;

@@ -57,7 +57,7 @@ BENCHMARK(BM_QueueLocalPushPop);
 void BM_QueueReleaseReacquire(benchmark::State& state) {
   pgas::run_spmd(rt_cfg(1), [&](pgas::Runtime& rt) {
     SplitQueue::Config c = qcfg();
-    c.release_threshold = 0;  // always eligible
+    c.release_threshold = 1;  // always eligible: private depth stays >> 1
     SplitQueue q(rt, c);
     std::vector<std::byte> task(q.slot_bytes(), std::byte{3});
     for (int i = 0; i < 64; ++i) {

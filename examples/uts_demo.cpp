@@ -1,6 +1,7 @@
-// UTS demo: traverse an unbalanced tree under Scioto, the no-split queue
-// variant, or the MPI-style work-stealing baseline, and report throughput
-// plus load-balancing statistics.
+// UTS demo: traverse an unbalanced tree under Scioto, the no-split or
+// lock-free queue variant, or the MPI-style work-stealing baseline, and
+// report throughput plus load-balancing statistics. An unknown
+// --scheduler name is rejected (exit status 2).
 //
 //   ./uts_demo --ranks 16 --tree geo --scale 10 --scheduler scioto
 //   ./uts_demo --scheduler mpi-ws --machine xt4
@@ -22,9 +23,23 @@ int main(int argc, char** argv) {
   opts.add_int("scale", 10, "geometric depth (gen_mx) / binomial root size");
   opts.add_int("seed", 19, "tree seed");
   opts.add_string("scheduler", "scioto",
-                  "scioto | no-split | wait-free | lockfree | mpi-ws");
+                  "scioto | no-split | lockfree | mpi-ws");
   opts.add_int("chunk", 10, "steal chunk size");
   if (!opts.parse(argc, argv)) return 0;
+
+  const std::string sched = opts.get_string("scheduler");
+  QueueMode mode = QueueMode::Split;
+  if (sched == "no-split") {
+    mode = QueueMode::NoSplit;
+  } else if (sched == "lockfree") {
+    mode = QueueMode::LockFree;
+  } else if (sched != "scioto" && sched != "mpi-ws") {
+    std::fprintf(stderr,
+                 "uts_demo: unknown --scheduler '%s' (expected scioto | "
+                 "no-split | lockfree | mpi-ws)\n",
+                 sched.c_str());
+    return 2;
+  }
 
   UtsParams tree;
   if (opts.get_string("tree") == "bin") {
@@ -47,15 +62,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(expected.leaves),
               static_cast<long long>(expected.max_depth));
 
-  const std::string sched = opts.get_string("scheduler");
   UtsResult res;
   pgas::run_spmd(cfg, [&](pgas::Runtime& rt) {
     UtsRunConfig rc;
     rc.chunk = static_cast<int>(opts.get_int("chunk"));
-    rc.queue_mode = sched == "no-split"    ? QueueMode::NoSplit
-                    : sched == "wait-free" ? QueueMode::WaitFreeSteal
-                    : sched == "lockfree"  ? QueueMode::LockFree
-                                           : QueueMode::Split;
+    rc.queue_mode = mode;
     if (sched == "mpi-ws") {
       res = uts_run_mpi_ws(rt, tree, rc);
     } else if (fault::active()) {

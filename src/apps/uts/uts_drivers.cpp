@@ -37,10 +37,8 @@ void process_chain(UtsNode node, const UtsParams& tree, TimeNs node_cost,
   }
 }
 
-}  // namespace
-
-UtsResult uts_run_scioto(pgas::Runtime& rt, const UtsParams& tree,
-                         const UtsRunConfig& cfg) {
+/// The collection config every Scioto UTS driver runs under.
+TcConfig tc_config(const UtsRunConfig& cfg) {
   TcConfig tcc;
   tcc.max_task_body = sizeof(UtsNode);
   tcc.chunk_size = cfg.chunk;
@@ -51,7 +49,14 @@ UtsResult uts_run_scioto(pgas::Runtime& rt, const UtsParams& tree,
   tcc.adaptive_steal = cfg.adaptive_steal;
   tcc.owner_fastpath = cfg.owner_fastpath;
   tcc.deferred_steal_copy = cfg.deferred_steal_copy;
-  TaskCollection tc(rt, tcc);
+  return tcc;
+}
+
+}  // namespace
+
+UtsResult uts_run_scioto(pgas::Runtime& rt, const UtsParams& tree,
+                         const UtsRunConfig& cfg) {
+  TaskCollection tc(rt, tc_config(cfg));
 
   UtsCounts local;
   CloHandle counts_clo = tc.register_clo(&local);
@@ -97,17 +102,7 @@ UtsResult uts_run_scioto(pgas::Runtime& rt, const UtsParams& tree,
 
 UtsResult uts_run_scioto_ft(pgas::Runtime& rt, const UtsParams& tree,
                             const UtsRunConfig& cfg) {
-  TcConfig tcc;
-  tcc.max_task_body = sizeof(UtsNode);
-  tcc.chunk_size = cfg.chunk;
-  tcc.max_tasks_per_rank = cfg.max_tasks;
-  tcc.queue_mode = cfg.queue_mode;
-  tcc.color_optimization = cfg.color_optimization;
-  tcc.aborting_steals = cfg.aborting_steals;
-  tcc.adaptive_steal = cfg.adaptive_steal;
-  tcc.owner_fastpath = cfg.owner_fastpath;
-  tcc.deferred_steal_copy = cfg.deferred_steal_copy;
-  TaskCollection tc(rt, tcc);
+  TaskCollection tc(rt, tc_config(cfg));
 
   // Durable per-rank counts: owner-local stores into our own shared patch
   // cost nothing, and the patch outlives us if we are fail-stopped.
@@ -206,17 +201,7 @@ UtsResult uts_run_scioto_ft(pgas::Runtime& rt, const UtsParams& tree,
 
 UtsResult uts_run_scioto_elastic(pgas::Runtime& rt, const UtsParams& tree,
                                  const UtsRunConfig& cfg) {
-  TcConfig tcc;
-  tcc.max_task_body = sizeof(UtsNode);
-  tcc.chunk_size = cfg.chunk;
-  tcc.max_tasks_per_rank = cfg.max_tasks;
-  tcc.queue_mode = cfg.queue_mode;
-  tcc.color_optimization = cfg.color_optimization;
-  tcc.aborting_steals = cfg.aborting_steals;
-  tcc.adaptive_steal = cfg.adaptive_steal;
-  tcc.owner_fastpath = cfg.owner_fastpath;
-  tcc.deferred_steal_copy = cfg.deferred_steal_copy;
-  TaskCollection tc(rt, tcc);
+  TaskCollection tc(rt, tc_config(cfg));
 
   pgas::SegId counts_seg = rt.seg_alloc(sizeof(UtsCounts));
   auto* durable =

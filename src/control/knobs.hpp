@@ -7,7 +7,8 @@
 // again -- so post-init changes through the C API silently did nothing.
 // KnobSet is the single source of truth the queue and the steal path now
 // read through on every decision, which makes the values retunable while
-// tasks are in flight.
+// tasks are in flight. Each SplitQueue owns its rank's KnobSet
+// (SplitQueue::knobs()), initialized from the queue's Config.
 //
 // Ownership discipline: a KnobSet belongs to exactly one rank and is only
 // ever read or written from that rank's execution context -- the owner

@@ -135,10 +135,6 @@ using NodeFn = std::function<void(NodeCtx&)>;
 
 class DagScheduler {
  public:
-  /// Member alias so the retired stub's `TaskDag::NodeId` spelling keeps
-  /// compiling through the deprecated alias in scioto/deps.hpp.
-  using NodeId = ::scioto::dag::NodeId;
-
   /// Collective: registers the internal dispatch callback on `tc` (the
   /// same-order rule of callback registration applies).
   explicit DagScheduler(TaskCollection& tc, DagConfig cfg = {});
@@ -147,7 +143,8 @@ class DagScheduler {
   /// Adds a node homed on `home`, optionally in a conflict group. `fn`
   /// runs on whichever rank executes the node.
   NodeId add_node(Rank home, NodeFn fn, GroupId group = kNoGroup);
-  /// Compatibility overload (the retired TaskDag signature).
+  /// Convenience overload for bodies that need no NodeCtx (no args, no
+  /// dynamic spawns).
   NodeId add_node(Rank home, std::function<void()> fn);
   /// `succ` cannot start until `pred` completed. Rejects self-edges,
   /// out-of-range ids, and dynamic ids at call time.

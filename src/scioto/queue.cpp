@@ -25,8 +25,6 @@ const char* queue_mode_name(QueueMode mode) {
       return "split";
     case QueueMode::NoSplit:
       return "no-split";
-    case QueueMode::WaitFreeSteal:
-      return "wait-free";
     case QueueMode::LockFree:
       return "lockfree";
   }
@@ -43,17 +41,21 @@ SplitQueue::SplitQueue(pgas::Runtime& rt, Config cfg)
   // trace) is identical to a pre-control build. Collective by contract.
   chunk_max_ = cfg_.chunk_max > cfg_.chunk ? cfg_.chunk_max : cfg_.chunk;
   cfg_.chunk_max = chunk_max_;
-  cfg_.slot_bytes = align_up(cfg_.slot_bytes, 8);  // word-wise wf copies
+  // The ReleaseThreshold knob clamps to >= 1; reject 0 rather than let the
+  // clamp silently change the caller's policy.
+  SCIOTO_REQUIRE(cfg_.release_threshold >= 1,
+                 "release_threshold must be >= 1, got "
+                     << cfg_.release_threshold);
+  knobs_.init(cfg_.chunk, chunk_max_, cfg_.adaptive_chunk,
+              /*retarget_budget=*/0,
+              static_cast<std::int64_t>(cfg_.release_threshold), rt.nprocs());
+  cfg_.slot_bytes = align_up(cfg_.slot_bytes, 8);  // word-wise CAS copies
   ft_ = fault::active();
-  SCIOTO_REQUIRE(!(ft_ && cfg_.mode == QueueMode::WaitFreeSteal),
-                 "fault tolerance requires locked steals: wait-free mode "
-                 "has no lock to anchor the steal transaction");
-  // Same anchoring problem, one protocol further out: a lock-free thief
-  // publishes its claim with an unlocked CAS, so there is no critical
-  // section in which to log the stolen chunk into the victim-side
-  // transaction buffer before the claim becomes visible -- a thief death
-  // between CAS and requeue would lose the chunk. Rejected at init
-  // (fail-fast, pinned by tests/test_fault.cpp) rather than silently
+  // A lock-free thief publishes its claim with an unlocked CAS, so there is
+  // no critical section in which to log the stolen chunk into the
+  // victim-side transaction buffer before the claim becomes visible -- a
+  // thief death between CAS and requeue would lose the chunk. Rejected at
+  // init (fail-fast, pinned by tests/test_fault.cpp) rather than silently
   // falling back to the locked mode.
   SCIOTO_REQUIRE(!(ft_ && cfg_.mode == QueueMode::LockFree),
                  "fault tolerance requires locked steals: lockfree mode "
@@ -243,22 +245,19 @@ SplitQueue::PushOutcome SplitQueue::try_push_local(const std::byte* task,
 
   // Low affinity: enter at the steal end so this task migrates first.
   // Even the owner uses the remote-add publication protocol so the slot
-  // is never visible half-written (wait-free thieves validate only
+  // is never visible half-written (lock-free thieves validate only
   // against steal_head).
-  if (cfg_.mode == QueueMode::WaitFreeSteal ||
-      cfg_.mode == QueueMode::LockFree) {
-    bool ok = cfg_.mode == QueueMode::WaitFreeSteal
-                  ? add_remote_waitfree(me, task)
-                  : add_remote_lockfree(me, task);
-    if (ok) {
-      rt_.charge(rt_.machine().local_insert);
-      SCIOTO_TRACE_EVENT(me, trace::Ev::Push, affinity, 0,
-                         c.priv_tail.load(std::memory_order_relaxed) -
-                             sh_idx(c.steal_head.load(
-                                 std::memory_order_relaxed)));
-      metrics_owner_op(metrics::Hist::PushNs, t0);
+  if (cfg_.mode == QueueMode::LockFree) {
+    if (!add_remote_lockfree(me, task)) {
+      return PushOutcome::Full;
     }
-    return ok ? PushOutcome::Ok : PushOutcome::Full;
+    rt_.charge(rt_.machine().local_insert);
+    SCIOTO_TRACE_EVENT(me, trace::Ev::Push, affinity, 0,
+                       c.priv_tail.load(std::memory_order_relaxed) -
+                           sh_idx(c.steal_head.load(
+                               std::memory_order_relaxed)));
+    metrics_owner_op(metrics::Hist::PushNs, t0);
+    return PushOutcome::Ok;
   }
   rt_.lock(locks_, me);
   counters().owner_lock_acqs++;
@@ -348,174 +347,111 @@ bool SplitQueue::pop_local(std::byte* out) {
 }
 
 std::uint64_t SplitQueue::reacquire() {
+  if (cfg_.mode == QueueMode::NoSplit || shared_size() == 0) {
+    return 0;  // NoSplit has no distinct portions to move between
+  }
   Rank me = rt_.me();
   Ctl& c = ctl(me);
-  switch (cfg_.mode) {
-    case QueueMode::NoSplit:
-      return 0;  // no distinct portions to move between
-
-    case QueueMode::WaitFreeSteal: {
-      // `split` never moves down in wait-free mode: reclaim parked work by
-      // self-stealing through the same CAS path thieves use, then re-push
-      // privately.
-      if (shared_size() == 0) {
-        return 0;
-      }
-      std::byte* buf = reacquire_bufs_[static_cast<std::size_t>(me)].data();
-      int got = steal_from_waitfree(me, buf);
-      for (int i = 0; i < got; ++i) {
-        bool ok = push_local(buf + static_cast<std::size_t>(i) *
-                                       cfg_.slot_bytes,
-                             kAffinityHigh);
-        SCIOTO_CHECK_MSG(ok, "overflow re-pushing self-stolen tasks");
-      }
-      if (got > 0) {
-        counters().reacquires++;
-        SCIOTO_TRACE_EVENT(me, trace::Ev::Reacquire, got, 0,
-                           c.priv_tail.load(std::memory_order_relaxed) -
-                               c.steal_head.load(std::memory_order_relaxed));
-        SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
-        SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, got);
-        metrics_queue_gauges();
-      }
-      return static_cast<std::uint64_t>(got);
-    }
-
-    case QueueMode::LockFree: {
-      // No lock exists to serialize a split lowering against in-flight
-      // thieves, so the owner has exactly two tools: the validated
-      // seq_cst publish (the Split-mode fastpath, margin-checked against
-      // the one stale claim that can land past the validation load -- see
-      // DESIGN.md for why seq_cst total order bounds it to one), and the
-      // thieves' own CAS path. Deep shared portion: publish. Thin shared
-      // portion -- including the single-element owner-vs-thief race --
-      // fall back to self-stealing through the CAS, i.e. the standard
-      // Chase-Lev "owner CASes top" arbitration: exactly one of owner and
-      // thief wins each contested task.
-      const auto margin = static_cast<std::uint64_t>(chunk_max_);
-      std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
-      std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-      std::uint64_t avail = sp > sh ? sp - sh : 0;
-      if (avail == 0) {
-        return 0;
-      }
-      if (avail >= 2 * margin) {
-        std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
-        std::uint64_t new_sp = sp - take;
-        c.split.store(new_sp, std::memory_order_seq_cst);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        std::uint64_t sh2 =
-            sh_idx(c.steal_head.load(std::memory_order_seq_cst));
-        if (sh2 + margin <= new_sp) {
-          rt_.atomic_publish_charge();
-          counters().reacquires++;
-          counters().reacquires_fast++;
-          SCIOTO_TRACE_EVENT(me, trace::Ev::ReacquireFast, take, 0,
-                             c.priv_tail.load(std::memory_order_relaxed) -
-                                 sh2);
-          SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
-          SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, take);
-          metrics_queue_gauges();
-          return take;
-        }
-        // Thieves drained the margin under us; raising split back is
-        // exactly a release (always safe), then contend on the CAS.
-        c.split.store(sp, std::memory_order_seq_cst);
-      }
-      std::byte* buf = reacquire_bufs_[static_cast<std::size_t>(me)].data();
-      int got = steal_from_lockfree(me, buf);
-      for (int i = 0; i < got; ++i) {
-        bool ok = push_local(buf + static_cast<std::size_t>(i) *
-                                       cfg_.slot_bytes,
-                             kAffinityHigh);
-        SCIOTO_CHECK_MSG(ok, "overflow re-pushing self-stolen tasks");
-      }
-      if (got > 0) {
-        counters().reacquires++;
-        SCIOTO_TRACE_EVENT(me, trace::Ev::Reacquire, got, 0,
-                           c.priv_tail.load(std::memory_order_relaxed) -
-                               sh_idx(c.steal_head.load(
-                                   std::memory_order_relaxed)));
-        SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
-        SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, got);
-        metrics_queue_gauges();
-      }
-      return static_cast<std::uint64_t>(got);
-    }
-
-    case QueueMode::Split: {
-      if (shared_size() == 0) {
-        return 0;
-      }
-      if (cfg_.owner_fastpath && !ft_) {
-        // Fault mode forces the locked path (as it forces locked steals):
-        // the lock-light split publish cannot observe an adoption fence,
-        // so a falsely-suspected owner could resurrect adopted work.
-        // Lock-light lowering: publish the new split with one seq_cst
-        // store and validate that no in-flight thief can overrun it.
-        // Thieves serialize on the lock and publish steal_head seq_cst, so
-        // at most ONE thief's advance (bounded by chunk) can be missing
-        // from the validation load -- any earlier thief's store is
-        // ordered before the next lock holder's index reads, hence before
-        // ours. The margin check makes the single unpublished chunk safe.
-        // The margin uses chunk_max, not the live chunk: the in-flight
-        // thief steals at its OWN live width, which we cannot see but
-        // which its KnobSet clamps to the collective chunk_max.
-        const auto chunk = static_cast<std::uint64_t>(chunk_max_);
-        std::uint64_t sh = c.steal_head.load(std::memory_order_seq_cst);
-        std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-        std::uint64_t avail = sp > sh ? sp - sh : 0;
-        if (avail >= 2 * chunk) {
-          std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
-          std::uint64_t new_sp = sp - take;
-          c.split.store(new_sp, std::memory_order_seq_cst);
-          std::atomic_thread_fence(std::memory_order_seq_cst);
-          std::uint64_t sh2 = c.steal_head.load(std::memory_order_seq_cst);
-          if (sh2 + chunk <= new_sp) {
-            // One local atomic publish instead of a lock round trip.
-            rt_.atomic_publish_charge();
-            counters().reacquires++;
-            counters().reacquires_fast++;
-            SCIOTO_TRACE_EVENT(me, trace::Ev::ReacquireFast, take, 0,
-                               c.priv_tail.load(std::memory_order_relaxed) -
-                                   sh2);
-            SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
-            SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, take);
-            metrics_queue_gauges();
-            return take;
-          }
-          // Thieves drained the margin under us. Raising split back is
-          // always safe (it is exactly a release); take the locked path.
-          c.split.store(sp, std::memory_order_seq_cst);
-        }
-      }
-      // Lowering `split` races in-flight steals, so it needs the lock.
-      rt_.lock(locks_, me);
-      counters().owner_lock_acqs++;
-      if (ft_ && c.fence.load(std::memory_order_acquire) != 0) {
-        rt_.unlock(locks_, me);
-        return 0;  // adopted: the work loop handles the fence abort
-      }
-      std::uint64_t sh = c.steal_head.load(std::memory_order_relaxed);
-      std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-      std::uint64_t avail = sp - sh;
-      if (avail == 0) {
-        rt_.unlock(locks_, me);
-        return 0;
-      }
-      std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
-      c.split.store(sp - take, std::memory_order_release);
-      rt_.unlock(locks_, me);
-      counters().reacquires++;
-      SCIOTO_TRACE_EVENT(me, trace::Ev::Reacquire, take, 0,
-                         c.priv_tail.load(std::memory_order_relaxed) - sh);
-      SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
-      SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, take);
-      metrics_queue_gauges();
+  // Fault mode forces the locked path (as it forces locked steals): the
+  // lock-light split publish cannot observe an adoption fence, so a
+  // falsely-suspected owner could resurrect adopted work. (LockFree is
+  // rejected under fault mode at construction.)
+  if ((cfg_.mode == QueueMode::LockFree || cfg_.owner_fastpath) && !ft_) {
+    if (std::uint64_t take = lower_split_validated()) {
       return take;
     }
   }
-  return 0;
+  if (cfg_.mode == QueueMode::LockFree) {
+    // No lock exists to serialize a split lowering against in-flight
+    // thieves, so a thin shared portion -- including the single-element
+    // owner-vs-thief race -- falls back to self-stealing through the CAS,
+    // i.e. the standard Chase-Lev "owner CASes top" arbitration: exactly
+    // one of owner and thief wins each contested task.
+    std::byte* buf = reacquire_bufs_[static_cast<std::size_t>(me)].data();
+    int got = steal_from_lockfree(me, buf);
+    for (int i = 0; i < got; ++i) {
+      bool ok = push_local(buf + static_cast<std::size_t>(i) *
+                                     cfg_.slot_bytes,
+                           kAffinityHigh);
+      SCIOTO_CHECK_MSG(ok, "overflow re-pushing self-stolen tasks");
+    }
+    if (got == 0) {
+      return 0;
+    }
+    return note_reacquire(
+        static_cast<std::uint64_t>(got),
+        sh_idx(c.steal_head.load(std::memory_order_relaxed)), false);
+  }
+  // Lowering `split` races in-flight steals, so it needs the lock.
+  rt_.lock(locks_, me);
+  counters().owner_lock_acqs++;
+  if (ft_ && c.fence.load(std::memory_order_acquire) != 0) {
+    rt_.unlock(locks_, me);
+    return 0;  // adopted: the work loop handles the fence abort
+  }
+  std::uint64_t sh = c.steal_head.load(std::memory_order_relaxed);
+  std::uint64_t sp = c.split.load(std::memory_order_relaxed);
+  std::uint64_t avail = sp - sh;
+  if (avail == 0) {
+    rt_.unlock(locks_, me);
+    return 0;
+  }
+  std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
+  c.split.store(sp - take, std::memory_order_release);
+  rt_.unlock(locks_, me);
+  return note_reacquire(take, sh, false);
+}
+
+std::uint64_t SplitQueue::lower_split_validated() {
+  // Publish the new split with one seq_cst store and validate that no
+  // in-flight thief can overrun it. Locked thieves serialize on the lock
+  // and publish steal_head seq_cst; lock-free thieves load steal_head and
+  // then split seq_cst, in that order. Either way at most ONE thief's
+  // advance (bounded by its chunk) can be missing from the validation
+  // load -- see DESIGN.md for why the seq_cst total order bounds it to
+  // one. The margin uses chunk_max, not the live chunk: the in-flight
+  // thief steals at its OWN live width, which we cannot see but which its
+  // KnobSet clamps to the collective chunk_max. sh_idx() masks the
+  // LockFree ABA tag and is a no-op in Split mode.
+  Ctl& c = ctl(rt_.me());
+  const auto margin = static_cast<std::uint64_t>(chunk_max_);
+  std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
+  std::uint64_t sp = c.split.load(std::memory_order_relaxed);
+  std::uint64_t avail = sp > sh ? sp - sh : 0;
+  if (avail < 2 * margin) {
+    return 0;
+  }
+  std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
+  std::uint64_t new_sp = sp - take;
+  c.split.store(new_sp, std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  std::uint64_t sh2 = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
+  if (sh2 + margin > new_sp) {
+    // Thieves drained the margin under us. Raising split back is always
+    // safe (it is exactly a release); the caller takes its slow path.
+    c.split.store(sp, std::memory_order_seq_cst);
+    return 0;
+  }
+  // One local atomic publish instead of a lock round trip.
+  rt_.atomic_publish_charge();
+  return note_reacquire(take, sh2, true);
+}
+
+std::uint64_t SplitQueue::note_reacquire(std::uint64_t take,
+                                         [[maybe_unused]] std::uint64_t sh,
+                                         bool fast) {
+  [[maybe_unused]] Rank me = rt_.me();
+  counters().reacquires++;
+  if (fast) {
+    counters().reacquires_fast++;
+  }
+  SCIOTO_TRACE_EVENT(me, fast ? trace::Ev::ReacquireFast : trace::Ev::Reacquire,
+                     take, 0,
+                     ctl(me).priv_tail.load(std::memory_order_relaxed) - sh);
+  SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
+  SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, take);
+  metrics_queue_gauges();
+  return take;
 }
 
 std::uint64_t SplitQueue::release_maybe() {
@@ -1016,8 +952,8 @@ int SplitQueue::steal_from_lockfree(Rank victim, std::byte* out) {
   // the lowered split, so at most one stale-split claim (width clamped to
   // chunk_max by the KnobSet) can land past the validation, which is
   // exactly the margin the owner checks. A failed CAS means the window
-  // moved (a thief claimed, or an add bumped the tag); retry bounded
-  // like the wait-free path, but cheaply:
+  // moved (a thief claimed, or an add bumped the tag); retry, bounded
+  // and cheaply:
   //
   //  * The failed CAS itself returned the current raw word, and an RMW
   //    read is as good a top observation as a load in the seq_cst order
@@ -1133,61 +1069,13 @@ int SplitQueue::steal_from_lockfree(Rank victim, std::byte* out) {
   return 0;  // heavy contention: give up, caller picks another victim
 }
 
-int SplitQueue::steal_from_waitfree(Rank victim, std::byte* out) {
-  Ctl& c = ctl(victim);
-  const bool remote = victim != rt_.me();
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    if (remote) {
-      rt_.rma_charge(victim, 2 * sizeof(std::uint64_t));  // fetch indices
-    }
-    std::uint64_t sh = c.steal_head.load(std::memory_order_acquire);
-    std::uint64_t bd = c.split.load(std::memory_order_acquire);
-    std::uint64_t avail = bd > sh ? bd - sh : 0;
-    std::uint64_t n = std::min<std::uint64_t>(
-        avail, static_cast<std::uint64_t>(live_chunk()));
-    if (n == 0) {
-      return 0;
-    }
-    // Speculative copy: may race a concurrent overwrite, but a lost CAS
-    // below discards the data, so torn reads never escape.
-    if (remote) {
-      rt_.rma_charge(victim, n * cfg_.slot_bytes);
-    }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      copy_slot_relaxed(victim, sh + i,
-                        out + static_cast<std::size_t>(i) * cfg_.slot_bytes);
-    }
-    // Publish: one remote CAS claims the whole chunk.
-    if (remote) {
-      rt_.backend().rmw_charge(victim);
-    }
-    std::uint64_t expected = sh;
-    if (c.steal_head.compare_exchange_strong(expected, sh + n,
-                                             std::memory_order_acq_rel)) {
-      return static_cast<int>(n);
-    }
-    counters().cas_retries++;
-  }
-  return 0;  // heavy contention: give up, caller picks another victim
-}
-
 int SplitQueue::steal_from(Rank victim, std::byte* out) {
   counters().steal_attempts++;
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealAttempt, victim, 0, 0);
   SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::StealAttempts, 1);
   TimeNs t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
-  int n;
-  switch (cfg_.mode) {
-    case QueueMode::WaitFreeSteal:
-      n = steal_from_waitfree(victim, out);
-      break;
-    case QueueMode::LockFree:
-      n = steal_from_lockfree(victim, out);
-      break;
-    default:
-      n = steal_from_locked(victim, out);
-      break;
-  }
+  int n = cfg_.mode == QueueMode::LockFree ? steal_from_lockfree(victim, out)
+                                            : steal_from_locked(victim, out);
   if (n > 0) {
     counters().steals_in++;
     counters().tasks_stolen_in += static_cast<std::uint64_t>(n);
@@ -1198,8 +1086,8 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
       // victim's slots are dead or replayable either way): one hop bump
       // and one MigrateEdge per task, so per-task hop counts and the
       // steal matrix reconcile one-for-one. The self-steal guard keeps
-      // the wait-free owner reacquire -- a reclaim, not a migration --
-      // out of the lineage stream.
+      // the LockFree owner's CAS reacquire -- a reclaim, not a migration
+      // -- out of the lineage stream.
       for (int i = 0; i < n; ++i) {
         std::byte* slot =
             out + static_cast<std::size_t>(i) * cfg_.slot_bytes;
@@ -1230,48 +1118,14 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
   return n;
 }
 
-bool SplitQueue::add_remote_waitfree(Rank target, const std::byte* task) {
-  // Adders serialize among themselves on the target's lock (adds are
-  // rare), but must publish with a CAS because lock-free thieves do not
-  // honour the lock. Write the slot *before* publishing so a thief can
-  // never observe it half-written under a successful CAS.
-  Ctl& c = ctl(target);
-  const bool remote = target != rt_.me();
-  rt_.lock(locks_, target);
-  bool ok = false;
-  for (;;) {
-    std::uint64_t sh = c.steal_head.load(std::memory_order_acquire);
-    std::uint64_t pt = c.priv_tail.load(std::memory_order_acquire);
-    if (pt - (sh - 1) >= cfg_.capacity) {
-      break;
-    }
-    if (remote) {
-      rt_.rma_charge(target, cfg_.slot_bytes);
-    }
-    std::memcpy(slot(target, sh - 1), task, cfg_.slot_bytes);
-    if (remote) {
-      rt_.backend().rmw_charge(target);
-    }
-    std::uint64_t expected = sh;
-    if (c.steal_head.compare_exchange_strong(expected, sh - 1,
-                                             std::memory_order_acq_rel)) {
-      ok = true;
-      break;
-    }
-    // A thief advanced steal_head meanwhile; rewrite at the new position.
-    counters().cas_retries++;
-  }
-  rt_.unlock(locks_, target);
-  return ok;
-}
-
 bool SplitQueue::add_remote_lockfree(Rank target, const std::byte* task) {
-  // As in wait-free mode, adders serialize among themselves on the
-  // target's lock (adds are rare) and publish with a CAS because thieves
-  // do not honour the lock. Two lockfree-specific twists: the CAS bumps
-  // the tag -- an add is precisely the operation that re-opens the ABA
-  // window a monotone top never has, so it must change the word beyond
-  // what a subsequent steal could undo -- and the slot write is word-wise
+  // Adders serialize among themselves on the target's lock (adds are
+  // rare) but must publish with a CAS because thieves do not honour the
+  // lock; the slot is written *before* publishing so a thief can never
+  // observe it half-written under a successful CAS. The CAS bumps the
+  // tag -- an add is precisely the operation that re-opens the ABA window
+  // a monotone top never has, so it must change the word beyond what a
+  // subsequent steal could undo -- and the slot write is word-wise
   // atomic, because a stale thief may still be speculatively reading a
   // physically aliased slot (its doomed claim discards whatever it tears).
   Ctl& c = ctl(target);
@@ -1309,9 +1163,7 @@ bool SplitQueue::add_remote_lockfree(Rank target, const std::byte* task) {
 bool SplitQueue::add_remote(Rank target, const std::byte* task) {
   SCIOTO_REQUIRE(target != rt_.me(), "add_remote to self; use push_local");
   bool ok;
-  if (cfg_.mode == QueueMode::WaitFreeSteal) {
-    ok = add_remote_waitfree(target, task);
-  } else if (cfg_.mode == QueueMode::LockFree) {
+  if (cfg_.mode == QueueMode::LockFree) {
     ok = add_remote_lockfree(target, task);
   } else {
     // As in steal_from: the control block rides along with the lock grant.
@@ -1328,13 +1180,6 @@ bool SplitQueue::add_remote(Rank target, const std::byte* task) {
     rt_.rma_charge(target, cfg_.slot_bytes);
     std::memcpy(slot(target, sh - 1), task, cfg_.slot_bytes);
     c.steal_head.store(sh - 1, std::memory_order_seq_cst);
-    if (cfg_.mode == QueueMode::NoSplit) {
-      // Single-region variant keeps the invariant steal_head <= split.
-      std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-      if (sp > sh - 1) {
-        // split tracks priv_tail in NoSplit mode; nothing to fix.
-      }
-    }
     rt_.unlock(locks_, target);
     ok = true;
   }

@@ -28,30 +28,21 @@
 //   one region, every operation -- including the owner's local push/pop --
 //   takes the lock. Figure 7 measures the collapse this causes.
 //
-// * WaitFreeSteal (the paper's §8 future-work item): steals are lock-free.
-//   A thief snapshots (steal_head, split), copies the candidate slots
-//   word-wise, then publishes with a single compare-and-swap on
-//   steal_head; a lost race discards the (possibly torn) copy and
-//   retries, so no thief ever blocks behind another. To keep the steal
-//   path validation-only, `split` is never lowered: the owner reclaims
-//   parked work by *self-stealing* through the same CAS path. Remote adds
-//   still serialize among themselves on the victim's lock (they are rare)
-//   but publish with a CAS so they remain correct against concurrent
-//   lock-free thieves.
-//
-// * LockFree (Chase-Lev top/bottom on the shared portion): like
-//   WaitFreeSteal, thieves claim chunks with a single CAS on steal_head
-//   ("top") and never block, but the full split machinery stays live --
-//   the owner still releases by raising `split` ("bottom" of the shared
-//   window) and still *lowers* it in reacquire() through a validated
-//   seq_cst publish, falling back to a CAS self-steal when the shared
-//   portion is thin (the classic owner-CAS-on-top arbitration for the
-//   last element). What makes the unlocked claims sound against remote
-//   adds -- which move steal_head *down*, re-opening the ABA window a
-//   monotone top never has -- is a 16-bit modification tag packed into
-//   steal_head's top bits: every add bumps the tag, so a stale thief's
-//   CAS cannot succeed against a same-index-different-history word. See
-//   DESIGN.md for the full memory-order argument.
+// * LockFree (Chase-Lev top/bottom on the shared portion; the paper's §8
+//   future-work item of lock-free steals): thieves claim chunks with a
+//   single CAS on steal_head ("top") and never block, but the full split
+//   machinery stays live -- the owner still releases by raising `split`
+//   ("bottom" of the shared window) and still *lowers* it in reacquire()
+//   through a validated seq_cst publish, falling back to a CAS self-steal
+//   when the shared portion is thin (the classic owner-CAS-on-top
+//   arbitration for the last element). Remote adds serialize among
+//   themselves on the victim's lock but publish with a CAS. What makes the
+//   unlocked claims sound against those adds -- which move steal_head
+//   *down*, re-opening the ABA window a monotone top never has -- is a
+//   16-bit modification tag packed into steal_head's top bits: every add
+//   bumps the tag, so a stale thief's CAS cannot succeed against a
+//   same-index-different-history word. See DESIGN.md for the full
+//   memory-order argument.
 //
 // Cost model: local lock-free ops charge MachineModel::local_insert/get;
 // remote ops charge lock/RMA/RMW costs through the runtime, which under
@@ -69,7 +60,7 @@
 // remote add overwrites ring slots just below steal_head, the ring itself
 // cannot serve as the recovery log -- the side buffer can. Exactly-once
 // completion holds because kills fire only at safepoints and the
-// requeue+commit sequence contains none. Wait-free steals have no lock to
+// requeue+commit sequence contains none. Lock-free claims have no lock to
 // anchor the transaction, so fault mode requires locked steals.
 #pragma once
 
@@ -83,10 +74,9 @@
 namespace scioto {
 
 enum class QueueMode {
-  Split,          // §5: lock-free private portion + locked shared portion
-  NoSplit,        // original fully locked queue (Figure 7 ablation)
-  WaitFreeSteal,  // §8: CAS-published steals, no thief ever blocks
-  LockFree,       // Chase-Lev: CAS steals + tagged ABA-safe adds + live split
+  Split,     // §5: lock-free private portion + locked shared portion
+  NoSplit,   // original fully locked queue (Figure 7 ablation)
+  LockFree,  // Chase-Lev: CAS steals + tagged ABA-safe adds + live split
 };
 
 const char* queue_mode_name(QueueMode mode);
@@ -95,19 +85,20 @@ class SplitQueue {
  public:
   struct Config {
     /// Whole-descriptor slot size in bytes (header + max body); rounded
-    /// up to a multiple of 8 internally (the wait-free copy is word-wise).
+    /// up to a multiple of 8 internally (LockFree slot copies are
+    /// word-wise).
     std::size_t slot_bytes = 64;
     /// Byte offset of the causal-lineage trailer inside each slot, or 0
     /// when no lineage session is armed. Nonzero makes a successful
     /// steal_from bump each landed record's hop count and emit one
-    /// MigrateEdge per task -- the single choke point all three steal
-    /// protocols (and the owner's self-steal reacquire, which is exempt)
-    /// funnel through. Set by TaskCollection; collectively uniform.
+    /// MigrateEdge per task -- the single choke point every steal
+    /// protocol (and the owner's self-steal reacquire, which is exempt)
+    /// funnels through. Set by TaskCollection; collectively uniform.
     std::size_t lineage_off = 0;
     /// Per-rank capacity in tasks (the paper's max_tasks).
     std::uint64_t capacity = 1 << 16;
-    /// Steal granularity in tasks (the paper's chunk_size). With a live
-    /// KnobSet attached this is only the *initial* value.
+    /// Steal granularity in tasks (the paper's chunk_size): the initial
+    /// value of the queue's live StealChunk knob.
     int chunk = 10;
     /// Upper bound for the live steal-chunk knob. Steal/reacquire buffers
     /// and the fault-mode transaction log are sized for this at
@@ -116,24 +107,19 @@ class SplitQueue {
     /// control-off layouts and traces byte-identical to pre-control runs.
     /// Collective: must match across ranks (it shapes the patch layout).
     int chunk_max = 0;
-    /// Live knobs this queue reads through on every policy decision
-    /// (steal width, steal-half, release threshold). When null the static
-    /// config fields above apply, read once per decision as before. The
-    /// pointed-to KnobSet must outlive the queue and is only ever written
-    /// from the owning rank's context (see control/knobs.hpp).
-    const control::KnobSet* knobs = nullptr;
     QueueMode mode = QueueMode::Split;
     /// Owner releases work when private > release_threshold tasks and the
-    /// shared portion has fewer than `chunk` tasks.
+    /// shared portion has fewer than `chunk` tasks. Must be >= 1 (the
+    /// initial ReleaseThreshold knob, whose lower bound is 1).
     std::uint64_t release_threshold = 2 * 10;
     /// Aborting steals: thieves trylock the victim and return kStealBusy
     /// instead of convoying on a held lock (caller re-targets). Split and
-    /// NoSplit modes only; wait-free steals never block to begin with.
+    /// NoSplit modes only; lock-free steals never block to begin with.
     bool aborting_steals = false;
     /// Steal-half adaptive chunking: a steal takes
     /// min(ceil(shared_depth / 2), chunk) tasks instead of the fixed
     /// `chunk`, so a deep victim sheds half its exposed work in one get
-    /// while a nearly-dry one is not stripped bare.
+    /// while a nearly-dry one is not stripped bare. Initial StealHalf knob.
     bool adaptive_chunk = false;
     /// Lock-light owner fast path: when the shared portion is deep enough
     /// that no in-flight thief can overrun it, reacquire() lowers `split`
@@ -162,7 +148,7 @@ class SplitQueue {
     std::uint64_t steal_attempts = 0;   // including empty-handed
     std::uint64_t tasks_stolen_in = 0;  // tasks obtained by stealing
     std::uint64_t remote_adds = 0;      // tasks we pushed to other ranks
-    std::uint64_t cas_retries = 0;      // wait-free / lockfree modes only
+    std::uint64_t cas_retries = 0;      // LockFree mode only
     std::uint64_t steal_copy_reuses = 0;  // lockfree retries that kept the
                                           // buffered chunk (same tag)
     std::uint64_t steals_aborted = 0;   // fault-truncated to zero tasks
@@ -188,8 +174,9 @@ class SplitQueue {
   /// portion is empty (shared tasks need reacquire()).
   bool pop_local(std::byte* out);
   /// Moves up to half of the shared portion back to private (Split mode
-  /// lowers the split under the lock; WaitFreeSteal self-steals through
-  /// the CAS path and re-pushes). Returns the number of tasks reclaimed.
+  /// lowers the split under the lock; LockFree publishes a validated
+  /// lowering or self-steals through the CAS path and re-pushes). Returns
+  /// the number of tasks reclaimed.
   std::uint64_t reacquire();
   /// Donates oldest private tasks to the shared portion when the release
   /// policy triggers. Returns tasks released.
@@ -262,6 +249,11 @@ class SplitQueue {
   void reset_collective();
 
   const Config& config() const { return cfg_; }
+  /// This rank's live policy knobs (steal width, steal-half, release
+  /// threshold), initialized from the Config and read on every decision,
+  /// so writes take effect mid-run. Owner-context only (control/knobs.hpp).
+  control::KnobSet& knobs() { return knobs_; }
+  const control::KnobSet& knobs() const { return knobs_; }
   std::size_t slot_bytes() const { return cfg_.slot_bytes; }
   Counters& counters() { return counters_[static_cast<std::size_t>(rt_.me())]; }
   pgas::Runtime& runtime() { return rt_; }
@@ -368,21 +360,15 @@ class SplitQueue {
   /// charge (deferred_steal_copy pays the wire time after unlock).
   void copy_span_raw(Rank victim, std::uint64_t first, std::uint64_t count,
                      std::byte* out);
-  /// Live knob reads: through cfg_.knobs when attached (the control
-  /// plane's hot-swappable values), else the static config fields.
   int live_chunk() const {
-    return cfg_.knobs ? static_cast<int>(
-                            cfg_.knobs->get(control::Knob::StealChunk))
-                      : cfg_.chunk;
+    return static_cast<int>(knobs_.get(control::Knob::StealChunk));
   }
   bool live_steal_half() const {
-    return cfg_.knobs ? cfg_.knobs->get(control::Knob::StealHalf) != 0
-                      : cfg_.adaptive_chunk;
+    return knobs_.get(control::Knob::StealHalf) != 0;
   }
   std::uint64_t live_release_threshold() const {
-    return cfg_.knobs ? static_cast<std::uint64_t>(cfg_.knobs->get(
-                            control::Knob::ReleaseThreshold))
-                      : cfg_.release_threshold;
+    return static_cast<std::uint64_t>(
+        knobs_.get(control::Knob::ReleaseThreshold));
   }
   /// Steal width: fixed live chunk, or ceil(avail/2) capped at the live
   /// chunk when steal-half is on.
@@ -397,17 +383,24 @@ class SplitQueue {
   /// instead of UB; the data it may tear is discarded with its failed CAS.
   void store_slot_relaxed(Rank victim, std::uint64_t index,
                           const std::byte* src);
+  /// Owner's lock-light split lowering (Split+owner_fastpath, LockFree):
+  /// publishes split - ceil(avail / 2) seq_cst, re-reads steal_head and
+  /// keeps the move only if a chunk_max margin survives. Returns the
+  /// tasks privatized, or 0 (split untouched) when the margin is thin.
+  std::uint64_t lower_split_validated();
+  /// Reacquire bookkeeping shared by every path: counters, trace event
+  /// (`sh` is the steal_head index the queue depth is reported against),
+  /// metrics. Returns `take`.
+  std::uint64_t note_reacquire(std::uint64_t take, std::uint64_t sh,
+                               bool fast);
   int steal_from_locked(Rank victim, std::byte* out);
-  int steal_from_waitfree(Rank victim, std::byte* out);
   /// Chase-Lev claim: bounded multi-CAS take loop. Each attempt re-reads
   /// the tagged steal_head and the live knobs (chunk/steal-half), copies
   /// the candidate chunk speculatively, and publishes with one seq_cst
   /// CAS of raw -> raw + n; a lost race discards the copy and retries.
   int steal_from_lockfree(Rank victim, std::byte* out);
-  bool add_remote_waitfree(Rank target, const std::byte* task);
-  /// Like add_remote_waitfree (adders serialize on the victim's lock),
-  /// but the publishing CAS bumps the steal_head tag -- the ABA fence
-  /// the unlocked thief claims rely on.
+  /// Adders serialize on the victim's lock; the publishing CAS bumps the
+  /// steal_head tag -- the ABA fence the unlocked thief claims rely on.
   bool add_remote_lockfree(Rank target, const std::byte* task);
   /// Telemetry: record an owner-op latency sample (t0 taken at op entry)
   /// and refresh this rank's queue gauges. One predicted-false branch when
@@ -420,6 +413,7 @@ class SplitQueue {
 
   pgas::Runtime& rt_;
   Config cfg_;
+  control::KnobSet knobs_;
   /// Normalized cfg_.chunk_max (>= chunk). Everything sized at
   /// construction -- buffers, txn log, internal capacity headroom, the
   /// owner-fastpath margin -- uses this bound, never the live chunk.
@@ -437,7 +431,8 @@ class SplitQueue {
   std::size_t buf_off_ = 0;
   std::size_t slots_off_ = 0;
   std::vector<Counters> counters_;
-  /// Per-rank scratch for wait-free reacquire (self-steal buffer).
+  /// Per-rank chunk_max-sized scratch: the LockFree self-steal reacquire
+  /// and a ward's drain_dead copy batches land here.
   std::vector<std::vector<std::byte>> reacquire_bufs_;
   /// Per-rank stash for recovered tasks that did not fit the queue.
   std::vector<std::vector<std::byte>> overflow_;

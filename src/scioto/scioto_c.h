@@ -86,7 +86,7 @@ void tc_reset(tc_t tc);
 /// last tc_process().
 void tc_stats_get(tc_t tc, scioto_stats_t* out);
 /// Effective steal protocol of this collection after the SCIOTO_QUEUE env
-/// override ("split", "no-split", "wait-free", or "lockfree"); static
+/// override ("split", "no-split", or "lockfree"); static
 /// storage, valid for the process lifetime.
 const char* tc_queue_mode(tc_t tc);
 

@@ -219,21 +219,14 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
   qc.adaptive_chunk = cfg_.adaptive_steal;
   qc.owner_fastpath = cfg_.owner_fastpath;
   qc.deferred_steal_copy = cfg_.deferred_steal_copy;
-  // The live KnobSet seeds from the same effective values TcConfig used to
-  // hard-wire into the queue; from here on the queue and the steal path
-  // read through it, so set_knob (and the controller) retune a running
-  // collection. The vector is sized before the queue captures a pointer
-  // into it and never resized after.
-  knobs_.resize(static_cast<std::size_t>(rt_.nprocs()));
-  control::KnobSet& ks = knobs_[static_cast<std::size_t>(rt_.me())];
-  ks.init(cfg_.chunk_size, cfg_.chunk_max, cfg_.adaptive_steal,
-          cfg_.steal_retarget_max,
-          static_cast<std::int64_t>(qc.release_threshold), rt_.nprocs());
-  qc.knobs = &ks;
+  // The queue's live KnobSet seeds from these TcConfig values; from here
+  // on the queue and the steal path read through it, so set_knob (and the
+  // controller) retune a running collection.
   queue_ = std::make_unique<SplitQueue>(rt_, qc);
+  queue_->knobs().set(control::Knob::RetargetBudget, cfg_.steal_retarget_max);
 #if SCIOTO_CONTROL_ENABLED
   if (control::active()) {
-    control::attach(rt_.me(), &ks);
+    control::attach(rt_.me(), &queue_->knobs());
   }
 #endif
 
@@ -317,7 +310,7 @@ CloHandle TaskCollection::register_clo(void* local_instance) {
 }
 
 std::int64_t TaskCollection::set_knob(control::Knob k, std::int64_t v) {
-  control::KnobSet& ks = knobs_[static_cast<std::size_t>(rt_.me())];
+  control::KnobSet& ks = queue_->knobs();
   const bool changed = ks.set(k, v);
 #if SCIOTO_CONTROL_ENABLED
   if (changed && control::active()) {
@@ -746,7 +739,7 @@ void TaskCollection::process() {
         // stream exactly as before. A dead pick under fault tolerance
         // falls through to the alive-pool sampling below.
         const int vset = static_cast<int>(
-            knobs_[self].get(control::Knob::VictimSetSize));
+            queue_->knobs().get(control::Knob::VictimSetSize));
         if (victim == kNoRank && vset > 0 && n > 1) {
           Rank hotpool[control::kMaxHotVictims];
           int npool = 0;
@@ -829,7 +822,7 @@ void TaskCollection::process() {
           // sim replays stay bit-deterministic) and aim at a different
           // victim instead of convoying behind the current one. The budget
           // is a live knob (initialized from cfg_.steal_retarget_max).
-          if (retarget >= static_cast<int>(knobs_[self].get(
+          if (retarget >= static_cast<int>(queue_->knobs().get(
                               control::Knob::RetargetBudget))) {
             got = 0;
             break;

@@ -48,10 +48,10 @@ struct TcConfig {
   /// Per-rank queue capacity in tasks (the paper's max_sz).
   std::int64_t max_tasks_per_rank = 1 << 16;
   /// Queue variant: Split (the paper's design), NoSplit (the original
-  /// fully locked queue, Figure 7's ablation), WaitFreeSteal (the §8
-  /// lock-free steal path), or LockFree (Chase-Lev CAS steals with the
-  /// split machinery live). Overridable at construction by the
-  /// SCIOTO_QUEUE env knob (locked | aborting | lockfree).
+  /// fully locked queue, Figure 7's ablation), or LockFree (Chase-Lev CAS
+  /// steals with the split machinery live -- the §8 lock-free steal
+  /// path). Overridable at construction by the SCIOTO_QUEUE env knob
+  /// (locked | aborting | lockfree).
   QueueMode queue_mode = QueueMode::Split;
   /// The paper allows disabling dynamic load balancing before process().
   bool load_balancing = true;
@@ -189,9 +189,7 @@ class TaskCollection {
   /// This rank's live tuning parameters. The queue and the steal path read
   /// through these on every decision, so writes take effect mid-process()
   /// -- unlike the TcConfig fields, which only seed the initial values.
-  const control::KnobSet& knobs() const {
-    return knobs_[static_cast<std::size_t>(rt_.me())];
-  }
+  const control::KnobSet& knobs() const { return queue_->knobs(); }
   /// Current value of one knob.
   std::int64_t knob(control::Knob k) const { return knobs().get(k); }
   /// Clamped live write (rank-local, callable mid-run); returns the value
@@ -295,9 +293,6 @@ class TaskCollection {
   std::vector<std::vector<std::byte>> scratch_;
   std::vector<Xoshiro256> rngs_;
   std::vector<TcStats> stats_;
-  /// Live knobs, per rank (only the self slot is initialized, like the
-  /// buffers below); the queue holds a pointer to the self slot.
-  std::vector<control::KnobSet> knobs_;
   std::vector<std::vector<std::byte>> steal_bufs_;
   std::vector<std::vector<std::byte>> exec_bufs_;
   /// Fault-recovery state, per rank (used only with an active session).

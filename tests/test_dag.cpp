@@ -16,7 +16,6 @@
 #include "dag/dag.hpp"
 #include "fault/fault.hpp"
 #include "metrics/metrics.hpp"
-#include "scioto/deps.hpp"
 #include "scioto/scioto_c.h"
 #include "scioto/task_collection.hpp"
 #include "test_util.hpp"
@@ -375,20 +374,6 @@ TEST(DagValidation, AddEdgeRejectsBadArgsAtCallTime) {
     dag.execute();
     tc.destroy();
   });
-}
-
-TEST(DagValidation, DeprecatedTaskDagAliasStillCompiles) {
-  std::atomic<int> hits{0};
-  testing::run_sim(2, [&](Runtime& rt) {
-    TaskCollection tc(rt, small_cfg());
-    TaskDag dag(tc);  // the retired stub's spelling, via scioto/deps.hpp
-    TaskDag::NodeId a = dag.add_node(0, [&] { hits.fetch_add(1); });
-    TaskDag::NodeId b = dag.add_node(1, [&] { hits.fetch_add(1); });
-    dag.add_edge(a, b);
-    dag.execute();
-    tc.destroy();
-  });
-  EXPECT_EQ(hits.load(), 2);
 }
 
 // ---- Sim determinism: byte-identical replay across 8 seeds ----

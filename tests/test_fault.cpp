@@ -410,18 +410,16 @@ TEST(FaultRecovery, RecoveryCountersSurfaceInStats) {
 
 // Unlocked steal protocols cannot anchor the steal-transaction log (the
 // claim becomes visible with a CAS outside any critical section, so a
-// thief death between claim and requeue would lose the chunk). Both the
-// wait-free and the lockfree (SCIOTO_QUEUE=lockfree) modes must be
-// rejected at INIT under an active fault session -- fail-fast with a
-// clear error, never a silently non-recoverable run -- while the locked
-// modes keep constructing under the very same session.
+// thief death between claim and requeue would lose the chunk). The
+// lockfree (SCIOTO_QUEUE=lockfree) mode must be rejected at INIT under an
+// active fault session -- fail-fast with a clear error, never a silently
+// non-recoverable run -- while the locked modes keep constructing under
+// the very same session.
 TEST(FaultComposition, UnlockedStealModesRejectedAtInit) {
   fault::start(1, fault::FaultPlan{}, 7);
   testing::run_sim(1, [&](Runtime& rt) {
     SplitQueue::Config qc;
     qc.mode = QueueMode::LockFree;
-    EXPECT_THROW(SplitQueue(rt, qc), Error);
-    qc.mode = QueueMode::WaitFreeSteal;
     EXPECT_THROW(SplitQueue(rt, qc), Error);
 
     // The documented user-facing path composes the same way: a task

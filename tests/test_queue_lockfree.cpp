@@ -510,16 +510,15 @@ std::uint64_t slot_id(const std::byte* buf) {
   return id;
 }
 
-SplitQueue::Config lockfree_cfg(const control::KnobSet* knobs,
-                                int chunk = 4, int chunk_max = 8,
-                                std::uint64_t capacity = 4096) {
+SplitQueue::Config lockfree_cfg(int chunk = 4, int chunk_max = 8,
+                                std::uint64_t capacity = 4096,
+                                QueueMode mode = QueueMode::LockFree) {
   SplitQueue::Config c;
   c.slot_bytes = kSlot;
   c.capacity = capacity;
   c.chunk = chunk;
   c.chunk_max = chunk_max;
-  c.knobs = knobs;
-  c.mode = QueueMode::LockFree;
+  c.mode = mode;
   c.release_threshold = 4;
   return c;
 }
@@ -528,50 +527,52 @@ SplitQueue::Config lockfree_cfg(const control::KnobSet* knobs,
 // set_knob flip between steals, and claims come off the steal end
 // oldest-index-first. Low-affinity pushes enter at steal_head - 1, so
 // push order 1..12 exposes 12 as the OLDEST (lowest index): exact
-// deterministic steal order under sim.
+// deterministic steal order under sim. The locked Split mode must honour
+// the queue's own KnobSet identically (the knob path is shared).
 TEST(LockFreeQueueSim, ChunkFlipTakesLiveWidthOldestFirst) {
-  testing::run_sim(2, [&](Runtime& rt) {
-    control::KnobSet knobs;
-    knobs.init(/*chunk=*/3, /*chunk_max=*/8, /*steal_half=*/false,
-               /*retarget_budget=*/0, /*release_threshold=*/4,
-               rt.nprocs());
-    SplitQueue q(rt, lockfree_cfg(&knobs, /*chunk=*/3));
-    std::byte buf[kSlot];
-    if (rt.me() == 0) {
-      for (std::uint64_t id = 1; id <= 12; ++id) {
-        make_slot(buf, id);
-        ASSERT_TRUE(q.push_local(buf, kAffinityLow));
+  for (QueueMode mode : {QueueMode::LockFree, QueueMode::Split}) {
+    SCOPED_TRACE(queue_mode_name(mode));
+    testing::run_sim(2, [&](Runtime& rt) {
+      SplitQueue q(rt, lockfree_cfg(/*chunk=*/3, /*chunk_max=*/8,
+                                    /*capacity=*/4096, mode));
+      control::KnobSet& knobs = q.knobs();
+      std::byte buf[kSlot];
+      if (rt.me() == 0) {
+        for (std::uint64_t id = 1; id <= 12; ++id) {
+          make_slot(buf, id);
+          ASSERT_TRUE(q.push_local(buf, kAffinityLow));
+        }
+        ASSERT_EQ(q.shared_size(), 12u);
       }
-      ASSERT_EQ(q.shared_size(), 12u);
-    }
-    rt.barrier();
+      rt.barrier();
 
-    if (rt.me() == 1) {
-      std::vector<std::byte> out(8 * kSlot);
-      ASSERT_EQ(q.steal_from(0, out.data()), 3);
-      EXPECT_EQ(slot_id(out.data()), 12u);
-      EXPECT_EQ(slot_id(out.data() + kSlot), 11u);
-      EXPECT_EQ(slot_id(out.data() + 2 * kSlot), 10u);
+      if (rt.me() == 1) {
+        std::vector<std::byte> out(8 * kSlot);
+        ASSERT_EQ(q.steal_from(0, out.data()), 3);
+        EXPECT_EQ(slot_id(out.data()), 12u);
+        EXPECT_EQ(slot_id(out.data() + kSlot), 11u);
+        EXPECT_EQ(slot_id(out.data() + 2 * kSlot), 10u);
 
-      // Live flip: the thief's own KnobSet governs its next take width.
-      ASSERT_TRUE(knobs.set(control::Knob::StealChunk, 5));
-      ASSERT_EQ(q.steal_from(0, out.data()), 5);
-      for (int i = 0; i < 5; ++i) {
-        EXPECT_EQ(slot_id(out.data() + static_cast<std::size_t>(i) * kSlot),
-                  static_cast<std::uint64_t>(9 - i));
+        // Live flip: the thief's own KnobSet governs its next take width.
+        ASSERT_TRUE(knobs.set(control::Knob::StealChunk, 5));
+        ASSERT_EQ(q.steal_from(0, out.data()), 5);
+        for (int i = 0; i < 5; ++i) {
+          EXPECT_EQ(slot_id(out.data() + static_cast<std::size_t>(i) * kSlot),
+                    static_cast<std::uint64_t>(9 - i));
+        }
+
+        // Clamp: requests above chunk_max are bounded by the buffers'
+        // sizing, never by luck.
+        knobs.set(control::Knob::StealChunk, 99);
+        EXPECT_EQ(knobs.get(control::Knob::StealChunk), 8);
+        ASSERT_EQ(q.steal_from(0, out.data()), 4);  // 4 tasks remain
+        EXPECT_EQ(q.counters().steals_lock_busy, 0u);
       }
-
-      // Clamp: requests above chunk_max are bounded by the buffers'
-      // sizing, never by luck.
-      knobs.set(control::Knob::StealChunk, 99);
-      EXPECT_EQ(knobs.get(control::Knob::StealChunk), 8);
-      ASSERT_EQ(q.steal_from(0, out.data()), 4);  // 4 tasks remain
-      EXPECT_EQ(q.counters().steals_lock_busy, 0u);
-    }
-    rt.barrier();
-    EXPECT_EQ(q.peek_shared(0), 0u);
-    q.destroy();
-  });
+      rt.barrier();
+      EXPECT_EQ(q.peek_shared(0), 0u);
+      q.destroy();
+    });
+  }
 }
 
 // 400 tasks through an 8-slot ring: indices lap the physical array ~50
@@ -579,9 +580,7 @@ TEST(LockFreeQueueSim, ChunkFlipTakesLiveWidthOldestFirst) {
 // conservation after every round.
 TEST(LockFreeQueueSim, WraparoundConservation) {
   testing::run_sim(2, [&](Runtime& rt) {
-    control::KnobSet knobs;
-    knobs.init(4, 4, false, 0, 4, rt.nprocs());
-    SplitQueue q(rt, lockfree_cfg(&knobs, /*chunk=*/4, /*chunk_max=*/4,
+    SplitQueue q(rt, lockfree_cfg(/*chunk=*/4, /*chunk_max=*/4,
                                   /*capacity=*/8));
     std::byte buf[kSlot];
     std::vector<std::byte> out(4 * kSlot);
@@ -618,9 +617,9 @@ TEST(LockFreeQueueSim, WraparoundConservation) {
 // the validated fast path. Counters separate the two.
 TEST(LockFreeQueueSim, ReacquireSelfStealsThinSharedFastPathsDeep) {
   testing::run_sim(1, [&](Runtime& rt) {
-    control::KnobSet knobs;
-    knobs.init(2, 2, false, 0, 100, rt.nprocs());
-    SplitQueue q(rt, lockfree_cfg(&knobs, /*chunk=*/2, /*chunk_max=*/2));
+    auto c = lockfree_cfg(/*chunk=*/2, /*chunk_max=*/2);
+    c.release_threshold = 100;
+    SplitQueue q(rt, c);
     std::byte buf[kSlot];
 
     // Thin: one task exposed -> CAS self-steal, re-pushed private.
@@ -669,11 +668,11 @@ TEST(LockFreeStealThreads, OneVictimManyThievesKnobFlipConservation) {
   constexpr std::uint64_t kTasks = 2000;
   constexpr int kRanks = 8;
   testing::run_threads(kRanks, [&](Runtime& rt) {
-    control::KnobSet knobs;  // per-rank: thief-side policy, TSan-clean
-    knobs.init(/*chunk=*/4, /*chunk_max=*/4, /*steal_half=*/true,
-               /*retarget_budget=*/0, /*release_threshold=*/4,
-               rt.nprocs());
-    SplitQueue q(rt, lockfree_cfg(&knobs, /*chunk=*/4, /*chunk_max=*/4));
+    auto c = lockfree_cfg(/*chunk=*/4, /*chunk_max=*/4);
+    c.adaptive_chunk = true;
+    SplitQueue q(rt, c);
+    // Per-rank queue object: its KnobSet is thief-side policy, TSan-clean.
+    control::KnobSet& knobs = q.knobs();
     pgas::SegId flag_seg = rt.seg_alloc(64);
     auto* done =
         reinterpret_cast<std::atomic<std::uint64_t>*>(rt.seg_ptr(flag_seg, 0));

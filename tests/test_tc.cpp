@@ -1,6 +1,6 @@
 // End-to-end tests of the TaskCollection: seeding, dynamic spawning, work
 // stealing, common local objects, statistics, reset/reuse, affinity
-// placement, load-balancing toggle, the C API shim, and the TaskDag
+// placement, load-balancing toggle, the C API shim, and the DAG
 // dependency extension.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include <set>
 #include <vector>
 
-#include "scioto/deps.hpp"
+#include "dag/dag.hpp"
 #include "scioto/scioto_c.h"
 #include "scioto/task_collection.hpp"
 #include "test_util.hpp"
@@ -414,16 +414,16 @@ TEST(TcMulticore, IntraNodeRmaIsCheaper) {
   });
 }
 
-// ---- TaskDag dependency extension (§8) ----
+// ---- DAG dependency extension (§8) ----
 
 TEST_P(TcBackends, DagChainExecutesInOrder) {
   std::vector<int> order;
   std::mutex m;
   testing::run(3, GetParam(), [&](Runtime& rt) {
     TaskCollection tc(rt, small_cfg());
-    TaskDag dag(tc);
+    dag::DagScheduler dag(tc);
     constexpr int kLen = 12;
-    std::vector<TaskDag::NodeId> ids;
+    std::vector<dag::NodeId> ids;
     for (int i = 0; i < kLen; ++i) {
       ids.push_back(dag.add_node(i % rt.nprocs(), [&, i] {
         std::lock_guard<std::mutex> g(m);
@@ -448,7 +448,7 @@ TEST_P(TcBackends, DagDiamondJoinWaitsForBothBranches) {
   std::atomic<bool> violated{false};
   testing::run(4, GetParam(), [&](Runtime& rt) {
     TaskCollection tc(rt, small_cfg());
-    TaskDag dag(tc);
+    dag::DagScheduler dag(tc);
     auto a = dag.add_node(0, [&] { stage.fetch_add(1); });
     auto b = dag.add_node(1, [&] {
       if (stage.load() < 1) violated = true;
@@ -477,7 +477,7 @@ TEST_P(TcBackends, DagWideFanOutAllExecute) {
   std::atomic<int> leaves{0};
   testing::run(4, GetParam(), [&](Runtime& rt) {
     TaskCollection tc(rt, small_cfg());
-    TaskDag dag(tc);
+    dag::DagScheduler dag(tc);
     auto root = dag.add_node(0, [] {});
     auto join = dag.add_node(0, [] {});
     for (int i = 0; i < 64; ++i) {
@@ -494,7 +494,7 @@ TEST_P(TcBackends, DagWideFanOutAllExecute) {
 TEST_P(TcBackends, DagCycleDetected) {
   testing::run(2, GetParam(), [&](Runtime& rt) {
     TaskCollection tc(rt, small_cfg());
-    TaskDag dag(tc);
+    dag::DagScheduler dag(tc);
     auto a = dag.add_node(0, [] {});
     auto b = dag.add_node(1, [] {});
     dag.add_edge(a, b);
