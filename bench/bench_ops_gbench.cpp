@@ -1,11 +1,12 @@
 // Real-hardware microbenchmarks (google-benchmark) over the *threads*
-// backend: the actual data-structure costs of the queue, RMW, and SHA-1
-// primitives on this host, complementing bench_table1_ops' virtual-time
-// reproduction of the paper's Table 1.
+// backend: the actual data-structure costs of the queue, RMW, SHA-1 and
+// UTS child-hash primitives on this host, complementing bench_table1_ops'
+// virtual-time reproduction of the paper's Table 1.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "apps/uts/uts.hpp"
 #include "base/sha1.hpp"
 #include "pgas/runtime.hpp"
 #include "scioto/queue.hpp"
@@ -40,6 +41,34 @@ void BM_Sha1TaskDigest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Sha1TaskDigest);
+
+// One 64-byte block, each fed back into the next (the chaining latency a
+// UTS traversal pays); "dispatched" is whichever path CPUID selected.
+void BM_Sha1Compress(benchmark::State& state,
+                     void (*compress)(Sha1::State&, const std::uint8_t*)) {
+  std::uint8_t block[Sha1::kBlockBytes] = {1, 2, 3};
+  Sha1::State s = {1, 2, 3, 4, 5};
+  for (auto _ : state) {
+    compress(s, block);
+    benchmark::DoNotOptimize(s);
+  }
+  if (compress == &Sha1::compress && !Sha1::has_hw_compress()) {
+    state.SetLabel("no SHA-NI: runs portable");
+  }
+}
+BENCHMARK_CAPTURE(BM_Sha1Compress, portable, &Sha1::compress_portable);
+BENCHMARK_CAPTURE(BM_Sha1Compress, dispatched, &Sha1::compress);
+
+// A UTS node's descriptor from its parent's: one padded-block hash.
+void BM_UtsChild(benchmark::State& state) {
+  apps::UtsNode n = apps::uts_root(apps::uts_bench());
+  int i = 0;
+  for (auto _ : state) {
+    n = apps::uts_child(n, i++ & 7);
+    benchmark::DoNotOptimize(n);
+  }
+}
+BENCHMARK(BM_UtsChild);
 
 void BM_QueueLocalPushPop(benchmark::State& state) {
   pgas::run_spmd(rt_cfg(1), [&](pgas::Runtime& rt) {

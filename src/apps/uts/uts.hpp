@@ -2,9 +2,9 @@
 // paper §6.2). An exhaustive traversal of a deterministic, highly
 // unbalanced tree whose shape is derived from a SHA-1 splittable random
 // stream: each node is described by a 20-byte digest, and child i's
-// descriptor is SHA1(parent_digest || i). Because the tree exists only
-// implicitly, the benchmark isolates dynamic load balancing: performance
-// is reported in tree nodes processed per second.
+// descriptor is SHA1(parent_digest || be32(i)). Because the tree exists
+// only implicitly, the benchmark isolates dynamic load balancing:
+// performance is reported in tree nodes processed per second.
 //
 // Two tree families from the UTS suite are implemented:
 //   * Geometric: the branching factor's expectation decreases linearly
@@ -76,7 +76,10 @@ UtsNode uts_root(const UtsParams& p);
 /// Number of children of `node` under the tree parameters (deterministic).
 int uts_num_children(const UtsNode& node, const UtsParams& p);
 
-/// Child i's descriptor: SHA1(parent_state || i).
+/// Child i's descriptor: SHA1(parent_state || be32(i)), where be32(i) is
+/// the index's 32-bit two's-complement value, most significant byte
+/// first (UTS rng_spawn). The 24-byte message plus its padding fits one
+/// 64-byte SHA-1 block, so each child costs exactly one compress.
 UtsNode uts_child(const UtsNode& parent, int i);
 
 /// 31-bit uniform value extracted from a node's digest (UTS rng_rand).

@@ -2,8 +2,12 @@
 //
 // Used by the UTS benchmark as a splittable deterministic RNG: each tree
 // node is described by a 20-byte digest, and child i's state is
-// SHA1(parent_state || i). The implementation below is a straightforward,
-// dependency-free rendition of the FIPS 180-1 algorithm.
+// SHA1(parent_state || be32(i)) -- a 24-byte message, so every UTS hash
+// is a single 64-byte block. Everything funnels through one block
+// compress with two implementations: a portable one (the reference, and
+// the only one on non-x86 hosts or CPUs without the SHA extensions) and
+// an x86-64 SHA-NI one. compress() picks between them once, from CPUID;
+// both produce the same digest bit for bit.
 #pragma once
 
 #include <array>
@@ -22,7 +26,10 @@ namespace scioto {
 class Sha1 {
  public:
   static constexpr std::size_t kDigestBytes = 20;
+  static constexpr std::size_t kBlockBytes = 64;
   using Digest = std::array<std::uint8_t, kDigestBytes>;
+  /// The chaining value H0..H4.
+  using State = std::array<std::uint32_t, 5>;
 
   Sha1() { reset(); }
 
@@ -36,18 +43,30 @@ class Sha1 {
   /// further use.
   Digest finish();
 
-  /// One-shot convenience.
+  /// One-shot convenience. Messages of up to 55 bytes (every UTS node
+  /// hash) are padded on the stack and compressed once.
   static Digest hash(const void* data, std::size_t len);
 
   /// Lowercase hex rendering of a digest (for tests and debugging).
   static std::string hex(const Digest& d);
 
- private:
-  void process_block(const std::uint8_t* block);
+  /// Fold one 64-byte block into `state`, on the implementation chosen
+  /// once from CPUID.
+  static void compress(State& state, const std::uint8_t* block);
 
-  std::array<std::uint32_t, 5> state_{};
+  /// The portable compress: the reference the hardware path must match.
+  static void compress_portable(State& state, const std::uint8_t* block);
+
+  /// True when this host can run compress_hw (x86-64 with SHA-NI).
+  static bool has_hw_compress();
+
+  /// The x86-64 SHA-NI compress. Requires has_hw_compress().
+  static void compress_hw(State& state, const std::uint8_t* block);
+
+ private:
+  State state_{};
   std::uint64_t total_bytes_ = 0;
-  std::array<std::uint8_t, 64> buffer_{};
+  std::array<std::uint8_t, kBlockBytes> buffer_{};
   std::size_t buffered_ = 0;
 };
 

@@ -1390,26 +1390,46 @@ void TaskCollection::restore_from(const std::string& path) {
   mf >> word >> version;
   SCIOTO_REQUIRE(word == "scioto-ckpt" && version == "v1",
                  "elastic: bad manifest header in " << path);
+  // Every field is checked: a malformed value must fail here by name,
+  // not end the parse early and silently drop the remaining parts.
+  auto field = [&](const std::string& key) {
+    std::uint64_t v = 0;
+    SCIOTO_REQUIRE(mf >> v, "elastic: manifest " << path << ": '" << key
+                                                 << "' needs a numeric value");
+    return v;
+  };
   std::uint64_t gen = 0;
   std::uint64_t src_n = 0;
   std::uint64_t src_slot = 0;
-  std::vector<std::pair<Rank, std::uint64_t>> parts;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> parts;  // rank, nd
   while (mf >> word) {
     if (word == "gen") {
-      mf >> gen;
+      gen = field(word);
     } else if (word == "nranks") {
-      mf >> src_n;
+      src_n = field(word);
     } else if (word == "slot_bytes") {
-      mf >> src_slot;
+      src_slot = field(word);
     } else if (word == "part") {
-      std::int64_t r = 0;
-      std::uint64_t nd = 0;
-      mf >> r >> nd;
-      parts.emplace_back(static_cast<Rank>(r), nd);
+      const std::uint64_t r = field("part rank");
+      parts.emplace_back(r, field("part count"));
     } else {
       SCIOTO_REQUIRE(false,
                      "elastic: unknown manifest key '" << word << "' in "
                                                        << path);
+    }
+  }
+  SCIOTO_REQUIRE(src_n > 0, "elastic: manifest " << path << " has no nranks");
+  {
+    auto sorted = parts;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      SCIOTO_REQUIRE(sorted[i].first < src_n,
+                     "elastic: manifest " << path << ": part rank "
+                                          << sorted[i].first
+                                          << " outside nranks " << src_n);
+      SCIOTO_REQUIRE(i == 0 || sorted[i].first != sorted[i - 1].first,
+                     "elastic: manifest " << path << ": duplicate part rank "
+                                          << sorted[i].first);
     }
   }
   SCIOTO_REQUIRE(src_slot == slot_bytes(),
@@ -1432,7 +1452,7 @@ void TaskCollection::restore_from(const std::string& path) {
   std::uint64_t bytes = 0;
   std::vector<char> buf;
   for (std::size_t pi = 0; pi < parts.size(); ++pi) {
-    const Rank src = parts[pi].first;
+    const Rank src = static_cast<Rank>(parts[pi].first);
     const std::uint64_t nd = parts[pi].second;
     const std::string pp = ckpt_part_path(path, src);
     std::ifstream pf(pp, std::ios::binary);
@@ -1458,16 +1478,22 @@ void TaskCollection::restore_from(const std::string& path) {
         "elastic: bad magic in part file " << pp);
     std::uint64_t hdr[6];
     std::memcpy(hdr, buf.data() + sizeof(kCkptMagic), sizeof(hdr));
-    SCIOTO_REQUIRE(hdr[0] == static_cast<std::uint64_t>(src) &&
+    SCIOTO_REQUIRE(hdr[0] == parts[pi].first && hdr[1] == src_n &&
                        hdr[2] == gen && hdr[3] == nd && hdr[4] == src_slot,
                    "elastic: part file " << pp
                                          << " does not match the manifest");
     const std::size_t desc_off = sizeof(kCkptMagic) + sizeof(hdr);
     const std::uint64_t blob_bytes = hdr[5];
-    SCIOTO_REQUIRE(desc_off + nd * src_slot + blob_bytes +
-                           Sha1::kDigestBytes ==
-                       buf.size(),
-                   "elastic: part file " << pp << " has inconsistent sizes");
+    // Division, not nd * src_slot: a forged count must not wrap the sum
+    // into a plausible size and send the reads below past the buffer.
+    const std::uint64_t payload = buf.size() - desc_off - Sha1::kDigestBytes;
+    SCIOTO_REQUIRE(nd <= payload / src_slot &&
+                       blob_bytes == payload - nd * src_slot,
+                   "elastic: part file " << pp << " has inconsistent sizes ("
+                                         << nd << " descriptors of "
+                                         << src_slot << " B + " << blob_bytes
+                                         << " B blob in " << payload
+                                         << " B)");
     for (std::uint64_t j = 0; j < nd; ++j, ++g) {
       if (targets[g % targets.size()] != me) {
         continue;

@@ -2,6 +2,7 @@
 // option parsing, table rendering, accumulators.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "base/error.hpp"
@@ -66,6 +67,83 @@ TEST(Sha1, ResetReusesHasher) {
   h.update("abc", 3);
   EXPECT_EQ(Sha1::hex(h.finish()),
             "a9993e364706816aba3e25717850c26c9cd0d89d");
+}
+
+/// Independent reference: pads the whole message by hand and folds it
+/// block by block through the portable compress.
+std::string reference_hex(const std::string& msg) {
+  std::string padded = msg + '\x80';
+  padded.append((120 - padded.size() % 64) % 64, '\0');
+  const std::uint64_t bits = std::uint64_t{msg.size()} * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<char>(bits >> (8 * i)));
+  }
+  Sha1::State s = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u,
+                   0xC3D2E1F0u};
+  for (std::size_t off = 0; off < padded.size(); off += 64) {
+    Sha1::compress_portable(
+        s, reinterpret_cast<const std::uint8_t*>(padded.data() + off));
+  }
+  Sha1::Digest d;
+  for (int i = 0; i < 20; ++i) {
+    d[i] = static_cast<std::uint8_t>(s[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return Sha1::hex(d);
+}
+
+TEST(Sha1, PortableCompressReproducesFipsVectors) {
+  EXPECT_EQ(reference_hex(""), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(reference_hex("abc"), "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_EQ(reference_hex(
+                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+}
+
+void random_block(Xoshiro256& rng, std::uint8_t* block) {
+  for (int i = 0; i < 64; i += 8) {
+    const std::uint64_t x = rng.next();
+    std::memcpy(block + i, &x, 8);
+  }
+}
+
+TEST(Sha1, HardwareCompressMatchesPortableOnRandomBlocks) {
+  if (!Sha1::has_hw_compress()) {
+    GTEST_SKIP() << "this CPU has no SHA-NI; only the portable compress runs";
+  }
+  Xoshiro256 rng(2008);
+  std::uint8_t block[64];
+  for (int i = 0; i < 100000; ++i) {
+    random_block(rng, block);
+    Sha1::State a;
+    for (auto& w : a) {
+      w = static_cast<std::uint32_t>(rng.next());
+    }
+    Sha1::State b = a;
+    Sha1::compress_portable(a, block);
+    Sha1::compress_hw(b, block);
+    ASSERT_EQ(a, b) << "block " << i;
+  }
+}
+
+TEST(Sha1, StreamingMatchesReferenceAtEveryLengthAndSplit) {
+  // Lengths 0..200 cross the one-block limit (55 bytes fit with the
+  // padding, 56 need a second block) and three more block boundaries.
+  std::string msg(200, '\0');
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<char>(i * 131 + 7);
+  }
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const std::string m = msg.substr(0, len);
+    const std::string want = reference_hex(m);
+    ASSERT_EQ(Sha1::hex(Sha1::hash(m.data(), len)), want) << "len " << len;
+    for (std::size_t cut = 0; cut <= len; ++cut) {
+      Sha1 h;
+      h.update(m.data(), cut);
+      h.update(m.data() + cut, len - cut);
+      ASSERT_EQ(Sha1::hex(h.finish()), want)
+          << "len " << len << " split at " << cut;
+    }
+  }
 }
 
 // ---- RNG ----

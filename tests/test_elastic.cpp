@@ -3,18 +3,22 @@
 // checkpoint/restore (a killed-then-checkpointed run restored onto a
 // DIFFERENT fleet size sums to exactly the uninterrupted traversal),
 // quiesce under real concurrent steal traffic (threads backend, the TSan
-// leg), the C API knobs, the fail-fast on join/ckpt rules naming ranks
-// outside the run, and the elastic-off byte-identity pin on the trace
-// stream.
+// leg), restore's named rejection of corrupt checkpoints, the C API
+// knobs, the fail-fast on join/ckpt rules naming ranks outside the run,
+// and the elastic-off byte-identity pin on the trace stream.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "apps/uts/uts_drivers.hpp"
+#include "base/sha1.hpp"
 #include "detect/membership.hpp"
 #include "elastic/elastic.hpp"
 #include "fault/fault.hpp"
@@ -251,6 +255,93 @@ TEST(ElasticCkpt, GrowThenCheckpointThenRestoreExact) {
         << " nodes, expected " << expected.nodes;
   }
   remove_ckpt_files(base, 6);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f), {});
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Restores `base` onto `nranks` ranks; returns the error's text, or ""
+/// when the restore went through.
+std::string restore_error(const std::string& base, int nranks) {
+  elastic::Config ec;
+  ec.restore_path = base;
+  ElasticGuard guard(&ec);
+  try {
+    (void)run_uts_elastic(nranks, "", 5, apps::uts_small());
+  } catch (const Error& e) {
+    fault::stop();
+    return e.what();
+  }
+  return "";
+}
+
+/// Replaces the count on manifest line "part <rank> <count>".
+std::string with_part_count(const std::string& manifest, int rank,
+                            const std::string& count) {
+  const std::string key = "part " + std::to_string(rank) + " ";
+  const std::size_t at = manifest.find(key);
+  EXPECT_NE(at, std::string::npos) << manifest;
+  const std::size_t from = at + key.size();
+  return manifest.substr(0, from) + count +
+         manifest.substr(manifest.find('\n', from));
+}
+
+TEST(ElasticCkpt, RestoreRejectsCorruptCheckpointsByName) {
+  const std::string base = tmp_ckpt_path("corrupt");
+  remove_ckpt_files(base, 4);
+  {
+    elastic::Config ec;
+    ec.ckpt_path = base;
+    ec.halt_after_ckpt = true;
+    ElasticGuard guard(&ec);
+    (void)run_uts_elastic(4, "ckpt:at=300us", 3, apps::uts_small());
+    ASSERT_EQ(elastic::stats().checkpoints, 1u);
+  }
+  const std::string manifest = read_file(base);
+  const std::string part = read_file(base + ".r0");
+  ASSERT_GT(part.size(), 8 + 6 * 8 + Sha1::kDigestBytes);
+  EXPECT_EQ(restore_error(base, 4), "") << "the pristine checkpoint restores";
+
+  // A flipped byte anywhere before the trailing digest.
+  std::string flipped = part;
+  flipped[20] = static_cast<char>(flipped[20] ^ 0x01);
+  write_file(base + ".r0", flipped);
+  std::string err = restore_error(base, 4);
+  EXPECT_NE(err.find("SHA1 mismatch"), std::string::npos) << err;
+  write_file(base + ".r0", part);
+
+  // A non-numeric count must fail by name, not end the parse and drop
+  // every later part line.
+  write_file(base, with_part_count(manifest, 0, "many"));
+  err = restore_error(base, 4);
+  EXPECT_NE(err.find("'part count' needs a numeric value"), std::string::npos)
+      << err;
+
+  // A forged count whose nd * slot_bytes wraps to the real payload size,
+  // in a part file that still carries a valid digest: the size check
+  // must catch it before any descriptor is read.
+  std::uint64_t hdr[6];
+  std::memcpy(hdr, part.data() + 8, sizeof(hdr));
+  const int tz = std::countr_zero(hdr[4]);
+  ASSERT_GT(tz, 0) << "slot_bytes " << hdr[4] << " is odd";
+  hdr[3] += std::uint64_t{1} << (64 - tz);
+  std::string forged = part;
+  std::memcpy(forged.data() + 8, hdr, sizeof(hdr));
+  const std::size_t body = forged.size() - Sha1::kDigestBytes;
+  const Sha1::Digest d = Sha1::hash(forged.data(), body);
+  std::memcpy(forged.data() + body, d.data(), d.size());
+  write_file(base + ".r0", forged);
+  write_file(base, with_part_count(manifest, 0, std::to_string(hdr[3])));
+  err = restore_error(base, 4);
+  EXPECT_NE(err.find("has inconsistent sizes"), std::string::npos) << err;
+  remove_ckpt_files(base, 4);
 }
 
 // ---- quiesce under real concurrency (the TSan leg) ----

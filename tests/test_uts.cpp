@@ -28,6 +28,27 @@ TEST(Uts, RootAndChildrenAreDeterministic) {
   EXPECT_EQ(uts_child(root1, 0).state, c0.state);
 }
 
+TEST(Uts, ChildIsSha1OfParentDigestAndBigEndianIndex) {
+  const UtsNode root = uts_root(uts_tiny());
+  Sha1 h;
+  h.update(root.state.data(), root.state.size());
+  const std::uint8_t idx[4] = {0x12, 0x34, 0x56, 0x78};
+  h.update(idx, sizeof(idx));
+  EXPECT_EQ(uts_child(root, 0x12345678).state, h.finish());
+}
+
+TEST(Uts, ThousandStepChildChainGoldenDigest) {
+  // Pinned against the original byte-at-a-time SHA-1: every tree, node
+  // count and virtual makespan depends on this stream staying bit-exact.
+  UtsNode n = uts_root(uts_bench());
+  EXPECT_EQ(Sha1::hex(n.state), "57eaa9251a33407fcc82545443a8f191b9bd84be");
+  for (int i = 0; i < 1000; ++i) {
+    n = uts_child(n, i);
+  }
+  EXPECT_EQ(n.depth, 1000);
+  EXPECT_EQ(Sha1::hex(n.state), "e4bb38a9511aebad8c84b24d2ec6e3ae93558592");
+}
+
 TEST(Uts, DifferentSeedsGiveDifferentTrees) {
   UtsParams a = uts_tiny();
   UtsParams b = uts_tiny();
