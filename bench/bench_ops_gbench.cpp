@@ -43,21 +43,16 @@ void BM_Sha1TaskDigest(benchmark::State& state) {
 BENCHMARK(BM_Sha1TaskDigest);
 
 // One 64-byte block, each fed back into the next (the chaining latency a
-// UTS traversal pays); "dispatched" is whichever path CPUID selected.
-void BM_Sha1Compress(benchmark::State& state,
-                     void (*compress)(Sha1::State&, const std::uint8_t*)) {
+// UTS traversal pays).
+void BM_Sha1Compress(benchmark::State& state) {
   std::uint8_t block[Sha1::kBlockBytes] = {1, 2, 3};
   Sha1::State s = {1, 2, 3, 4, 5};
   for (auto _ : state) {
-    compress(s, block);
+    Sha1::compress(s, block);
     benchmark::DoNotOptimize(s);
   }
-  if (compress == &Sha1::compress && !Sha1::has_hw_compress()) {
-    state.SetLabel("no SHA-NI: runs portable");
-  }
 }
-BENCHMARK_CAPTURE(BM_Sha1Compress, portable, &Sha1::compress_portable);
-BENCHMARK_CAPTURE(BM_Sha1Compress, dispatched, &Sha1::compress);
+BENCHMARK(BM_Sha1Compress);
 
 // A UTS node's descriptor from its parent's: one padded-block hash.
 void BM_UtsChild(benchmark::State& state) {

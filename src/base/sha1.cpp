@@ -1,20 +1,11 @@
 #include "base/sha1.hpp"
 
+#include <algorithm>
 #include <cstring>
-#include <utility>
-
-#include "base/error.hpp"
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 namespace scioto {
 
 namespace {
-
-constexpr Sha1::State kInitState = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
-                                    0x10325476u, 0xC3D2E1F0u};
 
 inline std::uint32_t rotl(std::uint32_t x, int n) {
   return (x << n) | (x >> (32 - n));
@@ -25,64 +16,9 @@ inline std::uint32_t load_be32(const std::uint8_t* p) {
          (std::uint32_t(p[2]) << 8) | std::uint32_t(p[3]);
 }
 
-/// Closes a message whose last `n` (< 64) bytes sit in `block`: 0x80,
-/// then zeros to the end of the block.
-inline void pad_tail(std::uint8_t* block, std::size_t n) {
-  block[n] = 0x80;
-  std::memset(block + n + 1, 0, Sha1::kBlockBytes - n - 1);
-}
-
-/// The message's 64-bit big-endian bit length, in bytes 56..63.
-inline void put_bit_length(std::uint8_t* block, std::uint64_t total_bytes) {
-  const std::uint64_t bits = total_bytes * 8;
-  for (int i = 0; i < 8; ++i) {
-    block[56 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-  }
-}
-
-inline Sha1::Digest digest_of(const Sha1::State& s) {
-  Sha1::Digest d;
-  for (int i = 0; i < 5; ++i) {
-    d[i * 4] = static_cast<std::uint8_t>(s[i] >> 24);
-    d[i * 4 + 1] = static_cast<std::uint8_t>(s[i] >> 16);
-    d[i * 4 + 2] = static_cast<std::uint8_t>(s[i] >> 8);
-    d[i * 4 + 3] = static_cast<std::uint8_t>(s[i]);
-  }
-  return d;
-}
-
-#if defined(__x86_64__)
-#define SCIOTO_SHA_TARGET __attribute__((target("sha,sse4.1")))
-
-/// Rounds 4G..4G+3 of the SHA-NI compress. m[G % 4] holds W[4G..4G+3]
-/// once the schedule step has run (for G >= 4 it first holds the words
-/// 16 rounds back), and `prev` holds ABCD from before the previous four
-/// rounds, whose A yields this group's E.
-template <int G>
-SCIOTO_SHA_TARGET __attribute__((always_inline)) inline void sha_ni_group(
-    __m128i& abcd, __m128i& prev, __m128i* m) {
-  if constexpr (G >= 4) {
-    m[G % 4] = _mm_sha1msg2_epu32(
-        _mm_xor_si128(_mm_sha1msg1_epu32(m[G % 4], m[(G + 1) % 4]),
-                      m[(G + 2) % 4]),
-        m[(G + 3) % 4]);
-  }
-  const __m128i e = _mm_sha1nexte_epu32(prev, m[G % 4]);
-  prev = abcd;
-  abcd = _mm_sha1rnds4_epu32(abcd, e, G / 5);
-}
-
-template <int... G>
-SCIOTO_SHA_TARGET __attribute__((always_inline)) inline void sha_ni_groups(
-    __m128i& abcd, __m128i& prev, __m128i* m,
-    std::integer_sequence<int, G...>) {
-  (sha_ni_group<G + 1>(abcd, prev, m), ...);
-}
-#endif
-
 }  // namespace
 
-void Sha1::compress_portable(State& state, const std::uint8_t* block) {
+void Sha1::compress(State& state, const std::uint8_t* block) {
   // Rolling 16-word schedule: W[t] for t >= 16 overwrites W[t - 16].
   std::uint32_t w[16];
   for (int t = 0; t < 16; ++t) {
@@ -130,56 +66,8 @@ void Sha1::compress_portable(State& state, const std::uint8_t* block) {
   state[4] += e;
 }
 
-#if defined(__x86_64__)
-
-bool Sha1::has_hw_compress() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
-}
-
-SCIOTO_SHA_TARGET void Sha1::compress_hw(State& state,
-                                         const std::uint8_t* block) {
-  // Lane 3 holds A (and W[4g]): reverse the 16 bytes of each load, which
-  // both byte-swaps the big-endian words and puts them high lane first.
-  const __m128i bswap =
-      _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
-  const __m128i abcd0 = _mm_shuffle_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data())), 0x1B);
-  const __m128i e0 = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
-  __m128i m[4];
-  for (int i = 0; i < 4; ++i) {
-    m[i] = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)),
-        bswap);
-  }
-  // Group 0 takes E from the state itself rather than from sha1nexte.
-  __m128i prev = abcd0;
-  __m128i abcd = _mm_sha1rnds4_epu32(abcd0, _mm_add_epi32(e0, m[0]), 0);
-  sha_ni_groups(abcd, prev, m, std::make_integer_sequence<int, 19>{});
-  const __m128i e = _mm_sha1nexte_epu32(prev, e0);
-  abcd = _mm_shuffle_epi32(_mm_add_epi32(abcd, abcd0), 0x1B);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()), abcd);
-  state[4] = static_cast<std::uint32_t>(_mm_extract_epi32(e, 3));
-}
-
-#else
-
-bool Sha1::has_hw_compress() { return false; }
-
-void Sha1::compress_hw(State&, const std::uint8_t*) {
-  SCIOTO_REQUIRE(false, "Sha1::compress_hw: no SHA-NI on this architecture");
-}
-
-#endif
-
-void Sha1::compress(State& state, const std::uint8_t* block) {
-  static const auto impl =
-      has_hw_compress() ? &Sha1::compress_hw : &Sha1::compress_portable;
-  impl(state, block);
-}
-
 void Sha1::reset() {
-  state_ = kInitState;
+  state_ = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
   total_bytes_ = 0;
   buffered_ = 0;
 }
@@ -211,30 +99,32 @@ void Sha1::update(const void* data, std::size_t len) {
 }
 
 Sha1::Digest Sha1::finish() {
+  // Pad in place: 0x80, zeros, then the 64-bit big-endian bit length in
+  // bytes 56..63, which spill into one more block past 55 buffered bytes.
   std::uint8_t* block = buffer_.data();
-  pad_tail(block, buffered_);
+  block[buffered_] = 0x80;
+  std::memset(block + buffered_ + 1, 0, kBlockBytes - buffered_ - 1);
   if (buffered_ >= 56) {
-    // No room left for the length: it goes alone into one more block.
     compress(state_, block);
     std::memset(block, 0, 56);
   }
-  put_bit_length(block, total_bytes_);
+  const std::uint64_t bit_len = total_bytes_ * 8;
+  for (int i = 0; i < 8; ++i) {
+    block[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
   compress(state_, block);
-  return digest_of(state_);
+
+  Digest d;
+  for (int i = 0; i < 5; ++i) {
+    d[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
+    d[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
+    d[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
+    d[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
+  }
+  return d;
 }
 
 Sha1::Digest Sha1::hash(const void* data, std::size_t len) {
-  if (len <= 55) {
-    std::uint8_t block[kBlockBytes];
-    if (len > 0) {
-      std::memcpy(block, data, len);
-    }
-    pad_tail(block, len);
-    put_bit_length(block, len);
-    State s = kInitState;
-    compress(s, block);
-    return digest_of(s);
-  }
   Sha1 h;
   h.update(data, len);
   return h.finish();

@@ -3,11 +3,8 @@
 // Used by the UTS benchmark as a splittable deterministic RNG: each tree
 // node is described by a 20-byte digest, and child i's state is
 // SHA1(parent_state || be32(i)) -- a 24-byte message, so every UTS hash
-// is a single 64-byte block. Everything funnels through one block
-// compress with two implementations: a portable one (the reference, and
-// the only one on non-x86 hosts or CPUs without the SHA extensions) and
-// an x86-64 SHA-NI one. compress() picks between them once, from CPUID;
-// both produce the same digest bit for bit.
+// is a single padded 64-byte block and costs one compress(). The
+// implementation is a dependency-free rendition of FIPS 180-1.
 #pragma once
 
 #include <array>
@@ -43,25 +40,14 @@ class Sha1 {
   /// further use.
   Digest finish();
 
-  /// One-shot convenience. Messages of up to 55 bytes (every UTS node
-  /// hash) are padded on the stack and compressed once.
+  /// One-shot convenience.
   static Digest hash(const void* data, std::size_t len);
 
   /// Lowercase hex rendering of a digest (for tests and debugging).
   static std::string hex(const Digest& d);
 
-  /// Fold one 64-byte block into `state`, on the implementation chosen
-  /// once from CPUID.
+  /// Fold one 64-byte block into `state`.
   static void compress(State& state, const std::uint8_t* block);
-
-  /// The portable compress: the reference the hardware path must match.
-  static void compress_portable(State& state, const std::uint8_t* block);
-
-  /// True when this host can run compress_hw (x86-64 with SHA-NI).
-  static bool has_hw_compress();
-
-  /// The x86-64 SHA-NI compress. Requires has_hw_compress().
-  static void compress_hw(State& state, const std::uint8_t* block);
 
  private:
   State state_{};

@@ -2,7 +2,6 @@
 // option parsing, table rendering, accumulators.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <set>
 
 #include "base/error.hpp"
@@ -69,8 +68,8 @@ TEST(Sha1, ResetReusesHasher) {
             "a9993e364706816aba3e25717850c26c9cd0d89d");
 }
 
-/// Independent reference: pads the whole message by hand and folds it
-/// block by block through the portable compress.
+/// Independent padding reference: pads the whole message by hand and
+/// folds it block by block through the compress.
 std::string reference_hex(const std::string& msg) {
   std::string padded = msg + '\x80';
   padded.append((120 - padded.size() % 64) % 64, '\0');
@@ -81,8 +80,8 @@ std::string reference_hex(const std::string& msg) {
   Sha1::State s = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u,
                    0xC3D2E1F0u};
   for (std::size_t off = 0; off < padded.size(); off += 64) {
-    Sha1::compress_portable(
-        s, reinterpret_cast<const std::uint8_t*>(padded.data() + off));
+    Sha1::compress(s,
+                   reinterpret_cast<const std::uint8_t*>(padded.data() + off));
   }
   Sha1::Digest d;
   for (int i = 0; i < 20; ++i) {
@@ -91,38 +90,12 @@ std::string reference_hex(const std::string& msg) {
   return Sha1::hex(d);
 }
 
-TEST(Sha1, PortableCompressReproducesFipsVectors) {
+TEST(Sha1, CompressReproducesFipsVectors) {
   EXPECT_EQ(reference_hex(""), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
   EXPECT_EQ(reference_hex("abc"), "a9993e364706816aba3e25717850c26c9cd0d89d");
   EXPECT_EQ(reference_hex(
                 "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-}
-
-void random_block(Xoshiro256& rng, std::uint8_t* block) {
-  for (int i = 0; i < 64; i += 8) {
-    const std::uint64_t x = rng.next();
-    std::memcpy(block + i, &x, 8);
-  }
-}
-
-TEST(Sha1, HardwareCompressMatchesPortableOnRandomBlocks) {
-  if (!Sha1::has_hw_compress()) {
-    GTEST_SKIP() << "this CPU has no SHA-NI; only the portable compress runs";
-  }
-  Xoshiro256 rng(2008);
-  std::uint8_t block[64];
-  for (int i = 0; i < 100000; ++i) {
-    random_block(rng, block);
-    Sha1::State a;
-    for (auto& w : a) {
-      w = static_cast<std::uint32_t>(rng.next());
-    }
-    Sha1::State b = a;
-    Sha1::compress_portable(a, block);
-    Sha1::compress_hw(b, block);
-    ASSERT_EQ(a, b) << "block " << i;
-  }
 }
 
 TEST(Sha1, StreamingMatchesReferenceAtEveryLengthAndSplit) {

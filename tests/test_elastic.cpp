@@ -109,14 +109,17 @@ TEST(ElasticGrow, UtsExactGrow4To8Sim8Seeds) {
 }
 
 TEST(ElasticGrow, UtsExactGrow2To4Threads8Seeds) {
-  const apps::UtsParams tree = apps::uts_small();
+  apps::UtsParams tree = apps::uts_small();
+  tree.gen_mx = 13;
   const apps::UtsCounts expected = apps::uts_sequential(tree);
   // Threads-backend join rules trigger on parked-poll counts (after=),
-  // not virtual time. The thresholds are tiny and the tree is the mid-size
-  // one: a wall-clock backend gives no scheduling guarantees, so the
-  // request must go out on the parked rank's first few time slices and the
-  // traversal must comfortably outlast thread-scheduling noise for the
-  // admission to be deterministic in practice.
+  // not virtual time. The thresholds are tiny and the tree is ~72k nodes
+  // (uts_small two generations deeper): a wall-clock backend gives no
+  // scheduling guarantees, so the request must go out on the parked rank's
+  // first few time slices and the traversal must comfortably outlast
+  // thread-scheduling noise for the admission to be deterministic in
+  // practice. On uts_small itself the second join often arrives after
+  // termination on a loaded host.
   const std::string plan = "join:rank=2,after=2;join:rank=3,after=4";
   // The detector itself is not under test here (no kills in the plan) and
   // its default cadence is tuned for the sim: on a wall-clock backend,

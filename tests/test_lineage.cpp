@@ -87,6 +87,12 @@ LineageRun run_traced_uts(std::uint64_t seed, pgas::BackendKind backend,
   LineageRun out;
   out.nranks = 4;
   apps::UtsParams tree = apps::uts_small();
+  if (backend == pgas::BackendKind::Threads) {
+    // On wall-clock threads the thieves must start before rank 0 finishes
+    // the tree alone; two generations deeper (~72k nodes) outlasts thread
+    // start-up on a loaded host.
+    tree.gen_mx = 13;
+  }
   apps::UtsRunConfig rc;
   rc.chunk = 4;
   rc.queue_mode = mode;
