@@ -79,13 +79,6 @@ UtsResult run_elastic(const UtsParams& tree, int procs,
 }  // namespace
 
 int main(int argc, char** argv) {
-#if !SCIOTO_ELASTIC_ENABLED
-  (void)argc;
-  (void)argv;
-  std::printf("bench_elastic: built with SCIOTO_ELASTIC=OFF, nothing to "
-              "measure\n");
-  return 0;
-#else
   Options opts("bench_elastic",
                "grow-mid-run and checkpoint-pause costs on bursty UTS");
   opts.add_int("procs", 8, "full fleet size (grown runs end here)");
@@ -198,5 +191,4 @@ int main(int argc, char** argv) {
     std::printf("json: wrote %s\n", json.c_str());
   }
   return 0;
-#endif
 }

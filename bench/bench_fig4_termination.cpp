@@ -154,11 +154,7 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(opts.get_int("trials"));
   const int maxp = static_cast<int>(opts.get_int("max-procs"));
   const std::string metrics_json = opts.get_string("metrics-json");
-  const bool want_hists = !metrics_json.empty() && SCIOTO_METRICS_ENABLED;
-  if (!metrics_json.empty() && !want_hists) {
-    std::printf("metrics-json: compiled out (SCIOTO_METRICS=OFF); "
-                "skipping\n");
-  }
+  const bool want_hists = !metrics_json.empty();
 
   Table t({"Procs", "Scioto-Termination(us)", "ARMCI-Barrier(us)",
            "MPI-Barrier(us)", "Term/Barrier", "Wave/Barrier"});

@@ -59,7 +59,7 @@ UtsResult run_one(int procs, const UtsParams& tree, const UtsRunConfig& rc,
   }
   // --live: bench-owned metrics session + TTY dashboard over the fleet
   // (run_spmd leaves an already-active session to its owner).
-  const bool dashboard = live && !mpi_ws && SCIOTO_METRICS_ENABLED;
+  const bool dashboard = live && !mpi_ws;
   if (dashboard) {
     metrics::start(procs);
     metrics::MonitorOptions mopts;
@@ -196,16 +196,7 @@ int main(int argc, char** argv) {
                   "critical path) as JSON to this file");
   if (!opts.parse(argc, argv)) return 0;
   const bool live = opts.get_flag("live");
-  bool flow = opts.get_flag("flow");
-  if (flow && !SCIOTO_LINEAGE_ENABLED) {
-    std::printf("--flow: lineage compiled out (SCIOTO_LINEAGE=OFF); "
-                "skipping flow analytics\n");
-    flow = false;
-  }
-  if (live && !SCIOTO_METRICS_ENABLED) {
-    std::printf("--live: metrics compiled out (SCIOTO_METRICS=OFF); "
-                "skipping dashboard\n");
-  }
+  const bool flow = opts.get_flag("flow");
 
   UtsParams tree = uts_bench();
   tree.gen_mx = static_cast<int>(opts.get_int("scale"));

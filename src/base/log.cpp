@@ -7,16 +7,28 @@
 
 namespace scioto {
 
+bool log_level_from_name(const char* name, LogLevel* out) {
+  static constexpr const char* kNames[] = {"error", "warn", "info", "debug"};
+  for (int i = 0; i < 4; ++i) {
+    if (std::strcmp(name, kNames[i]) == 0) {
+      *out = static_cast<LogLevel>(i);  // kNames follows the enum order
+      return true;
+    }
+  }
+  return false;
+}
+
 namespace {
 
+// Must not throw: the first log call may run inside a catch handler. An
+// unknown name falls back to warn here and is rejected by name at
+// pgas::run_spmd entry instead.
 LogLevel initial_level() {
-  const char* env = std::getenv("SCIOTO_LOG");
-  if (env == nullptr) return LogLevel::Warn;
-  if (std::strcmp(env, "error") == 0) return LogLevel::Error;
-  if (std::strcmp(env, "warn") == 0) return LogLevel::Warn;
-  if (std::strcmp(env, "info") == 0) return LogLevel::Info;
-  if (std::strcmp(env, "debug") == 0) return LogLevel::Debug;
-  return LogLevel::Warn;
+  LogLevel level = LogLevel::Warn;
+  if (const char* env = std::getenv("SCIOTO_LOG")) {
+    log_level_from_name(env, &level);
+  }
+  return level;
 }
 
 std::atomic<int>& level_ref() {

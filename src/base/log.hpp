@@ -15,6 +15,10 @@ enum class LogLevel { Error = 0, Warn = 1, Info = 2, Debug = 3 };
 LogLevel log_level();
 void set_log_level(LogLevel level);
 
+/// Parses a SCIOTO_LOG level name (error|warn|info|debug) into *out;
+/// false (and *out untouched) for any other name.
+bool log_level_from_name(const char* name, LogLevel* out);
+
 /// Ambient execution context for log prefixes. When a runtime backend is
 /// active, messages are prefixed with the emitting rank and its current
 /// (virtual or wall) time so interleaved sim-backend logs are orderable:

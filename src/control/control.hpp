@@ -52,10 +52,8 @@
 // dead rank's queue inherits the victim's last *published* knobs --
 // published rows outlive the owner precisely so adoption can read them.
 //
-// Gating (same discipline as trace/ and metrics/): the SCIOTO_CONTROL
-// CMake option (default ON) defines SCIOTO_CONTROL_ENABLED; OFF compiles
-// the scheduler hooks and run_spmd arming to nothing. At runtime nothing
-// happens until start(); armed by SCIOTO_CONTROLLER=off|local|global (+
+// Gating (same discipline as trace/ and metrics/): nothing happens until
+// start(); armed by SCIOTO_CONTROLLER=off|local|global (+
 // SCIOTO_CTL_PERIOD, SCIOTO_CTL_RULES) or the scioto_ctl_* C API.
 #pragma once
 
@@ -65,10 +63,6 @@
 
 #include "base/types.hpp"
 #include "control/knobs.hpp"
-
-#ifndef SCIOTO_CONTROL_ENABLED
-#define SCIOTO_CONTROL_ENABLED 0
-#endif
 
 namespace scioto::control {
 

@@ -31,19 +31,13 @@
 // Session discipline matches fault/detect/control: process-global staged
 // Config surviving start/stop, relaxed-atomic active() fast path,
 // default-off (elastic-off traces are byte-identical to pre-elastic
-// baselines). The SCIOTO_ELASTIC CMake option (default ON) defines
-// SCIOTO_ELASTIC_ENABLED; OFF compiles the run_spmd arming and the work-
-// loop hooks to nothing.
+// baselines).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "base/types.hpp"
-
-#ifndef SCIOTO_ELASTIC_ENABLED
-#define SCIOTO_ELASTIC_ENABLED 0
-#endif
 
 namespace scioto::elastic {
 

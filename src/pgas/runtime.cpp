@@ -554,7 +554,15 @@ RunResult run_spmd(const Config& cfg,
   std::exception_ptr first_error;
   std::atomic<bool> failed{false};
 
-#if SCIOTO_TRACE_ENABLED
+  // SCIOTO_LOG is read lazily by the logger, which cannot throw (log calls
+  // run inside catch handlers) and so falls back to warn on an unknown
+  // level; reject that level here instead, before any session starts.
+  if (const char* v = std::getenv("SCIOTO_LOG")) {
+    LogLevel level;
+    SCIOTO_REQUIRE(log_level_from_name(v, &level),
+                   "SCIOTO_LOG must be error|warn|info|debug, got " << v);
+  }
+
   // SCIOTO_TRACE_OUT=FILE traces any binary without code changes. A session
   // the caller already started (e.g. a bench's --trace flag) takes
   // precedence: it owns export and shutdown.
@@ -563,9 +571,7 @@ RunResult run_spmd(const Config& cfg,
   if (own_trace) {
     trace::start(cfg.nranks);
   }
-#endif
 
-#if SCIOTO_LINEAGE_ENABLED
   // SCIOTO_LINEAGE=1 arms causal task lineage: every descriptor carries
   // an id/parent/hops trailer and the spawn/migrate/exec edges land in
   // the trace stream (visible only when a trace session is also active).
@@ -580,7 +586,6 @@ RunResult run_spmd(const Config& cfg,
   if (own_lineage) {
     trace::lineage::start(cfg.nranks);
   }
-#endif
 
   // SCIOTO_FAULT_PLAN=SPEC arms fault injection for any binary. As with
   // tracing, a session the caller already started takes precedence.
@@ -619,7 +624,6 @@ RunResult run_spmd(const Config& cfg,
     detect::set_config(dcfg);
   }
 
-#if SCIOTO_ELASTIC_ENABLED
   // SCIOTO_ELASTIC=1 arms elastic membership: join/ckpt rules in the fault
   // plan become live, parked ranks wait for admission, and checkpoints are
   // written to SCIOTO_CKPT_PATH (optionally every SCIOTO_CKPT_PERIOD of
@@ -645,13 +649,11 @@ RunResult run_spmd(const Config& cfg,
     elastic::set_config(ecfg);
     elastic::start(cfg.nranks);
   }
-#endif
 
   if (own_detect && !detect::active()) {
     detect::start(cfg.nranks);
   }
 
-#if SCIOTO_CONTROL_ENABLED
   // SCIOTO_CONTROLLER=off|local|global arms the adaptive control plane.
   // Mode, epoch period, and rule thresholds come from the staged
   // control::config() (C API) with env overrides. The controller reads the
@@ -672,13 +674,7 @@ RunResult run_spmd(const Config& cfg,
   }
   const bool own_control =
       ccfg.mode != control::Mode::Off && !control::active();
-#if !SCIOTO_METRICS_ENABLED
-  SCIOTO_REQUIRE(!own_control,
-                 "SCIOTO_CONTROLLER needs a build with SCIOTO_METRICS=ON");
-#endif
-#endif
 
-#if SCIOTO_METRICS_ENABLED
   // SCIOTO_METRICS=1 arms the telemetry plane (per-rank metric patches +
   // the periodic fleet monitor) for any binary. Period and sinks come from
   // the staged metrics::config() (C API) with env overrides. A session the
@@ -697,7 +693,6 @@ RunResult run_spmd(const Config& cfg,
   if (const char* v = std::getenv("SCIOTO_METRICS_PROM")) {
     mcfg.prom_path = v;
   }
-#if SCIOTO_CONTROL_ENABLED
   if (own_control) {
     mcfg.enabled = true;  // the controller reads the metrics plane
     if (ccfg.period < mcfg.period) {
@@ -707,7 +702,6 @@ RunResult run_spmd(const Config& cfg,
       mcfg.period = ccfg.period;
     }
   }
-#endif
   const bool own_metrics = mcfg.enabled && !metrics::active();
   if (own_metrics) {
     metrics::start(cfg.nranks);
@@ -731,7 +725,6 @@ RunResult run_spmd(const Config& cfg,
       return std::pair<std::uint64_t, std::uint64_t>(ds.joins, ds.grows);
     });
   }
-#if SCIOTO_CONTROL_ENABLED
   if (own_control) {
     // After monitor_start so the monitor hooks (planner tick, dashboard
     // knob text) land in an armed monitor; works equally against a
@@ -739,8 +732,6 @@ RunResult run_spmd(const Config& cfg,
     control::set_config(ccfg);
     control::start(cfg.nranks, ccfg);
   }
-#endif
-#endif
 
   auto wrap = [&](Runtime& rt, Rank r) {
     try {
@@ -774,30 +765,23 @@ RunResult run_spmd(const Config& cfg,
                          .count();
   }
 
-#if SCIOTO_TRACE_ENABLED
   if (own_trace) {
     trace::write_chrome_trace_file(trace_out);
     trace::stop();
   }
-#endif
 
-#if SCIOTO_LINEAGE_ENABLED
   // After the trace export above: the flow events it renders were
   // recorded into the trace rings, which the lineage session does not
   // own.
   if (own_lineage) {
     trace::lineage::stop();
   }
-#endif
 
-#if SCIOTO_METRICS_ENABLED
-#if SCIOTO_CONTROL_ENABLED
   if (own_control) {
     // Before the metrics teardown: stop() detaches the monitor hooks but
     // keeps the decision log for post-run inspection.
     control::stop();
   }
-#endif
   if (own_metrics) {
     if (!mcfg.prom_path.empty()) {
       std::FILE* f = std::fopen(mcfg.prom_path.c_str(), "w");
@@ -813,13 +797,10 @@ RunResult run_spmd(const Config& cfg,
     metrics::monitor_stop();
     metrics::stop();
   }
-#endif
 
-#if SCIOTO_ELASTIC_ENABLED
   if (own_elastic) {
     elastic::stop();  // disarms the detect view iff elastic armed it
   }
-#endif
 
   if (own_detect && detect::active()) {
     detect::stop();

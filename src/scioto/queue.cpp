@@ -1080,7 +1080,6 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
     counters().steals_in++;
     counters().tasks_stolen_in += static_cast<std::uint64_t>(n);
     SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealOk, victim, n, 0);
-#if SCIOTO_LINEAGE_ENABLED
     if (cfg_.lineage_off != 0 && victim != rt_.me()) {
       // The thief stamps the migration into its landed copy (the
       // victim's slots are dead or replayable either way): one hop bump
@@ -1099,7 +1098,6 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
                            rec.hops, rec.id);
       }
     }
-#endif
     SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::Steals, 1);
     SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::TasksStolen, n);
     if (SCIOTO_METRICS_ON()) {

@@ -179,14 +179,12 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
   }
   if (cfg_.chunk_max == 0) {
     cfg_.chunk_max = cfg_.chunk_size;
-#if SCIOTO_CONTROL_ENABLED
     if (control::active()) {
       // Give the controller headroom to raise the steal chunk. active()
       // reads collectively uniform session state, so every rank widens
       // identically (the bound shapes the collectively allocated patch).
       cfg_.chunk_max = std::max(cfg_.chunk_size, 64);
     }
-#endif
   }
   SCIOTO_REQUIRE(cfg_.chunk_max >= cfg_.chunk_size,
                  "chunk_max " << cfg_.chunk_max << " below chunk_size "
@@ -195,7 +193,6 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
   SplitQueue::Config qc;
   qc.slot_bytes = align_up(
       sizeof(TaskHeader) + static_cast<std::size_t>(cfg_.max_task_body), 8);
-#if SCIOTO_LINEAGE_ENABLED
   if (trace::lineage::active()) {
     // Collectively uniform (active() is process-global session state, set
     // before the SPMD region): every rank appends the same 24-byte
@@ -206,7 +203,6 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
     qc.slot_bytes += sizeof(trace::lineage::LineageRec);
     qc.lineage_off = lineage_off_;
   }
-#endif
   qc.capacity = static_cast<std::uint64_t>(cfg_.max_tasks_per_rank);
   qc.chunk = cfg_.chunk_size;
   qc.chunk_max = cfg_.chunk_max;
@@ -224,11 +220,9 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
   // controller) retune a running collection.
   queue_ = std::make_unique<SplitQueue>(rt_, qc);
   queue_->knobs().set(control::Knob::RetargetBudget, cfg_.steal_retarget_max);
-#if SCIOTO_CONTROL_ENABLED
   if (control::active()) {
     control::attach(rt_.me(), &queue_->knobs());
   }
-#endif
 
   TerminationDetector::Config tdc;
   tdc.color_optimization = cfg_.color_optimization;
@@ -238,7 +232,6 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
     // Collective: every rank allocates its heartbeat patch together.
     hb_ = std::make_unique<detect::HeartbeatProbe>(rt_);
   }
-#if SCIOTO_ELASTIC_ENABLED
   if (elastic::active()) {
     // Collective: the elastic control patch (join requests, quiesce
     // arrivals, checkpoint progress). Rank 0's placement-init is ordered
@@ -250,7 +243,6 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
       }
     }
   }
-#endif
 
   // TaskCollection objects are constructed per rank (ARMCI style); the
   // per-rank tables below are indexed by me() so the indexing discipline
@@ -280,11 +272,9 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
 
 void TaskCollection::destroy() {
   SCIOTO_REQUIRE(live_, "destroy of dead task collection");
-#if SCIOTO_CONTROL_ENABLED
   if (control::active()) {
     control::detach(rt_.me());
   }
-#endif
   queue_->destroy();
   td_->destroy();
   if (hb_) {
@@ -312,13 +302,9 @@ CloHandle TaskCollection::register_clo(void* local_instance) {
 std::int64_t TaskCollection::set_knob(control::Knob k, std::int64_t v) {
   control::KnobSet& ks = queue_->knobs();
   const bool changed = ks.set(k, v);
-#if SCIOTO_CONTROL_ENABLED
   if (changed && control::active()) {
     control::republish(rt_.me());
   }
-#else
-  (void)changed;
-#endif
   return ks.get(k);
 }
 
@@ -346,7 +332,6 @@ void TaskCollection::add_raw(Rank where, int affinity,
   auto* hdr = reinterpret_cast<TaskHeader*>(scratch.data());
   hdr->created_by = rt_.me();
   hdr->affinity = affinity;
-#if SCIOTO_LINEAGE_ENABLED
   if (lineage_off_ != 0) {
     // Birth of the causal record: fresh id, parent = whatever task is
     // executing on this rank right now (0 for root seeds). The spawner
@@ -360,7 +345,6 @@ void TaskCollection::add_raw(Rank where, int affinity,
                        static_cast<std::uint32_t>(rec.parent),
                        rec.id);
   }
-#endif
 
   bool ok;
   if (where == rt_.me()) {
@@ -400,7 +384,6 @@ void TaskCollection::execute(std::byte* descriptor) {
       registries_[static_cast<std::size_t>(rt_.me())].lookup(hdr->callback);
   TaskContext ctx{*this, *hdr, descriptor + sizeof(TaskHeader), rt_.me()};
   const TimeNs metrics_t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
-#if SCIOTO_TRACE_ENABLED
   // Same clock reads the process() loop uses for time_working, so the
   // trace-derived working time reconciles with TcStats exactly under sim.
   const bool tracing = trace::active();
@@ -409,8 +392,6 @@ void TaskCollection::execute(std::byte* descriptor) {
     trace::record(rt_.me(), trace::Ev::TaskBegin, hdr->callback,
                   hdr->affinity);
   }
-#endif
-#if SCIOTO_LINEAGE_ENABLED
   // Read the trailer, announce the span (after TaskBegin, so the flow
   // arrow's finish binds inside the task slice), and make this task the
   // current parent for any spawns the callback performs. Saved/restored
@@ -426,19 +407,14 @@ void TaskCollection::execute(std::byte* descriptor) {
     lineage_prev = trace::lineage::current(rt_.me());
     trace::lineage::set_current(rt_.me(), lrec.id);
   }
-#endif
   fn(ctx);
-#if SCIOTO_LINEAGE_ENABLED
   if (lineage_on) {
     trace::lineage::set_current(rt_.me(), lineage_prev);
   }
-#endif
-#if SCIOTO_TRACE_ENABLED
   if (tracing) {
     trace::record(rt_.me(), trace::Ev::TaskEnd, hdr->callback, 0,
                   rt_.now() - trace_t0);
   }
-#endif
   my_stats().tasks_executed++;
   SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::TasksExecuted, 1);
   if (SCIOTO_METRICS_ON()) {
@@ -516,11 +492,7 @@ void TaskCollection::process() {
       steal_bufs_[static_cast<std::size_t>(rt_.me())].data();
   const int n = rt_.nprocs();
   const bool ft = fault::active();
-#if SCIOTO_ELASTIC_ENABLED
   const bool elastic_on = elastic::active() && eseg_ >= 0;
-#else
-  constexpr bool elastic_on = false;
-#endif
   // Elastic admissions move the membership epoch without a fault session,
   // so the ward/victim-pool refresh watches it whenever either is live.
   const bool pool = ft || elastic_on;
@@ -528,7 +500,6 @@ void TaskCollection::process() {
   const TimeNs t_begin = rt_.now();
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::PhaseBegin, 0, 0, 0);
   bool parked_out = false;  // phase ended while this rank was still parked
-#if SCIOTO_ELASTIC_ENABLED
   std::uint64_t pump_iter = 0;
   bool pump_now = false;  // set by idle iterations; see the pump below
   if (elastic_on && !restore_done_) {
@@ -548,7 +519,6 @@ void TaskCollection::process() {
       parked_out = true;
     }
   }
-#endif
   TimeNs idle_begin = 0;
   // Searching time accumulated since the last Search trace event; one
   // coalesced event is emitted per idle spell (at the transition back to
@@ -568,7 +538,6 @@ void TaskCollection::process() {
     if (SCIOTO_METRICS_ON()) {
       metrics::monitor_poll(rt_.me(), rt_.now());
     }
-#if SCIOTO_CONTROL_ENABLED
     // Control pump: when a controller is armed, run a local decision epoch
     // (or apply the global planner's pending targets) at period boundaries.
     // Charge-free and virtual-time driven, so controller-off runs -- and
@@ -576,7 +545,6 @@ void TaskCollection::process() {
     if (control::active() && control::poll_due(rt_.me(), rt_.now())) {
       control::poll_epoch(rt_.me(), rt_.now(), queue_->shared_size());
     }
-#endif
     // 0. Safepoint: injected fail-stop kills fire only here and at the
     // post-steal safepoint below -- never while holding a lock.
     if (ft) {
@@ -608,7 +576,6 @@ void TaskCollection::process() {
         continue;
       }
     }
-#if SCIOTO_ELASTIC_ENABLED
     // Elastic pump: admitter scan + checkpoint trigger, cadence-gated so
     // the common path costs one branch, and run while busy too -- a fleet
     // cannot quiesce if only its idle ranks look for the rendezvous. Idle
@@ -630,7 +597,6 @@ void TaskCollection::process() {
         }
       }
     }
-#endif
     // 1. Drain local work (head of the queue = highest affinity).
     if (queue_->pop_local(exec_buf)) {
       if (search_accum > 0) {
@@ -664,13 +630,11 @@ void TaskCollection::process() {
       for (Rank d : wards_[self]) {
         std::uint64_t adopted = queue_->drain_dead(d);
         recovered += adopted;
-#if SCIOTO_CONTROL_ENABLED
         if (adopted > 0 && control::active()) {
           // Adopted work inherits the victim's last published knobs: the
           // dead rank's tuning reflected the workload the tasks came from.
           control::inherit(rt_.me(), d);
         }
-#endif
       }
       recovered += queue_->flush_overflow();
       if (recovered > 0) {
@@ -743,7 +707,6 @@ void TaskCollection::process() {
         if (victim == kNoRank && vset > 0 && n > 1) {
           Rank hotpool[control::kMaxHotVictims];
           int npool = 0;
-#if SCIOTO_CONTROL_ENABLED
           Rank hot[control::kMaxHotVictims];
           int nhot = control::hot_victims(hot);
           for (int i = 0; i < nhot && npool < vset; ++i) {
@@ -751,7 +714,6 @@ void TaskCollection::process() {
             if (pool && !detect::alive(hot[i])) continue;
             hotpool[npool++] = hot[i];
           }
-#endif
           if (npool > 0) {
             std::uint64_t off =
                 rng.next_below(static_cast<std::uint64_t>(npool));
@@ -929,11 +891,9 @@ void TaskCollection::process() {
     } else {
       --polls_until_steal;
     }
-#if SCIOTO_ELASTIC_ENABLED
     // Empty-handed: this iteration ends in the idle tail, so force the
     // elastic pump on the next pass (rationale at the pump).
     pump_now = elastic_on;
-#endif
 
     if (ft && queue_->overflow_pending()) {
       // Recovered tasks parked in the overflow stash are live work the
@@ -971,7 +931,6 @@ void TaskCollection::process() {
     }
   }
 
-#if SCIOTO_ELASTIC_ENABLED
   if (eseg_ >= 0) {
     // Phase-over sentinel: quiesce waits and parked ranks read this as
     // "this rank will never arrive at a rendezvous, and there is no work
@@ -980,7 +939,6 @@ void TaskCollection::process() {
     aref(ectl(rt_, eseg_, rt_.me())->quiesce_gen)
         .store(kPhaseOver, std::memory_order_release);
   }
-#endif
   const TimeNs phase_dur = rt_.now() - t_begin;
   st.time_total += phase_dur;
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::PhaseEnd, 0, 0, phase_dur);
@@ -1008,7 +966,6 @@ void TaskCollection::process() {
 void TaskCollection::reset() {
   queue_->reset_collective();
   td_->reset();
-#if SCIOTO_ELASTIC_ENABLED
   if (eseg_ >= 0) {
     // Re-zeroed only here, after the collective barriers above: every
     // rank has left the previous phase, so nobody is still polling the
@@ -1020,13 +977,10 @@ void TaskCollection::reset() {
     aref(ec->ckpt_done).store(0, std::memory_order_relaxed);
     aref(ec->ckpt_ndesc).store(0, std::memory_order_relaxed);
   }
-#endif
   stats_[static_cast<std::size_t>(rt_.me())] = TcStats{};
   epoch_seen_[static_cast<std::size_t>(rt_.me())] = ~std::uint64_t{0};
   rt_.barrier();
 }
-
-#if SCIOTO_ELASTIC_ENABLED
 
 bool TaskCollection::parked_wait(TcStats& st) {
   // Parked (NotJoined) ranks sit out the phase: no tree seat, never a
@@ -1500,7 +1454,6 @@ void TaskCollection::restore_from(const std::string& path) {
       }
       const std::byte* desc = reinterpret_cast<const std::byte*>(
           buf.data() + desc_off + j * src_slot);
-#if SCIOTO_LINEAGE_ENABLED
       if (lineage_off_ != 0 && src != me) {
         // The redeal moved this descriptor off the rank that saved it: a
         // migration like any steal, stamped the same way so the analyzer
@@ -1518,7 +1471,6 @@ void TaskCollection::restore_from(const std::string& path) {
                            rec.id);
         desc = scratch.data();
       }
-#endif
       bool ok = queue_->push_local(desc, kAffinityHigh);
       SCIOTO_REQUIRE(ok, "elastic: local queue overflow during restore");
       ++restored;
@@ -1547,8 +1499,6 @@ void TaskCollection::restore_from(const std::string& path) {
     elastic::note_restore();
   }
 }
-
-#endif  // SCIOTO_ELASTIC_ENABLED
 
 TcStats TaskCollection::stats_global() {
   // Element-wise allreduce of the POD counter block.

@@ -62,72 +62,6 @@ std::string fmt_us(TimeNs t_ns) {
   return os.str();
 }
 
-const char* ev_category(Ev kind) {
-  switch (kind) {
-    case Ev::TaskBegin:
-    case Ev::TaskEnd:
-      return "task";
-    case Ev::Push:
-    case Ev::Pop:
-    case Ev::Release:
-    case Ev::Reacquire:
-      return "queue";
-    case Ev::StealAttempt:
-    case Ev::StealOk:
-    case Ev::StealFail:
-    case Ev::RemoteAdd:
-      return "steal";
-    case Ev::TokenSend:
-    case Ev::Vote:
-    case Ev::WaveStart:
-    case Ev::Terminate:
-      return "td";
-    case Ev::PgasPut:
-    case Ev::PgasGet:
-    case Ev::PgasAcc:
-    case Ev::PgasRmw:
-      return "pgas";
-    case Ev::Barrier:
-      return "sync";
-    case Ev::Search:
-    case Ev::PhaseBegin:
-    case Ev::PhaseEnd:
-      return "sched";
-    case Ev::FaultInjected:
-    case Ev::StealAborted:
-    case Ev::TaskRecovered:
-    case Ev::TreeRespliced:
-      return "fault";
-    case Ev::StealBusy:
-    case Ev::StealRetarget:
-      return "steal";
-    case Ev::ReacquireFast:
-      return "queue";
-    case Ev::Suspect:
-    case Ev::Refute:
-    case Ev::ConfirmDead:
-    case Ev::FenceAbort:
-      return "detect";
-    case Ev::NodeReady:
-    case Ev::NodeRun:
-    case Ev::ConflictRetry:
-      return "dag";
-    case Ev::KnobChange:
-      return "control";
-    case Ev::JoinRequest:
-    case Ev::JoinAdmit:
-    case Ev::Quiesce:
-    case Ev::Checkpoint:
-    case Ev::Restore:
-      return "elastic";
-    case Ev::SpawnEdge:
-    case Ev::MigrateEdge:
-    case Ev::ExecSpan:
-      return "lineage";
-  }
-  return "?";
-}
-
 /// Common prefix: {"name":"...","cat":"...","ph":"X","ts":...,"pid":R,"tid":0
 void emit_head(std::ostream& os, const Event& e, const char* name,
                const char* ph, TimeNs ts_ns) {

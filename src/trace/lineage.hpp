@@ -41,10 +41,9 @@
 // them into a causal timeline, validates happens-before, and extracts the
 // weighted critical path.
 //
-// Gates: the SCIOTO_LINEAGE CMake option (default ON) compiles the hooks;
-// the SCIOTO_LINEAGE=1 environment variable (or a caller-started session,
-// e.g. `trace_demo --flow`) arms them at runtime. Both off by default on
-// the hot path: one predicted-false branch per hook when compiled in.
+// Gate: the SCIOTO_LINEAGE=1 environment variable (or a caller-started
+// session, e.g. `trace_demo --flow`) arms the hooks at runtime. Off by
+// default: one predicted-false branch per hook on the hot path.
 #pragma once
 
 #include <cstddef>
@@ -52,10 +51,6 @@
 #include <type_traits>
 
 #include "base/types.hpp"
-
-#ifndef SCIOTO_LINEAGE_ENABLED
-#define SCIOTO_LINEAGE_ENABLED 0
-#endif
 
 namespace scioto::trace::lineage {
 

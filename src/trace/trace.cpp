@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <memory>
 
 #include "base/error.hpp"
@@ -11,100 +15,34 @@
 
 namespace scioto::trace {
 
+namespace {
+
+struct EvInfo {
+  const char* name;
+  const char* category;
+};
+
+constexpr EvInfo kEvInfo[] = {
+#define SCIOTO_TRACE_EV_INFO(kind, name, category) {name, category},
+    SCIOTO_TRACE_EV_KINDS(SCIOTO_TRACE_EV_INFO)
+#undef SCIOTO_TRACE_EV_INFO
+};
+
+const EvInfo* ev_info(Ev kind) {
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kEvInfo) ? &kEvInfo[i] : nullptr;
+}
+
+}  // namespace
+
 const char* ev_name(Ev kind) {
-  switch (kind) {
-    case Ev::TaskBegin:
-      return "task";
-    case Ev::TaskEnd:
-      return "task";
-    case Ev::Push:
-      return "push";
-    case Ev::Pop:
-      return "pop";
-    case Ev::Release:
-      return "release";
-    case Ev::Reacquire:
-      return "reacquire";
-    case Ev::StealAttempt:
-      return "steal_attempt";
-    case Ev::StealOk:
-      return "steal";
-    case Ev::StealFail:
-      return "steal_fail";
-    case Ev::RemoteAdd:
-      return "remote_add";
-    case Ev::TokenSend:
-      return "token";
-    case Ev::Vote:
-      return "vote";
-    case Ev::WaveStart:
-      return "wave";
-    case Ev::Terminate:
-      return "terminate";
-    case Ev::PgasPut:
-      return "put";
-    case Ev::PgasGet:
-      return "get";
-    case Ev::PgasAcc:
-      return "acc";
-    case Ev::PgasRmw:
-      return "rmw";
-    case Ev::Barrier:
-      return "barrier";
-    case Ev::Search:
-      return "search";
-    case Ev::PhaseBegin:
-      return "tc_process";
-    case Ev::PhaseEnd:
-      return "tc_process";
-    case Ev::FaultInjected:
-      return "fault_injected";
-    case Ev::StealAborted:
-      return "steal_aborted";
-    case Ev::TaskRecovered:
-      return "task_recovered";
-    case Ev::TreeRespliced:
-      return "tree_respliced";
-    case Ev::StealBusy:
-      return "steal_busy";
-    case Ev::StealRetarget:
-      return "steal_retarget";
-    case Ev::ReacquireFast:
-      return "reacquire_fast";
-    case Ev::Suspect:
-      return "suspect";
-    case Ev::Refute:
-      return "refute";
-    case Ev::ConfirmDead:
-      return "confirm_dead";
-    case Ev::FenceAbort:
-      return "fence_abort";
-    case Ev::NodeReady:
-      return "node_ready";
-    case Ev::NodeRun:
-      return "node_run";
-    case Ev::ConflictRetry:
-      return "conflict_retry";
-    case Ev::KnobChange:
-      return "knob_change";
-    case Ev::JoinRequest:
-      return "join_request";
-    case Ev::JoinAdmit:
-      return "join_admit";
-    case Ev::Quiesce:
-      return "quiesce";
-    case Ev::Checkpoint:
-      return "checkpoint";
-    case Ev::Restore:
-      return "restore";
-    case Ev::SpawnEdge:
-      return "spawn_edge";
-    case Ev::MigrateEdge:
-      return "migrate_edge";
-    case Ev::ExecSpan:
-      return "exec_span";
-  }
-  return "?";
+  const EvInfo* info = ev_info(kind);
+  return info ? info->name : "?";
+}
+
+const char* ev_category(Ev kind) {
+  const EvInfo* info = ev_info(kind);
+  return info ? info->category : "?";
 }
 
 Sink::Sink(std::size_t capacity)
@@ -150,13 +88,19 @@ Session g_session;
 bool active() { return g_active.load(std::memory_order_relaxed); }
 
 std::size_t default_capacity() {
-  if (const char* env = std::getenv("SCIOTO_TRACE_CAP")) {
-    long long v = std::atoll(env);
-    if (v >= 1) {
-      return static_cast<std::size_t>(v);
-    }
+  const char* env = std::getenv("SCIOTO_TRACE_CAP");
+  if (env == nullptr) {
+    return static_cast<std::size_t>(1) << 15;
   }
-  return static_cast<std::size_t>(1) << 15;
+  // A whole decimal event count; "64k", "0", "-5" or "" fail by name
+  // rather than silently becoming some other capacity.
+  std::size_t v = 0;
+  const char* end = env + std::strlen(env);
+  const auto [stop, ec] = std::from_chars(env, end, v);
+  SCIOTO_REQUIRE(ec == std::errc() && stop == end && v >= 1,
+                 "SCIOTO_TRACE_CAP must be a whole number of events >= 1, "
+                 "got '" << env << "'");
+  return v;
 }
 
 void start(int nranks, std::size_t capacity_per_rank) {

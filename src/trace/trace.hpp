@@ -11,15 +11,10 @@
 // (trace/analysis.hpp): who-stole-from-whom, queue occupancy, and a
 // per-rank working/searching/idle breakdown that reconciles with TcStats.
 //
-// Usage:
-//   * compile-time gate: the SCIOTO_TRACE CMake option (default ON) defines
-//     SCIOTO_TRACE_ENABLED; when OFF the SCIOTO_TRACE_EVENT macro expands
-//     to nothing and instrumented code carries zero overhead.
-//   * runtime gate: nothing is recorded until trace::start(nranks, cap) is
-//     called. Benches expose this as --trace=FILE; pgas::run_spmd also
-//     honours the SCIOTO_TRACE_OUT environment variable so any binary can
-//     be traced without code changes (capacity via SCIOTO_TRACE_CAP,
-//     events per rank).
+// Usage: nothing is recorded until trace::start(nranks, cap) is called.
+// Benches expose this as --trace=FILE; pgas::run_spmd also honours the
+// SCIOTO_TRACE_OUT environment variable so any binary can be traced
+// without code changes (capacity via SCIOTO_TRACE_CAP, events per rank).
 //
 // Recording an event is one branch, one clock read, and one 32-byte store
 // into the recording rank's own ring -- no locks, no allocation. When a
@@ -37,85 +32,138 @@
 
 #include "base/types.hpp"
 
-#ifndef SCIOTO_TRACE_ENABLED
-#define SCIOTO_TRACE_ENABLED 0
-#endif
-
 namespace scioto::trace {
 
-/// Typed event kinds. The payload fields a/b/c are per-kind (documented
-/// inline); `dur`-style payloads are durations in nanoseconds carried in c.
+/// Every event kind, one row each: X(Kind, "name", "category"). The Ev
+/// enum, ev_name() and ev_category() are generated from this list, so a
+/// new kind is one row here (plus its argument formatting in the Chrome
+/// exporter, which rejects an unformatted kind by name). A row's position
+/// is its wire value: rows are only ever appended, which keeps traces
+/// that never record the new kind byte-identical. The payload fields a/b/c
+/// are per-kind (documented above each row); `dur`-style payloads are
+/// durations in nanoseconds carried in c.
+#define SCIOTO_TRACE_EV_KINDS(X)                                              \
+  /* a=callback handle, b=affinity */                                         \
+  X(TaskBegin, "task", "task")                                                \
+  /* a=callback handle, c=execution duration (ns) */                          \
+  X(TaskEnd, "task", "task")                                                  \
+  /* a=affinity, c=local queue size after the push */                         \
+  X(Push, "push", "queue")                                                    \
+  /* c=local queue size after the pop */                                      \
+  X(Pop, "pop", "queue")                                                      \
+  /* a=tasks released to the shared portion, c=queue size */                  \
+  X(Release, "release", "queue")                                              \
+  /* a=tasks reacquired from the shared portion, c=queue size */              \
+  X(Reacquire, "reacquire", "queue")                                          \
+  /* a=victim rank */                                                         \
+  X(StealAttempt, "steal_attempt", "steal")                                   \
+  /* a=victim rank, b=tasks stolen */                                         \
+  X(StealOk, "steal", "steal")                                                \
+  /* a=victim rank (empty-handed attempt) */                                  \
+  X(StealFail, "steal_fail", "steal")                                         \
+  /* a=target rank (one task pushed into target's patch) */                   \
+  X(RemoteAdd, "remote_add", "steal")                                         \
+  /* a=target rank, b=field (0=down,1=up,2=term,3=dirty) */                   \
+  X(TokenSend, "token", "td")                                                 \
+  /* a=wave number, b=1 if the token passed up was black */                   \
+  X(Vote, "vote", "td")                                                       \
+  /* a=wave number (root only) */                                             \
+  X(WaveStart, "wave", "td")                                                  \
+  /* a=deciding wave number */                                                \
+  X(Terminate, "terminate", "td")                                             \
+  /* a=target rank, c=bytes */                                                \
+  X(PgasPut, "put", "pgas")                                                   \
+  /* a=target rank, c=bytes */                                                \
+  X(PgasGet, "get", "pgas")                                                   \
+  /* a=target rank, c=bytes */                                                \
+  X(PgasAcc, "acc", "pgas")                                                   \
+  /* a=target rank (fetch-add / swap) */                                      \
+  X(PgasRmw, "rmw", "pgas")                                                   \
+  /* (entry into a barrier) */                                                \
+  X(Barrier, "barrier", "sync")                                               \
+  /* c=accumulated idle/steal/TD-poll time just ended (ns) */                 \
+  X(Search, "search", "sched")                                                \
+  /* (tc_process entry) */                                                    \
+  X(PhaseBegin, "tc_process", "sched")                                        \
+  /* c=phase duration on this rank (ns) */                                    \
+  X(PhaseEnd, "tc_process", "sched")                                          \
+  /* a=fault type (fault::FaultType), b=target rank, c=param */               \
+  X(FaultInjected, "fault_injected", "fault")                                 \
+  /* a=victim rank, b=reason (0=truncated-to-zero) */                         \
+  X(StealAborted, "steal_aborted", "fault")                                   \
+  /* a=source (dead) rank, b=tasks recovered, c=duration (ns) */              \
+  X(TaskRecovered, "task_recovered", "fault")                                 \
+  /* a=epoch, b=alive rank count after the resplice */                        \
+  X(TreeRespliced, "tree_respliced", "fault")                                 \
+  /* a=victim rank (aborting steal: lock held, no transfer) */                \
+  X(StealBusy, "steal_busy", "steal")                                         \
+  /* a=busy victim, b=new victim, c=backoff charged (ns) */                   \
+  X(StealRetarget, "steal_retarget", "steal")                                 \
+  /* a=tasks reacquired via the lock-free owner fast path */                  \
+  X(ReacquireFast, "reacquire_fast", "queue")                                 \
+  /* a=suspected rank, c=silence observed so far (ns) */                      \
+  X(Suspect, "suspect", "detect")                                             \
+  /* a=formerly-suspected rank (its heartbeat advanced) */                    \
+  X(Refute, "refute", "detect")                                               \
+  /* a=confirmed-dead rank, c=silence at confirmation (ns) */                 \
+  X(ConfirmDead, "confirm_dead", "detect")                                    \
+  /* a=fence adopter rank, b=fence epoch (owner woke up, observed an          \
+       adoption fence, aborted its work loop) */                              \
+  X(FenceAbort, "fence_abort", "detect")                                      \
+  /* DAG scheduler events (src/dag). Appended so DAG-off traces stay          \
+     byte-identical to pre-dag baselines. */                                  \
+  /* a=node id (low 32 bits), b=home rank, c=depth (-1 if unknown, e.g.       \
+       dynamic nodes fired by a non-creator) */                               \
+  X(NodeReady, "node_ready", "dag")                                           \
+  /* a=node id (low 32 bits), b=conflict group, c=depth */                    \
+  X(NodeRun, "node_run", "dag")                                               \
+  /* a=node id (low 32 bits), b=reason (0=group lock busy, 1=version          \
+       wait), c=conflict group (-1 for version) */                            \
+  X(ConflictRetry, "conflict_retry", "dag")                                   \
+  /* Adaptive control plane (src/control). Appended so controller-off         \
+     traces stay byte-identical to pre-control baselines. */                  \
+  /* a=knob (control::Knob), b=applied value, c=reason (control::Reason) */   \
+  X(KnobChange, "knob_change", "control")                                     \
+  /* Elastic membership (src/elastic). Appended so elastic-off traces stay    \
+     byte-identical to pre-elastic baselines. */                              \
+  /* a=requesting (parked) rank */                                            \
+  X(JoinRequest, "join_request", "elastic")                                   \
+  /* a=admitted rank, b=admitting rank, c=new epoch */                        \
+  X(JoinAdmit, "join_admit", "elastic")                                       \
+  /* a=checkpoint generation, b=joined-alive participant count, c=wait        \
+       duration (ns) */                                                       \
+  X(Quiesce, "quiesce", "elastic")                                            \
+  /* a=checkpoint generation, b=descriptors snapshotted on this rank,         \
+       c=snapshot bytes (part payload) */                                     \
+  X(Checkpoint, "checkpoint", "elastic")                                      \
+  /* a=source (saved) rank count, b=descriptors restored on this rank,        \
+       c=restored bytes */                                                    \
+  X(Restore, "restore", "elastic")                                            \
+  /* Causal task lineage (trace/lineage.hpp). Appended so lineage-off         \
+     traces stay byte-identical to pre-lineage baselines. Task ids ride in    \
+     c (they fit int64: 23 origin bits + 40 sequence bits). */                \
+  /* a=parent id high 32 bits, b=parent id low 32 bits, c=spawned task id     \
+       (recorded by the spawning rank) */                                     \
+  X(SpawnEdge, "spawn_edge", "lineage")                                       \
+  /* a=victim (the rank the task sat on), b=hop count after this              \
+       migration, c=task id (recorded by the thief / redeal target) */        \
+  X(MigrateEdge, "migrate_edge", "lineage")                                   \
+  /* a=hop count at execution, b=callback handle, c=task id (recorded by      \
+       the executing rank; the span's duration is the paired TaskEnd's) */    \
+  X(ExecSpan, "exec_span", "lineage")
+
+/// Typed event kinds, in table order.
 enum class Ev : std::uint8_t {
-  TaskBegin,     // a=callback handle, b=affinity
-  TaskEnd,       // a=callback handle, c=execution duration (ns)
-  Push,          // a=affinity, c=local queue size after the push
-  Pop,           // c=local queue size after the pop
-  Release,       // a=tasks released to the shared portion, c=queue size
-  Reacquire,     // a=tasks reacquired from the shared portion, c=queue size
-  StealAttempt,  // a=victim rank
-  StealOk,       // a=victim rank, b=tasks stolen
-  StealFail,     // a=victim rank (empty-handed attempt)
-  RemoteAdd,     // a=target rank (one task pushed into target's patch)
-  TokenSend,     // a=target rank, b=field (0=down,1=up,2=term,3=dirty)
-  Vote,          // a=wave number, b=1 if the token passed up was black
-  WaveStart,     // a=wave number (root only)
-  Terminate,     // a=deciding wave number
-  PgasPut,       // a=target rank, c=bytes
-  PgasGet,       // a=target rank, c=bytes
-  PgasAcc,       // a=target rank, c=bytes
-  PgasRmw,       // a=target rank (fetch-add / swap)
-  Barrier,       // (entry into a barrier)
-  Search,        // c=accumulated idle/steal/TD-poll time just ended (ns)
-  PhaseBegin,    // (tc_process entry)
-  PhaseEnd,      // c=phase duration on this rank (ns)
-  FaultInjected,  // a=fault type (fault::FaultType), b=target rank, c=param
-  StealAborted,   // a=victim rank, b=reason (0=truncated-to-zero)
-  TaskRecovered,  // a=source (dead) rank, b=tasks recovered, c=duration (ns)
-  TreeRespliced,  // a=epoch, b=alive rank count after the resplice
-  StealBusy,      // a=victim rank (aborting steal: lock held, no transfer)
-  StealRetarget,  // a=busy victim, b=new victim, c=backoff charged (ns)
-  ReacquireFast,  // a=tasks reacquired via the lock-free owner fast path
-  Suspect,        // a=suspected rank, c=silence observed so far (ns)
-  Refute,         // a=formerly-suspected rank (its heartbeat advanced)
-  ConfirmDead,    // a=confirmed-dead rank, c=silence at confirmation (ns)
-  FenceAbort,     // a=fence adopter rank, b=fence epoch (owner woke up,
-                  //   observed an adoption fence, aborted its work loop)
-  // DAG scheduler events (src/dag). Appended so DAG-off traces stay
-  // byte-identical to pre-dag baselines.
-  NodeReady,      // a=node id (low 32 bits), b=home rank, c=depth (-1 if
-                  //   unknown, e.g. dynamic nodes fired by a non-creator)
-  NodeRun,        // a=node id (low 32 bits), b=conflict group, c=depth
-  ConflictRetry,  // a=node id (low 32 bits), b=reason (0=group lock busy,
-                  //   1=version wait), c=conflict group (-1 for version)
-  // Adaptive control plane (src/control). Appended so controller-off
-  // traces stay byte-identical to pre-control baselines.
-  KnobChange,     // a=knob (control::Knob), b=applied value,
-                  //   c=reason (control::Reason)
-  // Elastic membership (src/elastic). Appended so elastic-off traces stay
-  // byte-identical to pre-elastic baselines.
-  JoinRequest,    // a=requesting (parked) rank
-  JoinAdmit,      // a=admitted rank, b=admitting rank, c=new epoch
-  Quiesce,        // a=checkpoint generation, b=joined-alive participant
-                  //   count, c=wait duration (ns)
-  Checkpoint,     // a=checkpoint generation, b=descriptors snapshotted on
-                  //   this rank, c=snapshot bytes (part payload)
-  Restore,        // a=source (saved) rank count, b=descriptors restored on
-                  //   this rank, c=restored bytes
-  // Causal task lineage (trace/lineage.hpp). Appended so lineage-off
-  // traces stay byte-identical to pre-lineage baselines. Task ids ride in
-  // c (they fit int64: 23 origin bits + 40 sequence bits).
-  SpawnEdge,      // a=parent id high 32 bits, b=parent id low 32 bits,
-                  //   c=spawned task id (recorded by the spawning rank)
-  MigrateEdge,    // a=victim (the rank the task sat on), b=hop count
-                  //   after this migration, c=task id (recorded by the
-                  //   thief / redeal target)
-  ExecSpan,       // a=hop count at execution, b=callback handle,
-                  //   c=task id (recorded by the executing rank; the
-                  //   span's duration is the paired TaskEnd's)
+#define SCIOTO_TRACE_EV_ENUM(kind, name, category) kind,
+  SCIOTO_TRACE_EV_KINDS(SCIOTO_TRACE_EV_ENUM)
+#undef SCIOTO_TRACE_EV_ENUM
 };
 
 /// Human-readable kind name (used by the exporter and analyses).
 const char* ev_name(Ev kind);
+
+/// Chrome trace category ("cat") of a kind.
+const char* ev_category(Ev kind);
 
 /// One recorded event: 32 bytes, trivially copyable.
 struct Event {
@@ -204,21 +252,14 @@ std::size_t default_capacity();
 
 }  // namespace scioto::trace
 
-// Instrumentation macro: compiled to nothing when the SCIOTO_TRACE CMake
-// option is OFF (arguments are not evaluated), one predicted-false branch
-// when ON but no session is active.
-#if SCIOTO_TRACE_ENABLED
+// Instrumentation macro: one predicted-false branch when no session is
+// active (arguments are not evaluated).
 #define SCIOTO_TRACE_EVENT(rank, kind, a, b, c)                            \
   do {                                                                     \
     if (::scioto::trace::active()) {                                       \
-      ::scioto::trace::record((rank), (kind),                              \
-                              static_cast<std::int32_t>(a),                \
-                              static_cast<std::int32_t>(b),                \
-                              static_cast<std::int64_t>(c));               \
+      ::scioto::trace::record((rank), (kind),                                 \
+                              static_cast<std::int32_t>(a),                   \
+                              static_cast<std::int32_t>(b),                   \
+                              static_cast<std::int64_t>(c));                  \
     }                                                                      \
   } while (0)
-#else
-#define SCIOTO_TRACE_EVENT(rank, kind, a, b, c) \
-  do {                                          \
-  } while (0)
-#endif

@@ -31,8 +31,6 @@
 using namespace scioto;
 using namespace scioto::testing;
 
-#if SCIOTO_CONTROL_ENABLED && SCIOTO_METRICS_ENABLED
-
 namespace {
 
 using control::Decision;
@@ -516,8 +514,6 @@ TEST(CtlUts, GlobalControllerExactAndDeterministic) {
 
 // ---- Zero perturbation: a quiet controller leaves the trace untouched ----
 
-#if SCIOTO_TRACE_ENABLED
-
 TEST(CtlOff, QuietControllerTraceIdenticalToOff) {
   auto traced_run = [&](bool armed) {
     // dwell too large to ever reach: the armed controller polls, scrapes,
@@ -549,8 +545,6 @@ TEST(CtlOff, QuietControllerTraceIdenticalToOff) {
     ASSERT_EQ(off[i].c, on[i].c) << "event " << i;
   }
 }
-
-#endif  // SCIOTO_TRACE_ENABLED
 
 // ---- Composition with the failure detector ----
 
@@ -746,12 +740,3 @@ TEST(CtlCApi, ModePeriodRulesRoundTrip) {
   scioto_ctl_stats_t st;
   scioto_ctl_stats_get(&st);  // callable any time; zeroes before any run
 }
-
-#else  // !(SCIOTO_CONTROL_ENABLED && SCIOTO_METRICS_ENABLED)
-
-TEST(Control, CompiledOut) {
-  GTEST_SKIP() << "built with SCIOTO_CONTROL=OFF or SCIOTO_METRICS=OFF; "
-                  "the control plane compiles to nothing";
-}
-
-#endif  // SCIOTO_CONTROL_ENABLED && SCIOTO_METRICS_ENABLED

@@ -378,8 +378,6 @@ TEST(DagValidation, AddEdgeRejectsBadArgsAtCallTime) {
 
 // ---- Sim determinism: byte-identical replay across 8 seeds ----
 
-#if SCIOTO_TRACE_ENABLED
-
 TEST(DagDeterminism, EightSeedsByteIdenticalTraces) {
   // A workload touching every mechanism: wavefront edges, one conflict
   // group, a version edge, and dynamic spawns.
@@ -451,15 +449,6 @@ TEST(DagDeterminism, EightSeedsByteIdenticalTraces) {
   }
 }
 
-#else  // !SCIOTO_TRACE_ENABLED
-
-TEST(DagDeterminism, EightSeedsByteIdenticalTraces) {
-  GTEST_SKIP() << "built with SCIOTO_TRACE=OFF; determinism is proven "
-                  "by comparing trace streams";
-}
-
-#endif  // SCIOTO_TRACE_ENABLED
-
 // ---- Composition with the fail-stop kill / adoption path ----
 
 TEST(DagFault, KillARankEveryNodeRunsExactlyOnce) {
@@ -513,8 +502,6 @@ TEST(DagFault, KillARankEveryNodeRunsExactlyOnce) {
 // ---- Three-way reconciliation: DagStats == metrics == trace ----
 
 class DagReconcile : public ::testing::TestWithParam<BackendKind> {};
-
-#if SCIOTO_METRICS_ENABLED && SCIOTO_TRACE_ENABLED
 
 TEST_P(DagReconcile, CountersAgreeWithStatsAndTrace) {
   const int nranks = 4;
@@ -576,15 +563,6 @@ TEST_P(DagReconcile, CountersAgreeWithStatsAndTrace) {
   }
   EXPECT_EQ(hist_depth, g.nodes_run);
 }
-
-#else  // !(SCIOTO_METRICS_ENABLED && SCIOTO_TRACE_ENABLED)
-
-TEST_P(DagReconcile, CountersAgreeWithStatsAndTrace) {
-  GTEST_SKIP() << "built with SCIOTO_TRACE=OFF or SCIOTO_METRICS=OFF; "
-                  "reconciliation needs both instrumentation planes";
-}
-
-#endif  // SCIOTO_METRICS_ENABLED && SCIOTO_TRACE_ENABLED
 
 INSTANTIATE_TEST_SUITE_P(Backends, DagReconcile,
                          ::testing::Values(BackendKind::Sim,

@@ -82,8 +82,6 @@ apps::UtsResult run_uts_elastic(int nranks, const std::string& plan,
   return res;
 }
 
-#if SCIOTO_ELASTIC_ENABLED
-
 // ---- runtime rank join: grow the fleet mid-traversal ----
 
 TEST(ElasticGrow, UtsExactGrow4To8Sim8Seeds) {
@@ -375,8 +373,6 @@ TEST(ElasticQuiesce, UnderConcurrentStealsThreads4Seeds) {
 
 // ---- monitor rollup: joins/grows surface in the fleet samples ----
 
-#if SCIOTO_METRICS_ENABLED
-
 TEST(ElasticMonitor, JoinsSurfaceInFleetSamples) {
   const apps::UtsParams tree = apps::uts_small();
   ElasticGuard guard;
@@ -400,8 +396,6 @@ TEST(ElasticMonitor, JoinsSurfaceInFleetSamples) {
   EXPECT_EQ(last.alive + last.suspects + last.dead,
             static_cast<int>(last.ranks.size()));
 }
-
-#endif  // SCIOTO_METRICS_ENABLED
 
 // ---- C API ----
 
@@ -483,8 +477,6 @@ TEST(ElasticPlan, JoinersMustFormContiguousTail) {
 
 // ---- elastic-off byte-identity pin ----
 
-#if SCIOTO_TRACE_ENABLED
-
 TEST(ElasticOff, TraceByteIdenticalWithElasticStagedButDisabled) {
   // The elastic layer is linked into every run; staged-but-disabled
   // config must leave the trace stream byte-identical to a run that
@@ -529,17 +521,6 @@ TEST(ElasticOff, TraceByteIdenticalWithElasticStagedButDisabled) {
     EXPECT_NE(e.kind, trace::Ev::Restore);
   }
 }
-
-#endif  // SCIOTO_TRACE_ENABLED
-
-#else  // !SCIOTO_ELASTIC_ENABLED
-
-TEST(Elastic, CompiledOut) {
-  GTEST_SKIP() << "built with SCIOTO_ELASTIC=OFF; elastic membership is "
-                  "compiled to nothing";
-}
-
-#endif  // SCIOTO_ELASTIC_ENABLED
 
 }  // namespace
 }  // namespace scioto

@@ -300,7 +300,6 @@ TEST(FaultRecovery, UtsExactAcrossKillSchedules) {
   }
 }
 
-#if SCIOTO_TRACE_ENABLED
 TEST(FaultRecovery, SamePlanAndSeedReplaysByteIdenticalTrace) {
   const apps::UtsParams tree = apps::uts_tiny();
   const std::string plan = "kill:rank=2,at=50us";
@@ -325,7 +324,6 @@ TEST(FaultRecovery, SamePlanAndSeedReplaysByteIdenticalTrace) {
     if (::testing::Test::HasFailure()) break;
   }
 }
-#endif  // SCIOTO_TRACE_ENABLED (replay diff reads the trace stream back)
 
 TEST(FaultRecovery, StealTruncationAbortsButStaysExact) {
   const apps::UtsParams tree = apps::uts_tiny();

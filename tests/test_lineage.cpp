@@ -24,14 +24,6 @@ namespace {
 
 using pgas::Runtime;
 
-#if !SCIOTO_LINEAGE_ENABLED
-
-TEST(Lineage, CompiledOut) {
-  GTEST_SKIP() << "built with -DSCIOTO_LINEAGE=OFF";
-}
-
-#else
-
 // ---- Id packing and session lifecycle (no SPMD run required) ----
 
 TEST(LineageId, PacksOriginAndSequence) {
@@ -267,9 +259,8 @@ TEST(LineageOff, TraceCarriesNoLineageEventsAndStaysDeterministic) {
   EXPECT_EQ(a.json.find("task_flow"), std::string::npos);
   EXPECT_TRUE(a.rep.spans.empty());
   // Byte-identity of the disarmed path: the trailer is sized at runtime,
-  // so an armed build with no session must reproduce the exact trace of
-  // a second disarmed run (the -DSCIOTO_LINEAGE=OFF cross-build diff
-  // rides in CI where two builds exist).
+  // so a run with no session must reproduce the exact trace of a second
+  // disarmed run.
   LineageRun b = run_traced_uts(7, pgas::BackendKind::Sim, QueueMode::Split,
                                 /*lineage=*/false);
   EXPECT_EQ(a.json, b.json);
@@ -342,8 +333,6 @@ TEST(LineageCApi, ReportMatchesTheNativeAnalyzer) {
   EXPECT_EQ(scioto_lineage_report_get(&crep), -1)
       << "report requires live sessions";
 }
-
-#endif  // SCIOTO_LINEAGE_ENABLED
 
 }  // namespace
 }  // namespace scioto

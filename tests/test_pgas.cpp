@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "test_util.hpp"
@@ -384,6 +386,26 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, PgasBackends,
                          [](const auto& info) {
                            return testing::backend_name(info.param);
                          });
+
+TEST(PgasRunSpmd, UnknownLogLevelRejectedByName) {
+  // An unknown level used to fall back to warn silently.
+  ASSERT_EQ(setenv("SCIOTO_LOG", "verbose", 1), 0);
+  bool ran = false;
+  try {
+    testing::run_sim(2, [&](Runtime&) { ran = true; });
+    ADD_FAILURE() << "SCIOTO_LOG=verbose was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("SCIOTO_LOG"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("verbose"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(ran);
+  ASSERT_EQ(setenv("SCIOTO_LOG", "warn", 1), 0);
+  testing::run_sim(2, [&](Runtime&) { ran = true; });
+  EXPECT_TRUE(ran);
+  ASSERT_EQ(unsetenv("SCIOTO_LOG"), 0);
+}
 
 // ---- Sim-specific behaviours ----
 

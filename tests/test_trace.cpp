@@ -7,6 +7,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -75,6 +76,29 @@ TEST(TraceSession, InactiveByDefaultAndRecordIsNoOp) {
   trace::record(0, trace::Ev::Push);  // must not crash
   EXPECT_TRUE(trace::events(0).empty());
   EXPECT_TRUE(trace::all_events().empty());
+}
+
+TEST(TraceSession, TraceCapAcceptsOnlyWholePositiveCounts) {
+  ASSERT_EQ(unsetenv("SCIOTO_TRACE_CAP"), 0);
+  EXPECT_EQ(trace::default_capacity(), std::size_t{1} << 15);
+  ASSERT_EQ(setenv("SCIOTO_TRACE_CAP", "64", 1), 0);
+  EXPECT_EQ(trace::default_capacity(), 64u);
+  for (const char* bad : {"abc", "0", "-5", "64k", "", " 64", "+64", "1.5"}) {
+    ASSERT_EQ(setenv("SCIOTO_TRACE_CAP", bad, 1), 0);
+    try {
+      trace::default_capacity();
+      ADD_FAILURE() << "SCIOTO_TRACE_CAP='" << bad << "' was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("SCIOTO_TRACE_CAP"),
+                std::string::npos)
+          << e.what();
+    }
+    // start() reads the same knob: a bad value fails before any ring is
+    // allocated and leaves no session behind.
+    EXPECT_THROW(trace::start(2), Error) << bad;
+    EXPECT_FALSE(trace::active());
+  }
+  ASSERT_EQ(unsetenv("SCIOTO_TRACE_CAP"), 0);
 }
 
 TEST(TraceExport, EmptySessionProducesValidSkeleton) {
@@ -232,8 +256,6 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-#if SCIOTO_TRACE_ENABLED
-
 // ---- Traced workload fixture: small UTS run on the sim backend ----
 
 struct TracedRun {
@@ -294,6 +316,48 @@ TEST(TraceDeterminism, DifferentSeedsProduceDifferentTraces) {
   // Victim selection depends on the seed, so the streams should diverge
   // (the tree itself is identical).
   EXPECT_NE(a.json, b.json);
+}
+
+TEST(TraceExport, EveryTableKindExportsUnderItsNameAndCategory) {
+  // One event of every kind in the SCIOTO_TRACE_EV_KINDS table: each must
+  // have a name and category, and the exporter must format it into valid
+  // JSON. One past the table is the "grew without an exporter case"
+  // failure, which must name itself instead of writing a broken file.
+#define COUNT_ROW(kind, name, category) +1
+  constexpr int kKinds = 0 SCIOTO_TRACE_EV_KINDS(COUNT_ROW);
+#undef COUNT_ROW
+  trace::start(1, static_cast<std::size_t>(kKinds));
+  for (int k = 0; k < kKinds; ++k) {
+    const auto kind = static_cast<trace::Ev>(k);
+    EXPECT_STRNE(trace::ev_name(kind), "?") << k;
+    EXPECT_STRNE(trace::ev_category(kind), "?") << k;
+    trace::record(0, kind, 1, 1, 1);
+  }
+  std::unique_ptr<Json> root;
+  ASSERT_NO_THROW(root = JsonParser(trace::chrome_trace_json()).parse());
+  const Json& evs = root->at("traceEvents");
+  ASSERT_EQ(evs.array.size(), static_cast<std::size_t>(kKinds) + 1);
+  for (int k = 0; k < kKinds; ++k) {
+    const Json& e = *evs.array[static_cast<std::size_t>(k) + 1];
+    EXPECT_EQ(e.at("cat").str,
+              trace::ev_category(static_cast<trace::Ev>(k)))
+        << k;
+  }
+  trace::stop();
+
+  const auto past_end = static_cast<trace::Ev>(kKinds);
+  EXPECT_STREQ(trace::ev_name(past_end), "?");
+  trace::start(1, 4);
+  trace::record(0, past_end);
+  try {
+    trace::chrome_trace_json();
+    ADD_FAILURE() << "exporter accepted an unknown kind";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown event kind"),
+              std::string::npos)
+        << e.what();
+  }
+  trace::stop();
 }
 
 TEST(TraceExport, ChromeTraceSchemaIsValid) {
@@ -472,8 +536,6 @@ TEST(TraceSession, RingDropAccountingUnderTinyCapacity) {
   EXPECT_EQ(json.find("\"dropped\":0,"), std::string::npos);
   trace::stop();
 }
-
-#endif  // SCIOTO_TRACE_ENABLED
 
 }  // namespace
 }  // namespace scioto
