@@ -94,12 +94,8 @@ SplitQueue::SplitQueue(pgas::Runtime& rt, Config cfg)
     }
   }
   locks_ = rt_.lockset_create();
-  counters_.resize(nranks);
-  reacquire_bufs_.resize(nranks);
-  for (auto& buf : reacquire_bufs_) {
-    buf.resize(static_cast<std::size_t>(chunk_max_) * cfg_.slot_bytes);
-  }
-  overflow_.resize(nranks);
+  reacquire_buf_.resize(static_cast<std::size_t>(chunk_max_) *
+                        cfg_.slot_bytes);
   rt_.barrier();
 }
 
@@ -367,7 +363,7 @@ std::uint64_t SplitQueue::reacquire() {
     // owner-vs-thief race -- falls back to self-stealing through the CAS,
     // i.e. the standard Chase-Lev "owner CASes top" arbitration: exactly
     // one of owner and thief wins each contested task.
-    std::byte* buf = reacquire_bufs_[static_cast<std::size_t>(me)].data();
+    std::byte* buf = reacquire_buf_.data();
     int got = steal_from_lockfree(me, buf);
     for (int i = 0; i < got; ++i) {
       bool ok = push_local(buf + static_cast<std::size_t>(i) *
@@ -786,7 +782,7 @@ std::uint64_t SplitQueue::drain_dead(Rank dead) {
   // excludes all readers -- and the queue ends low-anchored (sh = sp =
   // unfrozen(pt)) so a rejoining owner, whose fence_ack thaws priv_tail
   // back to that anchor, restarts from a trivially consistent state.
-  std::byte* buf = reacquire_bufs_[static_cast<std::size_t>(me)].data();
+  std::byte* buf = reacquire_buf_.data();
   std::uint64_t idx = sh;
   while (idx < pt) {
     // Batch by the buffer's capacity (chunk_max), not the live policy
@@ -891,41 +887,41 @@ bool SplitQueue::reclaim_txn(Rank victim) {
 }
 
 void SplitQueue::stash_overflow(const std::byte* task) {
-  auto& ov = overflow_[static_cast<std::size_t>(rt_.me())];
   const std::size_t n = cfg_.slot_bytes;
-  // Alias-safe append: if `task` points into ov's own storage, a plain
-  // insert() could reallocate and then copy from freed memory. Grow
+  // Alias-safe append: if `task` points into the stash's own storage, a
+  // plain insert() could reallocate and then copy from freed memory. Grow
   // first, then copy by offset.
-  const std::byte* base = ov.data();
-  const std::size_t old_size = ov.size();
+  const std::byte* base = overflow_.data();
+  const std::size_t old_size = overflow_.size();
   const bool aliases = std::less_equal<const std::byte*>{}(base, task) &&
                        std::less<const std::byte*>{}(task, base + old_size);
   const std::size_t off = aliases ? static_cast<std::size_t>(task - base) : 0;
-  ov.resize(old_size + n);
-  std::memcpy(ov.data() + old_size, aliases ? ov.data() + off : task, n);
+  overflow_.resize(old_size + n);
+  std::memcpy(overflow_.data() + old_size,
+              aliases ? overflow_.data() + off : task, n);
 }
 
 bool SplitQueue::overflow_pending() const {
-  return ft_ && !overflow_[static_cast<std::size_t>(rt_.me())].empty();
+  return ft_ && !overflow_.empty();
 }
 
 std::uint64_t SplitQueue::flush_overflow() {
   if (!ft_) {
     return 0;
   }
-  auto& ov = overflow_[static_cast<std::size_t>(rt_.me())];
   std::uint64_t moved = 0;
-  while (!ov.empty()) {
-    const std::byte* task = ov.data() + ov.size() - cfg_.slot_bytes;
+  while (!overflow_.empty()) {
+    const std::byte* task =
+        overflow_.data() + overflow_.size() - cfg_.slot_bytes;
     // try_push_local, not push_local: the stash-on-fence fallback would
-    // append a copy of the very task we are flushing (reading from ov
-    // while growing it) and report success, so the loop would re-flush
+    // append a copy of the very task we are flushing (reading from the
+    // stash while growing it) and report success, so the loop would re-flush
     // the identical task forever. A Fenced outcome instead leaves the
     // task stashed until after rejoin; Full leaves it for a later pass.
     if (try_push_local(task, kAffinityHigh) != PushOutcome::Ok) {
       break;
     }
-    ov.resize(ov.size() - cfg_.slot_bytes);
+    overflow_.resize(overflow_.size() - cfg_.slot_bytes);
     ++moved;
   }
   return moved;
@@ -1199,9 +1195,8 @@ std::uint64_t SplitQueue::snapshot_local(std::vector<std::byte>& out) {
   if (n > 0) {
     copy_span_raw(me, sh, n, out.data() + base);
   }
-  const auto& ov = overflow_[static_cast<std::size_t>(me)];
-  out.insert(out.end(), ov.begin(), ov.end());
-  return n + static_cast<std::uint64_t>(ov.size() / cfg_.slot_bytes);
+  out.insert(out.end(), overflow_.begin(), overflow_.end());
+  return n + static_cast<std::uint64_t>(overflow_.size() / cfg_.slot_bytes);
 }
 
 SplitQueue::Snapshot SplitQueue::debug_snapshot(Rank r) {
@@ -1277,7 +1272,7 @@ void SplitQueue::reset_collective() {
       txn(rt_.me(), t).state.store(0, std::memory_order_relaxed);
       txn(rt_.me(), t).count.store(0, std::memory_order_relaxed);
     }
-    overflow_[static_cast<std::size_t>(rt_.me())].clear();
+    overflow_.clear();
   }
   counters() = Counters{};  // per-phase statistics start fresh
   rt_.barrier();

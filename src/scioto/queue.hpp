@@ -255,7 +255,7 @@ class SplitQueue {
   control::KnobSet& knobs() { return knobs_; }
   const control::KnobSet& knobs() const { return knobs_; }
   std::size_t slot_bytes() const { return cfg_.slot_bytes; }
-  Counters& counters() { return counters_[static_cast<std::size_t>(rt_.me())]; }
+  Counters& counters() { return counters_; }
   pgas::Runtime& runtime() { return rt_; }
 
   // ---- Test/debug inspection (no charges; not part of the model) ----
@@ -430,12 +430,12 @@ class SplitQueue {
   std::size_t txn_off_ = 0;
   std::size_t buf_off_ = 0;
   std::size_t slots_off_ = 0;
-  std::vector<Counters> counters_;
-  /// Per-rank chunk_max-sized scratch: the LockFree self-steal reacquire
-  /// and a ward's drain_dead copy batches land here.
-  std::vector<std::vector<std::byte>> reacquire_bufs_;
-  /// Per-rank stash for recovered tasks that did not fit the queue.
-  std::vector<std::vector<std::byte>> overflow_;
+  Counters counters_;
+  /// chunk_max-sized scratch: the LockFree self-steal reacquire and a
+  /// ward's drain_dead copy batches land here.
+  std::vector<std::byte> reacquire_buf_;
+  /// Stash for recovered tasks that did not fit the queue.
+  std::vector<std::byte> overflow_;
 };
 
 }  // namespace scioto

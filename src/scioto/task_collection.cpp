@@ -152,7 +152,10 @@ Table tc_stats_table(const TcStats& s) {
 }
 
 TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
-    : rt_(rt), cfg_(cfg), clos_(rt) {
+    : rt_(rt),
+      cfg_(cfg),
+      clos_(rt),
+      rng_(derive_seed(rt.seed(), rt.me(), /*stream=*/0xA11)) {
   SCIOTO_REQUIRE(cfg_.max_task_body >= 0, "negative max_task_body");
   SCIOTO_REQUIRE(cfg_.chunk_size >= 1, "chunk_size must be >= 1");
   SCIOTO_REQUIRE(cfg_.max_tasks_per_rank >= 2, "max_tasks_per_rank too small");
@@ -244,29 +247,9 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
     }
   }
 
-  // TaskCollection objects are constructed per rank (ARMCI style); the
-  // per-rank tables below are indexed by me() so the indexing discipline
-  // stays uniform, but only this rank's slots get real buffers -- at 512
-  // ranks, allocating everyone's steal buffers in every rank's object
-  // would waste >100 MB per collection.
-  int n = rt_.nprocs();
-  const std::size_t self = static_cast<std::size_t>(rt_.me());
-  registries_.resize(static_cast<std::size_t>(n));
-  scratch_.resize(static_cast<std::size_t>(n));
-  stats_.resize(static_cast<std::size_t>(n));
-  steal_bufs_.resize(static_cast<std::size_t>(n));
-  exec_bufs_.resize(static_cast<std::size_t>(n));
-  scratch_[self].resize(qc.slot_bytes);
-  steal_bufs_[self].resize(qc.slot_bytes *
-                           static_cast<std::size_t>(cfg_.chunk_max));
-  exec_bufs_[self].resize(qc.slot_bytes);
-  rngs_.reserve(static_cast<std::size_t>(n));
-  for (Rank r = 0; r < n; ++r) {
-    rngs_.emplace_back(derive_seed(rt_.seed(), r, /*stream=*/0xA11));
-  }
-  epoch_seen_.assign(static_cast<std::size_t>(n), ~std::uint64_t{0});
-  wards_.resize(static_cast<std::size_t>(n));
-  alive_others_.resize(static_cast<std::size_t>(n));
+  scratch_.resize(qc.slot_bytes);
+  steal_buf_.resize(qc.slot_bytes * static_cast<std::size_t>(cfg_.chunk_max));
+  exec_buf_.resize(qc.slot_bytes);
   rt_.barrier();
 }
 
@@ -289,8 +272,7 @@ void TaskCollection::destroy() {
 
 TaskHandle TaskCollection::register_callback(TaskFn fn) {
   rt_.barrier();
-  TaskHandle h =
-      registries_[static_cast<std::size_t>(rt_.me())].append(std::move(fn));
+  TaskHandle h = registry_.append(std::move(fn));
   rt_.barrier();
   return h;
 }
@@ -325,11 +307,9 @@ void TaskCollection::add_raw(Rank where, int affinity,
                  "task descriptor size " << size
                      << " outside [header, slot] bounds");
   // Pad the descriptor into a slot-sized scratch buffer (copy-in).
-  std::vector<std::byte>& scratch =
-      scratch_[static_cast<std::size_t>(rt_.me())];
-  std::memcpy(scratch.data(), descriptor, size);
+  std::memcpy(scratch_.data(), descriptor, size);
   // Stamp creator and affinity into the stored header.
-  auto* hdr = reinterpret_cast<TaskHeader*>(scratch.data());
+  auto* hdr = reinterpret_cast<TaskHeader*>(scratch_.data());
   hdr->created_by = rt_.me();
   hdr->affinity = affinity;
   if (lineage_off_ != 0) {
@@ -339,7 +319,7 @@ void TaskCollection::add_raw(Rank where, int affinity,
     trace::lineage::LineageRec rec;
     rec.id = trace::lineage::next_id(rt_.me());
     rec.parent = trace::lineage::current(rt_.me());
-    std::memcpy(scratch.data() + lineage_off_, &rec, sizeof(rec));
+    std::memcpy(scratch_.data() + lineage_off_, &rec, sizeof(rec));
     SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::SpawnEdge,
                        static_cast<std::uint32_t>(rec.parent >> 32),
                        static_cast<std::uint32_t>(rec.parent),
@@ -348,23 +328,23 @@ void TaskCollection::add_raw(Rank where, int affinity,
 
   bool ok;
   if (where == rt_.me()) {
-    ok = queue_->push_local(scratch.data(), affinity);
+    ok = queue_->push_local(scratch_.data(), affinity);
     if (ok) {
-      my_stats().tasks_spawned_local++;
+      stats_.tasks_spawned_local++;
       queue_->release_maybe();
     }
   } else if ((fault::active() || detect::active()) && !detect::alive(where)) {
     // Redirect: a task aimed at a dead rank lands locally instead of in
     // dead memory its ward would only have to drain back out.
-    ok = queue_->push_local(scratch.data(), affinity);
+    ok = queue_->push_local(scratch_.data(), affinity);
     if (ok) {
-      my_stats().tasks_spawned_local++;
+      stats_.tasks_spawned_local++;
       queue_->release_maybe();
     }
   } else {
-    ok = queue_->add_remote(where, scratch.data());
+    ok = queue_->add_remote(where, scratch_.data());
     if (ok) {
-      my_stats().tasks_spawned_remote++;
+      stats_.tasks_spawned_remote++;
       SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::RemoteSpawns, 1);
       // A remote add moves work: termination detection must know (§5.2).
       td_->note_lb_op(where);
@@ -380,8 +360,7 @@ void TaskCollection::add_raw(Rank where, int affinity,
 
 void TaskCollection::execute(std::byte* descriptor) {
   auto* hdr = reinterpret_cast<TaskHeader*>(descriptor);
-  const TaskFn& fn =
-      registries_[static_cast<std::size_t>(rt_.me())].lookup(hdr->callback);
+  const TaskFn& fn = registry_.lookup(hdr->callback);
   TaskContext ctx{*this, *hdr, descriptor + sizeof(TaskHeader), rt_.me()};
   const TimeNs metrics_t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
   // Same clock reads the process() loop uses for time_working, so the
@@ -415,7 +394,7 @@ void TaskCollection::execute(std::byte* descriptor) {
     trace::record(rt_.me(), trace::Ev::TaskEnd, hdr->callback, 0,
                   rt_.now() - trace_t0);
   }
-  my_stats().tasks_executed++;
+  stats_.tasks_executed++;
   SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::TasksExecuted, 1);
   if (SCIOTO_METRICS_ON()) {
     metrics::hist_record(rt_.me(), metrics::Hist::TaskExecNs,
@@ -430,22 +409,28 @@ void TaskCollection::refresh_membership() {
   // epoch bump -- deaths, rejoins of falsely-suspected ranks, and elastic
   // admissions alike. Parked (NotJoined) ranks are neither victims nor
   // wards: their queues are empty and must never be frozen by drain_dead.
-  const std::size_t self = static_cast<std::size_t>(rt_.me());
+  // While every rank is alive the view is full: there are no wards, and
+  // pick_victim draws "every rank but me" arithmetically, so the lists
+  // are built only after a death or while ranks are parked.
   std::uint64_t e = detect::epoch();
-  if (e == epoch_seen_[self]) {
+  if (e == epoch_seen_) {
     return;
   }
-  epoch_seen_[self] = e;
-  wards_[self].clear();
-  alive_others_[self].clear();
+  epoch_seen_ = e;
+  wards_.clear();
+  alive_others_.clear();
   const int n = rt_.nprocs();
+  full_view_ = detect::alive_count() == n;
+  if (full_view_) {
+    return;
+  }
   for (Rank r = 0; r < n; ++r) {
     if (detect::alive(r)) {
       if (r != rt_.me()) {
-        alive_others_[self].push_back(r);
+        alive_others_.push_back(r);
       }
     } else if (detect::joined(r) && detect::successor(r) == rt_.me()) {
-      wards_[self].push_back(r);
+      wards_.push_back(r);
     }
   }
 }
@@ -485,18 +470,15 @@ void TaskCollection::process() {
   // for an empty phase (Figure 4).
   td_->reset_local();
   rt_.barrier();
-  TcStats& st = my_stats();
-  Xoshiro256& rng = rngs_[static_cast<std::size_t>(rt_.me())];
-  std::byte* exec_buf = exec_bufs_[static_cast<std::size_t>(rt_.me())].data();
-  std::byte* steal_buf =
-      steal_bufs_[static_cast<std::size_t>(rt_.me())].data();
+  TcStats& st = stats_;
+  std::byte* exec_buf = exec_buf_.data();
+  std::byte* steal_buf = steal_buf_.data();
   const int n = rt_.nprocs();
   const bool ft = fault::active();
   const bool elastic_on = elastic::active() && eseg_ >= 0;
   // Elastic admissions move the membership epoch without a fault session,
   // so the ward/victim-pool refresh watches it whenever either is live.
   const bool pool = ft || elastic_on;
-  const std::size_t self = static_cast<std::size_t>(rt_.me());
   const TimeNs t_begin = rt_.now();
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::PhaseBegin, 0, 0, 0);
   bool parked_out = false;  // phase ended while this rank was still parked
@@ -627,7 +609,7 @@ void TaskCollection::process() {
     }
     if (ft) {
       std::uint64_t recovered = queue_->recover_open_txns();
-      for (Rank d : wards_[self]) {
+      for (Rank d : wards_) {
         std::uint64_t adopted = queue_->drain_dead(d);
         recovered += adopted;
         if (adopted > 0 && control::active()) {
@@ -678,11 +660,11 @@ void TaskCollection::process() {
         // node, whose queue we can raid through shared memory.
         Rank victim = kNoRank;
         if (cfg_.node_steal_bias > 0 && cores > 1 &&
-            rng.bernoulli(cfg_.node_steal_bias)) {
+            rng_.bernoulli(cfg_.node_steal_bias)) {
           Rank node_base = (rt_.me() / cores) * cores;
           int node_sz = std::min(cores, n - node_base);
           if (node_sz > 1) {
-            victim = node_base + static_cast<Rank>(rng.next_below(
+            victim = node_base + static_cast<Rank>(rng_.next_below(
                                      static_cast<std::uint64_t>(node_sz - 1)));
             if (victim >= rt_.me()) {
               ++victim;
@@ -716,7 +698,7 @@ void TaskCollection::process() {
           }
           if (npool > 0) {
             std::uint64_t off =
-                rng.next_below(static_cast<std::uint64_t>(npool));
+                rng_.next_below(static_cast<std::uint64_t>(npool));
             Rank cand = hotpool[off];
             if (cand == avoid && npool > 1) {
               cand = hotpool[(off + 1) % static_cast<std::uint64_t>(npool)];
@@ -724,7 +706,7 @@ void TaskCollection::process() {
             return cand;
           }
           std::uint64_t off =
-              rng.next_below(static_cast<std::uint64_t>(vset));
+              rng_.next_below(static_cast<std::uint64_t>(vset));
           Rank cand = static_cast<Rank>(
               (rt_.me() + 1 + static_cast<Rank>(off)) % n);
           if (cand == avoid && vset > 1) {
@@ -736,23 +718,26 @@ void TaskCollection::process() {
           }
         }
         if (victim == kNoRank) {
-          if (pool) {
+          if (pool && !full_view_) {
             // Sample among live ranks only; stealing from the dead is the
             // ward's job (drain_dead), not the victim-selection RNG's --
             // and parked ranks have no work to take.
-            const std::vector<Rank>& pool = alive_others_[self];
-            if (pool.empty()) {
+            const std::size_t live = alive_others_.size();
+            if (live == 0) {
               return kNoRank;  // sole survivor: nothing left to steal from
             }
             std::size_t idx = static_cast<std::size_t>(
-                rng.next_below(static_cast<std::uint64_t>(pool.size())));
-            if (pool[idx] == avoid && pool.size() > 1) {
-              idx = (idx + 1) % pool.size();
+                rng_.next_below(static_cast<std::uint64_t>(live)));
+            if (alive_others_[idx] == avoid && live > 1) {
+              idx = (idx + 1) % live;
             }
-            victim = pool[idx];
+            victim = alive_others_[idx];
           } else {
+            // Every rank but me. Over the ordered all-but-me list this is
+            // exactly the pool draw above: list[idx] is idx < me ? idx :
+            // idx + 1, and `avoid` shifts to the next rank in ring order.
             victim = static_cast<Rank>(
-                rng.next_below(static_cast<std::uint64_t>(n - 1)));
+                rng_.next_below(static_cast<std::uint64_t>(n - 1)));
             if (victim >= rt_.me()) {
               ++victim;
             }
@@ -793,7 +778,7 @@ void TaskCollection::process() {
           st.steal_retargets++;
           TimeNs b = std::min<TimeNs>(ns(200) << std::min(retarget - 1, 4),
                                       ns(3200));
-          b = b / 2 + static_cast<TimeNs>(rng.next_below(
+          b = b / 2 + static_cast<TimeNs>(rng_.next_below(
                           static_cast<std::uint64_t>(b / 2) + 1));
           rt_.charge(b);
           Rank next = pick_victim(victim);
@@ -977,8 +962,8 @@ void TaskCollection::reset() {
     aref(ec->ckpt_done).store(0, std::memory_order_relaxed);
     aref(ec->ckpt_ndesc).store(0, std::memory_order_relaxed);
   }
-  stats_[static_cast<std::size_t>(rt_.me())] = TcStats{};
-  epoch_seen_[static_cast<std::size_t>(rt_.me())] = ~std::uint64_t{0};
+  stats_ = TcStats{};
+  epoch_seen_ = ~std::uint64_t{0};
   rt_.barrier();
 }
 
@@ -1137,7 +1122,6 @@ void TaskCollection::elastic_admit_scan() {
 bool TaskCollection::quiesce_and_checkpoint(std::uint64_t gen, TcStats& st) {
   const Rank me = rt_.me();
   const int n = rt_.nprocs();
-  const std::size_t self = static_cast<std::size_t>(me);
   const TimeNs t0 = rt_.now();
   // 1. Drain the recovery paths so everything this rank is responsible
   // for sits in its own queue before serialization: replayed steal
@@ -1145,7 +1129,7 @@ bool TaskCollection::quiesce_and_checkpoint(std::uint64_t gen, TcStats& st) {
   if (fault::active()) {
     refresh_membership();
     std::uint64_t rec = queue_->recover_open_txns();
-    for (Rank d : wards_[self]) {
+    for (Rank d : wards_) {
       rec += queue_->drain_dead(d);
     }
     rec += queue_->flush_overflow();
@@ -1460,16 +1444,14 @@ void TaskCollection::restore_from(const std::string& path) {
         // can follow the chain across the checkpoint boundary. (The
         // manifest's slot_bytes check above already rejects mixing
         // lineage-on and lineage-off fleets across a save/restore.)
-        std::vector<std::byte>& scratch =
-            scratch_[static_cast<std::size_t>(me)];
-        std::memcpy(scratch.data(), desc, slot_bytes());
+        std::memcpy(scratch_.data(), desc, slot_bytes());
         trace::lineage::LineageRec rec;
-        std::memcpy(&rec, scratch.data() + lineage_off_, sizeof(rec));
+        std::memcpy(&rec, scratch_.data() + lineage_off_, sizeof(rec));
         rec.hops += 1;
-        std::memcpy(scratch.data() + lineage_off_, &rec, sizeof(rec));
+        std::memcpy(scratch_.data() + lineage_off_, &rec, sizeof(rec));
         SCIOTO_TRACE_EVENT(me, trace::Ev::MigrateEdge, src, rec.hops,
                            rec.id);
-        desc = scratch.data();
+        desc = scratch_.data();
       }
       bool ok = queue_->push_local(desc, kAffinityHigh);
       SCIOTO_REQUIRE(ok, "elastic: local queue overflow during restore");

@@ -232,9 +232,7 @@ class TaskCollection {
 
   // ---- Statistics ----
   /// This rank's counters from the last process() call.
-  const TcStats& stats_local() const {
-    return stats_[static_cast<std::size_t>(rt_.me())];
-  }
+  const TcStats& stats_local() const { return stats_; }
   /// Collective: sum over all ranks.
   TcStats stats_global();
   /// Collective: renders stats_global() through tc_stats_table(). Only the
@@ -255,8 +253,7 @@ class TaskCollection {
   void fence_abort_and_rejoin();
   /// Ward/victim-pool recomputation when the membership epoch moved.
   void refresh_membership();
-  // ---- Elastic membership (src/elastic; bodies gated on the
-  // SCIOTO_ELASTIC build option) ----
+  // ---- Elastic membership (src/elastic) ----
   /// Parked-rank wait loop: publishes the join request when due; returns
   /// true on admission, false when the phase ended (termination broadcast
   /// or fleet halt) while this rank was still parked.
@@ -273,7 +270,6 @@ class TaskCollection {
   /// descriptors round-robin across the joined ranks of this (possibly
   /// different-sized) fleet.
   void restore_from(const std::string& path);
-  TcStats& my_stats() { return stats_[static_cast<std::size_t>(rt_.me())]; }
 
   pgas::Runtime& rt_;
   TcConfig cfg_;
@@ -287,21 +283,26 @@ class TaskCollection {
   /// armed; pumped from the top of the process() loop.
   std::unique_ptr<detect::HeartbeatProbe> hb_;
   CloRegistry clos_;
-  /// Per-rank callback tables (identical contents by SPMD discipline).
-  std::vector<CallbackRegistry> registries_;
-  /// Per-rank scratch for padding descriptors to slot size.
-  std::vector<std::vector<std::byte>> scratch_;
-  std::vector<Xoshiro256> rngs_;
-  std::vector<TcStats> stats_;
-  std::vector<std::vector<std::byte>> steal_bufs_;
-  std::vector<std::vector<std::byte>> exec_bufs_;
-  /// Fault-recovery state, per rank (used only with an active session).
-  /// epoch_seen_ starts at ~0 so the first idle pass populates the lists.
-  std::vector<std::uint64_t> epoch_seen_;
+  /// Callback table (identical contents on every rank by SPMD discipline).
+  CallbackRegistry registry_;
+  /// Victim-selection stream, seeded per rank.
+  Xoshiro256 rng_;
+  TcStats stats_;
+  /// Slot-sized scratch for padding descriptors; a chunk_max-slot steal
+  /// buffer; the slot a locally popped task runs from.
+  std::vector<std::byte> scratch_;
+  std::vector<std::byte> steal_buf_;
+  std::vector<std::byte> exec_buf_;
+  /// Membership state (used only with a fault or elastic session).
+  /// epoch_seen_ starts at ~0 so the first idle pass refreshes the view.
+  std::uint64_t epoch_seen_ = ~std::uint64_t{0};
+  /// Every rank was alive at the last refresh: no wards, and victims are
+  /// drawn from every rank but me without building a list.
+  bool full_view_ = true;
   /// Dead ranks whose queues this rank adopts (successor(dead) == me).
-  std::vector<std::vector<Rank>> wards_;
-  /// Alive ranks other than me: the fault-aware victim pool.
-  std::vector<std::vector<Rank>> alive_others_;
+  std::vector<Rank> wards_;
+  /// Alive ranks other than me: the victim pool once the view is not full.
+  std::vector<Rank> alive_others_;
   /// Scheduler-extension hooks (see set_idle_hook / set_pending_hook).
   std::function<std::uint64_t()> idle_hook_;
   std::function<bool()> pending_hook_;

@@ -32,8 +32,6 @@ TerminationDetector::TerminationDetector(pgas::Runtime& rt, Config cfg)
       new (rt_.seg_ptr(seg_, r)) TdCtl();
     }
   }
-  state_.resize(static_cast<std::size_t>(rt_.nprocs()));
-  counters_.resize(static_cast<std::size_t>(rt_.nprocs()));
   rt_.barrier();
 }
 
@@ -109,7 +107,7 @@ void TerminationDetector::maybe_resplice(LocalState& st) {
   st.voted_wave = 0;
   st.self_black = !st.join_white;
   st.join_white = false;
-  my_counters().resplices++;
+  counters_.resplices++;
   SCIOTO_TRACE_EVENT(me, trace::Ev::TreeRespliced, static_cast<long long>(e),
                      static_cast<long long>(st.alive.size()), 0);
 }
@@ -119,7 +117,7 @@ void TerminationDetector::put_token(Rank target, std::size_t offset,
                                     [[maybe_unused]] int what) {
   int retries = 0;
   rt_.put_word_reliable(seg_, target, offset, value, width, &retries);
-  my_counters().token_retries += static_cast<std::uint64_t>(retries);
+  counters_.token_retries += static_cast<std::uint64_t>(retries);
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::TokenSend, target, what, 0);
 }
 
@@ -138,8 +136,8 @@ void TerminationDetector::reset_local() {
     Rank c = 2 * me + 1 + s;
     st.kids[s] = c < rt_.nprocs() ? c : kNoRank;
   }
-  state_[static_cast<std::size_t>(me)] = std::move(st);
-  counters_[static_cast<std::size_t>(me)] = Counters{};
+  state_ = std::move(st);
+  counters_ = Counters{};
 }
 
 void TerminationDetector::reset() {
@@ -149,12 +147,12 @@ void TerminationDetector::reset() {
 }
 
 void TerminationDetector::note_lb_op(Rank other) {
-  LocalState& st = state_[static_cast<std::size_t>(rt_.me())];
+  LocalState& st = state_;
   st.self_black = true;
 
   if ((fault::active() || detect::active()) && !detect::alive(other)) {
     // A dead partner never votes again; our own black vote covers the op.
-    my_counters().dirty_marks_skipped++;
+    counters_.dirty_marks_skipped++;
     return;
   }
   if (cfg_.color_optimization) {
@@ -162,34 +160,33 @@ void TerminationDetector::note_lb_op(Rank other) {
     // our own future vote will be black and forces the re-vote anyway.
     bool have_voted = st.voted_wave > 0 && st.voted_wave == st.wave_seen;
     if (!have_voted || is_descendant(st, other, rt_.me())) {
-      my_counters().dirty_marks_skipped++;
+      counters_.dirty_marks_skipped++;
       return;
     }
   }
   put_token(other, offsetof(TdCtl, dirty), 1, sizeof(std::uint32_t),
             /*what=*/3);
-  my_counters().dirty_marks_sent++;
+  counters_.dirty_marks_sent++;
 }
 
 void TerminationDetector::mark_self_black() {
-  state_[static_cast<std::size_t>(rt_.me())].self_black = true;
+  state_.self_black = true;
 }
 
 void TerminationDetector::arm_join_white() {
-  state_[static_cast<std::size_t>(rt_.me())].join_white = true;
+  state_.join_white = true;
 }
 
 bool TerminationDetector::term_seen_local() {
-  Rank me = rt_.me();
-  if (state_[static_cast<std::size_t>(me)].terminated) {
+  if (state_.terminated) {
     return true;
   }
-  return aref(ctl(me).term_wave).load(std::memory_order_acquire) != 0;
+  return aref(ctl(rt_.me()).term_wave).load(std::memory_order_acquire) != 0;
 }
 
 bool TerminationDetector::poll_term_remote() {
   Rank me = rt_.me();
-  LocalState& st = state_[static_cast<std::size_t>(me)];
+  LocalState& st = state_;
   if (st.terminated) {
     return true;
   }
@@ -211,7 +208,7 @@ bool TerminationDetector::poll_term_remote() {
 
 TerminationDetector::Status TerminationDetector::step() {
   Rank me = rt_.me();
-  LocalState& st = state_[static_cast<std::size_t>(me)];
+  LocalState& st = state_;
   if (st.terminated) {
     return Status::Terminated;
   }
@@ -264,7 +261,7 @@ TerminationDetector::Status TerminationDetector::step() {
     if (st.wave_seen == st.voted_wave) {
       // Previous wave concluded (or none started): launch the next one.
       ++st.wave_seen;
-      my_counters().waves_started++;
+      counters_.waves_started++;
       SCIOTO_METRIC_CTR(me, metrics::Ctr::TdWaves, 1);
       st.wave_begin = SCIOTO_METRICS_ON() ? rt_.now() : 0;
       SCIOTO_TRACE_EVENT(me, trace::Ev::WaveStart, st.wave_seen, 0, 0);
@@ -310,10 +307,10 @@ TerminationDetector::Status TerminationDetector::step() {
                    aref(my.dirty).exchange(0, std::memory_order_acq_rel) != 0;
       st.self_black = false;
       st.voted_wave = st.wave_seen;
-      my_counters().waves_voted++;
+      counters_.waves_voted++;
       SCIOTO_METRIC_CTR(me, metrics::Ctr::TdVotes, 1);
       if (black) {
-        my_counters().black_votes++;
+        counters_.black_votes++;
         SCIOTO_METRIC_CTR(me, metrics::Ctr::TdBlackVotes, 1);
       }
       SCIOTO_TRACE_EVENT(me, trace::Ev::Vote, st.wave_seen, black ? 1 : 0, 0);

@@ -116,9 +116,7 @@ class TerminationDetector {
   /// this, an idle joiner would black out one extra full wave per join.
   void arm_join_white();
 
-  const Counters& counters() const {
-    return counters_[static_cast<std::size_t>(rt_.me())];
-  }
+  const Counters& counters() const { return counters_; }
   Counters counters_sum() const;
 
  private:
@@ -166,9 +164,6 @@ class TerminationDetector {
   };
 
   TdCtl& ctl(Rank r);
-  Counters& my_counters() {
-    return counters_[static_cast<std::size_t>(rt_.me())];
-  }
   /// Heap-order descendant test over positions 0..n-1.
   static bool pos_is_descendant(int v, int anc);
   /// True if `v` is a strict descendant of `anc` in the current tree.
@@ -188,8 +183,8 @@ class TerminationDetector {
   pgas::Runtime& rt_;
   Config cfg_;
   pgas::SegId seg_ = -1;
-  std::vector<LocalState> state_;
-  std::vector<Counters> counters_;
+  LocalState state_;
+  Counters counters_;
 };
 
 }  // namespace scioto

@@ -1,10 +1,15 @@
 // End-to-end tests of the TaskCollection: seeding, dynamic spawning, work
 // stealing, common local objects, statistics, reset/reuse, affinity
-// placement, load-balancing toggle, the C API shim, and the DAG
-// dependency extension.
+// placement, load-balancing toggle, the C API shim, the DAG dependency
+// extension, and the per-rank heap footprint.
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <vector>
@@ -502,6 +507,64 @@ TEST_P(TcBackends, DagCycleDetected) {
     EXPECT_THROW(dag.execute(), Error);
     tc.destroy();
   });
+}
+
+// Live heap bytes (arena plus mmapped chunks); 0 where glibc's mallinfo2
+// is unavailable.
+std::size_t heap_in_use() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+// Heap bytes one TaskCollection adds per rank on an n-rank sim fleet. All
+// sim ranks share one thread, so rank 0's readings between barriers see
+// every rank's construction and nothing else.
+double tc_heap_per_rank(int n, std::size_t* slot_bytes) {
+  std::size_t before = 0;
+  std::size_t after = 0;
+  testing::run_sim(n, [&](Runtime& rt) {
+    TcConfig cfg = small_cfg();
+    cfg.max_tasks_per_rank = 64;
+    rt.barrier();
+    if (rt.me() == 0) {
+      before = heap_in_use();
+    }
+    rt.barrier();
+    TaskCollection tc(rt, cfg);
+    rt.barrier();
+    if (rt.me() == 0) {
+      after = heap_in_use();
+      *slot_bytes = tc.slot_bytes();
+    }
+    rt.barrier();
+    tc.destroy();
+  });
+  return (static_cast<double>(after) - static_cast<double>(before)) / n;
+}
+
+TEST(TcMemory, PerRankHeapIndependentOfFleetSize) {
+  constexpr std::size_t kProbe = 1 << 20;
+  const std::size_t h0 = heap_in_use();
+  auto probe = std::make_unique<std::byte[]>(kProbe);
+  asm volatile("" : : "g"(probe.get()) : "memory");  // the probe escapes
+  if (heap_in_use() < h0 + kProbe) {
+    GTEST_SKIP() << "heap counter does not track allocations (sanitizer "
+                    "or non-glibc allocator)";
+  }
+  probe.reset();
+  std::size_t slot = 0;
+  const double small = tc_heap_per_rank(64, &slot);
+  const double large = tc_heap_per_rank(512, &slot);
+  // Each rank's object holds only its own rank's state. The one term that
+  // grows with the fleet is the queue's remote-add headroom: one slot per
+  // rank in every rank's patch.
+  EXPECT_LE(large - small, 2.0 * static_cast<double>(slot) * (512 - 64))
+      << "per-rank heap " << small << " B at 64 ranks, " << large
+      << " B at 512 ranks (slot " << slot << " B)";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TcBackends,

@@ -133,7 +133,10 @@ TEST_P(UtsParallel, SciotoMatchesSequential) {
   testing::run(nranks, kind, [&](Runtime& rt) {
     UtsRunConfig cfg;
     cfg.node_cost = ns(50);
-    res = uts_run_scioto(rt, tree, cfg);
+    UtsResult r = uts_run_scioto(rt, tree, cfg);
+    if (rt.me() == 0) {
+      res = r;  // one writer: threads-backend ranks run concurrently
+    }
   });
   EXPECT_EQ(res.counts, expected);
   EXPECT_GT(res.mnodes_per_sec, 0.0);
@@ -148,7 +151,10 @@ TEST_P(UtsParallel, NoSplitMatchesSequential) {
     UtsRunConfig cfg;
     cfg.node_cost = ns(50);
     cfg.queue_mode = QueueMode::NoSplit;
-    res = uts_run_scioto(rt, tree, cfg);
+    UtsResult r = uts_run_scioto(rt, tree, cfg);
+    if (rt.me() == 0) {
+      res = r;  // one writer: threads-backend ranks run concurrently
+    }
   });
   EXPECT_EQ(res.counts, expected);
 }
@@ -161,7 +167,10 @@ TEST_P(UtsParallel, MpiWsMatchesSequential) {
   testing::run(nranks, kind, [&](Runtime& rt) {
     UtsRunConfig cfg;
     cfg.node_cost = ns(50);
-    res = uts_run_mpi_ws(rt, tree, cfg);
+    UtsResult r = uts_run_mpi_ws(rt, tree, cfg);
+    if (rt.me() == 0) {
+      res = r;  // one writer: threads-backend ranks run concurrently
+    }
   });
   EXPECT_EQ(res.counts, expected);
 }
@@ -174,7 +183,10 @@ TEST_P(UtsParallel, BinomialSciotoMatchesSequential) {
   testing::run(nranks, kind, [&](Runtime& rt) {
     UtsRunConfig cfg;
     cfg.node_cost = ns(50);
-    res = uts_run_scioto(rt, tree, cfg);
+    UtsResult r = uts_run_scioto(rt, tree, cfg);
+    if (rt.me() == 0) {
+      res = r;  // one writer: threads-backend ranks run concurrently
+    }
   });
   EXPECT_EQ(res.counts, expected);
 }
