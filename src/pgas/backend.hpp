@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "base/types.hpp"
@@ -48,8 +49,28 @@ class Backend {
   /// Polite busy-wait step: charges a poll cost in sim, yields the CPU
   /// under threads.
   virtual void relax() = 0;
+  struct Slept {
+    /// Polls skipped; the clock moved past them.
+    std::int64_t polls = 0;
+    /// True when nobody touched this rank during the sleep.
+    bool deadline = false;
+  };
+  /// relax() at the end of a quiet idle poll: a loop iteration that read
+  /// only this rank's own words, wrote nothing, and would repeat unchanged
+  /// until another rank touches this one. Each such iteration charges
+  /// `loop_charge` before its relax(). Under sim the rank then sleeps
+  /// through up to `max_polls` further iterations (sim::Engine::sleep)
+  /// and wakes at the poll that would first see a remote access. Threads:
+  /// relax(), nothing skipped.
+  virtual Slept relax_sleep(TimeNs loop_charge, std::int64_t max_polls) = 0;
 
   // ---- One-sided cost accounting ----
+  //
+  // Every op that targets another rank (these three and the lock ops)
+  // also wakes that rank from an idle sleep, in the segment before its
+  // scheduler sync and in the one after, so the memory effect shares a
+  // segment with a wake on whichever side of the charge the caller
+  // writes it.
   /// Accounts a blocking round-trip RMA of `bytes` payload against
   /// `target`'s service queue (initiation latency + target occupancy +
   /// completion latency). The caller performs the actual memcpy afterwards.

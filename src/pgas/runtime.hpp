@@ -79,6 +79,10 @@ class Runtime {
   void atomic_publish_charge();
   /// Polite progress step for spin loops.
   void relax() { backend_.relax(); }
+  /// relax() for a quiet idle poll; see Backend::relax_sleep.
+  Backend::Slept relax_sleep(TimeNs loop_charge, std::int64_t max_polls) {
+    return backend_.relax_sleep(loop_charge, max_polls);
+  }
 
   // ---- Shared segments ----
   /// Collective. Allocates `bytes_per_rank` of shared space on every rank;

@@ -33,6 +33,15 @@ void SimBackend::relax() {
   engine_->sync();
 }
 
+Backend::Slept SimBackend::relax_sleep(TimeNs loop_charge,
+                                       std::int64_t max_polls) {
+  engine_->charge(machine_.poll);
+  sim::Engine::Slept s = engine_->sleep(
+      engine_->scaled(loop_charge) + engine_->scaled(machine_.poll),
+      max_polls);
+  return {s.polls, s.deadline};
+}
+
 // Per-op constants depend on whether initiator and target share a node:
 // intra-node "one-sided" access is a cache-coherent shared-memory
 // operation, not a NIC traversal (MachineModel::cores_per_node).
@@ -47,7 +56,9 @@ SimBackend::OpCosts SimBackend::costs_for(Rank target) const {
 }
 
 void SimBackend::rma_charge(Rank target, std::size_t bytes) {
+  engine_->wake(target);
   engine_->sync();
+  engine_->wake(target);
   // Initiation latency, then occupancy (base service + wire time) on the
   // target's RMA queue, then completion notification back to us.
   OpCosts k = costs_for(target);
@@ -58,7 +69,9 @@ void SimBackend::rma_charge(Rank target, std::size_t bytes) {
 }
 
 void SimBackend::rma_charge_oneway(Rank target, std::size_t bytes) {
+  engine_->wake(target);
   engine_->sync();
+  engine_->wake(target);
   OpCosts k = costs_for(target);
   TimeNs service = k.service + static_cast<TimeNs>(
                                    static_cast<double>(bytes) / k.bytes_per_ns);
@@ -70,7 +83,9 @@ void SimBackend::rma_charge_oneway(Rank target, std::size_t bytes) {
 }
 
 void SimBackend::rmw_charge(Rank target) {
+  engine_->wake(target);
   engine_->sync();
+  engine_->wake(target);
   OpCosts k = costs_for(target);
   TimeNs done = engine_->rma_occupy(target, k.latency, k.rmw_service);
   engine_->advance_to(done + k.latency);
@@ -88,10 +103,12 @@ int SimBackend::lockset_create(int n) {
 void SimBackend::lock(int base, int idx, Rank home) {
   // A lock acquisition is an RMA round trip that may additionally queue
   // behind the current holder (Engine::lock_acquire hands the clock off).
+  engine_->wake(home);
   OpCosts k = costs_for(home);
   TimeNs done = engine_->rma_occupy(home, k.latency, k.service);
   engine_->advance_to(done);
   engine_->lock_acquire(base + idx);
+  engine_->wake(home);
   engine_->advance_unsynced(k.latency);
   // Injected lock-holder stall: the new holder hangs inside the critical
   // section, and everyone queued behind it inherits the delay through the
@@ -105,10 +122,12 @@ void SimBackend::lock(int base, int idx, Rank home) {
 }
 
 bool SimBackend::trylock(int base, int idx, Rank home) {
+  engine_->wake(home);
   OpCosts k = costs_for(home);
   TimeNs done = engine_->rma_occupy(home, k.latency, k.service);
   engine_->advance_to(done);
   bool ok = engine_->lock_try(base + idx);
+  engine_->wake(home);
   engine_->advance_unsynced(k.latency);
   return ok;
 }
@@ -116,6 +135,7 @@ bool SimBackend::trylock(int base, int idx, Rank home) {
 void SimBackend::unlock(int base, int idx, Rank home) {
   // Unlock is a one-way notification: pay injection + delivery, release at
   // the delivery time so a queued competitor cannot acquire "too early".
+  engine_->wake(home);  // no sync: one wake covers the segment
   OpCosts k = costs_for(home);
   TimeNs done = engine_->rma_occupy(home, k.latency, k.service);
   engine_->advance_to(done);

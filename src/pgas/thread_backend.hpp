@@ -30,6 +30,10 @@ class ThreadBackend : public Backend {
   void charge(TimeNs dt) override {(void)dt;}
   void sync() override {}
   void relax() override { std::this_thread::yield(); }
+  Slept relax_sleep(TimeNs, std::int64_t) override {
+    relax();
+    return {};
+  }
   void rma_charge(Rank, std::size_t) override {}
   void rma_charge_oneway(Rank, std::size_t) override {}
   void rmw_charge(Rank) override {}

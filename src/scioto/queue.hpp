@@ -259,7 +259,8 @@ class SplitQueue {
   pgas::Runtime& runtime() { return rt_; }
 
   // ---- Test/debug inspection (no charges; not part of the model) ----
-  /// Atomic snapshot of one rank's queue indices.
+  /// Atomic snapshot of one rank's queue indices (also the idle-sleep
+  /// check in TaskCollection::process).
   struct Snapshot {
     std::uint64_t steal_head = 0;
     std::uint64_t split = 0;

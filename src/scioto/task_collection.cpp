@@ -63,6 +63,17 @@ std::string ckpt_part_path(const std::string& base, Rank r) {
 
 constexpr char kCkptMagic[8] = {'S', 'C', 'K', 'P', 'T', '1', '\n', '\0'};
 
+/// process() warns once per this many idle polls.
+constexpr std::uint64_t kIdleWarnPolls = 1000000;
+
+/// The own words a quiet idle poll reads: a sleep may skip polls only
+/// while none of them changes.
+struct PollWords {
+  SplitQueue::Snapshot queue;
+  TerminationDetector::Mailbox td;
+  bool operator==(const PollWords&) const = default;
+};
+
 }  // namespace
 
 TcStats& TcStats::operator+=(const TcStats& o) {
@@ -479,6 +490,17 @@ void TaskCollection::process() {
   // Elastic admissions move the membership epoch without a fault session,
   // so the ward/victim-pool refresh watches it whenever either is live.
   const bool pool = ft || elastic_on;
+  const bool steals_on = cfg_.load_balancing && n > 1;
+  // Quiet idle polls sleep under sim (DESIGN.md, "Idle sleep") unless a
+  // subsystem that pumps from this loop or reads global state in it is
+  // armed, or every pop takes the queue lock (NoSplit).
+  const bool can_sleep = rt_.simulated() && !pool && !detect::active() &&
+                         !SCIOTO_METRICS_ON() && !control::active() &&
+                         !idle_hook_ && !pending_hook_ &&
+                         cfg_.queue_mode != QueueMode::NoSplit;
+  auto poll_words = [&] {
+    return PollWords{queue_->debug_snapshot(rt_.me()), td_->mailbox()};
+  };
   const TimeNs t_begin = rt_.now();
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::PhaseBegin, 0, 0, 0);
   bool parked_out = false;  // phase ended while this rank was still parked
@@ -900,13 +922,38 @@ void TaskCollection::process() {
       }
       break;
     }
-    rt_.relax();
+    if (can_sleep && td_->last_step_quiet() && queue_->empty()) {
+      // Quiet poll: until another rank touches us, each next iteration
+      // would pop nothing, attempt no steal, step the detector quietly
+      // and relax again -- so sleep through them, up to the poll where a
+      // steal is due or the watchdog below would warn, and account the
+      // skipped ones (their searching time lands in `spell` below).
+      auto polls = static_cast<std::int64_t>(
+          kIdleWarnPolls - 1 - idle_iterations % kIdleWarnPolls);
+      if (steals_on) {
+        polls = std::min<std::int64_t>(polls, polls_until_steal);
+      }
+      const PollWords before = poll_words();
+      const pgas::Backend::Slept slept =
+          rt_.relax_sleep(td_->step_charge(), polls);
+      // A deadline wake means no remote op reached us, so the words must
+      // not have moved: a write that skipped Engine::wake fails here.
+      SCIOTO_CHECK_MSG(!slept.deadline || poll_words() == before,
+                       "rank " << rt_.me()
+                               << " slept to its deadline over a remote "
+                                  "write that issued no wake");
+      polls_until_steal -= static_cast<int>(slept.polls);
+      td_->skip_steps(slept.polls);
+      idle_iterations += static_cast<std::uint64_t>(slept.polls);
+    } else {
+      rt_.relax();
+    }
     {
       TimeNs spell = rt_.now() - idle_begin;
       st.time_searching += spell;
       search_accum += spell;
     }
-    if (++idle_iterations % 1000000 == 0) {
+    if (++idle_iterations % kIdleWarnPolls == 0) {
       SCIOTO_WARN("rank " << rt_.me() << " idle for " << idle_iterations
                           << " iterations: queue=" << queue_->size()
                           << " (priv=" << queue_->private_size()

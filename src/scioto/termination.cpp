@@ -206,16 +206,32 @@ bool TerminationDetector::poll_term_remote() {
   return false;
 }
 
+TerminationDetector::Mailbox TerminationDetector::mailbox() {
+  TdCtl& my = ctl(rt_.me());
+  Mailbox m;
+  m.down_wave = aref(my.down_wave).load(std::memory_order_acquire);
+  m.up[0] = aref(my.up[0]).load(std::memory_order_acquire);
+  m.up[1] = aref(my.up[1]).load(std::memory_order_acquire);
+  m.term_wave = aref(my.term_wave).load(std::memory_order_acquire);
+  m.dirty = aref(my.dirty).load(std::memory_order_acquire);
+  return m;
+}
+
 TerminationDetector::Status TerminationDetector::step() {
   Rank me = rt_.me();
   LocalState& st = state_;
+  quiet_ = false;
   if (st.terminated) {
     return Status::Terminated;
   }
-  rt_.charge(rt_.machine().poll);
-  if (fault::active() || detect::active()) {
+  rt_.charge(step_charge());
+  const bool membership = fault::active() || detect::active();
+  if (membership) {
     maybe_resplice(st);
   }
+  // A membership session reads global state every step, so no step is
+  // quiet under one.
+  bool quiet = !membership;
   TdCtl& my = ctl(me);
   ++st.steps;
 
@@ -229,6 +245,7 @@ TerminationDetector::Status TerminationDetector::step() {
     // retrying failure-aware read, so a dropped poll is repeated instead
     // of silently read as "not decided". Chained polling percolates the
     // decision down the new tree.
+    quiet = false;
     std::uint64_t ptw = 0;
     pgas::OpStatus pst = rt_.get_u64_with_retry(
         seg_, st.parent, offsetof(TdCtl, term_wave), &ptw);
@@ -260,6 +277,7 @@ TerminationDetector::Status TerminationDetector::step() {
   if (root) {
     if (st.wave_seen == st.voted_wave) {
       // Previous wave concluded (or none started): launch the next one.
+      quiet = false;
       ++st.wave_seen;
       counters_.waves_started++;
       SCIOTO_METRIC_CTR(me, metrics::Ctr::TdWaves, 1);
@@ -277,6 +295,7 @@ TerminationDetector::Status TerminationDetector::step() {
     std::uint64_t dw = aref(my.down_wave).load(std::memory_order_acquire);
     if ((dw >> kEpochShift) == st.epoch_seen &&
         (dw & kWaveMask) > st.wave_seen) {
+      quiet = false;
       st.wave_seen = dw & kWaveMask;
       for (int s = 0; s < 2; ++s) {
         if (st.kids[s] != kNoRank) {
@@ -303,6 +322,7 @@ TerminationDetector::Status TerminationDetector::step() {
       children_black = children_black || (u & 1);
     }
     if (children_in) {
+      quiet = false;
       bool black = children_black || st.self_black ||
                    aref(my.dirty).exchange(0, std::memory_order_acq_rel) != 0;
       st.self_black = false;
@@ -337,6 +357,7 @@ TerminationDetector::Status TerminationDetector::step() {
       }
     }
   }
+  quiet_ = quiet;
   return Status::Working;
 }
 

@@ -84,6 +84,29 @@ class TerminationDetector {
   /// all-white wave has been broadcast.
   Status step();
 
+  // ---- Idle sleep (TaskCollection::process) ----
+
+  /// Virtual cost step() charges on every call.
+  TimeNs step_charge() const { return rt_.machine().poll; }
+  /// True when the last step() only read this rank's own mailbox: no
+  /// token sent, no wave launched or forwarded, no vote, no fault or
+  /// detector session. Another step() then repeats it exactly until a
+  /// remote put changes a mailbox word.
+  bool last_step_quiet() const { return quiet_; }
+  /// Accounts `n` quiet steps the caller slept through.
+  void skip_steps(std::int64_t n) {
+    state_.steps += static_cast<std::uint64_t>(n);
+  }
+  /// This rank's mailbox words, read without a charge.
+  struct Mailbox {
+    std::uint64_t down_wave = 0;
+    std::uint64_t up[2] = {0, 0};
+    std::uint64_t term_wave = 0;
+    std::uint32_t dirty = 0;
+    bool operator==(const Mailbox&) const = default;
+  };
+  Mailbox mailbox();
+
   /// Records that this rank moved work (stole tasks from, or pushed a
   /// task to, `other`): colors our own next token black and marks `other`
   /// dirty unless the coloring optimization proves it unnecessary.
@@ -185,6 +208,7 @@ class TerminationDetector {
   pgas::SegId seg_ = -1;
   LocalState state_;
   Counters counters_;
+  bool quiet_ = false;
 };
 
 }  // namespace scioto

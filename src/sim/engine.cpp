@@ -82,12 +82,16 @@ void Engine::advance_unsynced(TimeNs dt) {
   cur().clock += dt;
 }
 
+TimeNs Engine::scaled(TimeNs dt) const {
+  return static_cast<TimeNs>(
+      std::llround(static_cast<double>(dt) *
+                   cpu_scale_[static_cast<std::size_t>(current_)]));
+}
+
 void Engine::charge(TimeNs dt) {
   SCIOTO_CHECK(dt >= 0);
   RankState& st = cur();
-  st.clock += static_cast<TimeNs>(
-      std::llround(static_cast<double>(dt) *
-                   cpu_scale_[static_cast<std::size_t>(current_)]));
+  st.clock += scaled(dt);
   if (st.clock - st.last_sync_clock > cfg_.machine.sync_quantum) {
     sync();
   }
@@ -100,30 +104,85 @@ void Engine::advance_to(TimeNs t) {
   }
 }
 
+void Engine::push(TimeNs clock, Rank r) {
+  runq_.push({clock, r, ranks_[static_cast<std::size_t>(r)].gen});
+}
+
 void Engine::sync() {
   RankState& st = cur();
-  runq_.emplace(st.clock, current_);
+  push(st.clock, current_);
   st.fiber->yield();
   st.last_sync_clock = st.clock;
+}
+
+Engine::Slept Engine::sleep(TimeNs delta, std::int64_t max_polls) {
+  RankState& st = cur();
+  // The first skipped poll, at c0, must sort after this segment's own key
+  // (clock top_clock_): that holds only if the clock moved since resume.
+  if (max_polls < 1 || delta < 1 || delta > cfg_.machine.sync_quantum ||
+      st.clock <= top_clock_) {
+    sync();
+    return {};
+  }
+  st.asleep = true;
+  st.woken = false;
+  st.sleep_c0 = st.clock;
+  st.sleep_delta = delta;
+  st.sleep_polls =
+      max_polls > (INT64_MAX - st.clock) / delta ? kForever : max_polls;
+  if (st.sleep_polls != kForever) {
+    push(st.clock + st.sleep_polls * delta, current_);
+  }
+  st.fiber->yield();
+  // run() or wake() moved the clock to the poll the rank resumes at.
+  st.last_sync_clock = st.clock;
+  return {(st.clock - st.sleep_c0) / delta, !st.woken};
+}
+
+void Engine::wake(Rank r) {
+  RankState& st = ranks_[static_cast<std::size_t>(r)];
+  if (!st.asleep) {
+    return;
+  }
+  st.asleep = false;
+  st.woken = true;
+  // Smallest k with (c0 + k * delta, r) above every key resumed so far.
+  const TimeNs c0 = st.sleep_c0;
+  const TimeNs d = st.sleep_delta;
+  std::int64_t k = 0;
+  if (top_clock_ >= c0) {
+    k = (top_clock_ - c0) / d;
+    if (c0 + k * d < top_clock_ || r < top_rank_) {
+      ++k;
+    }
+  }
+  // The deadline entry is always above every resumed key, so k can reach
+  // the deadline but never pass it; at the deadline that entry serves.
+  SCIOTO_CHECK(k <= st.sleep_polls);
+  st.clock = c0 + k * d;
+  if (k < st.sleep_polls) {
+    ++st.gen;
+    push(st.clock, r);
+  }
 }
 
 void Engine::block() {
   RankState& st = cur();
   st.blocked = true;
   st.fiber->yield();
-  // wake() cleared `blocked` and advanced the clock before rescheduling.
+  // unblock() cleared `blocked` and advanced the clock before rescheduling.
   st.last_sync_clock = st.clock;
 }
 
-void Engine::wake(Rank r, TimeNs at) {
+void Engine::unblock(Rank r, TimeNs at) {
   RankState& st = ranks_[static_cast<std::size_t>(r)];
   SCIOTO_CHECK_MSG(st.blocked && !st.finished,
-                   "wake of rank " << r << " that is not blocked");
+                   "unblock of rank " << r << " that is not blocked");
   st.blocked = false;
   if (at > st.clock) {
     st.clock = at;
   }
-  runq_.emplace(st.clock, r);
+  push(st.clock, r);
 }
 
 void Engine::run() {
@@ -133,15 +192,29 @@ void Engine::run() {
   g_current_engine = this;
 
   for (Rank r = 0; r < cfg_.nranks; ++r) {
-    runq_.emplace(0, r);
+    push(0, r);
   }
 
   while (!runq_.empty()) {
-    auto [t, r] = runq_.top();
+    const QEntry e = runq_.top();
     runq_.pop();
+    const Rank r = e.rank;
     RankState& st = ranks_[static_cast<std::size_t>(r)];
+    if (e.gen != st.gen) {
+      continue;  // a wake() rescheduled this sleeper earlier
+    }
     SCIOTO_CHECK(!st.finished && !st.blocked);
+    if (st.asleep) {
+      // Deadline: nobody woke the sleeper, so it skipped every poll.
+      st.asleep = false;
+      st.clock = e.clock;
+    }
+    if (e.clock > top_clock_ || (e.clock == top_clock_ && r > top_rank_)) {
+      top_clock_ = e.clock;
+      top_rank_ = r;
+    }
     current_ = r;
+    ++resumes_;
     st.fiber->resume();
     current_ = kNoRank;
     if (st.fiber->finished()) {
@@ -173,6 +246,17 @@ void Engine::report_deadlock() {
                  "ev_waiting=%d\n",
                  r, static_cast<long long>(st.clock), st.blocked, st.finished,
                  st.ev_waiting);
+    if (st.asleep) {
+      std::fprintf(stderr, "    asleep: c0=%lld ns delta=%lld ns deadline=",
+                   static_cast<long long>(st.sleep_c0),
+                   static_cast<long long>(st.sleep_delta));
+      if (st.sleep_polls == kForever) {
+        std::fprintf(stderr, "none\n");
+      } else {
+        std::fprintf(stderr, "%lld polls\n",
+                     static_cast<long long>(st.sleep_polls));
+      }
+    }
   }
   for (std::size_t i = 0; i < locks_.size(); ++i) {
     if (locks_[i].held || !locks_[i].waiters.empty()) {
@@ -232,7 +316,7 @@ void Engine::lock_release(int id) {
   l.holder = next;
   // The waiter inherits the releaser's clock: this is the queueing delay
   // that models contention on a shared queue's lock.
-  wake(next, cur().clock);
+  unblock(next, cur().clock);
 }
 
 bool Engine::lock_held(int id) const {
@@ -262,7 +346,7 @@ void Engine::notify(Rank r, TimeNs deliver_at) {
     // Clear the flag here, not on resume: a second notify arriving before
     // the woken fiber runs again must not wake it twice.
     st.ev_waiting = false;
-    wake(r, deliver_at);
+    unblock(r, deliver_at);
   }
 }
 
@@ -294,7 +378,7 @@ TimeNs Engine::release_barrier() {
   BarrierState& b = barrier_;
   TimeNs release = b.max_arrival + b.max_cost;
   for (Rank r : b.waiting) {
-    wake(r, release);
+    unblock(r, release);
   }
   b.waiting.clear();
   b.arrived = 0;

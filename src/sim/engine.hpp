@@ -20,9 +20,30 @@
 //   * rma_occupy()  -- serializes RMA operations through a per-target
 //                      service queue (NIC occupancy), which is what makes
 //                      a hot shared counter a bottleneck.
+//   * sleep()/wake() -- an idle rank skips a run of identical polls.
 //
 // The engine is strictly single-threaded; "shared memory" between ranks is
 // ordinary process memory touched only by the currently running fiber.
+//
+// Idle sleep. A segment is what a fiber runs between two resumes; its key
+// is (clock at resume, rank), the heap order. A rank whose polls each
+// charge a fixed Delta, read only its own words and would repeat unchanged
+// may call sleep(Delta, K) at clock c0 instead of sync(). Polling would
+// have run segments at keys (c0 + k*Delta, r), k = 0, 1, ...; sleeping
+// skips them. Invariant: the sleeper resumes at the first of those keys
+// that sorts after every segment in which another rank touched it, and
+// at c0 + K*Delta when nobody did. Other ranks call wake(r) from any
+// segment that may touch r's words; the sleeper then resumes at the
+// smallest c0 + k*Delta whose key sorts after every segment run so far --
+// exactly the poll that would have first seen the access, since a rank's
+// pending poll is always the smallest of its keys above everything popped
+// (popped keys rise in clock, but a lock handoff can lower the rank within
+// one clock, so the bound is the running maximum, not the waker's key).
+// Skipped polls neither write nor take a heap slot, so every other
+// segment runs in the same order and virtual time is bit-identical.
+// Unlike a sync() fast path that only skips the yield (measured as noise),
+// a sleep also skips the heap round trip and the sleeper's cold stack for
+// every poll it does not run.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +91,8 @@ class Engine {
   double cpu_scale(Rank r) const { return cpu_scale_[static_cast<size_t>(r)]; }
   /// Largest clock reached by any rank (the "makespan" after run()).
   TimeNs max_clock() const;
+  /// Fiber resumes so far (host cost; one per segment run).
+  std::uint64_t resumes() const { return resumes_; }
 
   // ---- Clock manipulation (current rank only) ----
   /// Adds raw (unscaled) time without yielding; used for latency terms.
@@ -81,6 +104,28 @@ class Engine {
   void advance_to(TimeNs t);
   /// Yields; resumed when this rank is again the minimum runnable clock.
   void sync();
+  /// Rounds `dt` the way charge() does for the current rank.
+  TimeNs scaled(TimeNs dt) const;
+
+  // ---- Idle sleep (see the header comment) ----
+  struct Slept {
+    /// Polls skipped; the clock advanced by polls * delta.
+    std::int64_t polls = 0;
+    /// True when the sleep ran to its deadline without a wake().
+    bool deadline = false;
+  };
+  /// No deadline: sleep until woken.
+  static constexpr std::int64_t kForever = INT64_MAX;
+  /// In place of sync(): sleeps through up to `max_polls` polls of `delta`
+  /// each. Falls back to a plain sync() (nothing skipped) when the sleep
+  /// could not be exact: max_polls < 1, delta < 1, delta above the sync
+  /// quantum (a poll would then auto-sync mid-way), or no clock advance
+  /// since this segment began.
+  Slept sleep(TimeNs delta, std::int64_t max_polls);
+  /// Ends rank r's sleep at the first of its polls that sorts after every
+  /// segment run so far; a no-op unless r is asleep. Call from every
+  /// segment that may touch r's words.
+  void wake(Rank r);
 
   // ---- Virtual-time mutexes ----
   int lock_create();
@@ -118,6 +163,15 @@ class Engine {
     // Eventcount state.
     bool ev_pending = false;
     bool ev_waiting = false;
+    // Idle sleep: polls at sleep_c0 + k * sleep_delta, deadline at k =
+    // sleep_polls. `gen` tags heap entries; a wake that moves the
+    // deadline entry earlier bumps it, leaving the old entry stale.
+    bool asleep = false;
+    bool woken = false;
+    std::uint32_t gen = 0;
+    TimeNs sleep_c0 = 0;
+    TimeNs sleep_delta = 0;
+    std::int64_t sleep_polls = 0;
   };
 
   struct LockState {
@@ -135,10 +189,11 @@ class Engine {
 
   RankState& cur();
   const RankState& cur() const;
-  /// Marks the current fiber blocked and yields; returns after wake().
+  /// Marks the current fiber blocked and yields; returns after unblock().
   void block();
-  /// Reschedules rank r at virtual time >= at.
-  void wake(Rank r, TimeNs at);
+  /// Reschedules blocked rank r at virtual time >= at.
+  void unblock(Rank r, TimeNs at);
+  void push(TimeNs clock, Rank r);
   /// Wakes everyone parked in the barrier; returns the release time.
   TimeNs release_barrier();
   /// Releases the pending barrier if every still-unfinished rank has
@@ -155,11 +210,23 @@ class Engine {
   BarrierState barrier_;
   int unfinished_ = 0;
 
-  // Min-heap of (clock, rank) for runnable fibers.
-  using QEntry = std::pair<TimeNs, Rank>;
+  // Min-heap of (clock, rank) for runnable fibers; `gen` only tells a
+  // live entry from one a wake() superseded.
+  struct QEntry {
+    TimeNs clock;
+    Rank rank;
+    std::uint32_t gen;
+    bool operator>(const QEntry& o) const {
+      return clock != o.clock ? clock > o.clock : rank > o.rank;
+    }
+  };
   std::priority_queue<QEntry, std::vector<QEntry>, std::greater<QEntry>> runq_;
+  // Largest key resumed so far: every poll a sleeper skipped sorts below.
+  TimeNs top_clock_ = -1;
+  Rank top_rank_ = kNoRank;
   Rank current_ = kNoRank;
   bool running_ = false;
+  std::uint64_t resumes_ = 0;
 };
 
 /// Ambient access to the engine from inside rank code (set during run()).

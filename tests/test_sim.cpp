@@ -1,10 +1,11 @@
 // Tests for the virtual-time engine: fibers, min-clock scheduling,
 // determinism, locks with queueing-delay handoff, barriers, eventcounts,
-// and RMA target occupancy.
+// RMA target occupancy, and idle sleep.
 #include <gtest/gtest.h>
 
 #include <cfenv>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -399,6 +400,214 @@ TEST(Engine, DeadlockDetectionAborts) {
         e.run();
       },
       "deadlock");
+}
+
+// ---- Idle sleep ----
+//
+// A scripted sleeper reaches c0 = 100 and then either polls (one sync per
+// poll, each poll advancing delta = 50) or sleeps through the same polls.
+// Either way it reports the clock at which it first sees another rank's
+// touch; sleeping must see it at exactly the poll that polling does.
+
+constexpr TimeNs kC0 = 100;
+constexpr TimeNs kDelta = 50;
+
+using Script = std::function<void(Engine&, Rank, bool& touched)>;
+
+TimeNs first_seen(bool sleeping, int nranks, Rank sleeper,
+                  std::int64_t max_polls, const Script& others,
+                  Engine::Slept* slept = nullptr) {
+  bool touched = false;
+  TimeNs seen = -1;
+  Engine e(cfg(nranks), [&](Rank r) {
+    Engine& eng = *current_engine();
+    if (r != sleeper) {
+      others(eng, r, touched);
+      return;
+    }
+    eng.advance_unsynced(kC0);
+    if (sleeping) {
+      Engine::Slept s = eng.sleep(kDelta, max_polls);
+      if (slept != nullptr) *slept = s;
+    } else {
+      bool seen_touch = false;
+      for (std::int64_t k = 0; k < max_polls && !seen_touch; ++k) {
+        eng.sync();
+        seen_touch = touched;
+        if (!seen_touch) eng.advance_unsynced(kDelta);
+      }
+      if (!seen_touch) eng.sync();  // the deadline poll
+    }
+    seen = eng.now();
+  });
+  e.run();
+  return seen;
+}
+
+/// Rank `waker` touches the sleeper in its segment keyed (at, waker).
+Script touch_at(Rank waker, Rank sleeper, TimeNs at) {
+  return [=](Engine& eng, Rank r, bool& touched) {
+    if (r != waker) return;
+    eng.advance_unsynced(at);
+    eng.sync();
+    touched = true;
+    eng.wake(sleeper);
+  };
+}
+
+TEST(EngineSleep, WakeResumesAtThePollThatPollingWouldSeeItAt) {
+  // Rank 1 sleeps; the waker is rank 0 (sorts before it on equal clocks)
+  // or rank 2 (after). Touch clocks cover before c0, every tie with a
+  // poll, between polls, and past the deadline (c0 + 6 * delta = 400).
+  for (Rank waker : {0, 2}) {
+    for (TimeNs at : {50, 100, 125, 150, 200, 250, 399, 400, 450}) {
+      const Script s = touch_at(waker, 1, at);
+      Engine::Slept slept;
+      const TimeNs polled = first_seen(false, 3, 1, 6, s);
+      const TimeNs slept_at = first_seen(true, 3, 1, 6, s, &slept);
+      EXPECT_EQ(slept_at, polled) << "waker " << waker << " at " << at;
+      EXPECT_EQ(slept.polls, (slept_at - kC0) / kDelta);
+      // The deadline poll, at (400, 1), runs before a touch keyed above it.
+      const bool after_deadline = at > 400 || (at == 400 && waker > 1);
+      EXPECT_EQ(slept.deadline, after_deadline)
+          << "waker " << waker << " at " << at;
+    }
+  }
+  // The tie cases explicitly: a touch at (200, 0) is seen by the poll at
+  // (200, 1); a touch at (200, 2) only by the next one, at 250.
+  EXPECT_EQ(first_seen(true, 3, 1, 6, touch_at(0, 1, 200)), 200);
+  EXPECT_EQ(first_seen(true, 3, 1, 6, touch_at(2, 1, 200)), 250);
+}
+
+TEST(EngineSleep, WakeAfterLockHandoffUsesEverySegmentRunSoFar) {
+  // Rank 5 holds a lock until (200, 5) and hands it to rank 1, whose
+  // segment (200, 1) sorts below (200, 5) yet runs after it. The
+  // sleeper's poll at (200, 3) already ran before the handoff, so a touch
+  // from rank 1 is first seen at 250 -- not at the waker's next key.
+  int lock = -1;
+  const Script s = [&](Engine& eng, Rank r, bool& touched) {
+    if (r == 5) {
+      lock = eng.lock_create();
+      eng.lock_acquire(lock);
+      eng.advance_unsynced(200);
+      eng.sync();
+      eng.lock_release(lock);
+    } else if (r == 1) {
+      eng.advance_unsynced(10);
+      eng.sync();
+      eng.lock_acquire(lock);
+      touched = true;
+      eng.wake(3);
+      eng.lock_release(lock);
+    }
+  };
+  EXPECT_EQ(first_seen(false, 6, 3, 10, s), 250);
+  EXPECT_EQ(first_seen(true, 6, 3, 10, s), 250);
+}
+
+TEST(EngineSleep, UntouchedSleeperResumesAtItsDeadline) {
+  Engine::Slept slept;
+  const Script idle = [](Engine&, Rank, bool&) {};
+  EXPECT_EQ(first_seen(true, 2, 1, 7, idle, &slept), kC0 + 7 * kDelta);
+  EXPECT_EQ(slept.polls, 7);
+  EXPECT_TRUE(slept.deadline);
+  EXPECT_EQ(first_seen(false, 2, 1, 7, idle), kC0 + 7 * kDelta);
+}
+
+TEST(EngineSleep, SleepFallsBackToSyncWhenItCannotBeExact) {
+  std::vector<Engine::Slept> got;
+  std::vector<TimeNs> at;
+  Engine e(cfg(1), [&](Rank) {
+    Engine& eng = *current_engine();
+    got.push_back(eng.sleep(kDelta, 5));  // no advance since resume
+    eng.advance_unsynced(10);
+    got.push_back(eng.sleep(eng.machine().sync_quantum + 1, 5));
+    eng.advance_unsynced(10);
+    got.push_back(eng.sleep(kDelta, 0));
+    at.push_back(eng.now());
+  });
+  e.run();
+  ASSERT_EQ(got.size(), 3u);
+  for (const Engine::Slept& s : got) {
+    EXPECT_EQ(s.polls, 0);
+    EXPECT_FALSE(s.deadline);
+  }
+  EXPECT_EQ(at[0], 20);
+}
+
+TEST(EngineSleep, WakingARunningOrBlockedRankDoesNothing) {
+  int lock = -1;
+  std::vector<TimeNs> done(4, -1);
+  Engine e(cfg(4), [&](Rank r) {
+    Engine& eng = *current_engine();
+    if (r == 0) {
+      lock = eng.lock_create();
+      eng.lock_acquire(lock);
+      eng.advance_unsynced(500);
+      eng.sync();
+      eng.lock_release(lock);
+    } else if (r == 1) {
+      eng.advance_unsynced(10);
+      eng.sync();
+      eng.lock_acquire(lock);  // blocked until the handoff at 500
+      eng.lock_release(lock);
+    } else if (r == 2) {
+      eng.advance_unsynced(100);
+      eng.sync();
+      eng.wake(1);  // blocked on the lock
+      eng.wake(2);  // running: itself
+      eng.wake(3);  // runnable in the heap at 300
+      eng.advance_unsynced(5);
+    } else {
+      eng.advance_unsynced(300);
+      eng.sync();
+    }
+    done[static_cast<std::size_t>(r)] = eng.now();
+  });
+  e.run();
+  EXPECT_EQ(done, (std::vector<TimeNs>{500, 500, 105, 300}));
+}
+
+TEST(EngineSleep, TwoWakesInOneSegmentResumeTheSleeperOnce) {
+  int sleeper_resumes = 0;
+  Engine e(cfg(2), [&](Rank r) {
+    Engine& eng = *current_engine();
+    if (r == 0) {
+      eng.advance_unsynced(200);
+      eng.sync();
+      eng.wake(1);
+      eng.wake(1);
+      return;
+    }
+    eng.advance_unsynced(kC0);
+    Engine::Slept s = eng.sleep(kDelta, 10);
+    ++sleeper_resumes;
+    EXPECT_EQ(s.polls, 2);
+    EXPECT_EQ(eng.now(), 200);
+  });
+  e.run();
+  EXPECT_EQ(sleeper_resumes, 1);
+  // Both first segments, the waker's second, the sleeper's one wake; the
+  // superseded deadline entry is dropped without a resume.
+  EXPECT_EQ(e.resumes(), 4u);
+}
+
+TEST(EngineSleep, DeadlockDumpListsSleepingRanks) {
+  EXPECT_DEATH(
+      {
+        Engine e(cfg(2), [&](Rank r) {
+          Engine& eng = *current_engine();
+          if (r == 0) {
+            eng.idle_wait();
+            return;
+          }
+          eng.advance_unsynced(kC0);
+          eng.sleep(kDelta, Engine::kForever);
+        });
+        e.run();
+      },
+      "rank 1: clock=100 ns[^\n]*\n *asleep: c0=100 ns delta=50 ns "
+      "deadline=none");
 }
 
 TEST(Machine, PresetsResolveByName) {

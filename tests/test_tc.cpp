@@ -567,6 +567,29 @@ TEST(TcMemory, PerRankHeapIndependentOfFleetSize) {
       << " B at 512 ranks (slot " << slot << " B)";
 }
 
+TEST(TcIdle, WatchdogWarnsAtTheSamePollWhenIdleRanksSleep) {
+  // Rank 0 runs one 200 ms task while rank 1 idles through ~3M polls, so
+  // rank 1's watchdog warns twice. The expected text was recorded when
+  // every idle poll resumed its fiber: counting the polls a sleep skips
+  // keeps each warning at the same poll count and virtual time.
+  ::testing::internal::CaptureStderr();
+  testing::run_sim(2, [&](Runtime& rt) {
+    TaskCollection tc(rt, small_cfg());
+    TaskHandle h = tc.register_callback(
+        [](TaskContext& ctx) { ctx.tc.runtime().charge(ms(200)); });
+    if (rt.me() == 0) {
+      tc.add_local(tc.task_create(0, h));
+    }
+    tc.process();
+    tc.destroy();
+  });
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "[scioto WARN r1 @70039518ns] rank 1 idle for 1000000 "
+            "iterations: queue=0 (priv=0 shared=0) executed=0 steals=0\n"
+            "[scioto WARN r1 @140070538ns] rank 1 idle for 2000000 "
+            "iterations: queue=0 (priv=0 shared=0) executed=0 steals=0\n");
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, TcBackends,
                          ::testing::Values(BackendKind::Sim,
                                            BackendKind::Threads),

@@ -3,9 +3,12 @@
 // no-split), and the MPI-WS baseline.
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <set>
+#include <vector>
 
 #include "apps/uts/uts_drivers.hpp"
+#include "pgas/sim_backend.hpp"
 #include "test_util.hpp"
 
 namespace scioto::apps {
@@ -258,6 +261,166 @@ TEST(UtsSim, DeterministicAcrossRuns) {
   EXPECT_EQ(a.counts, b.counts);
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.steals, b.steals);
+}
+
+// ---- Golden virtual-time pins ----
+//
+// Exact makespans and per-rank scheduler counters of fixed UTS runs,
+// recorded when every idle poll still resumed its fiber. The simulator's
+// host-side shortcuts (idle ranks sleeping through quiet polls) must leave
+// every one of these numbers where it was.
+
+/// Makespan, fleet sums of five TcStats counters, and a digest of their
+/// per-rank values.
+struct Pin {
+  TimeNs makespan = 0;
+  std::uint64_t tasks = 0;
+  std::uint64_t steals = 0;
+  std::uint64_t attempts = 0;
+  std::uint64_t votes = 0;
+  TimeNs searching = 0;
+  /// FNV-1a over every rank's five counters above, in rank order.
+  std::uint64_t digest = 0;
+  bool operator==(const Pin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Pin& p) {
+  return os << "{" << p.makespan << ", " << p.tasks << ", " << p.steals
+            << ", " << p.attempts << ", " << p.votes << ", " << p.searching
+            << ", 0x" << std::hex << p.digest << std::dec << "}";
+}
+
+struct PinRun {
+  Pin pin;
+  std::uint64_t resumes = 0;  // engine fiber resumes over the whole run
+};
+
+TcConfig pin_config() {
+  TcConfig c;
+  c.max_task_body = sizeof(UtsNode);
+  c.chunk_size = 10;
+  c.max_tasks_per_rank = 1 << 14;
+  return c;
+}
+
+/// UTS with one task per node, `phases` times over process()/reset().
+PinRun run_pinned(int nranks, const sim::MachineModel& machine,
+                  const UtsParams& tree, const TcConfig& tcc,
+                  int phases = 1) {
+  std::vector<TcStats> per_rank(static_cast<std::size_t>(nranks));
+  pgas::SimBackend backend(nranks, machine);
+  pgas::Runtime rt(backend, 42, machine);
+  backend.run([&](Rank me) {
+    TaskCollection tc(rt, tcc);
+    TaskHandle h = tc.register_callback([&](TaskContext& ctx) {
+      const UtsNode node = ctx.body_as<UtsNode>();
+      ctx.tc.runtime().charge(ns(316));
+      const int nc = uts_num_children(node, tree);
+      for (int i = 0; i < nc; ++i) {
+        Task t = ctx.tc.task_create(sizeof(UtsNode), ctx.header.callback);
+        t.body_as<UtsNode>() = uts_child(node, i);
+        ctx.tc.add_local(t);
+      }
+    });
+    for (int p = 0; p < phases; ++p) {
+      if (me == 0) {
+        Task t = tc.task_create(sizeof(UtsNode), h);
+        t.body_as<UtsNode>() = uts_root(tree);
+        tc.add_local(t);
+      }
+      tc.process();
+      per_rank[static_cast<std::size_t>(me)] += tc.stats_local();
+      tc.reset();
+    }
+    tc.destroy();
+  });
+  PinRun out;
+  out.pin.makespan = backend.engine()->max_clock();
+  out.resumes = backend.engine()->resumes();
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h = (h ^ ((v >> (8 * b)) & 0xff)) * 1099511628211ull;
+    }
+  };
+  for (const TcStats& s : per_rank) {
+    out.pin.tasks += s.tasks_executed;
+    out.pin.steals += s.steals;
+    out.pin.attempts += s.steal_attempts;
+    out.pin.votes += s.td_waves_voted;
+    out.pin.searching += s.time_searching;
+    mix(s.tasks_executed);
+    mix(s.steals);
+    mix(s.steal_attempts);
+    mix(s.td_waves_voted);
+    mix(static_cast<std::uint64_t>(s.time_searching));
+  }
+  out.pin.digest = h;
+  return out;
+}
+
+UtsParams geo_depth10() {
+  UtsParams p = uts_small();
+  p.gen_mx = 10;
+  return p;
+}
+
+TEST(UtsGolden, Xt4At256Ranks) {
+  PinRun r = run_pinned(256, sim::cray_xt4(), geo_depth10(), pin_config());
+  EXPECT_EQ(r.pin, (Pin{4338545, 9332, 51, 81, 1792, 937474614, 0x70f77db081b71f1f}));
+  // Idle ranks sleep through their quiet polls instead of resuming for
+  // each one: 1,100,299 resumes when every poll resumed its fiber.
+  EXPECT_LE(r.resumes * 3, 1100299u) << r.resumes << " fiber resumes";
+}
+
+TEST(UtsGolden, Cluster2008At64Ranks) {
+  PinRun r = run_pinned(64, sim::cluster2008(), uts_small(), pin_config());
+  EXPECT_EQ(r.pin, (Pin{3843619, 19037, 105, 135, 640, 186704958, 0xd5ede05315902cde}));
+}
+
+TEST(UtsGolden, QueueModes) {
+  const struct {
+    const char* name;
+    QueueMode mode;
+    bool aborting;
+    Pin pin;
+  } cases[] = {
+      {"locked", QueueMode::Split, false, Pin{3778476, 19037, 94, 118, 288, 80817753, 0x65cd5e845e304521}},
+      {"aborting", QueueMode::Split, true, Pin{3794254, 19037, 92, 117, 288, 81079980, 0x506a735898cde052}},
+      {"lockfree", QueueMode::LockFree, false, Pin{3488043, 19037, 66, 105, 288, 71917963, 0xb5591f7a3bdb1593}},
+  };
+  for (const auto& c : cases) {
+    TcConfig tcc = pin_config();
+    tcc.queue_mode = c.mode;
+    tcc.aborting_steals = c.aborting;
+    EXPECT_EQ(run_pinned(32, sim::cluster2008(), uts_small(), tcc).pin, c.pin)
+        << c.name;
+  }
+}
+
+TEST(UtsGolden, StealBackoffAndStealsPerPoll) {
+  const struct {
+    int backoff_max;
+    int steals_per_poll;
+    Pin pin;
+  } cases[] = {
+      {0, 1, Pin{5848014, 19037, 112, 201, 256, 136758538, 0x2de3b01a93f6200d}},
+      {1, 1, Pin{5129555, 19037, 111, 186, 288, 114059450, 0xfb6030958c63dad5}},
+      {64, 2, Pin{5315628, 19037, 105, 153, 288, 119356859, 0xcf2d6519f2525038}},
+  };
+  for (const auto& c : cases) {
+    TcConfig tcc = pin_config();
+    tcc.steal_backoff_max = c.backoff_max;
+    tcc.steals_per_td_poll = c.steals_per_poll;
+    EXPECT_EQ(run_pinned(32, sim::cray_xt4(), uts_small(), tcc).pin, c.pin)
+        << "backoff " << c.backoff_max << " steals/poll "
+        << c.steals_per_poll;
+  }
+}
+
+TEST(UtsGolden, FiftyPhasesOverProcessAndReset) {
+  PinRun r = run_pinned(16, sim::cluster2008(), uts_tiny(), pin_config(), 50);
+  EXPECT_EQ(r.pin, (Pin{29357729, 29400, 178, 269, 2240, 351785397, 0xe5b69de994434bef}));
 }
 
 }  // namespace
