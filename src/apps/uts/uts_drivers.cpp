@@ -109,7 +109,6 @@ UtsResult uts_run_scioto_ft(pgas::Runtime& rt, const UtsParams& tree,
   pgas::SegId counts_seg = rt.seg_alloc(sizeof(UtsCounts));
   auto* durable =
       reinterpret_cast<UtsCounts*>(rt.seg_ptr(counts_seg, rt.me()));
-  *durable = UtsCounts{};
 
   // Same checkpoint blob wiring as the elastic driver: snapshot this
   // rank's durable counts (the quiesce leader also folds dead/parked
@@ -206,7 +205,6 @@ UtsResult uts_run_scioto_elastic(pgas::Runtime& rt, const UtsParams& tree,
   pgas::SegId counts_seg = rt.seg_alloc(sizeof(UtsCounts));
   auto* durable =
       reinterpret_cast<UtsCounts*>(rt.seg_ptr(counts_seg, rt.me()));
-  *durable = UtsCounts{};
 
   // Checkpoint blob = this rank's durable counts. Ranks that write no
   // part file -- dead (their queued work was adopted by wards before the

@@ -253,7 +253,6 @@ void DagScheduler::execute() {
       desc_base_ +
       static_cast<std::size_t>(cfg_.max_dynamic_per_rank) * desc_stride_;
   seg_ = rt_.seg_alloc(bytes);
-  std::memset(rt_.seg_ptr(seg_, rt_.me()), 0, bytes);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& nd = nodes_[i];
     if (nd.home == rt_.me()) {

@@ -1,6 +1,10 @@
 #include "pgas/runtime.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +37,8 @@ Runtime::Runtime(Backend& backend, std::uint64_t seed,
 
 // ---- Segments ----
 
+void Runtime::Unmap::operator()(std::byte* map) const { munmap(map, bytes); }
+
 SegId Runtime::seg_alloc(std::size_t bytes_per_rank) {
   barrier();
   if (me() == 0) {
@@ -43,10 +49,22 @@ SegId Runtime::seg_alloc(std::size_t bytes_per_rank) {
     s.per_rank = bytes_per_rank;
     s.stride = align_up(std::max<std::size_t>(bytes_per_rank, 1), 64);
     const std::size_t bytes = s.stride * static_cast<std::size_t>(nprocs());
-    s.mem = std::make_unique<std::byte[]>(bytes + 63);
-    s.base = reinterpret_cast<std::byte*>(
-        align_up(reinterpret_cast<std::uintptr_t>(s.mem.get()), 64));
-    std::memset(s.base, 0, bytes);
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t guard = align_up(bytes, page);
+    // NORESERVE: the slices are sized for the worst case (e.g. the queue's
+    // remote-add headroom) and mostly never touched.
+    void* map = mmap(nullptr, guard + page, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    SCIOTO_REQUIRE(map != MAP_FAILED, "cannot map a " << guard + page
+                                          << "-byte segment: "
+                                          << std::strerror(errno));
+    s.mem = {static_cast<std::byte*>(map), Unmap{guard + page}};
+    // A huge page would commit 2 MB of neighbouring slices on one touch.
+    // This fails only where the kernel has no huge pages to opt out of.
+    (void)madvise(map, guard, MADV_NOHUGEPAGE);
+    SCIOTO_CHECK_MSG(mprotect(s.mem.get() + guard, page, PROT_NONE) == 0,
+                     "cannot guard a segment: " << std::strerror(errno));
+    s.base = s.mem.get() + guard - bytes;
     s.live = true;
     nsegments_.store(id + 1, std::memory_order_release);
   }

@@ -86,7 +86,12 @@ class Runtime {
 
   // ---- Shared segments ----
   /// Collective. Allocates `bytes_per_rank` of shared space on every rank;
-  /// all ranks receive the same id.
+  /// all ranks receive the same id. Every byte reads zero until written,
+  /// so callers never clear a fresh segment. The segment is one private
+  /// anonymous mapping without huge pages: the kernel zero-fills and
+  /// commits each page on first touch, so a run pays memory only for the
+  /// pages it writes, and clearing would commit them all. The last rank's slice ends on a
+  /// PROT_NONE guard page, so a write past the segment faults.
   SegId seg_alloc(std::size_t bytes_per_rank);
   /// Collective. Releases the segment's memory (the id is not reused).
   void seg_free(SegId id);
@@ -277,10 +282,17 @@ class Runtime {
   static constexpr std::size_t kCollSlotBytes = 256;
   static constexpr std::size_t kMaxSegments = 4096;
 
+  struct Unmap {
+    std::size_t bytes;  // the whole mapping; unique_ptr value-initializes it
+    void operator()(std::byte* map) const;
+  };
+
   struct Segment {
-    std::unique_ptr<std::byte[]> mem;
-    // mem rounded up to 64 bytes, like the per-rank stride, so every
-    // rank's slice can hold cache-line-aligned control blocks (e.g.
+    // The mapping: the ranks' slices, then the guard page.
+    std::unique_ptr<std::byte, Unmap> mem;
+    // Placed so the last slice ends exactly on the guard page. 64-byte
+    // aligned, since the stride and the page size are, so every rank's
+    // slice can hold cache-line-aligned control blocks (e.g.
     // termination's alignas(64) TdCtl).
     std::byte* base = nullptr;
     std::size_t per_rank = 0;

@@ -71,16 +71,22 @@ TEST_P(PgasBackends, SegmentPutGetRoundTrip) {
 }
 
 TEST_P(PgasBackends, SegmentsZeroInitialized) {
+  constexpr std::size_t kBytes = 3 * 4096 + 40;
   run(3, GetParam(), [&](Runtime& rt) {
-    pgas::SegId seg = rt.seg_alloc(128);
-    std::vector<std::byte> buf(128);
-    for (Rank r = 0; r < rt.nprocs(); ++r) {
-      rt.get(seg, r, 0, buf.data(), buf.size());
-      for (std::byte b : buf) {
-        ASSERT_EQ(b, std::byte{0});
+    // The second segment may land on the first one's freed pages.
+    for (int round = 0; round < 2; ++round) {
+      pgas::SegId seg = rt.seg_alloc(kBytes);
+      std::vector<std::byte> buf(kBytes);
+      for (Rank r = 0; r < rt.nprocs(); ++r) {
+        rt.get(seg, r, 0, buf.data(), buf.size());
+        for (std::byte b : buf) {
+          ASSERT_EQ(b, std::byte{0}) << "round " << round << ", rank " << r;
+        }
       }
+      rt.barrier();
+      std::memset(rt.seg_ptr(seg, rt.me()), 0xff, kBytes);
+      rt.seg_free(seg);
     }
-    rt.seg_free(seg);
   });
 }
 
@@ -444,6 +450,65 @@ TEST(PgasSim, DeterministicElapsed) {
   TimeNs b = testing::run_sim(6, body);
   EXPECT_EQ(a, b);
   EXPECT_GT(a, 0);
+}
+
+// ---- Segment memory (one mapping per segment, same for both backends) ----
+
+TEST(PgasSegment, UntouchedPagesStayUncommitted) {
+  if (testing::resident_bytes() == 0) {
+    GTEST_SKIP() << "no /proc/self/statm";
+  }
+  constexpr int kRanks = 64;
+  constexpr std::size_t kPerRank = std::size_t{64} << 20;
+  std::size_t before = 0;
+  std::size_t after = 0;
+  testing::run_sim(kRanks, [&](Runtime& rt) {
+    rt.barrier();
+    if (rt.me() == 0) {
+      before = testing::resident_bytes();
+    }
+    pgas::SegId seg = rt.seg_alloc(kPerRank);
+    std::int64_t one = 1;
+    rt.put(seg, rt.me(), kPerRank / 2, &one, sizeof(one));
+    rt.barrier();
+    if (rt.me() == 0) {
+      after = testing::resident_bytes();
+    }
+    rt.barrier();
+    rt.seg_free(seg);
+  });
+  EXPECT_LT(after, before + kRanks * kPerRank / 8)
+      << "resident " << before << " -> " << after << " B";
+}
+
+TEST(PgasSegment, UnmappableSizeFailsByName) {
+  try {
+    testing::run_sim(1,
+                     [](Runtime& rt) { rt.seg_alloc(std::size_t{1} << 62); });
+    ADD_FAILURE() << "a 4 EiB segment was mapped";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot map a"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PgasSegmentDeathTest, WritePastLastSliceFaults) {
+  // A page-multiple slice makes the stride equal seg_bytes, so this byte is
+  // the first one past the last rank's slice.
+  EXPECT_DEATH(testing::run_sim(4,
+                                [](Runtime& rt) {
+                                  pgas::SegId seg = rt.seg_alloc(4096);
+                                  if (rt.me() == rt.nprocs() - 1) {
+                                    auto* end =
+                                        reinterpret_cast<volatile std::byte*>(
+                                            rt.seg_ptr(seg, rt.me()) +
+                                            rt.seg_bytes(seg));
+                                    *end = std::byte{1};
+                                  }
+                                  rt.barrier();
+                                  rt.seg_free(seg);
+                                }),
+               "");
 }
 
 TEST(PgasSim, HotCounterSerializesThroughHomeRank) {

@@ -520,10 +520,11 @@ std::size_t heap_in_use() {
 #endif
 }
 
-// Heap bytes one TaskCollection adds per rank on an n-rank sim fleet. All
-// sim ranks share one thread, so rank 0's readings between barriers see
-// every rank's construction and nothing else.
-double tc_heap_per_rank(int n, std::size_t* slot_bytes) {
+// Bytes one TaskCollection adds per rank on an n-rank sim fleet, by the
+// `in_use` counter. All sim ranks share one thread, so rank 0's readings
+// between barriers see every rank's construction and nothing else.
+double tc_bytes_per_rank(int n, std::size_t (*in_use)(),
+                         std::size_t* slot_bytes) {
   std::size_t before = 0;
   std::size_t after = 0;
   testing::run_sim(n, [&](Runtime& rt) {
@@ -531,13 +532,13 @@ double tc_heap_per_rank(int n, std::size_t* slot_bytes) {
     cfg.max_tasks_per_rank = 64;
     rt.barrier();
     if (rt.me() == 0) {
-      before = heap_in_use();
+      before = in_use();
     }
     rt.barrier();
     TaskCollection tc(rt, cfg);
     rt.barrier();
     if (rt.me() == 0) {
-      after = heap_in_use();
+      after = in_use();
       *slot_bytes = tc.slot_bytes();
     }
     rt.barrier();
@@ -557,13 +558,29 @@ TEST(TcMemory, PerRankHeapIndependentOfFleetSize) {
   }
   probe.reset();
   std::size_t slot = 0;
-  const double small = tc_heap_per_rank(64, &slot);
-  const double large = tc_heap_per_rank(512, &slot);
+  const double small = tc_bytes_per_rank(64, heap_in_use, &slot);
+  const double large = tc_bytes_per_rank(512, heap_in_use, &slot);
   // Each rank's object holds only its own rank's state. The one term that
   // grows with the fleet is the queue's remote-add headroom: one slot per
   // rank in every rank's patch.
   EXPECT_LE(large - small, 2.0 * static_cast<double>(slot) * (512 - 64))
       << "per-rank heap " << small << " B at 64 ranks, " << large
+      << " B at 512 ranks (slot " << slot << " B)";
+}
+
+TEST(TcMemory, CommittedBytesPerRankIndependentOfFleetSize) {
+  // The heap counter above does not see segments, which are mappings. The
+  // remote-add headroom is still one slot per rank in every rank's patch,
+  // but a slot is committed only when written, so the memory a rank
+  // commits must not grow with the fleet.
+  if (testing::resident_bytes() == 0) {
+    GTEST_SKIP() << "no /proc/self/statm";
+  }
+  std::size_t slot = 0;
+  const double small = tc_bytes_per_rank(64, testing::resident_bytes, &slot);
+  const double large = tc_bytes_per_rank(512, testing::resident_bytes, &slot);
+  EXPECT_LE(large - small, static_cast<double>(sysconf(_SC_PAGESIZE)))
+      << "committed " << small << " B per rank at 64 ranks, " << large
       << " B at 512 ranks (slot " << slot << " B)";
 }
 

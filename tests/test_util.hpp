@@ -1,6 +1,9 @@
 // Shared helpers for Scioto tests: SPMD launchers over both backends.
 #pragma once
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <functional>
 #include <string>
 
@@ -37,6 +40,18 @@ inline TimeNs run_threads(int nranks,
                           const std::function<void(pgas::Runtime&)>& body,
                           std::uint64_t seed = 42) {
   return run(nranks, pgas::BackendKind::Threads, body, seed);
+}
+
+/// Resident bytes of this process from /proc/self/statm, or 0 where that
+/// file is absent.
+inline std::size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long pages = 0;
+  unsigned long resident = 0;
+  const bool ok = std::fscanf(f, "%lu %lu", &pages, &resident) == 2;
+  std::fclose(f);
+  return ok ? resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) : 0;
 }
 
 /// Readable parameter names for INSTANTIATE_TEST_SUITE_P over backends.
