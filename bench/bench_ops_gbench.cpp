@@ -1,9 +1,11 @@
 // Real-hardware microbenchmarks (google-benchmark) over the *threads*
 // backend: the actual data-structure costs of the queue, RMW, SHA-1 and
 // UTS child-hash primitives on this host, complementing bench_table1_ops'
-// virtual-time reproduction of the paper's Table 1.
+// virtual-time reproduction of the paper's Table 1. BM_EngineSegment
+// measures the sim engine's own per-segment host cost.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "apps/uts/uts.hpp"
@@ -11,6 +13,8 @@
 #include "pgas/runtime.hpp"
 #include "scioto/queue.hpp"
 #include "scioto/task.hpp"
+#include "sim/engine.hpp"
+#include "sim/machine.hpp"
 
 namespace {
 
@@ -133,6 +137,39 @@ void BM_FetchAdd(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_FetchAdd);
+
+// Host time per sim segment: every rank loops charge + sync, so each
+// segment is one fiber switch pair plus one re-key of the running rank's
+// run-queue entry, at a queue depth of range(0) ranks. Engine setup and
+// teardown (mapping and unmapping fiber stacks) are outside the timed region.
+void BM_EngineSegment(benchmark::State& state) {
+  constexpr int kSyncsPerRank = 200;
+  sim::Engine::Config cfg;
+  cfg.nranks = static_cast<int>(state.range(0));
+  cfg.machine = sim::test_machine();
+  cfg.stack_bytes = 64 * 1024;
+  std::uint64_t segments = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto e = std::make_unique<sim::Engine>(cfg, [](Rank r) {
+      sim::Engine& eng = *sim::current_engine();
+      for (int i = 0; i < kSyncsPerRank; ++i) {
+        eng.charge(100 + 7 * ((r + i) % 5));
+        eng.sync();
+      }
+    });
+    state.ResumeTiming();
+    e->run();
+    state.PauseTiming();
+    segments += e->resumes();
+    e.reset();
+    state.ResumeTiming();
+  }
+  state.counters["segment"] = benchmark::Counter(
+      static_cast<double>(segments),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineSegment)->Arg(64)->Arg(512)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

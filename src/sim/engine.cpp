@@ -42,6 +42,8 @@ Engine::Engine(Config cfg, std::function<void(Rank)> rank_main)
   ranks_.resize(static_cast<std::size_t>(cfg_.nranks));
   cpu_scale_.resize(static_cast<std::size_t>(cfg_.nranks));
   rma_busy_until_.assign(static_cast<std::size_t>(cfg_.nranks), 0);
+  heap_.assign(static_cast<std::size_t>(cfg_.nranks) + 3, kNoKey);
+  pos_.assign(static_cast<std::size_t>(cfg_.nranks), -1);
   for (Rank r = 0; r < cfg_.nranks; ++r) {
     cpu_scale_[static_cast<std::size_t>(r)] =
         cfg_.machine.cpu_scale(r, cfg_.nranks);
@@ -104,13 +106,71 @@ void Engine::advance_to(TimeNs t) {
   }
 }
 
-void Engine::push(TimeNs clock, Rank r) {
-  runq_.push({clock, r, ranks_[static_cast<std::size_t>(r)].gen});
+void Engine::sift_up(std::size_t i, Key k) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    const Key p = heap_[parent];
+    if (!(k < p)) break;
+    heap_[i] = p;
+    pos_[static_cast<std::size_t>(rank_of(p))] = static_cast<std::int32_t>(i);
+    i = parent;
+  }
+  heap_[i] = k;
+  pos_[static_cast<std::size_t>(rank_of(k))] = static_cast<std::int32_t>(i);
+}
+
+void Engine::sift_down(std::size_t i, Key k) {
+  for (;;) {
+    const std::size_t c = 4 * i + 1;
+    if (c >= size_) break;
+    // Least of the 4 children, selected by value without branches; slots
+    // past the end hold kNoKey.
+    const Key* h = &heap_[c];
+    const Key a = h[1] < h[0] ? h[1] : h[0];
+    const Key b = h[3] < h[2] ? h[3] : h[2];
+    const Key least = b < a ? b : a;
+    if (!(least < k)) break;
+    // A child below k is a real entry, so pos_ has its slot.
+    std::int32_t& at = pos_[static_cast<std::size_t>(rank_of(least))];
+    heap_[i] = least;
+    const auto next = static_cast<std::size_t>(at);
+    at = static_cast<std::int32_t>(i);
+    i = next;
+  }
+  heap_[i] = k;
+  pos_[static_cast<std::size_t>(rank_of(k))] = static_cast<std::int32_t>(i);
+}
+
+void Engine::enqueue(Rank r, TimeNs clock) {
+  const Key k = key(clock, r);
+  const std::int32_t at = pos_[static_cast<std::size_t>(r)];
+  if (at < 0) {
+    sift_up(size_++, k);
+  } else if (k < heap_[static_cast<std::size_t>(at)]) {
+    sift_up(static_cast<std::size_t>(at), k);
+  } else {
+    sift_down(static_cast<std::size_t>(at), k);
+  }
+}
+
+void Engine::dequeue(Rank r) {
+  const std::int32_t at = pos_[static_cast<std::size_t>(r)];
+  SCIOTO_CHECK(at >= 0);
+  pos_[static_cast<std::size_t>(r)] = -1;
+  const Key last = heap_[--size_];
+  heap_[size_] = kNoKey;
+  const auto i = static_cast<std::size_t>(at);
+  if (i == size_) return;
+  if (last < heap_[i]) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
+  }
 }
 
 void Engine::sync() {
   RankState& st = cur();
-  push(st.clock, current_);
+  enqueue(current_, st.clock);
   st.fiber->yield();
   st.last_sync_clock = st.clock;
 }
@@ -118,9 +178,9 @@ void Engine::sync() {
 Engine::Slept Engine::sleep(TimeNs delta, std::int64_t max_polls) {
   RankState& st = cur();
   // The first skipped poll, at c0, must sort after this segment's own key
-  // (clock top_clock_): that holds only if the clock moved since resume.
+  // (the clock of top_): that holds only if the clock moved since resume.
   if (max_polls < 1 || delta < 1 || delta > cfg_.machine.sync_quantum ||
-      st.clock <= top_clock_) {
+      st.clock <= clock_of(top_)) {
     sync();
     return {};
   }
@@ -131,7 +191,9 @@ Engine::Slept Engine::sleep(TimeNs delta, std::int64_t max_polls) {
   st.sleep_polls =
       max_polls > (INT64_MAX - st.clock) / delta ? kForever : max_polls;
   if (st.sleep_polls != kForever) {
-    push(st.clock + st.sleep_polls * delta, current_);
+    enqueue(current_, st.clock + st.sleep_polls * delta);
+  } else {
+    dequeue(current_);
   }
   st.fiber->yield();
   // run() or wake() moved the clock to the poll the rank resumes at.
@@ -150,9 +212,9 @@ void Engine::wake(Rank r) {
   const TimeNs c0 = st.sleep_c0;
   const TimeNs d = st.sleep_delta;
   std::int64_t k = 0;
-  if (top_clock_ >= c0) {
-    k = (top_clock_ - c0) / d;
-    if (c0 + k * d < top_clock_ || r < top_rank_) {
+  if (key(c0, r) < top_) {
+    k = (clock_of(top_) - c0) / d;
+    if (key(c0 + k * d, r) < top_) {
       ++k;
     }
   }
@@ -161,14 +223,14 @@ void Engine::wake(Rank r) {
   SCIOTO_CHECK(k <= st.sleep_polls);
   st.clock = c0 + k * d;
   if (k < st.sleep_polls) {
-    ++st.gen;
-    push(st.clock, r);
+    enqueue(r, st.clock);  // decrease-key, or insert with no deadline
   }
 }
 
 void Engine::block() {
   RankState& st = cur();
   st.blocked = true;
+  dequeue(current_);
   st.fiber->yield();
   // unblock() cleared `blocked` and advanced the clock before rescheduling.
   st.last_sync_clock = st.clock;
@@ -182,7 +244,7 @@ void Engine::unblock(Rank r, TimeNs at) {
   if (at > st.clock) {
     st.clock = at;
   }
-  push(st.clock, r);
+  enqueue(r, st.clock);
 }
 
 void Engine::run() {
@@ -191,33 +253,33 @@ void Engine::run() {
   Engine* prev = g_current_engine;
   g_current_engine = this;
 
+  // Keys (0, r) in rank order already form a heap.
   for (Rank r = 0; r < cfg_.nranks; ++r) {
-    push(0, r);
+    heap_[static_cast<std::size_t>(r)] = key(0, r);
+    pos_[static_cast<std::size_t>(r)] = r;
   }
+  size_ = static_cast<std::size_t>(cfg_.nranks);
 
-  while (!runq_.empty()) {
-    const QEntry e = runq_.top();
-    runq_.pop();
-    const Rank r = e.rank;
+  while (size_ > 0) {
+    // The root stays in place: the fiber re-keys or removes it.
+    const Key k = heap_[0];
+    const Rank r = rank_of(k);
     RankState& st = ranks_[static_cast<std::size_t>(r)];
-    if (e.gen != st.gen) {
-      continue;  // a wake() rescheduled this sleeper earlier
-    }
     SCIOTO_CHECK(!st.finished && !st.blocked);
     if (st.asleep) {
       // Deadline: nobody woke the sleeper, so it skipped every poll.
       st.asleep = false;
-      st.clock = e.clock;
+      st.clock = clock_of(k);
     }
-    if (e.clock > top_clock_ || (e.clock == top_clock_ && r > top_rank_)) {
-      top_clock_ = e.clock;
-      top_rank_ = r;
+    if (k > top_) {
+      top_ = k;
     }
     current_ = r;
     ++resumes_;
     st.fiber->resume();
     current_ = kNoRank;
     if (st.fiber->finished()) {
+      dequeue(r);
       st.finished = true;
       --unfinished_;
       // A rank that exits (e.g. killed by fault injection) may have been

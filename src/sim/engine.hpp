@@ -25,6 +25,16 @@
 // The engine is strictly single-threaded; "shared memory" between ranks is
 // ordinary process memory touched only by the currently running fiber.
 //
+// Run queue. An indexed 4-ary min-heap with at most one entry per rank,
+// keyed by one unsigned __int128, (clock << 32) | rank: the (clock, rank)
+// order, compared as one integer. The scheduler resumes the root without
+// popping it; the running rank keeps its entry under its resume key until
+// it yields. sync() then re-keys the entry in place (one sift-down),
+// sleep() re-keys it to the deadline or removes it when there is none, and
+// block() and fiber exit remove it. Every yield leaves the same set of
+// (clock, rank) keys as a pop followed by a push would, so the resume
+// order is unchanged.
+//
 // Idle sleep. A segment is what a fiber runs between two resumes; its key
 // is (clock at resume, rank), the heap order. A rank whose polls each
 // charge a fixed Delta, read only its own words and would repeat unchanged
@@ -36,21 +46,21 @@
 // segment that may touch r's words; the sleeper then resumes at the
 // smallest c0 + k*Delta whose key sorts after every segment run so far --
 // exactly the poll that would have first seen the access, since a rank's
-// pending poll is always the smallest of its keys above everything popped
-// (popped keys rise in clock, but a lock handoff can lower the rank within
-// one clock, so the bound is the running maximum, not the waker's key).
-// Skipped polls neither write nor take a heap slot, so every other
-// segment runs in the same order and virtual time is bit-identical.
-// Unlike a sync() fast path that only skips the yield (measured as noise),
-// a sleep also skips the heap round trip and the sleeper's cold stack for
-// every poll it does not run.
+// pending poll is always the smallest of its keys above everything resumed
+// (resumed keys rise in clock, but a lock handoff can lower the rank
+// within one clock, so the bound is the running maximum, not the waker's
+// key). The wake is a decrease-key on the sleeper's deadline entry, or an
+// insert when it sleeps with no deadline. Skipped polls neither write nor
+// hold a heap entry, so every other segment runs in the same order and
+// virtual time is bit-identical. Unlike a sync() fast path that only skips
+// the yield (measured as noise), a sleep also skips the heap update and
+// the sleeper's cold stack for every poll it does not run.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -164,11 +174,9 @@ class Engine {
     bool ev_pending = false;
     bool ev_waiting = false;
     // Idle sleep: polls at sleep_c0 + k * sleep_delta, deadline at k =
-    // sleep_polls. `gen` tags heap entries; a wake that moves the
-    // deadline entry earlier bumps it, leaving the old entry stale.
+    // sleep_polls.
     bool asleep = false;
     bool woken = false;
-    std::uint32_t gen = 0;
     TimeNs sleep_c0 = 0;
     TimeNs sleep_delta = 0;
     std::int64_t sleep_polls = 0;
@@ -193,7 +201,24 @@ class Engine {
   void block();
   /// Reschedules blocked rank r at virtual time >= at.
   void unblock(Rank r, TimeNs at);
-  void push(TimeNs clock, Rank r);
+
+  // ---- Run queue (see the header comment) ----
+  using Key = unsigned __int128;
+  static constexpr Key kNoKey = ~Key{0};  // sorts after every real key
+  static Key key(TimeNs clock, Rank r) {
+    return Key{static_cast<std::uint64_t>(clock)} << 32 |
+           static_cast<std::uint32_t>(r);
+  }
+  static Rank rank_of(Key k) {
+    return static_cast<Rank>(static_cast<std::uint32_t>(k));
+  }
+  static TimeNs clock_of(Key k) { return static_cast<TimeNs>(k >> 32); }
+  /// Gives rank r the key (clock, r): inserts its entry or moves it.
+  void enqueue(Rank r, TimeNs clock);
+  /// Removes rank r's entry.
+  void dequeue(Rank r);
+  void sift_up(std::size_t i, Key k);
+  void sift_down(std::size_t i, Key k);
   /// Wakes everyone parked in the barrier; returns the release time.
   TimeNs release_barrier();
   /// Releases the pending barrier if every still-unfinished rank has
@@ -210,20 +235,14 @@ class Engine {
   BarrierState barrier_;
   int unfinished_ = 0;
 
-  // Min-heap of (clock, rank) for runnable fibers; `gen` only tells a
-  // live entry from one a wake() superseded.
-  struct QEntry {
-    TimeNs clock;
-    Rank rank;
-    std::uint32_t gen;
-    bool operator>(const QEntry& o) const {
-      return clock != o.clock ? clock > o.clock : rank > o.rank;
-    }
-  };
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<QEntry>> runq_;
+  // heap_[0, size_) is the heap; the 3 slots past it hold kNoKey, so a
+  // parent's last child group is always 4 wide. pos_[r] is rank r's slot,
+  // or -1 when it has no entry.
+  std::vector<Key> heap_;
+  std::vector<std::int32_t> pos_;
+  std::size_t size_ = 0;
   // Largest key resumed so far: every poll a sleeper skipped sorts below.
-  TimeNs top_clock_ = -1;
-  Rank top_rank_ = kNoRank;
+  Key top_ = 0;
   Rank current_ = kNoRank;
   bool running_ = false;
   std::uint64_t resumes_ = 0;

@@ -587,8 +587,9 @@ TEST(EngineSleep, TwoWakesInOneSegmentResumeTheSleeperOnce) {
   });
   e.run();
   EXPECT_EQ(sleeper_resumes, 1);
-  // Both first segments, the waker's second, the sleeper's one wake; the
-  // superseded deadline entry is dropped without a resume.
+  // Both first segments, the waker's second, the sleeper's one wake: the
+  // first wake moved the sleeper's one queue entry from its deadline to
+  // the wake poll, and the second found it awake.
   EXPECT_EQ(e.resumes(), 4u);
 }
 
@@ -608,6 +609,292 @@ TEST(EngineSleep, DeadlockDumpListsSleepingRanks) {
       },
       "rank 1: clock=100 ns[^\n]*\n *asleep: c0=100 ns delta=50 ns "
       "deadline=none");
+}
+
+// ---- Run queue ----
+
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
+    }
+  }
+};
+
+std::uint64_t splitmix64(std::uint64_t& s) {
+  std::uint64_t z = (s += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+struct QueueRun {
+  std::uint64_t resumes = 0;
+  std::uint64_t order = 0;   // FNV-1a of the resumed (rank, clock) sequence
+  std::uint64_t clocks = 0;  // FNV-1a of the final clocks, by rank
+  TimeNs makespan = 0;
+  // How often the program hit the cases that remove a rank's entry and
+  // put it back later; the test asserts each is nonzero at 64+ ranks.
+  int deadless_sleeps = 0;
+  int idle_waits = 0;
+  int contended_locks = 0;
+  int early_exits = 0;
+};
+
+/// Every rank runs a seeded random mix of the calls that move ranks in and
+/// out of the run queue: charges past the sync quantum, syncs, sleeps with
+/// and without a deadline, wakes, contended locks (the handoff keeps the
+/// releaser's clock, so equal clocks are common), barriers at fixed steps,
+/// idle_wait/notify, and early exit. Clocks move in multiples of 50 ns so
+/// that ties between ranks are frequent. A rank enters a state only another
+/// rank can end (idle_wait, sleep with no deadline) only while some other
+/// rank is still active; a rank entering a barrier or exiting first wakes
+/// and notifies everyone parked that way, so the program cannot deadlock.
+QueueRun random_program(int nranks, std::uint64_t seed) {
+  constexpr int kSteps = 48;
+  constexpr int kBarrierEvery = 12;
+  constexpr int kLocks = 3;
+  Engine::Config c = cfg(nranks);
+  c.stack_bytes = 64 * 1024;
+  const auto n = static_cast<std::size_t>(nranks);
+  std::vector<char> forever(n, 0);  // asleep with no deadline
+  std::vector<char> waiting(n, 0);  // parked in idle_wait
+  int active = nranks;  // unfinished, not parked, not in a barrier
+  Fnv1a order;
+  QueueRun out;
+  std::vector<int> locks;
+  Engine e(c, [&](Rank r) {
+    Engine& eng = *current_engine();
+    std::uint64_t rng = seed * 1000003u + static_cast<std::uint64_t>(r);
+    auto draw = [&](std::uint64_t m) { return splitmix64(rng) % m; };
+    auto note = [&] {
+      order.add(static_cast<std::uint64_t>(r));
+      order.add(static_cast<std::uint64_t>(eng.now()));
+    };
+    // Runs one engine call and notes the resume if it yielded.
+    auto step = [&](auto&& call) {
+      const std::uint64_t before = eng.resumes();
+      call();
+      if (eng.resumes() != before) note();
+    };
+    auto pick = [&] { return static_cast<Rank>(draw(n)); };
+    auto wake = [&](Rank t) {
+      eng.wake(t);
+      if (forever[static_cast<std::size_t>(t)]) {
+        forever[static_cast<std::size_t>(t)] = 0;
+        ++active;
+      }
+    };
+    auto notify = [&](Rank t) {
+      eng.notify(t, eng.now() + 50 * static_cast<TimeNs>(draw(4)));
+      if (waiting[static_cast<std::size_t>(t)]) {
+        waiting[static_cast<std::size_t>(t)] = 0;
+        ++active;
+      }
+    };
+    auto release_parked = [&] {
+      for (Rank t = 0; t < nranks; ++t) {
+        if (forever[static_cast<std::size_t>(t)]) wake(t);
+        if (waiting[static_cast<std::size_t>(t)]) notify(t);
+      }
+    };
+    note();
+    const int exit_step =
+        draw(4) == 0 ? static_cast<int>(draw(kSteps)) : kSteps;
+    out.early_exits += exit_step < kSteps ? 1 : 0;
+    for (int s = 0; s < exit_step; ++s) {
+      if (s % kBarrierEvery == kBarrierEvery - 1) {
+        release_parked();
+        --active;
+        step([&] { eng.barrier(50 * static_cast<TimeNs>(draw(3))); });
+        ++active;
+        continue;
+      }
+      switch (draw(8)) {
+        case 0:  // up to three sync quanta: auto-syncs on the way
+          step([&] { eng.charge(50 * static_cast<TimeNs>(draw(121))); });
+          break;
+        case 1:
+          step([&] { eng.sync(); });
+          break;
+        case 2:
+          eng.advance_unsynced(50 * static_cast<TimeNs>(draw(3)));
+          step([&] {
+            eng.sleep(50 * static_cast<TimeNs>(1 + draw(4)),
+                      static_cast<std::int64_t>(draw(9)));
+          });
+          break;
+        case 3:
+          if (active < 2) {
+            step([&] { eng.sync(); });
+            break;
+          }
+          eng.advance_unsynced(50);
+          forever[static_cast<std::size_t>(r)] = 1;
+          --active;
+          ++out.deadless_sleeps;
+          step([&] { eng.sleep(50, Engine::kForever); });
+          break;
+        case 4:
+          wake(pick());
+          break;
+        case 5: {
+          const int l = locks[draw(kLocks)];
+          bool held = true;
+          if (draw(2) == 0) {
+            out.contended_locks += eng.lock_held(l) ? 1 : 0;
+            step([&] { eng.lock_acquire(l); });
+          } else {
+            step([&] { held = eng.lock_try(l); });
+          }
+          if (held) {
+            step([&] { eng.charge(50 * static_cast<TimeNs>(draw(60))); });
+            eng.lock_release(l);
+          }
+          break;
+        }
+        case 6:
+          if (active < 2) {
+            notify(pick());
+            break;
+          }
+          waiting[static_cast<std::size_t>(r)] = 1;
+          --active;
+          ++out.idle_waits;
+          step([&] { eng.idle_wait(); });
+          if (waiting[static_cast<std::size_t>(r)]) {  // a pending notify
+            waiting[static_cast<std::size_t>(r)] = 0;
+            ++active;
+          }
+          break;
+        default:
+          notify(pick());
+          break;
+      }
+    }
+    release_parked();
+    --active;
+  });
+  for (int i = 0; i < kLocks; ++i) locks.push_back(e.lock_create());
+  e.run();
+  out.resumes = e.resumes();
+  out.order = order.h;
+  Fnv1a clocks;
+  for (Rank r = 0; r < nranks; ++r) {
+    clocks.add(static_cast<std::uint64_t>(e.now(r)));
+  }
+  out.clocks = clocks.h;
+  out.makespan = e.max_clock();
+  return out;
+}
+
+TEST(EngineQueue, ResumeOrderMatchesParent) {
+  // Recorded on the engine whose run queue was a std::priority_queue with
+  // stale-entry skipping; any queue must resume ranks in the same order.
+  struct Pin {
+    int nranks;
+    std::uint64_t resumes, order, clocks;
+    TimeNs makespan;
+  };
+  const Pin pins[] = {
+      {1, 27, 7443091232253710825u, 8936746416714447920u, 32250},
+      {3, 69, 17647670370626696152u, 4462194168500624074u, 36400},
+      {64, 2681, 13315180949479293640u, 15232380394494247464u, 136200},
+      {513, 21093, 13271695545566314903u, 8665870148384278783u, 697150},
+  };
+  for (const Pin& p : pins) {
+    const QueueRun got = random_program(p.nranks, 7);
+    EXPECT_EQ(got.resumes, p.resumes) << p.nranks << " ranks";
+    EXPECT_EQ(got.order, p.order) << p.nranks << " ranks";
+    EXPECT_EQ(got.clocks, p.clocks) << p.nranks << " ranks";
+    EXPECT_EQ(got.makespan, p.makespan) << p.nranks << " ranks";
+    if (p.nranks >= 64) {
+      EXPECT_GT(got.deadless_sleeps, 0);
+      EXPECT_GT(got.idle_waits, 0);
+      EXPECT_GT(got.contended_locks, 0);
+      EXPECT_GT(got.early_exits, 0);
+    }
+  }
+}
+
+TEST(EngineQueue, FinishedBlockedAndSleepingRanksLeaveTheQueue) {
+  // Even ranks return early, some before their first sync. Odd ranks
+  // cycle through deadline sleeps, sleep with no deadline until a deadline
+  // sleeper wakes them, or go straight to the barrier.
+  constexpr int kRanks = 64;
+  constexpr TimeNs kCost = 500;
+  std::vector<Rank> sleepers;
+  std::vector<TimeNs> left(kRanks, -1);
+  int woken = 0;
+  Engine e(cfg(kRanks), [&](Rank r) {
+    Engine& eng = *current_engine();
+    if (r % 2 == 0) {
+      if (r % 4 == 0) eng.charge(100 * r);
+      return;
+    }
+    eng.advance_unsynced(10 * r);
+    switch ((r / 2) % 3) {
+      case 0:
+        for (int i = 0; i < 3; ++i) {
+          const Engine::Slept s = eng.sleep(kDelta, 4);
+          EXPECT_TRUE(s.deadline);
+          EXPECT_EQ(s.polls, 4);
+          eng.advance_unsynced(10);
+        }
+        for (Rank t : sleepers) eng.wake(t);
+        break;
+      case 1: {
+        sleepers.push_back(r);
+        const Engine::Slept s = eng.sleep(kDelta, Engine::kForever);
+        EXPECT_FALSE(s.deadline);
+        ++woken;
+        break;
+      }
+      default:
+        break;
+    }
+    eng.barrier(kCost);
+    left[static_cast<std::size_t>(r)] = eng.now();
+  });
+  e.run();
+  // 32 odd ranks: 11 deadline sleepers, 11 deadless sleepers and 10 that
+  // only meet in the barrier, which released all of them at once.
+  EXPECT_EQ(woken, 11);
+  const TimeNs release = left[1];
+  EXPECT_GT(release, kCost);
+  for (Rank r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(left[static_cast<std::size_t>(r)], r % 2 ? release : -1)
+        << "rank " << r;
+  }
+}
+
+TEST(EngineQueue, WakingADeadlessSleeperResumesItOnce) {
+  int sleeper_resumes = 0;
+  Engine::Slept slept;
+  Engine e(cfg(2), [&](Rank r) {
+    Engine& eng = *current_engine();
+    if (r == 0) {
+      eng.advance_unsynced(200);
+      eng.sync();
+      eng.wake(1);
+      eng.wake(1);
+      eng.advance_unsynced(kDelta);
+      eng.sync();
+      eng.wake(1);  // finished by now
+      return;
+    }
+    eng.advance_unsynced(kC0);
+    slept = eng.sleep(kDelta, Engine::kForever);
+    ++sleeper_resumes;
+    EXPECT_EQ(eng.now(), 200);  // the poll keyed (200, 1) follows (200, 0)
+  });
+  e.run();
+  EXPECT_EQ(sleeper_resumes, 1);
+  EXPECT_EQ(slept.polls, 2);
+  EXPECT_FALSE(slept.deadline);
+  // Rank 0 at 0, 200 and 250; rank 1 at 0 and at its wake.
+  EXPECT_EQ(e.resumes(), 5u);
 }
 
 TEST(Machine, PresetsResolveByName) {
