@@ -1,7 +1,14 @@
 #include "base/sha1.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <utility>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace scioto {
 
@@ -16,9 +23,119 @@ inline std::uint32_t load_be32(const std::uint8_t* p) {
          (std::uint32_t(p[2]) << 8) | std::uint32_t(p[3]);
 }
 
+template <typename T>
+inline T to_big_endian(T x) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if constexpr (sizeof(T) == 4) {
+      return __builtin_bswap32(x);
+    } else {
+      return __builtin_bswap64(x);
+    }
+  }
+  return x;
+}
+
+#if defined(__x86_64__)
+
+// The SHA-NI compress follows Intel's SHA extensions reference: ABCD in
+// one register (A in the top lane), E in the top lane of another, and 20
+// groups of four rounds. Group g consumes W[4g..4g+3] from m[g % 4] and,
+// overlapped with its rounds, works that vector into the schedule of the
+// groups after it: sha1msg1 starts group g+3's words, the xor adds the
+// W[t-8] term to group g+2's, sha1msg2 finishes group g+1's.
+template <int G>
+[[gnu::always_inline, gnu::target("sha,sse4.1")]] inline void sha_ni_group(
+    __m128i& abcd, __m128i (&e)[2], __m128i (&m)[4]) {
+  __m128i& e_in = e[G % 2];
+  if constexpr (G == 0) {
+    e_in = _mm_add_epi32(e_in, m[0]);
+  } else {
+    e_in = _mm_sha1nexte_epu32(e_in, m[G % 4]);  // rotl(prev A, 30) + W
+  }
+  e[(G + 1) % 2] = abcd;
+  abcd = _mm_sha1rnds4_epu32(abcd, e_in, G / 5);
+  if constexpr (G >= 3 && G <= 18) {
+    m[(G + 1) % 4] = _mm_sha1msg2_epu32(m[(G + 1) % 4], m[G % 4]);
+  }
+  if constexpr (G >= 1 && G <= 16) {
+    m[(G + 3) % 4] = _mm_sha1msg1_epu32(m[(G + 3) % 4], m[G % 4]);
+  }
+  if constexpr (G >= 2 && G <= 17) {
+    m[(G + 2) % 4] = _mm_xor_si128(m[(G + 2) % 4], m[G % 4]);
+  }
+}
+
+template <int... G>
+[[gnu::always_inline, gnu::target("sha,sse4.1")]] inline void sha_ni_rounds(
+    std::integer_sequence<int, G...>, __m128i& abcd, __m128i (&e)[2],
+    __m128i (&m)[4]) {
+  (sha_ni_group<G>(abcd, e, m), ...);
+}
+
+[[gnu::target("sha,sse4.1")]] void compress_sha_ni(Sha1::State& state,
+                                                    const std::uint8_t* block) {
+  // Reverses all 16 bytes: big-endian words, W[4g] in the top lane.
+  const __m128i reverse =
+      _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+  __m128i m[4];
+  for (int i = 0; i < 4; ++i) {
+    m[i] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)),
+        reverse);
+  }
+  const __m128i abcd_in = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data())), 0x1B);
+  const __m128i e_start = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+  __m128i abcd = abcd_in;
+  __m128i e[2] = {e_start, _mm_setzero_si128()};
+  sha_ni_rounds(std::make_integer_sequence<int, 20>{}, abcd, e, m);
+  // e[0] holds the ABCD that entered the last group; its A gives the new E.
+  const __m128i e_out = _mm_sha1nexte_epu32(e[0], e_start);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()),
+                   _mm_shuffle_epi32(_mm_add_epi32(abcd, abcd_in), 0x1B));
+  state[4] = static_cast<std::uint32_t>(_mm_extract_epi32(e_out, 3));
+}
+
+bool cpu_has_sha_ni() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d) || (c & bit_SSE4_1) == 0) {
+    return false;
+  }
+  return __get_cpuid_count(7, 0, &a, &b, &c, &d) && (b & bit_SHA) != 0;
+}
+
+#endif  // __x86_64__
+
+struct Compress {
+  void (*fn)(Sha1::State&, const std::uint8_t*);
+  const char* name;
+};
+
+Compress select_compress() {
+#if defined(__x86_64__)
+  if (cpu_has_sha_ni()) {
+    return {&compress_sha_ni, "sha-ni"};
+  }
+#endif
+  return {&Sha1::compress_portable, "portable"};
+}
+
+/// Chosen on first use, so hashing from another file's static
+/// initializer still finds it set.
+const Compress& selected_compress() {
+  static const Compress c = select_compress();
+  return c;
+}
+
 }  // namespace
 
 void Sha1::compress(State& state, const std::uint8_t* block) {
+  selected_compress().fn(state, block);
+}
+
+const char* Sha1::compress_name() { return selected_compress().name; }
+
+void Sha1::compress_portable(State& state, const std::uint8_t* block) {
   // Rolling 16-word schedule: W[t] for t >= 16 overwrites W[t - 16].
   std::uint32_t w[16];
   for (int t = 0; t < 16; ++t) {
@@ -108,18 +225,15 @@ Sha1::Digest Sha1::finish() {
     compress(state_, block);
     std::memset(block, 0, 56);
   }
-  const std::uint64_t bit_len = total_bytes_ * 8;
-  for (int i = 0; i < 8; ++i) {
-    block[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
+  // Length and digest go out one byte-swapped word at a time.
+  const std::uint64_t bit_len = to_big_endian(total_bytes_ * 8);
+  std::memcpy(block + 56, &bit_len, 8);
   compress(state_, block);
 
   Digest d;
   for (int i = 0; i < 5; ++i) {
-    d[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
-    d[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    d[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    d[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
+    const std::uint32_t word = to_big_endian(state_[i]);
+    std::memcpy(d.data() + 4 * i, &word, 4);
   }
   return d;
 }

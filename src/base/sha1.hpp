@@ -5,6 +5,14 @@
 // SHA1(parent_state || be32(i)) -- a 24-byte message, so every UTS hash
 // is a single padded 64-byte block and costs one compress(). The
 // implementation is a dependency-free rendition of FIPS 180-1.
+//
+// Two block compresses exist. On x86-64 CPUs whose CPUID reports the SHA
+// extensions (and SSE4.1), compress() runs on the SHA-NI instructions; it
+// is compiled with a function target attribute, so the binary needs no
+// ISA flag and still runs where they are missing. Everywhere else,
+// aarch64 included, compress() is compress_portable(). The choice is made
+// once, on first use. Both produce the same state bit for bit, and the
+// tests hold the hardware path to the portable one as their reference.
 #pragma once
 
 #include <array>
@@ -46,8 +54,14 @@ class Sha1 {
   /// Lowercase hex rendering of a digest (for tests and debugging).
   static std::string hex(const Digest& d);
 
-  /// Fold one 64-byte block into `state`.
+  /// Fold one 64-byte block into `state`, on the compress this CPU runs.
   static void compress(State& state, const std::uint8_t* block);
+
+  /// The FIPS 180-1 compress in plain C++; runs on every CPU.
+  static void compress_portable(State& state, const std::uint8_t* block);
+
+  /// Which compress compress() runs: "sha-ni" or "portable".
+  static const char* compress_name();
 
  private:
   State state_{};

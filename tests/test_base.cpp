@@ -2,7 +2,12 @@
 // option parsing, table rendering, accumulators.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 #include "base/error.hpp"
 #include "base/options.hpp"
@@ -68,8 +73,9 @@ TEST(Sha1, ResetReusesHasher) {
             "a9993e364706816aba3e25717850c26c9cd0d89d");
 }
 
-/// Independent padding reference: pads the whole message by hand and
-/// folds it block by block through the compress.
+/// Independent reference: pads the whole message by hand and folds it
+/// block by block through the portable compress, so it also checks the
+/// hardware compress where the CPU has one.
 std::string reference_hex(const std::string& msg) {
   std::string padded = msg + '\x80';
   padded.append((120 - padded.size() % 64) % 64, '\0');
@@ -80,8 +86,8 @@ std::string reference_hex(const std::string& msg) {
   Sha1::State s = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u,
                    0xC3D2E1F0u};
   for (std::size_t off = 0; off < padded.size(); off += 64) {
-    Sha1::compress(s,
-                   reinterpret_cast<const std::uint8_t*>(padded.data() + off));
+    Sha1::compress_portable(
+        s, reinterpret_cast<const std::uint8_t*>(padded.data() + off));
   }
   Sha1::Digest d;
   for (int i = 0; i < 20; ++i) {
@@ -116,6 +122,56 @@ TEST(Sha1, StreamingMatchesReferenceAtEveryLengthAndSplit) {
       ASSERT_EQ(Sha1::hex(h.finish()), want)
           << "len " << len << " split at " << cut;
     }
+  }
+}
+
+/// Whether CPUID reports the SHA extensions and SSE4.1, read here rather
+/// than taken from the library whose choice the test checks.
+bool cpuid_reports_sha_ni() {
+#if defined(__x86_64__)
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d) || (c & bit_SSE4_1) == 0) {
+    return false;
+  }
+  return __get_cpuid_count(7, 0, &a, &b, &c, &d) && (b & bit_SHA) != 0;
+#else
+  return false;
+#endif
+}
+
+TEST(Sha1, HardwareCompressMatchesPortable) {
+  if (!cpuid_reports_sha_ni()) {
+    GTEST_SKIP() << "CPUID reports no SHA-NI (SHA extensions with SSE4.1); "
+                    "compress() is the portable one here";
+  }
+  ASSERT_STREQ(Sha1::compress_name(), "sha-ni");
+  Xoshiro256 rng(0x5A1);
+  auto random_block = [&rng](std::uint8_t* block) {
+    for (std::size_t off = 0; off < Sha1::kBlockBytes; off += 8) {
+      const std::uint64_t v = rng.next();
+      std::memcpy(block + off, &v, 8);
+    }
+  };
+  std::uint8_t block[Sha1::kBlockBytes];
+  for (int i = 0; i < 10000; ++i) {
+    Sha1::State hw;
+    for (std::uint32_t& w : hw) {
+      w = static_cast<std::uint32_t>(rng.next());
+    }
+    random_block(block);
+    Sha1::State ref = hw;
+    Sha1::compress(hw, block);
+    Sha1::compress_portable(ref, block);
+    ASSERT_EQ(hw, ref) << "pair " << i;
+  }
+  // Chained: each state feeds the next compress, as along a UTS path.
+  Sha1::State hw = {1, 2, 3, 4, 5};
+  Sha1::State ref = hw;
+  for (int step = 0; step < 1000; ++step) {
+    random_block(block);
+    Sha1::compress(hw, block);
+    Sha1::compress_portable(ref, block);
+    ASSERT_EQ(hw, ref) << "step " << step;
   }
 }
 

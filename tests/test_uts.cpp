@@ -3,6 +3,7 @@
 // no-split), and the MPI-WS baseline.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iostream>
 #include <set>
 #include <vector>
@@ -32,12 +33,20 @@ TEST(Uts, RootAndChildrenAreDeterministic) {
 }
 
 TEST(Uts, ChildIsSha1OfParentDigestAndBigEndianIndex) {
+  // Across byte boundaries of the index and its sign: -1 hashes as
+  // ff ff ff ff.
   const UtsNode root = uts_root(uts_tiny());
-  Sha1 h;
-  h.update(root.state.data(), root.state.size());
-  const std::uint8_t idx[4] = {0x12, 0x34, 0x56, 0x78};
-  h.update(idx, sizeof(idx));
-  EXPECT_EQ(uts_child(root, 0x12345678).state, h.finish());
+  for (const int i : {0, 1, 255, 256, 65536, 0x12345678, INT32_MAX, -1}) {
+    const auto u = static_cast<std::uint32_t>(i);
+    const std::uint8_t idx[4] = {
+        static_cast<std::uint8_t>(u >> 24), static_cast<std::uint8_t>(u >> 16),
+        static_cast<std::uint8_t>(u >> 8), static_cast<std::uint8_t>(u)};
+    Sha1 h;
+    h.update(root.state.data(), root.state.size());
+    h.update(idx, sizeof(idx));
+    EXPECT_EQ(uts_child(root, i).state, h.finish())
+        << "index " << i;
+  }
 }
 
 TEST(Uts, ThousandStepChildChainGoldenDigest) {
