@@ -52,6 +52,115 @@ TcConfig tc_config(const UtsRunConfig& cfg) {
   return tcc;
 }
 
+/// Registers the node callback, counting into `counts` (this rank's
+/// instance of a common local object), and seeds the tree root on rank 0.
+/// A restore run (SCIOTO_CKPT_RESTORE) resumes the checkpointed traversal
+/// instead: the pending subtree roots come from the snapshot, so seeding
+/// the root again would count every node twice.
+void seed_tree(TaskCollection& tc, UtsCounts* counts, const UtsParams& tree,
+               const UtsRunConfig& cfg) {
+  CloHandle counts_clo = tc.register_clo(counts);
+  TaskHandle h =
+      tc.register_callback([&tree, &cfg, counts_clo](TaskContext& ctx) {
+        process_chain(ctx.body_as<UtsNode>(), tree, cfg.node_cost,
+                      ctx.tc.runtime(), ctx.tc.clo<UtsCounts>(counts_clo),
+                      [&](const UtsNode& child) {
+                        Task t = ctx.tc.task_create(sizeof(UtsNode),
+                                                    ctx.header.callback);
+                        t.body_as<UtsNode>() = child;
+                        ctx.tc.add_local(t);
+                      });
+      });
+  if (tc.runtime().me() == 0 && elastic::restore_path().empty()) {
+    Task t = tc.task_create(sizeof(UtsNode), h);
+    t.body_as<UtsNode>() = uts_root(tree);
+    tc.add_local(t);
+  }
+}
+
+/// The durable-count driver behind uts_run_scioto_ft and
+/// uts_run_scioto_elastic; `survivors` reports the alive ranks at the end.
+UtsResult run_durable(pgas::Runtime& rt, const UtsParams& tree,
+                      const UtsRunConfig& cfg, int (*survivors)()) {
+  TaskCollection tc(rt, tc_config(cfg));
+
+  // Durable per-rank counts: owner-local stores into our own shared patch
+  // cost nothing, and the patch outlives us if we are fail-stopped.
+  pgas::SegId counts_seg = rt.seg_alloc(sizeof(UtsCounts));
+  auto* durable =
+      reinterpret_cast<UtsCounts*>(rt.seg_ptr(counts_seg, rt.me()));
+
+  // Checkpoint blob = this rank's durable counts. Ranks that write no
+  // part file -- dead (their queued work was adopted by wards before the
+  // quiesce) and parked (never admitted) -- still hold executed-node
+  // counts in their patches, which stay readable; the quiesce leader
+  // folds those into its own blob so no completed work escapes the
+  // snapshot. On restore, blobs accumulate into the receiving rank's
+  // patch, where the end-of-run sum picks them up like any other counts.
+  // Without this a checkpoint would carry the pending descriptors but
+  // lose the nodes already executed.
+  tc.set_ckpt_hooks(
+      [&rt, durable, counts_seg]() {
+        UtsCounts sum = *durable;
+        std::vector<Rank> alive = detect::alive_ranks();
+        if (!alive.empty() && alive.front() == rt.me()) {
+          for (Rank r = 0; r < rt.nprocs(); ++r) {
+            if (detect::alive(r)) continue;
+            UtsCounts c;
+            if (rt.get_with_retry(counts_seg, r, 0, &c, sizeof(c)) !=
+                pgas::OpStatus::Dropped) {
+              sum += c;
+            }
+          }
+        }
+        std::vector<std::byte> blob(sizeof(UtsCounts));
+        std::memcpy(blob.data(), &sum, sizeof(sum));
+        return blob;
+      },
+      [durable](Rank, const std::vector<std::byte>& blob) {
+        if (blob.size() != sizeof(UtsCounts)) return;
+        UtsCounts c;
+        std::memcpy(&c, blob.data(), sizeof(c));
+        *durable += c;
+      });
+
+  seed_tree(tc, durable, tree, cfg);
+
+  rt.barrier();
+  TimeNs t0 = rt.now();
+  // Killed ranks throw fault::RankKilled through here; everything below
+  // runs on survivors only (collectives skip the dead).
+  tc.process();
+  TimeNs elapsed = rt.allreduce_max(rt.now() - t0);
+  rt.barrier();
+
+  UtsResult res;
+  // Survivors sum every rank's patch, dead or alive: completed work is
+  // never re-executed (exactly-once), so this total -- not an allreduce
+  // over survivors -- is what must match the sequential count.
+  for (Rank r = 0; r < rt.nprocs(); ++r) {
+    UtsCounts c;
+    // Retrying read: a drop rule that outlives the computation must not
+    // silently zero a dead rank's durable counts out of the total.
+    pgas::OpStatus st = rt.get_with_retry(counts_seg, r, 0, &c, sizeof(c));
+    SCIOTO_CHECK_MSG(st != pgas::OpStatus::Dropped,
+                     "durable-count read from rank " << r
+                                                     << " dropped past retry");
+    res.counts += c;
+  }
+  res.elapsed = elapsed;
+  res.mnodes_per_sec =
+      static_cast<double>(res.counts.nodes) / (to_sec(elapsed) * 1e6);
+  TcStats g = tc.stats_global();
+  res.stats = g;
+  res.steals = g.steals;
+  res.tasks_stolen = g.tasks_stolen;
+  res.survivors = survivors();
+  rt.seg_free(counts_seg);
+  tc.destroy();
+  return res;
+}
+
 }  // namespace
 
 UtsResult uts_run_scioto(pgas::Runtime& rt, const UtsParams& tree,
@@ -59,26 +168,7 @@ UtsResult uts_run_scioto(pgas::Runtime& rt, const UtsParams& tree,
   TaskCollection tc(rt, tc_config(cfg));
 
   UtsCounts local;
-  CloHandle counts_clo = tc.register_clo(&local);
-  TaskHandle h = tc.register_callback([&, counts_clo](TaskContext& ctx) {
-    UtsCounts& counts = ctx.tc.clo<UtsCounts>(counts_clo);
-    process_chain(ctx.body_as<UtsNode>(), tree, cfg.node_cost,
-                  ctx.tc.runtime(), counts, [&](const UtsNode& child) {
-                    Task t = ctx.tc.task_create(sizeof(UtsNode),
-                                                ctx.header.callback);
-                    t.body_as<UtsNode>() = child;
-                    ctx.tc.add_local(t);
-                  });
-  });
-
-  // A restore run (SCIOTO_CKPT_RESTORE) resumes the checkpointed
-  // traversal: the pending subtree roots come from the snapshot, so
-  // seeding the tree root again would count every node twice.
-  if (rt.me() == 0 && elastic::restore_path().empty()) {
-    Task t = tc.task_create(sizeof(UtsNode), h);
-    t.body_as<UtsNode>() = uts_root(tree);
-    tc.add_local(t);
-  }
+  seed_tree(tc, &local, tree, cfg);
 
   rt.barrier();
   TimeNs t0 = rt.now();
@@ -102,189 +192,12 @@ UtsResult uts_run_scioto(pgas::Runtime& rt, const UtsParams& tree,
 
 UtsResult uts_run_scioto_ft(pgas::Runtime& rt, const UtsParams& tree,
                             const UtsRunConfig& cfg) {
-  TaskCollection tc(rt, tc_config(cfg));
-
-  // Durable per-rank counts: owner-local stores into our own shared patch
-  // cost nothing, and the patch outlives us if we are fail-stopped.
-  pgas::SegId counts_seg = rt.seg_alloc(sizeof(UtsCounts));
-  auto* durable =
-      reinterpret_cast<UtsCounts*>(rt.seg_ptr(counts_seg, rt.me()));
-
-  // Same checkpoint blob wiring as the elastic driver: snapshot this
-  // rank's durable counts (the quiesce leader also folds dead/parked
-  // ranks' patches), and on restore accumulate blobs into the receiving
-  // patch. Without this a checkpoint written by this driver would carry
-  // the pending descriptors but lose the nodes already executed.
-  tc.set_ckpt_hooks(
-      [&rt, durable, counts_seg]() {
-        UtsCounts sum = *durable;
-        std::vector<Rank> alive = detect::alive_ranks();
-        if (!alive.empty() && alive.front() == rt.me()) {
-          for (Rank r = 0; r < rt.nprocs(); ++r) {
-            if (detect::alive(r)) continue;
-            UtsCounts c;
-            if (rt.get_with_retry(counts_seg, r, 0, &c, sizeof(c)) !=
-                pgas::OpStatus::Dropped) {
-              sum += c;
-            }
-          }
-        }
-        std::vector<std::byte> blob(sizeof(UtsCounts));
-        std::memcpy(blob.data(), &sum, sizeof(sum));
-        return blob;
-      },
-      [durable](Rank, const std::vector<std::byte>& blob) {
-        if (blob.size() != sizeof(UtsCounts)) return;
-        UtsCounts c;
-        std::memcpy(&c, blob.data(), sizeof(c));
-        *durable += c;
-      });
-
-  CloHandle counts_clo = tc.register_clo(durable);
-  TaskHandle h = tc.register_callback([&, counts_clo](TaskContext& ctx) {
-    UtsCounts& counts = ctx.tc.clo<UtsCounts>(counts_clo);
-    process_chain(ctx.body_as<UtsNode>(), tree, cfg.node_cost,
-                  ctx.tc.runtime(), counts, [&](const UtsNode& child) {
-                    Task t = ctx.tc.task_create(sizeof(UtsNode),
-                                                ctx.header.callback);
-                    t.body_as<UtsNode>() = child;
-                    ctx.tc.add_local(t);
-                  });
-  });
-
-  // Same restore gate as the elastic driver: a snapshot carries the
-  // pending subtree roots, so a restore run must not re-seed the root.
-  if (rt.me() == 0 && elastic::restore_path().empty()) {
-    Task t = tc.task_create(sizeof(UtsNode), h);
-    t.body_as<UtsNode>() = uts_root(tree);
-    tc.add_local(t);
-  }
-
-  rt.barrier();
-  TimeNs t0 = rt.now();
-  // Killed ranks throw fault::RankKilled through here; everything below
-  // runs on survivors only (collectives skip the dead).
-  tc.process();
-  TimeNs elapsed = rt.allreduce_max(rt.now() - t0);
-  rt.barrier();
-
-  UtsResult res;
-  // Survivors sum every rank's patch, dead or alive: completed work is
-  // never re-executed (exactly-once), so this total -- not an allreduce
-  // over survivors -- is what must match the sequential count.
-  for (Rank r = 0; r < rt.nprocs(); ++r) {
-    UtsCounts c;
-    // Retrying read: a drop rule that outlives the computation must not
-    // silently zero a dead rank's durable counts out of the total.
-    pgas::OpStatus st = rt.get_with_retry(counts_seg, r, 0, &c, sizeof(c));
-    SCIOTO_CHECK_MSG(st != pgas::OpStatus::Dropped,
-                     "durable-count read from rank " << r
-                                                     << " dropped past retry");
-    res.counts.nodes += c.nodes;
-    res.counts.leaves += c.leaves;
-    res.counts.max_depth =
-        std::max<std::int64_t>(res.counts.max_depth, c.max_depth);
-  }
-  res.elapsed = elapsed;
-  res.mnodes_per_sec =
-      static_cast<double>(res.counts.nodes) / (to_sec(elapsed) * 1e6);
-  TcStats g = tc.stats_global();
-  res.stats = g;
-  res.steals = g.steals;
-  res.tasks_stolen = g.tasks_stolen;
-  res.survivors = fault::alive_count();
-  rt.seg_free(counts_seg);
-  tc.destroy();
-  return res;
+  return run_durable(rt, tree, cfg, fault::alive_count);
 }
 
 UtsResult uts_run_scioto_elastic(pgas::Runtime& rt, const UtsParams& tree,
                                  const UtsRunConfig& cfg) {
-  TaskCollection tc(rt, tc_config(cfg));
-
-  pgas::SegId counts_seg = rt.seg_alloc(sizeof(UtsCounts));
-  auto* durable =
-      reinterpret_cast<UtsCounts*>(rt.seg_ptr(counts_seg, rt.me()));
-
-  // Checkpoint blob = this rank's durable counts. Ranks that write no
-  // part file -- dead (their queued work was adopted by wards before the
-  // quiesce) and parked (never admitted) -- still hold executed-node
-  // counts in their patches, which stay readable; the quiesce leader
-  // folds those into its own blob so no completed work escapes the
-  // snapshot. On restore, blobs accumulate into the receiving rank's
-  // patch, where the end-of-run sum picks them up like any other counts.
-  tc.set_ckpt_hooks(
-      [&rt, durable, counts_seg]() {
-        UtsCounts sum = *durable;
-        std::vector<Rank> alive = detect::alive_ranks();
-        if (!alive.empty() && alive.front() == rt.me()) {
-          for (Rank r = 0; r < rt.nprocs(); ++r) {
-            if (detect::alive(r)) continue;
-            UtsCounts c;
-            if (rt.get_with_retry(counts_seg, r, 0, &c, sizeof(c)) !=
-                pgas::OpStatus::Dropped) {
-              sum += c;
-            }
-          }
-        }
-        std::vector<std::byte> blob(sizeof(UtsCounts));
-        std::memcpy(blob.data(), &sum, sizeof(sum));
-        return blob;
-      },
-      [durable](Rank, const std::vector<std::byte>& blob) {
-        if (blob.size() != sizeof(UtsCounts)) return;
-        UtsCounts c;
-        std::memcpy(&c, blob.data(), sizeof(c));
-        *durable += c;
-      });
-
-  CloHandle counts_clo = tc.register_clo(durable);
-  TaskHandle h = tc.register_callback([&, counts_clo](TaskContext& ctx) {
-    UtsCounts& counts = ctx.tc.clo<UtsCounts>(counts_clo);
-    process_chain(ctx.body_as<UtsNode>(), tree, cfg.node_cost,
-                  ctx.tc.runtime(), counts, [&](const UtsNode& child) {
-                    Task t = ctx.tc.task_create(sizeof(UtsNode),
-                                                ctx.header.callback);
-                    t.body_as<UtsNode>() = child;
-                    ctx.tc.add_local(t);
-                  });
-  });
-
-  // A restore run resumes the checkpointed traversal: the pending subtree
-  // roots come from the snapshot, so seeding the tree root again would
-  // count every node twice.
-  if (rt.me() == 0 && elastic::restore_path().empty()) {
-    Task t = tc.task_create(sizeof(UtsNode), h);
-    t.body_as<UtsNode>() = uts_root(tree);
-    tc.add_local(t);
-  }
-
-  rt.barrier();
-  TimeNs t0 = rt.now();
-  tc.process();
-  TimeNs elapsed = rt.allreduce_max(rt.now() - t0);
-  rt.barrier();
-
-  UtsResult res;
-  for (Rank r = 0; r < rt.nprocs(); ++r) {
-    UtsCounts c;
-    pgas::OpStatus st = rt.get_with_retry(counts_seg, r, 0, &c, sizeof(c));
-    SCIOTO_CHECK_MSG(st != pgas::OpStatus::Dropped,
-                     "durable-count read from rank " << r
-                                                     << " dropped past retry");
-    res.counts += c;
-  }
-  res.elapsed = elapsed;
-  res.mnodes_per_sec =
-      static_cast<double>(res.counts.nodes) / (to_sec(elapsed) * 1e6);
-  TcStats g = tc.stats_global();
-  res.stats = g;
-  res.steals = g.steals;
-  res.tasks_stolen = g.tasks_stolen;
-  res.survivors = detect::alive_count();
-  rt.seg_free(counts_seg);
-  tc.destroy();
-  return res;
+  return run_durable(rt, tree, cfg, detect::alive_count);
 }
 
 UtsResult uts_run_mpi_ws(pgas::Runtime& rt, const UtsParams& tree,

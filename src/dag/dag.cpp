@@ -264,10 +264,9 @@ void DagScheduler::execute() {
   }
   rt_.barrier();
 
-  // Deferred-node hooks: parked nodes are retried from the idle loop and
-  // keep this rank's termination vote black while they wait.
-  tc_.set_idle_hook([this] { return retry_parked(); });
-  tc_.set_pending_hook([this] { return !parked_.empty(); });
+  // Parked nodes are retried from the idle loop and keep this rank's
+  // termination vote black while they wait.
+  tc_.set_extension(this);
   running_ = true;
 
   // Seed the roots at their home ranks.
@@ -281,8 +280,7 @@ void DagScheduler::execute() {
   tc_.process();
 
   running_ = false;
-  tc_.set_idle_hook(nullptr);
-  tc_.set_pending_hook(nullptr);
+  tc_.set_extension(nullptr);
   SCIOTO_CHECK_MSG(parked_.empty(), "DagScheduler terminated with "
                                         << parked_.size()
                                         << " node(s) still parked");

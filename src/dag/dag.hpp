@@ -133,7 +133,10 @@ class NodeCtx {
 
 using NodeFn = std::function<void(NodeCtx&)>;
 
-class DagScheduler {
+/// Attaches to its collection's work loop as the scheduler extension
+/// (LoopHook): parked nodes are retried from the idle slot and keep this
+/// rank's termination vote black through the pending slot.
+class DagScheduler : private LoopHook {
  public:
   /// Collective: registers the internal dispatch callback on `tc` (the
   /// same-order rule of callback registration applies).
@@ -240,6 +243,8 @@ class DagScheduler {
   void defer(NodeId id, GroupId group, bool version_wait);
   bool gates_look_open(const ParkEntry& e);
   std::uint64_t retry_parked();
+  std::uint64_t idle() override { return retry_parked(); }
+  bool pending() override { return !parked_.empty(); }
   void publish_and_release_children();
   void bump_versions(const Node& n);
   void check_acyclic_and_depths();

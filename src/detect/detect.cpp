@@ -37,23 +37,23 @@ HeartbeatProbe::~HeartbeatProbe() {
   // destroy() is the collective teardown; the destructor only flushes
   // stats if the owner never got there (e.g. its rank was killed).
   if (!destroyed_) {
-    add_heartbeats(n_heartbeats_);
-    add_probes(n_probes_);
-    add_suspects(n_suspects_);
-    add_refutes(n_refutes_);
-    n_heartbeats_ = n_probes_ = n_suspects_ = n_refutes_ = 0;
+    flush_stats();
   }
 }
 
 void HeartbeatProbe::destroy() {
   if (destroyed_) return;
   destroyed_ = true;
+  flush_stats();
+  rt_.seg_free(seg_);
+}
+
+void HeartbeatProbe::flush_stats() {
   add_heartbeats(n_heartbeats_);
   add_probes(n_probes_);
   add_suspects(n_suspects_);
   add_refutes(n_refutes_);
   n_heartbeats_ = n_probes_ = n_suspects_ = n_refutes_ = 0;
-  rt_.seg_free(seg_);
 }
 
 void HeartbeatProbe::reset_observations() {

@@ -68,6 +68,8 @@ class HeartbeatProbe {
   void probe_one(TimeNs now);
   void recompute_neighbors();
   void publish_view_gauges();
+  /// Adds this probe's counters into the session stats and zeroes them.
+  void flush_stats();
 
   pgas::Runtime& rt_;
   Config cfg_;

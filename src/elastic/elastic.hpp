@@ -28,6 +28,11 @@
 //     nranks if desired -- restores by dealing the global descriptor list
 //     round-robin across the new fleet. See DESIGN.md §11.
 //
+// This header is the schedule. The work-loop side -- the parked-rank
+// wait, admission, quiesce, checkpoint and restore -- is ElasticLoop
+// (elastic_loop.hpp), the elastic hook in the task collection's
+// process() loop, compiled into scioto_core above pgas.
+//
 // Session discipline matches fault/detect/control: process-global staged
 // Config surviving start/stop, relaxed-atomic active() fast path,
 // default-off (elastic-off traces are byte-identical to pre-elastic

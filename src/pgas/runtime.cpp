@@ -196,6 +196,32 @@ OpStatus checked_one_sided(Backend& backend, fault::OpKind op, Rank me,
   return detect::alive(target) ? OpStatus::Ok : OpStatus::TargetDead;
 }
 
+/// Runs `attempt` until it is not Dropped or fault::policy().max_attempts
+/// attempts are spent, with deterministic jittered exponential backoff
+/// (fault::backoff) between attempts; reports the attempts used.
+template <class Attempt>
+OpStatus with_retry(Runtime& rt, int* attempts, Attempt&& attempt) {
+  const fault::RetryPolicy p = fault::policy();
+  OpStatus st = OpStatus::Dropped;
+  int a = 0;
+  for (; a < p.max_attempts; ++a) {
+    if (a > 0) {
+      rt.charge(fault::backoff(rt.me(), a - 1));
+      rt.relax();
+    }
+    st = attempt();
+    if (st != OpStatus::Dropped) break;
+  }
+  if (a > 0) {
+    SCIOTO_METRIC_CTR(rt.me(), metrics::Ctr::OpRetries,
+                      std::min(a, p.max_attempts - 1));
+  }
+  if (attempts != nullptr) {
+    *attempts = std::min(a + 1, p.max_attempts);
+  }
+  return st;
+}
+
 }  // namespace
 
 OpStatus Runtime::get_checked(SegId id, Rank target, std::size_t offset,
@@ -228,49 +254,17 @@ OpStatus Runtime::put_checked(SegId id, Rank target, std::size_t offset,
 
 OpStatus Runtime::get_with_retry(SegId id, Rank target, std::size_t offset,
                                  void* dst, std::size_t n, int* attempts) {
-  fault::RetryPolicy p = fault::policy();
-  OpStatus st = OpStatus::Dropped;
-  int a = 0;
-  for (; a < p.max_attempts; ++a) {
-    if (a > 0) {
-      charge(fault::backoff(me(), a - 1));
-      relax();
-    }
-    st = get_checked(id, target, offset, dst, n);
-    if (st != OpStatus::Dropped) break;
-  }
-  if (a > 0) {
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::OpRetries,
-                      std::min(a, p.max_attempts - 1));
-  }
-  if (attempts != nullptr) {
-    *attempts = std::min(a + 1, p.max_attempts);
-  }
-  return st;
+  return with_retry(*this, attempts, [&] {
+    return get_checked(id, target, offset, dst, n);
+  });
 }
 
 OpStatus Runtime::put_with_retry(SegId id, Rank target, std::size_t offset,
                                  const void* src, std::size_t n,
                                  int* attempts) {
-  fault::RetryPolicy p = fault::policy();
-  OpStatus st = OpStatus::Dropped;
-  int a = 0;
-  for (; a < p.max_attempts; ++a) {
-    if (a > 0) {
-      charge(fault::backoff(me(), a - 1));
-      relax();
-    }
-    st = put_checked(id, target, offset, src, n);
-    if (st != OpStatus::Dropped) break;
-  }
-  if (a > 0) {
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::OpRetries,
-                      std::min(a, p.max_attempts - 1));
-  }
-  if (attempts != nullptr) {
-    *attempts = std::min(a + 1, p.max_attempts);
-  }
-  return st;
+  return with_retry(*this, attempts, [&] {
+    return put_checked(id, target, offset, src, n);
+  });
 }
 
 OpStatus Runtime::probe_pair_checked(SegId id, Rank target,
@@ -303,38 +297,22 @@ OpStatus Runtime::get_u64_with_retry(SegId id, Rank target,
   SCIOTO_CHECK(offset % alignof(std::uint64_t) == 0);
   SCIOTO_CHECK(offset + sizeof(std::uint64_t) <= seg_bytes(id));
   auto* p = reinterpret_cast<std::uint64_t*>(seg_ptr(id, target) + offset);
-  fault::RetryPolicy pol = fault::policy();
-  OpStatus st = OpStatus::Dropped;
-  int a = 0;
-  for (; a < pol.max_attempts; ++a) {
-    if (a > 0) {
-      charge(fault::backoff(me(), a - 1));
-      relax();
+  return with_retry(*this, attempts, [&] {
+    const OpStatus st = checked_one_sided(
+        backend_, fault::OpKind::Get, me(), target, sizeof(std::uint64_t),
+        [&] {
+          *out = std::atomic_ref<std::uint64_t>(*p).load(
+              std::memory_order_acquire);
+        });
+    if (target != me() && st != OpStatus::Dropped) {
+      SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasGet, target, 0,
+                         sizeof(std::uint64_t));
+      SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGets, 1);
+      SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGetBytes,
+                        sizeof(std::uint64_t));
     }
-    st = checked_one_sided(backend_, fault::OpKind::Get, me(), target,
-                           sizeof(std::uint64_t), [&] {
-                             *out = std::atomic_ref<std::uint64_t>(*p).load(
-                                 std::memory_order_acquire);
-                           });
-    if (st != OpStatus::Dropped) {
-      if (target != me()) {
-        SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasGet, target, 0,
-                           sizeof(std::uint64_t));
-        SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGets, 1);
-        SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGetBytes,
-                          sizeof(std::uint64_t));
-      }
-      break;
-    }
-  }
-  if (a > 0) {
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::OpRetries,
-                      std::min(a, pol.max_attempts - 1));
-  }
-  if (attempts != nullptr) {
-    *attempts = std::min(a + 1, pol.max_attempts);
-  }
-  return st;
+    return st;
+  });
 }
 
 OpStatus Runtime::put_word_reliable(SegId id, Rank target, std::size_t offset,
@@ -405,37 +383,31 @@ void Runtime::acc(SegId id, Rank target, std::size_t offset,
   });
 }
 
-std::int64_t Runtime::fetch_add(SegId id, Rank target, std::size_t offset,
-                                std::int64_t delta) {
+std::int64_t* Runtime::rmw_word(SegId id, Rank target, std::size_t offset) {
   SCIOTO_CHECK(offset % alignof(std::int64_t) == 0);
   SCIOTO_CHECK(offset + sizeof(std::int64_t) <= seg_bytes(id));
   backend_.rmw_charge(target);
   SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasRmw, target, 0, 0);
   SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasRmws, 1);
-  auto* p = reinterpret_cast<std::int64_t*>(seg_ptr(id, target) + offset);
+  return reinterpret_cast<std::int64_t*>(seg_ptr(id, target) + offset);
+}
+
+std::int64_t Runtime::fetch_add(SegId id, Rank target, std::size_t offset,
+                                std::int64_t delta) {
+  auto* p = rmw_word(id, target, offset);
   return std::atomic_ref<std::int64_t>(*p).fetch_add(delta);
 }
 
 std::int64_t Runtime::swap(SegId id, Rank target, std::size_t offset,
                            std::int64_t value) {
-  SCIOTO_CHECK(offset % alignof(std::int64_t) == 0);
-  SCIOTO_CHECK(offset + sizeof(std::int64_t) <= seg_bytes(id));
-  backend_.rmw_charge(target);
-  SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasRmw, target, 0, 0);
-  SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasRmws, 1);
-  auto* p = reinterpret_cast<std::int64_t*>(seg_ptr(id, target) + offset);
+  auto* p = rmw_word(id, target, offset);
   return std::atomic_ref<std::int64_t>(*p).exchange(value);
 }
 
 std::int64_t Runtime::compare_swap(SegId id, Rank target, std::size_t offset,
                                    std::int64_t expected,
                                    std::int64_t desired) {
-  SCIOTO_CHECK(offset % alignof(std::int64_t) == 0);
-  SCIOTO_CHECK(offset + sizeof(std::int64_t) <= seg_bytes(id));
-  backend_.rmw_charge(target);
-  SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasRmw, target, 0, 0);
-  SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasRmws, 1);
-  auto* p = reinterpret_cast<std::int64_t*>(seg_ptr(id, target) + offset);
+  auto* p = rmw_word(id, target, offset);
   std::atomic_ref<std::int64_t>(*p).compare_exchange_strong(expected, desired);
   return expected;  // compare_exchange_strong wrote the observed value here
 }

@@ -311,6 +311,9 @@ class Runtime {
     std::deque<PendingMsg> q;
   };
 
+  /// Checks, charges and records one atomic on the int64 word at
+  /// `offset` of target's patch; returns the word.
+  std::int64_t* rmw_word(SegId id, Rank target, std::size_t offset);
   std::byte* coll_slot(Rank r) {
     return coll_space_.get() + static_cast<std::size_t>(r) * kCollSlotBytes;
   }

@@ -10,14 +10,21 @@
 // Scheduling policy (paper §2, §5.1):
 //   * local processing pops the newest high-affinity task (LIFO head);
 //   * steals take the oldest low-affinity tasks (tail), chunk at a time;
-//   * victims are chosen uniformly at random among the other ranks;
+//   * victims are chosen uniformly at random among the other ranks
+//     (VictimPolicy, scioto/victim.hpp, holds the refinements);
 //   * the owner releases private tasks to the shared portion when thieves
 //     have drained it, and reacquires shared tasks when it runs dry.
+//
+// Subsystems beyond the paper attach to process() through one ordered
+// list of LoopHooks, built at each entry from the sessions armed then:
+// metrics, control, fault, detector and elastic (ElasticLoop, in
+// src/elastic) in that order, then the scheduler extension (the DAG
+// engine). With nothing armed the list is empty and the loop is the
+// paper's.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "base/rng.hpp"
@@ -28,6 +35,7 @@
 #include "scioto/queue.hpp"
 #include "scioto/task.hpp"
 #include "scioto/termination.hpp"
+#include "scioto/victim.hpp"
 
 namespace scioto {
 
@@ -133,10 +141,34 @@ struct TcStats {
 /// carried home in a result struct.
 Table tc_stats_table(const TcStats& s);
 
+/// A subsystem's seat in the process() loop (DESIGN.md, "Loop hooks").
+/// Every slot is rank-local and called only from this rank's own loop;
+/// the defaults do nothing, so a hook overrides just the slots it fills.
+class LoopHook {
+ public:
+  enum class Top { Go, Restart, Leave };
+  virtual ~LoopHook() = default;
+  /// Runs at the top of every iteration, before local work. Restart goes
+  /// round again without touching the queue (later hooks skip this
+  /// pass); Leave ends this rank's phase. `idled` says the loop came up
+  /// empty-handed since the last pass that reached every hook.
+  virtual Top top(bool /*idled*/) { return Top::Go; }
+  /// Runs when the rank found no local work, before it steals. Returns
+  /// how many tasks it made local without a steal; non-zero skips the
+  /// steal and marks this rank's termination vote black.
+  virtual std::uint64_t idle() { return 0; }
+  /// Runs before each termination-detection step; true reports work the
+  /// queues cannot see, which keeps this rank's vote black.
+  virtual bool pending() { return false; }
+};
+
+class ElasticLoop;
+
 class TaskCollection {
  public:
   /// Collective: all ranks construct with identical cfg.
   TaskCollection(pgas::Runtime& rt, TcConfig cfg = {});
+  ~TaskCollection();
 
   /// Collective: releases shared space (tc_destroy).
   void destroy();
@@ -197,32 +229,20 @@ class TaskCollection {
   /// dashboard and ward inheritance) when a controller is active.
   std::int64_t set_knob(control::Knob k, std::int64_t v);
 
-  // ---- Scheduler-extension hooks (single consumer; the DAG engine in
-  // src/dag installs these around its execute()). Both are rank-local:
-  // each rank's TaskCollection instance calls only its own hooks from its
-  // own process() loop, so no synchronization is involved. Pass nullptr
-  // (the default) to uninstall; with no hooks installed process() behaves
-  // -- and traces -- exactly as before.
-  /// Called in the idle section of process(); returns the number of tasks
-  /// it injected into the local queue (parked dataflow nodes whose gates
-  /// opened). A non-zero return marks this rank's termination vote black.
-  void set_idle_hook(std::function<std::uint64_t()> fn) {
-    idle_hook_ = std::move(fn);
-  }
-  /// Checked before each termination-detection step; returning true
-  /// reports rank-local deferred work invisible to the queues (parked
-  /// nodes), forcing a black vote so no wave concludes over it.
-  void set_pending_hook(std::function<bool()> fn) {
-    pending_hook_ = std::move(fn);
-  }
+  // ---- Scheduler extension ----
+  /// Attaches a rank-local hook after the built-in subsystems' hooks (the
+  /// DAG engine installs itself around its execute()); nullptr detaches
+  /// it. With no extension process() behaves -- and traces -- exactly as
+  /// before.
+  void set_extension(LoopHook* hook) { extension_ = hook; }
 
   // ---- Checkpoint hooks (elastic sessions; see src/elastic) ----
   /// Installs rank-local serialization hooks for application state that
   /// must ride along with a checkpoint (e.g. a rank's durable result
   /// counters). The writer returns this rank's opaque blob at snapshot
   /// time; the reader is invoked at restore once per source-rank blob this
-  /// rank was dealt. Rank-local like the scheduler hooks above; pass
-  /// empty functions to uninstall.
+  /// rank was dealt. Rank-local like the extension above; pass empty
+  /// functions to uninstall.
   void set_ckpt_hooks(
       std::function<std::vector<std::byte>()> writer,
       std::function<void(Rank, const std::vector<std::byte>&)> reader) {
@@ -246,30 +266,40 @@ class TaskCollection {
   std::size_t slot_bytes() const { return queue_->slot_bytes(); }
 
  private:
+  friend class ElasticLoop;
+  struct Hook;
+  struct MetricsHook;
+  struct ControlHook;
+  struct FaultHook;
+  struct DetectorHook;
+
+  /// Builds this phase's hook list and runs the elastic entry. Returns
+  /// false when the phase ended while this rank was still parked.
+  bool attach_hooks();
+  /// Phase exit: the elastic sentinel, phase time, and the queue and
+  /// detector counters folded into stats_.
+  void leave_phase(TimeNs t_begin);
+  LoopHook::Top hooks_top(bool idled);
+  std::uint64_t hooks_idle();
+  bool hooks_pending();
+  /// Runs one task to completion, charges it to time_working, and offers
+  /// surplus work to thieves.
   void execute(std::byte* descriptor);
+  /// One steal round (up to steals_per_td_poll victims). Returns true
+  /// when it got work, which has then been queued or run.
+  bool steal(TimeNs idle_begin);
+  /// Charges the idle spell since `since` to searching time.
+  void charge_search(TimeNs since);
+  /// Emits the coalesced Search event for the spell charged so far.
+  void flush_search();
+  /// Drains the fault-recovery paths into the local queue: replayed
+  /// steal transactions, the queues of dead wards, overflow-stashed
+  /// tasks. Returns the tasks recovered.
+  std::uint64_t recover(bool inherit_knobs);
   /// Detector-mode false-suspicion recovery: acknowledge the adoption
   /// fence on our queue, re-enter the membership view in a new epoch, and
   /// force our next termination vote black.
   void fence_abort_and_rejoin();
-  /// Ward/victim-pool recomputation when the membership epoch moved.
-  void refresh_membership();
-  // ---- Elastic membership (src/elastic) ----
-  /// Parked-rank wait loop: publishes the join request when due; returns
-  /// true on admission, false when the phase ended (termination broadcast
-  /// or fleet halt) while this rank was still parked.
-  bool parked_wait(TcStats& st);
-  /// Admitter duty (lowest joined-alive rank): batch-admits parked ranks
-  /// with a published join request under one membership epoch bump.
-  void elastic_admit_scan();
-  /// Quiesces the fleet at checkpoint generation `gen` and writes this
-  /// rank's part file (the leader also writes the manifest). Returns
-  /// false when the snapshot was aborted because the phase terminated
-  /// underneath it.
-  bool quiesce_and_checkpoint(std::uint64_t gen, TcStats& st);
-  /// Collective restore at process() entry: deals the manifest's
-  /// descriptors round-robin across the joined ranks of this (possibly
-  /// different-sized) fleet.
-  void restore_from(const std::string& path);
 
   pgas::Runtime& rt_;
   TcConfig cfg_;
@@ -287,30 +317,30 @@ class TaskCollection {
   CallbackRegistry registry_;
   /// Victim-selection stream, seeded per rank.
   Xoshiro256 rng_;
+  std::unique_ptr<VictimPolicy> victims_;
   TcStats stats_;
+  /// Searching time charged since the last Search trace event: one
+  /// coalesced event per idle spell instead of one per poll.
+  TimeNs search_accum_ = 0;
   /// Slot-sized scratch for padding descriptors; a chunk_max-slot steal
   /// buffer; the slot a locally popped task runs from.
   std::vector<std::byte> scratch_;
   std::vector<std::byte> steal_buf_;
   std::vector<std::byte> exec_buf_;
-  /// Membership state (used only with a fault or elastic session).
-  /// epoch_seen_ starts at ~0 so the first idle pass refreshes the view.
-  std::uint64_t epoch_seen_ = ~std::uint64_t{0};
-  /// Every rank was alive at the last refresh: no wards, and victims are
-  /// drawn from every rank but me without building a list.
-  bool full_view_ = true;
-  /// Dead ranks whose queues this rank adopts (successor(dead) == me).
+  /// Dead ranks whose queues this rank adopts (successor(dead) == me), as
+  /// of membership epoch ward_epoch_ (~0: not yet computed).
   std::vector<Rank> wards_;
-  /// Alive ranks other than me: the victim pool once the view is not full.
-  std::vector<Rank> alive_others_;
-  /// Scheduler-extension hooks (see set_idle_hook / set_pending_hook).
-  std::function<std::uint64_t()> idle_hook_;
-  std::function<bool()> pending_hook_;
-  /// Elastic control patch (join-request / quiesce-arrival / ckpt-done
-  /// words), allocated only when an elastic session is armed.
-  pgas::SegId eseg_ = -1;
-  std::uint64_t ckpt_gen_done_ = 0;  // latest checkpoint generation handled
-  bool restore_done_ = false;  // the collective restore ran at first entry
+  std::uint64_t ward_epoch_ = ~std::uint64_t{0};
+  /// This phase's hooks in slot order, and the built-in ones it is drawn
+  /// from.
+  std::vector<LoopHook*> hooks_;
+  std::unique_ptr<LoopHook> metrics_hook_;
+  std::unique_ptr<LoopHook> control_hook_;
+  std::unique_ptr<LoopHook> fault_hook_;
+  std::unique_ptr<LoopHook> detector_hook_;
+  /// Present iff an elastic session was armed at construction.
+  std::unique_ptr<ElasticLoop> elastic_;
+  LoopHook* extension_ = nullptr;
   std::function<std::vector<std::byte>()> ckpt_writer_;
   std::function<void(Rank, const std::vector<std::byte>&)> ckpt_reader_;
   bool live_ = true;

@@ -112,6 +112,15 @@ void TerminationDetector::maybe_resplice(LocalState& st) {
                      static_cast<long long>(st.alive.size()), 0);
 }
 
+void TerminationDetector::put_kids(const LocalState& st, std::size_t offset,
+                                   std::uint64_t value, int what) {
+  for (Rank kid : st.kids) {
+    if (kid != kNoRank) {
+      put_token(kid, offset, value, sizeof(std::uint64_t), what);
+    }
+  }
+}
+
 void TerminationDetector::put_token(Rank target, std::size_t offset,
                                     std::uint64_t value, std::size_t width,
                                     [[maybe_unused]] int what) {
@@ -259,12 +268,7 @@ TerminationDetector::Status TerminationDetector::step() {
     // globally no work, a fact later deaths cannot un-make.
     if (!st.term_forwarded) {
       st.term_forwarded = true;
-      for (int s = 0; s < 2; ++s) {
-        if (st.kids[s] != kNoRank) {
-          put_token(st.kids[s], offsetof(TdCtl, term_wave), tw,
-                    sizeof(std::uint64_t), /*what=*/2);
-        }
-      }
+      put_kids(st, offsetof(TdCtl, term_wave), tw, /*what=*/2);
     }
     st.terminated = true;
     SCIOTO_TRACE_EVENT(me, trace::Ev::Terminate, tw, 0, 0);
@@ -283,13 +287,8 @@ TerminationDetector::Status TerminationDetector::step() {
       SCIOTO_METRIC_CTR(me, metrics::Ctr::TdWaves, 1);
       st.wave_begin = SCIOTO_METRICS_ON() ? rt_.now() : 0;
       SCIOTO_TRACE_EVENT(me, trace::Ev::WaveStart, st.wave_seen, 0, 0);
-      for (int s = 0; s < 2; ++s) {
-        if (st.kids[s] != kNoRank) {
-          put_token(st.kids[s], offsetof(TdCtl, down_wave),
-                    tag(st.epoch_seen, st.wave_seen), sizeof(std::uint64_t),
-                    /*what=*/0);
-        }
-      }
+      put_kids(st, offsetof(TdCtl, down_wave),
+               tag(st.epoch_seen, st.wave_seen), /*what=*/0);
     }
   } else {
     std::uint64_t dw = aref(my.down_wave).load(std::memory_order_acquire);
@@ -297,13 +296,8 @@ TerminationDetector::Status TerminationDetector::step() {
         (dw & kWaveMask) > st.wave_seen) {
       quiet = false;
       st.wave_seen = dw & kWaveMask;
-      for (int s = 0; s < 2; ++s) {
-        if (st.kids[s] != kNoRank) {
-          put_token(st.kids[s], offsetof(TdCtl, down_wave),
-                    tag(st.epoch_seen, st.wave_seen), sizeof(std::uint64_t),
-                    /*what=*/0);
-        }
-      }
+      put_kids(st, offsetof(TdCtl, down_wave),
+               tag(st.epoch_seen, st.wave_seen), /*what=*/0);
     }
   }
 

@@ -202,6 +202,9 @@ class TerminationDetector {
   /// delivery is protocol-critical: a lost wave token stalls detection).
   void put_token(Rank target, std::size_t offset, std::uint64_t value,
                  std::size_t width, int what);
+  /// put_token of a u64 word to each of this rank's tree children.
+  void put_kids(const LocalState& st, std::size_t offset, std::uint64_t value,
+                int what);
 
   pgas::Runtime& rt_;
   Config cfg_;

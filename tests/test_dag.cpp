@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -378,57 +379,65 @@ TEST(DagValidation, AddEdgeRejectsBadArgsAtCallTime) {
 
 // ---- Sim determinism: byte-identical replay across 8 seeds ----
 
+/// A workload touching every mechanism: wavefront edges, one conflict
+/// group, a version edge, and dynamic spawns, on 4 sim ranks. Returns the
+/// makespan; `per_rank` receives each rank's scheduler counters.
+TimeNs run_mixed_dag(std::uint64_t seed, std::vector<TcStats>* per_rank) {
+  per_rank->assign(4, TcStats{});
+  return testing::run_sim(
+      4,
+      [&](Runtime& rt) {
+        TaskCollection tc(rt, small_cfg());
+        pgas::SegId data = rt.seg_alloc(64);
+        std::memset(rt.seg_ptr(data, rt.me()), 0, 64);
+        rt.barrier();
+        dag::DagScheduler dag(tc);
+        dag::GroupId grp = dag.conflict_group();
+        dag::KindId kind =
+            dag.register_kind([&](dag::NodeCtx&) { rt.charge(1'000); });
+        constexpr int kGrid = 4;
+        std::vector<dag::NodeId> id(kGrid * kGrid);
+        for (int i = 0; i < kGrid; ++i) {
+          for (int j = 0; j < kGrid; ++j) {
+            const bool locked = (i + j) % 3 == 0;
+            id[static_cast<std::size_t>(i * kGrid + j)] = dag.add_node(
+                (i + j) % rt.nprocs(),
+                [&, i, j](dag::NodeCtx& ctx) {
+                  rt.charge(2'000);
+                  if (i == 0 && j == 0) ctx.spawn(kind, 2);
+                },
+                locked ? grp : dag::kNoGroup);
+          }
+        }
+        for (int i = 0; i < kGrid; ++i) {
+          for (int j = 0; j < kGrid; ++j) {
+            if (i > 0)
+              dag.add_edge(id[static_cast<std::size_t>((i - 1) * kGrid + j)],
+                           id[static_cast<std::size_t>(i * kGrid + j)]);
+            if (j > 0)
+              dag.add_edge(id[static_cast<std::size_t>(i * kGrid + j - 1)],
+                           id[static_cast<std::size_t>(i * kGrid + j)]);
+          }
+        }
+        dag::DataDep dep;
+        dep.seg = data;
+        dep.owner = 1;
+        dep.offset = 0;
+        dep.len = 8;
+        dag.add_edge(id[0], id[kGrid], dep);  // (0,0) -> (1,0), versioned
+        dag.execute();
+        (*per_rank)[static_cast<std::size_t>(rt.me())] = tc.stats_local();
+        rt.seg_free(data);
+        tc.destroy();
+      },
+      seed);
+}
+
 TEST(DagDeterminism, EightSeedsByteIdenticalTraces) {
-  // A workload touching every mechanism: wavefront edges, one conflict
-  // group, a version edge, and dynamic spawns.
   auto traced_run = [&](std::uint64_t seed) {
     trace::start(4);
-    testing::run_sim(
-        4,
-        [&](Runtime& rt) {
-          TaskCollection tc(rt, small_cfg());
-          pgas::SegId data = rt.seg_alloc(64);
-          std::memset(rt.seg_ptr(data, rt.me()), 0, 64);
-          rt.barrier();
-          dag::DagScheduler dag(tc);
-          dag::GroupId grp = dag.conflict_group();
-          dag::KindId kind =
-              dag.register_kind([&](dag::NodeCtx&) { rt.charge(1'000); });
-          constexpr int kGrid = 4;
-          std::vector<dag::NodeId> id(kGrid * kGrid);
-          for (int i = 0; i < kGrid; ++i) {
-            for (int j = 0; j < kGrid; ++j) {
-              const bool locked = (i + j) % 3 == 0;
-              id[static_cast<std::size_t>(i * kGrid + j)] = dag.add_node(
-                  (i + j) % rt.nprocs(),
-                  [&, i, j](dag::NodeCtx& ctx) {
-                    rt.charge(2'000);
-                    if (i == 0 && j == 0) ctx.spawn(kind, 2);
-                  },
-                  locked ? grp : dag::kNoGroup);
-            }
-          }
-          for (int i = 0; i < kGrid; ++i) {
-            for (int j = 0; j < kGrid; ++j) {
-              if (i > 0)
-                dag.add_edge(id[static_cast<std::size_t>((i - 1) * kGrid + j)],
-                             id[static_cast<std::size_t>(i * kGrid + j)]);
-              if (j > 0)
-                dag.add_edge(id[static_cast<std::size_t>(i * kGrid + j - 1)],
-                             id[static_cast<std::size_t>(i * kGrid + j)]);
-            }
-          }
-          dag::DataDep dep;
-          dep.seg = data;
-          dep.owner = 1;
-          dep.offset = 0;
-          dep.len = 8;
-          dag.add_edge(id[0], id[kGrid], dep);  // (0,0) -> (1,0), versioned
-          dag.execute();
-          rt.seg_free(data);
-          tc.destroy();
-        },
-        seed);
+    std::vector<TcStats> per_rank;
+    run_mixed_dag(seed, &per_rank);
     std::vector<trace::Event> evs = trace::all_events();
     trace::stop();
     return evs;
@@ -446,6 +455,50 @@ TEST(DagDeterminism, EightSeedsByteIdenticalTraces) {
       ASSERT_EQ(a[i].b, b[i].b) << "seed " << seed << " event " << i;
       ASSERT_EQ(a[i].c, b[i].c) << "seed " << seed << " event " << i;
     }
+  }
+}
+
+/// Makespan and fleet sums of the counters the idle and pending hooks
+/// steer (parked-node retries keep votes black and searching time long).
+struct DagPin {
+  TimeNs makespan = 0;
+  std::uint64_t tasks = 0;
+  std::uint64_t steals = 0;
+  std::uint64_t attempts = 0;
+  std::uint64_t votes = 0;
+  std::uint64_t black_votes = 0;
+  TimeNs searching = 0;
+  bool operator==(const DagPin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const DagPin& p) {
+  return os << "{" << p.makespan << ", " << p.tasks << ", " << p.steals
+            << ", " << p.attempts << ", " << p.votes << ", " << p.black_votes
+            << ", " << p.searching << "}";
+}
+
+TEST(DagDeterminism, PinnedMakespanAndCounters) {
+  // Exact values, not just repeat-run equality: a change to how the DAG
+  // engine attaches to the work loop must leave every one where it was.
+  const DagPin pins[] = {
+      {97688, 17, 5, 6, 24, 12, 174721},
+      {96704, 18, 3, 6, 28, 14, 154426},
+      {99315, 17, 4, 10, 28, 17, 162918},
+      {95764, 17, 3, 8, 16, 11, 152048},
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::vector<TcStats> per_rank;
+    DagPin got;
+    got.makespan = run_mixed_dag(seed, &per_rank);
+    for (const TcStats& s : per_rank) {
+      got.tasks += s.tasks_executed;
+      got.steals += s.steals;
+      got.attempts += s.steal_attempts;
+      got.votes += s.td_waves_voted;
+      got.black_votes += s.td_black_votes;
+      got.searching += s.time_searching;
+    }
+    EXPECT_EQ(got, pins[seed - 1]) << "seed " << seed;
   }
 }
 

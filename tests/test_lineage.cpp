@@ -132,8 +132,11 @@ std::string timeline_fingerprint(const trace::LineageReport& rep) {
            std::to_string(s.exec_t) + "+" + std::to_string(s.exec_dur) +
            "h" + std::to_string(s.hops);
     for (const trace::LineageMigration& m : s.migrations) {
-      out += "|" + std::to_string(m.victim) + ">" + std::to_string(m.thief) +
-             "@" + std::to_string(m.t);
+      // A leading '|' appended on its own: GCC 12 at -O3 reports a false
+      // -Wrestrict on a string literal + std::to_string(...) chain.
+      out += '|';
+      out += std::to_string(m.victim) + ">" + std::to_string(m.thief) + "@" +
+             std::to_string(m.t);
     }
     out += "\n";
   }

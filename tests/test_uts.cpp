@@ -4,11 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/uts/uts_drivers.hpp"
+#include "control/control.hpp"
+#include "detect/membership.hpp"
+#include "elastic/elastic.hpp"
 #include "pgas/sim_backend.hpp"
 #include "test_util.hpp"
 
@@ -312,14 +319,19 @@ TcConfig pin_config() {
   return c;
 }
 
-/// UTS with one task per node, `phases` times over process()/reset().
+/// Environment settings that arm subsystems for one run (see run_spmd).
+using Env = std::vector<std::pair<const char*, std::string>>;
+
+/// UTS with one task per node, `phases` times over process()/reset(). A
+/// non-empty `env` runs through run_spmd with those variables set, which
+/// arms the sessions they name and lets a killed rank's fiber end; its
+/// `resumes` stays 0.
 PinRun run_pinned(int nranks, const sim::MachineModel& machine,
                   const UtsParams& tree, const TcConfig& tcc,
-                  int phases = 1) {
+                  int phases = 1, const Env& env = {}) {
   std::vector<TcStats> per_rank(static_cast<std::size_t>(nranks));
-  pgas::SimBackend backend(nranks, machine);
-  pgas::Runtime rt(backend, 42, machine);
-  backend.run([&](Rank me) {
+  auto body = [&](pgas::Runtime& rt) {
+    const Rank me = rt.me();
     TaskCollection tc(rt, tcc);
     TaskHandle h = tc.register_callback([&](TaskContext& ctx) {
       const UtsNode node = ctx.body_as<UtsNode>();
@@ -342,10 +354,35 @@ PinRun run_pinned(int nranks, const sim::MachineModel& machine,
       tc.reset();
     }
     tc.destroy();
-  });
+  };
   PinRun out;
-  out.pin.makespan = backend.engine()->max_clock();
-  out.resumes = backend.engine()->resumes();
+  if (env.empty()) {
+    pgas::SimBackend backend(nranks, machine);
+    pgas::Runtime rt(backend, 42, machine);
+    backend.run([&](Rank) { body(rt); });
+    out.pin.makespan = backend.engine()->max_clock();
+    out.resumes = backend.engine()->resumes();
+  } else {
+    // run_spmd stages what the environment arms; put the staged configs
+    // back so the next run starts unarmed.
+    const control::Config ccfg = control::config();
+    const detect::Config dcfg = detect::config();
+    const elastic::Config ecfg = elastic::config();
+    for (const auto& [name, value] : env) {
+      setenv(name, value.c_str(), 1);
+    }
+    pgas::Config cfg;
+    cfg.nranks = nranks;
+    cfg.machine = machine;
+    cfg.seed = 42;
+    out.pin.makespan = pgas::run_spmd(cfg, body).elapsed;
+    for (const auto& [name, value] : env) {
+      unsetenv(name);
+    }
+    control::set_config(ccfg);
+    detect::set_config(dcfg);
+    elastic::set_config(ecfg);
+  }
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint64_t v) {
     for (int b = 0; b < 8; ++b) {
@@ -430,6 +467,51 @@ TEST(UtsGolden, StealBackoffAndStealsPerPoll) {
 TEST(UtsGolden, FiftyPhasesOverProcessAndReset) {
   PinRun r = run_pinned(16, sim::cluster2008(), uts_tiny(), pin_config(), 50);
   EXPECT_EQ(r.pin, (Pin{29357729, 29400, 178, 269, 2240, 351785397, 0xe5b69de994434bef}));
+}
+
+// Armed sessions: each row arms one subsystem through its environment
+// variable on the same 8-rank run. These pin the paths that pump from or
+// attach to the work loop, so a restructured loop must keep every one of
+// them where it was.
+TEST(UtsGolden, Armed) {
+  const std::string ckpt = ::testing::TempDir() + "scioto_uts_golden.ckpt";
+  const Pin unarmed{4806163, 19037, 58, 63, 56, 8754735, 0x1a23d973e4c80d88};
+  const struct {
+    const char* name;
+    Env env;
+    Pin pin;
+  } cases[] = {
+      {"unarmed", {}, unarmed},
+      // The killed rank's counters die with it: 18,090 of 19,037 tasks.
+      {"fault kill", {{"SCIOTO_FAULT_PLAN", "kill:rank=3,at=2ms"}},
+       Pin{6994591, 18090, 66, 72, 51, 19795337, 0xcb9238950a76809e}},
+      {"detector stall-resume",
+       {{"SCIOTO_DETECTOR", "1"},
+        {"SCIOTO_FAULT_PLAN", "stall:rank=5,at=300us,for=2ms"}},
+       Pin{20385090, 19037, 80, 82, 80, 32144703, 0x4a5b346fe139952b}},
+      {"elastic grow 4->8 + ckpt",
+       {{"SCIOTO_ELASTIC", "1"},
+        {"SCIOTO_CKPT_PATH", ckpt},
+        {"SCIOTO_FAULT_PLAN",
+         "join:rank=4,at=500us;join:rank=5,at=500us;join:rank=6,at=1ms;"
+         "join:rank=7,at=1ms;ckpt:at=2ms"}},
+       Pin{15684311, 19037, 78, 80, 56, 21408295, 0x845fe5154b5f3284}},
+      {"controller local", {{"SCIOTO_CONTROLLER", "local"}},
+       Pin{4497443, 19037, 60, 66, 16, 5669112, 0xe01a830baf49a61b}},
+      // Telemetry is charge-free: arming it must not move a single number.
+      {"metrics", {{"SCIOTO_METRICS", "1"}}, unarmed},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(run_pinned(8, sim::cluster2008(), uts_small(), pin_config(), 1,
+                         c.env)
+                  .pin,
+              c.pin)
+        << c.name;
+  }
+  std::remove(ckpt.c_str());
+  for (int r = 0; r < 8; ++r) {
+    std::remove((ckpt + ".r" + std::to_string(r)).c_str());
+  }
 }
 
 }  // namespace
