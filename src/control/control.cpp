@@ -495,6 +495,13 @@ bool poll_due(Rank r, TimeNs now) {
          row.applied_tgt_version;
 }
 
+TimeNs next_due(Rank r, TimeNs now) {
+  if (!in_session(r)) return kTimeNever;
+  const RankRow& row = g_ctl.rows[r];
+  if (row.knobs == nullptr) return kTimeNever;
+  return g_ctl.cfg.mode == Mode::Local ? row.next_epoch : now;
+}
+
 void poll_epoch(Rank r, TimeNs now, std::uint64_t shared_depth) {
   if (!in_session(r)) return;
   RankRow& row = g_ctl.rows[r];

@@ -191,6 +191,12 @@ bool poll_due(Rank r, TimeNs now);
 /// targets. Never retunes a rank the detector considers fenced/dead.
 void poll_epoch(Rank r, TimeNs now, std::uint64_t shared_depth);
 
+/// The first virtual time at which poll_due(r, ...) can turn true without
+/// another rank first touching r: the next local epoch; `now` under the
+/// global planner, whose targets land with no wake; kTimeNever when r has
+/// no controller.
+TimeNs next_due(Rank r, TimeNs now);
+
 /// Ward-side adoption: rank `me` inherits dead rank `dead`'s last
 /// published knobs into its own KnobSet.
 void inherit(Rank me, Rank dead);

@@ -245,6 +245,11 @@ class DagScheduler : private LoopHook {
   std::uint64_t retry_parked();
   std::uint64_t idle() override { return retry_parked(); }
   bool pending() override { return !parked_.empty(); }
+  /// Nothing to retry until a node parks; a remote fire is a tc_.add to
+  /// this rank, which wakes it.
+  TimeNs next_due(TimeNs now) override {
+    return parked_.empty() ? kForever : now;
+  }
   void publish_and_release_children();
   void bump_versions(const Node& n);
   void check_acyclic_and_depths();

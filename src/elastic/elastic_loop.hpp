@@ -31,7 +31,10 @@ class ElasticLoop final : public LoopHook {
   void reset();
 
   /// The elastic pump: admitter scan and checkpoint trigger. Leave after
-  /// a snapshot when the session halts after checkpoints.
+  /// a snapshot when the session halts after checkpoints. next_due stays
+  /// `now`: admission and quiesce requests arrive through the membership
+  /// view and the checkpoint request counter, which other ranks write
+  /// with no op aimed at this rank, and pump_iter_ counts every poll.
   Top top(bool idled) override;
 
  private:

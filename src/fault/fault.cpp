@@ -82,6 +82,15 @@ std::uint64_t mark_dead_locked(Rank r, TimeNs now) {
       g_session.epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
   SCIOTO_TRACE_EVENT(r, trace::Ev::FaultInjected,
                      static_cast<int>(FaultType::Kill), r, now);
+  // Survivors learn of the death from the alive flags and the epoch, not
+  // from an op aimed at them, so wake every idle sleeper: each resumes at
+  // the first of its polls after this one, where polling would have seen
+  // the new epoch.
+  if (sim::Engine* eng = sim::current_engine()) {
+    for (Rank s = 0; s < g_session.nranks; ++s) {
+      eng->wake(s);
+    }
+  }
   return e;
 }
 
@@ -291,6 +300,21 @@ TimeNs rank_stall_time(Rank me) {
     return a.ev.for_dur;
   }
   return 0;
+}
+
+TimeNs next_safepoint_due(Rank me) {
+  if (!active() || me < 0 || me >= g_session.nranks) return kTimeNever;
+  std::lock_guard<std::mutex> g(g_session.mu);
+  TimeNs due = kTimeNever;
+  for (const Armed& a : g_session.rules) {
+    const bool rank_rule =
+        a.ev.type == FaultType::Kill ||
+        (a.ev.type == FaultType::Stall && a.ev.for_dur > 0);
+    if (rank_rule && a.ev.rank == me && a.fired == 0) {
+      due = std::min(due, a.ev.at);
+    }
+  }
+  return due;
 }
 
 std::uint64_t mark_dead(Rank r) {

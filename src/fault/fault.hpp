@@ -117,6 +117,11 @@ TimeNs stall_time(Rank holder);
 /// at/after `at` (sim) or after `after` safepoint polls (threads).
 TimeNs rank_stall_time(Rank me);
 
+/// Sim backend: the earliest `at` of `me`'s unfired Kill and whole-rank
+/// Stall rules -- the first virtual time at which poll_safepoint() or
+/// rank_stall_time() can act for `me`. kTimeNever when none is left.
+TimeNs next_safepoint_due(Rank me);
+
 /// Deterministic jittered exponential backoff for `me`'s `attempt`-th retry
 /// (attempt counts from 0): base * 2^attempt, clamped to cap, with a
 /// per-rank pseudo-random jitter in [50%, 100%] of that value.

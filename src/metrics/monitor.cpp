@@ -332,6 +332,11 @@ void monitor_poll(Rank me, TimeNs now) {
   m.next_due.store(now + m.opts.period, std::memory_order_relaxed);
 }
 
+TimeNs monitor_next_due() {
+  if (!monitor_active() || !mon().poll_driven) return kTimeNever;
+  return mon().next_due.load(std::memory_order_relaxed);
+}
+
 int monitor_sample(TimeNs now) {
   if (!monitor_active()) return 0;
   MonState& m = mon();

@@ -117,6 +117,12 @@ void monitor_set_knobs_text(std::function<std::string(Rank)> fn);
 /// pays one relaxed load. No-op when the monitor is thread-driven.
 void monitor_poll(Rank me, TimeNs now);
 
+/// The virtual time from which monitor_poll() takes the next sample;
+/// kTimeNever when no poll-driven monitor is running. It only moves later,
+/// so a rank that sleeps to this deadline wakes no later than the poll
+/// that samples.
+TimeNs monitor_next_due();
+
 /// Takes one sample immediately. Returns the number of ranks scraped, or
 /// 0 when the monitor is inactive.
 int monitor_sample(TimeNs now);

@@ -59,10 +59,12 @@ class Backend {
   /// only this rank's own words, wrote nothing, and would repeat unchanged
   /// until another rank touches this one. Each such iteration charges
   /// `loop_charge` before its relax(). Under sim the rank then sleeps
-  /// through up to `max_polls` further iterations (sim::Engine::sleep)
-  /// and wakes at the poll that would first see a remote access. Threads:
-  /// relax(), nothing skipped.
-  virtual Slept relax_sleep(TimeNs loop_charge, std::int64_t max_polls) = 0;
+  /// through up to `max_polls` further iterations (sim::Engine::sleep),
+  /// and never past the first one whose clock after relax() reaches
+  /// `due` (kTimeNever: no such bound); it wakes earlier at the poll that
+  /// would first see a remote access. Threads: relax(), nothing skipped.
+  virtual Slept relax_sleep(TimeNs loop_charge, std::int64_t max_polls,
+                            TimeNs due) = 0;
 
   // ---- One-sided cost accounting ----
   //

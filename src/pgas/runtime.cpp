@@ -593,7 +593,10 @@ RunResult run_spmd(const Config& cfg,
   // then learned from probes instead of the fault oracle. Periods/timeouts
   // come from the staged detect::config() (C API) with env overrides. A
   // view the caller already armed takes precedence.
-  detect::Config dcfg = detect::config();
+  // Each config staged below from the environment is put back at exit,
+  // so a later run without the variable starts unarmed.
+  const detect::Config dcfg_caller = detect::config();
+  detect::Config dcfg = dcfg_caller;
   if (const char* v = std::getenv("SCIOTO_DETECTOR")) {
     dcfg.enabled = *v != '\0' && *v != '0';
   }
@@ -621,7 +624,8 @@ RunResult run_spmd(const Config& cfg,
   // set at detect::start; a session the caller already armed takes
   // precedence. Detector config staged above applies to the view elastic
   // arms.
-  elastic::Config ecfg = elastic::config();
+  const elastic::Config ecfg_caller = elastic::config();
+  elastic::Config ecfg = ecfg_caller;
   if (const char* v = std::getenv("SCIOTO_ELASTIC")) {
     ecfg.enabled = *v != '\0' && *v != '0';
   }
@@ -649,7 +653,8 @@ RunResult run_spmd(const Config& cfg,
   // control::config() (C API) with env overrides. The controller reads the
   // metrics plane, so arming it force-enables metrics below. A session the
   // caller already started takes precedence.
-  control::Config ccfg = control::config();
+  const control::Config ccfg_caller = control::config();
+  control::Config ccfg = ccfg_caller;
   if (const char* v = std::getenv("SCIOTO_CONTROLLER")) {
     SCIOTO_REQUIRE(control::mode_from_name(v, &ccfg.mode),
                    "SCIOTO_CONTROLLER must be off|local|global, got " << v);
@@ -794,6 +799,16 @@ RunResult run_spmd(const Config& cfg,
 
   if (own_detect && detect::active()) {
     detect::stop();
+  }
+
+  if (own_detect) {
+    detect::set_config(dcfg_caller);
+  }
+  if (own_elastic) {
+    elastic::set_config(ecfg_caller);
+  }
+  if (own_control) {
+    control::set_config(ccfg_caller);
   }
 
   if (own_fault) {

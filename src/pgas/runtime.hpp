@@ -80,8 +80,9 @@ class Runtime {
   /// Polite progress step for spin loops.
   void relax() { backend_.relax(); }
   /// relax() for a quiet idle poll; see Backend::relax_sleep.
-  Backend::Slept relax_sleep(TimeNs loop_charge, std::int64_t max_polls) {
-    return backend_.relax_sleep(loop_charge, max_polls);
+  Backend::Slept relax_sleep(TimeNs loop_charge, std::int64_t max_polls,
+                             TimeNs due) {
+    return backend_.relax_sleep(loop_charge, max_polls, due);
   }
 
   // ---- Shared segments ----

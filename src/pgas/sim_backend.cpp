@@ -1,5 +1,7 @@
 #include "pgas/sim_backend.hpp"
 
+#include <algorithm>
+
 #include "base/error.hpp"
 #include "fault/fault.hpp"
 #include "trace/trace.hpp"
@@ -34,11 +36,18 @@ void SimBackend::relax() {
 }
 
 Backend::Slept SimBackend::relax_sleep(TimeNs loop_charge,
-                                       std::int64_t max_polls) {
+                                       std::int64_t max_polls, TimeNs due) {
   engine_->charge(machine_.poll);
-  sim::Engine::Slept s = engine_->sleep(
-      engine_->scaled(loop_charge) + engine_->scaled(machine_.poll),
-      max_polls);
+  const TimeNs delta =
+      engine_->scaled(loop_charge) + engine_->scaled(machine_.poll);
+  if (due != kTimeNever) {
+    // Polls run at c0 + k * delta; the first at or past `due` must run.
+    const TimeNs c0 = engine_->now();
+    max_polls = due <= c0 || delta < 1
+                    ? 0
+                    : std::min(max_polls, (due - c0 - 1) / delta + 1);
+  }
+  sim::Engine::Slept s = engine_->sleep(delta, max_polls);
   return {s.polls, s.deadline};
 }
 

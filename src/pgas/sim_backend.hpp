@@ -33,7 +33,8 @@ class SimBackend : public Backend {
   void charge(TimeNs dt) override;
   void sync() override;
   void relax() override;
-  Slept relax_sleep(TimeNs loop_charge, std::int64_t max_polls) override;
+  Slept relax_sleep(TimeNs loop_charge, std::int64_t max_polls,
+                    TimeNs due) override;
   void rma_charge(Rank target, std::size_t bytes) override;
   void rma_charge_oneway(Rank target, std::size_t bytes) override;
   void rmw_charge(Rank target) override;

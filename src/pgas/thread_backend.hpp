@@ -30,7 +30,7 @@ class ThreadBackend : public Backend {
   void charge(TimeNs dt) override {(void)dt;}
   void sync() override {}
   void relax() override { std::this_thread::yield(); }
-  Slept relax_sleep(TimeNs, std::int64_t) override {
+  Slept relax_sleep(TimeNs, std::int64_t, TimeNs) override {
     relax();
     return {};
   }

@@ -137,6 +137,9 @@ struct TaskCollection::MetricsHook final : Hook {
     metrics::monitor_poll(tc.rt_.me(), tc.rt_.now());
     return Top::Go;
   }
+  /// The monitor's shared deadline: the first rank whose top-of-loop
+  /// (clock, rank) reaches it samples, sleeping or not.
+  TimeNs next_due(TimeNs) override { return metrics::monitor_next_due(); }
 };
 
 /// Control pump: a local decision epoch (or the global planner's pending
@@ -150,6 +153,9 @@ struct TaskCollection::ControlHook final : Hook {
       control::poll_epoch(me, tc.rt_.now(), tc.queue_->shared_size());
     }
     return Top::Go;
+  }
+  TimeNs next_due(TimeNs now) override {
+    return control::next_due(tc.rt_.me(), now);
   }
 };
 
@@ -182,12 +188,24 @@ struct TaskCollection::FaultHook final : Hook {
   /// Recovered tasks parked in the overflow stash are live work the queue
   /// cannot see.
   bool pending() override { return tc.queue_->overflow_pending(); }
+  /// This rank's next kill or whole-rank stall. The fault layer wakes
+  /// every sleeper at a death, so recovery needs no deadline, except
+  /// that a ward peeks its dead ranks' queues with a charged read on
+  /// every idle poll and the overflow stash is retried on every poll.
+  TimeNs next_due(TimeNs now) override {
+    if (!tc.wards_.empty() || tc.queue_->overflow_pending()) {
+      return now;
+    }
+    return fault::next_safepoint_due(tc.rt_.me());
+  }
 };
 
 /// Heartbeat pump. A rank falsely confirmed dead finds a ward owning (or
 /// about to adopt) its queue under a lease fence: it acknowledges the
 /// fence, rejoins in a fresh membership epoch, and goes round again --
-/// draining nothing twice (see fence_abort_and_rejoin).
+/// draining nothing twice (see fence_abort_and_rejoin). next_due stays
+/// `now`: the confirmation that fences this rank is another rank's
+/// write to the membership view, and no op aimed at this rank wakes it.
 struct TaskCollection::DetectorHook final : Hook {
   using Hook::Hook;
   Top top(bool) override {
@@ -544,6 +562,14 @@ LoopHook::Top TaskCollection::hooks_top(bool idled) {
   return LoopHook::Top::Go;
 }
 
+TimeNs TaskCollection::hooks_due(TimeNs now) {
+  TimeNs due = LoopHook::kForever;
+  for (LoopHook* h : hooks_) {
+    due = std::min(due, h->next_due(now));
+  }
+  return due;
+}
+
 std::uint64_t TaskCollection::hooks_idle() {
   for (LoopHook* h : hooks_) {
     if (const std::uint64_t made = h->idle()) {
@@ -693,11 +719,12 @@ void TaskCollection::process() {
   const TimeNs t_begin = rt_.now();
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::PhaseBegin, 0, 0, 0);
   const bool joined = attach_hooks();
-  // Quiet idle polls sleep under sim (DESIGN.md, "Idle sleep") unless a
-  // hook pumps from this loop or reads global state in it, or every pop
-  // takes the queue lock (NoSplit).
-  const bool can_sleep = rt_.simulated() && hooks_.empty() &&
-                         cfg_.queue_mode != QueueMode::NoSplit;
+  // Quiet idle polls sleep (DESIGN.md, "Idle sleep") until the armed
+  // hooks' next deadline. Two loops poll instead: the threads backend has
+  // no virtual clock to sleep on, and under NoSplit every pop takes the
+  // queue lock, which other ranks' lock ops contend with.
+  const bool sleeps =
+      rt_.simulated() && cfg_.queue_mode != QueueMode::NoSplit;
   auto poll_words = [&] {
     return PollWords{queue_->debug_snapshot(rt_.me()), td_->mailbox()};
   };
@@ -771,20 +798,24 @@ void TaskCollection::process() {
       flush_search();
       break;
     }
-    if (can_sleep && td_->last_step_quiet() && queue_->empty()) {
+    if (sleeps && td_->last_step_quiet() && queue_->empty()) {
       // Quiet poll: until another rank touches us, each next iteration
       // would pop nothing, attempt no steal, step the detector quietly
       // and relax again -- so sleep through them, up to the poll where a
-      // steal is due or the watchdog below would warn, and account the
+      // steal is due, the watchdog below would warn, or an armed hook's
+      // deadline falls (one already due skips nothing), and account the
       // skipped ones (their searching time is charged below).
+      const TimeNs due =
+          hooks_.empty() ? LoopHook::kForever : hooks_due(rt_.now());
       auto polls = static_cast<std::int64_t>(
           kIdleWarnPolls - 1 - idle_iterations % kIdleWarnPolls);
       if (steals_on) {
         polls = std::min<std::int64_t>(polls, polls_until_steal);
       }
+      polls = std::min(polls, td_->skippable_steps());
       const PollWords before = poll_words();
       const pgas::Backend::Slept slept =
-          rt_.relax_sleep(td_->step_charge(), polls);
+          rt_.relax_sleep(td_->step_charge(), polls, due);
       // A deadline wake means no remote op reached us, so the words must
       // not have moved: a write that skipped Engine::wake fails here.
       SCIOTO_CHECK_MSG(!slept.deadline || poll_words() == before,

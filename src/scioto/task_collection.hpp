@@ -143,11 +143,21 @@ Table tc_stats_table(const TcStats& s);
 
 /// A subsystem's seat in the process() loop (DESIGN.md, "Loop hooks").
 /// Every slot is rank-local and called only from this rank's own loop;
-/// the defaults do nothing, so a hook overrides just the slots it fills.
+/// the defaults do nothing (the default next_due keeps the rank polling),
+/// so a hook overrides just the slots it fills.
 class LoopHook {
  public:
   enum class Top { Go, Restart, Leave };
+  /// next_due(): only a remote op can give this hook work.
+  static constexpr TimeNs kForever = kTimeNever;
   virtual ~LoopHook() = default;
+  /// The earliest virtual time at which top(), idle() or pending() could
+  /// act or charge unless another rank first touches this one (which
+  /// wakes a sleeping rank). An idle rank sleeps through its quiet polls
+  /// up to the first one whose top-of-loop clock reaches the least
+  /// next_due of the armed hooks. The default, `now`, polls every
+  /// iteration.
+  virtual TimeNs next_due(TimeNs now) { return now; }
   /// Runs at the top of every iteration, before local work. Restart goes
   /// round again without touching the queue (later hooks skip this
   /// pass); Leave ends this rank's phase. `idled` says the loop came up
@@ -280,6 +290,8 @@ class TaskCollection {
   /// detector counters folded into stats_.
   void leave_phase(TimeNs t_begin);
   LoopHook::Top hooks_top(bool idled);
+  /// The least next_due of this phase's hooks; kForever with none.
+  TimeNs hooks_due(TimeNs now);
   std::uint64_t hooks_idle();
   bool hooks_pending();
   /// Runs one task to completion, charges it to time_working, and offers

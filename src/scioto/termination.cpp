@@ -69,10 +69,10 @@ bool TerminationDetector::is_descendant(const LocalState& st, Rank v,
   return pos_is_descendant(pv, pa);
 }
 
-void TerminationDetector::maybe_resplice(LocalState& st) {
+bool TerminationDetector::maybe_resplice(LocalState& st) {
   std::uint64_t e = detect::epoch();
   if (e == st.epoch_seen) {
-    return;
+    return false;
   }
   Rank me = rt_.me();
   std::vector<Rank> alive = detect::alive_ranks();
@@ -89,7 +89,7 @@ void TerminationDetector::maybe_resplice(LocalState& st) {
     // electing ourselves root-by-default: the work loop observes the same
     // verdict, fences off, and rejoins -- which bumps the epoch again
     // with us back in the alive list.
-    return;
+    return false;
   }
   st.epoch_seen = e;
   st.alive = std::move(alive);
@@ -110,6 +110,7 @@ void TerminationDetector::maybe_resplice(LocalState& st) {
   counters_.resplices++;
   SCIOTO_TRACE_EVENT(me, trace::Ev::TreeRespliced, static_cast<long long>(e),
                      static_cast<long long>(st.alive.size()), 0);
+  return true;
 }
 
 void TerminationDetector::put_kids(const LocalState& st, std::size_t offset,
@@ -234,13 +235,14 @@ TerminationDetector::Status TerminationDetector::step() {
     return Status::Terminated;
   }
   rt_.charge(step_charge());
-  const bool membership = fault::active() || detect::active();
-  if (membership) {
-    maybe_resplice(st);
+  // A resplice is not quiet, and neither is any step under the detector's
+  // membership view, which other ranks move without an op aimed at this
+  // one. The fault oracle's deaths wake every sleeper instead.
+  const bool view = detect::active();
+  bool quiet = !view;
+  if ((view || fault::active()) && maybe_resplice(st)) {
+    quiet = false;
   }
-  // A membership session reads global state every step, so no step is
-  // quiet under one.
-  bool quiet = !membership;
   TdCtl& my = ctl(me);
   ++st.steps;
 

@@ -89,10 +89,18 @@ class TerminationDetector {
   /// Virtual cost step() charges on every call.
   TimeNs step_charge() const { return rt_.machine().poll; }
   /// True when the last step() only read this rank's own mailbox: no
-  /// token sent, no wave launched or forwarded, no vote, no fault or
+  /// token sent, no wave launched or forwarded, no vote, no resplice, no
   /// detector session. Another step() then repeats it exactly until a
-  /// remote put changes a mailbox word.
+  /// remote put changes a mailbox word or a death moves the epoch.
   bool last_step_quiet() const { return quiet_; }
+  /// How many further steps a sleep may skip: after a resplice every 8th
+  /// step reads the parent's mailbox, and that step must run.
+  std::int64_t skippable_steps() const {
+    if (state_.epoch_seen == 0 || state_.parent == kNoRank) {
+      return INT64_MAX;
+    }
+    return 7 - static_cast<std::int64_t>(state_.steps & 7u);
+  }
   /// Accounts `n` quiet steps the caller slept through.
   void skip_steps(std::int64_t n) {
     state_.steps += static_cast<std::uint64_t>(n);
@@ -192,8 +200,8 @@ class TerminationDetector {
   /// True if `v` is a strict descendant of `anc` in the current tree.
   bool is_descendant(const LocalState& st, Rank v, Rank anc) const;
   /// Recomputes this rank's tree neighbours when the fault epoch moved;
-  /// resets wave state and forces the next vote black.
-  void maybe_resplice(LocalState& st);
+  /// resets wave state and forces the next vote black. True when it did.
+  bool maybe_resplice(LocalState& st);
   /// One-sided put of the token word at `offset` in the target's TdCtl
   /// (width 4 for dirty, 8 otherwise). `what` names the field for the
   /// trace stream (0=down, 1=up, 2=term, 3=dirty). Delegates to

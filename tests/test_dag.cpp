@@ -14,9 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "apps/cholesky/cholesky.hpp"
 #include "dag/dag.hpp"
 #include "fault/fault.hpp"
 #include "metrics/metrics.hpp"
+#include "pgas/sim_backend.hpp"
 #include "scioto/scioto_c.h"
 #include "scioto/task_collection.hpp"
 #include "test_util.hpp"
@@ -500,6 +502,35 @@ TEST(DagDeterminism, PinnedMakespanAndCounters) {
     }
     EXPECT_EQ(got, pins[seed - 1]) << "seed " << seed;
   }
+}
+
+TEST(DagDeterminism, CholeskyMakespanStatsAndResumes) {
+  // The benchmark's tiled Cholesky, smaller, on the engine directly so
+  // its fiber resumes can be counted. While no node is parked the DAG's
+  // loop hook has nothing to do until a remote fire reaches the rank, so
+  // idle ranks sleep through the tail instead of polling it.
+  const sim::MachineModel machine = sim::cluster2008_uniform();
+  pgas::SimBackend backend(8, machine);
+  pgas::Runtime rt(backend, 42, machine);
+  apps::CholeskyConfig cfg;
+  cfg.tiles = 12;
+  apps::CholeskyResult res;
+  backend.run([&](Rank) {
+    apps::CholeskyResult r = apps::cholesky_dag(rt, cfg);
+    if (rt.me() == 0) {
+      res = r;
+    }
+  });
+  EXPECT_LT(res.residual, 1e-10);
+  EXPECT_EQ(backend.engine()->max_clock(), 24749031);
+  const dag::DagStats& d = res.dag;
+  EXPECT_EQ((std::vector<std::uint64_t>{d.nodes_run, d.nodes_fired,
+                                        d.remote_fires, d.conflict_retries,
+                                        d.version_waits, d.max_depth}),
+            (std::vector<std::uint64_t>{364, 364, 175, 8, 31, 33}));
+  // 74,683 resumes when every idle poll resumed its fiber.
+  EXPECT_LE(backend.engine()->resumes() * 3, 74683u)
+      << backend.engine()->resumes() << " fiber resumes";
 }
 
 // ---- Composition with the fail-stop kill / adoption path ----

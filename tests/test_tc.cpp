@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "dag/dag.hpp"
+#include "pgas/sim_backend.hpp"
 #include "scioto/scioto_c.h"
 #include "scioto/task_collection.hpp"
 #include "test_util.hpp"
@@ -605,6 +606,88 @@ TEST(TcIdle, WatchdogWarnsAtTheSamePollWhenIdleRanksSleep) {
             "iterations: queue=0 (priv=0 shared=0) executed=0 steals=0\n"
             "[scioto WARN r1 @140070538ns] rank 1 idle for 2000000 "
             "iterations: queue=0 (priv=0 shared=0) executed=0 steals=0\n");
+}
+
+// A periodic pump: top() records (rank, clock) at the first iteration at
+// or past its deadline, then re-arms one period later. The sleeping form
+// names that deadline through next_due; its polling twin answers `now`,
+// so every iteration runs top().
+struct PeriodicHook final : LoopHook {
+  PeriodicHook(Runtime& rt, TimeNs period, bool sleeps,
+               std::vector<std::pair<Rank, TimeNs>>* log)
+      : rt(rt), period(period), sleeps(sleeps), log(log) {}
+  Top top(bool) override {
+    if (rt.now() >= next) {
+      log->emplace_back(rt.me(), rt.now());
+      next = rt.now() + period;
+    }
+    return Top::Go;
+  }
+  TimeNs next_due(TimeNs now) override { return sleeps ? next : now; }
+  Runtime& rt;
+  TimeNs period;
+  bool sleeps;
+  std::vector<std::pair<Rank, TimeNs>>* log;
+  TimeNs next = 0;
+};
+
+struct PeriodicRun {
+  std::vector<std::pair<Rank, TimeNs>> log;  // in execution order
+  TimeNs makespan = 0;
+  std::vector<std::vector<std::uint64_t>> stats;  // per rank
+  std::uint64_t resumes = 0;
+};
+
+PeriodicRun run_periodic(TimeNs period, bool sleeps) {
+  constexpr int kRanks = 4;
+  const sim::MachineModel machine = sim::test_machine();
+  pgas::SimBackend backend(kRanks, machine);
+  Runtime rt(backend, 42, machine);
+  PeriodicRun out;
+  out.stats.resize(kRanks);
+  backend.run([&](Rank me) {
+    TaskCollection tc(rt, small_cfg());
+    TaskHandle h = tc.register_callback(
+        [](TaskContext& ctx) { ctx.tc.runtime().charge(us(15)); });
+    PeriodicHook hook(rt, period, sleeps, &out.log);
+    tc.set_extension(&hook);
+    if (me == 0) {
+      for (int i = 0; i < 24; ++i) {
+        tc.add_local(tc.task_create(0, h));
+      }
+    }
+    tc.process();
+    tc.set_extension(nullptr);
+    const TcStats& s = tc.stats_local();
+    out.stats[static_cast<std::size_t>(me)] = {
+        s.tasks_executed, s.steals,         s.steal_attempts,
+        s.tasks_stolen,   s.td_waves_voted, s.td_black_votes,
+        static_cast<std::uint64_t>(s.time_total),
+        static_cast<std::uint64_t>(s.time_searching)};
+    tc.destroy();
+  });
+  out.makespan = backend.engine()->max_clock();
+  out.resumes = backend.engine()->resumes();
+  return out;
+}
+
+TEST(TcIdle, ArmedPeriodicHookSleepsToItsDeadline) {
+  // A quiet poll on the test machine advances the clock by two polls
+  // (the detector step and relax), 60 ns. A 600 ns period re-armed at a
+  // poll lands exactly on a later poll of the same idle spell; 630 ns
+  // falls between two polls.
+  for (const TimeNs period : {TimeNs{600}, TimeNs{630}}) {
+    const PeriodicRun polling = run_periodic(period, /*sleeps=*/false);
+    const PeriodicRun sleeping = run_periodic(period, /*sleeps=*/true);
+    EXPECT_GT(polling.log.size(), 100u) << "period " << period;
+    EXPECT_EQ(sleeping.log, polling.log) << "period " << period;
+    EXPECT_EQ(sleeping.makespan, polling.makespan) << "period " << period;
+    EXPECT_EQ(sleeping.stats, polling.stats) << "period " << period;
+    // Between deadlines the idle ranks sleep instead of polling.
+    EXPECT_LT(sleeping.resumes * 2, polling.resumes)
+        << "period " << period << ": " << sleeping.resumes << " vs "
+        << polling.resumes << " resumes";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TcBackends,

@@ -16,6 +16,7 @@
 #include "control/control.hpp"
 #include "detect/membership.hpp"
 #include "elastic/elastic.hpp"
+#include "fault/fault.hpp"
 #include "pgas/sim_backend.hpp"
 #include "test_util.hpp"
 
@@ -323,12 +324,12 @@ TcConfig pin_config() {
 using Env = std::vector<std::pair<const char*, std::string>>;
 
 /// UTS with one task per node, `phases` times over process()/reset(). A
-/// non-empty `env` runs through run_spmd with those variables set, which
-/// arms the sessions they name and lets a killed rank's fiber end; its
-/// `resumes` stays 0.
+/// non-empty `env`, or `spmd`, runs through run_spmd with those variables
+/// set, which arms the sessions they name and lets a killed rank's fiber
+/// end; its `resumes` stays 0.
 PinRun run_pinned(int nranks, const sim::MachineModel& machine,
                   const UtsParams& tree, const TcConfig& tcc,
-                  int phases = 1, const Env& env = {}) {
+                  int phases = 1, const Env& env = {}, bool spmd = false) {
   std::vector<TcStats> per_rank(static_cast<std::size_t>(nranks));
   auto body = [&](pgas::Runtime& rt) {
     const Rank me = rt.me();
@@ -356,18 +357,19 @@ PinRun run_pinned(int nranks, const sim::MachineModel& machine,
     tc.destroy();
   };
   PinRun out;
-  if (env.empty()) {
+  if (env.empty() && !spmd) {
     pgas::SimBackend backend(nranks, machine);
     pgas::Runtime rt(backend, 42, machine);
-    backend.run([&](Rank) { body(rt); });
+    backend.run([&](Rank) {
+      try {
+        body(rt);
+      } catch (const fault::RankKilled&) {
+        // A fault session the caller started killed this rank.
+      }
+    });
     out.pin.makespan = backend.engine()->max_clock();
     out.resumes = backend.engine()->resumes();
   } else {
-    // run_spmd stages what the environment arms; put the staged configs
-    // back so the next run starts unarmed.
-    const control::Config ccfg = control::config();
-    const detect::Config dcfg = detect::config();
-    const elastic::Config ecfg = elastic::config();
     for (const auto& [name, value] : env) {
       setenv(name, value.c_str(), 1);
     }
@@ -379,9 +381,6 @@ PinRun run_pinned(int nranks, const sim::MachineModel& machine,
     for (const auto& [name, value] : env) {
       unsetenv(name);
     }
-    control::set_config(ccfg);
-    detect::set_config(dcfg);
-    elastic::set_config(ecfg);
   }
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint64_t v) {
@@ -417,6 +416,21 @@ TEST(UtsGolden, Xt4At256Ranks) {
   // Idle ranks sleep through their quiet polls instead of resuming for
   // each one: 1,100,299 resumes when every poll resumed its fiber.
   EXPECT_LE(r.resumes * 3, 1100299u) << r.resumes << " fiber resumes";
+}
+
+TEST(UtsGolden, OracleKillsAt32Ranks) {
+  // Two fail-stop kills under the fault oracle. Survivors sleep through
+  // quiet polls between deaths, and each death wakes them at the poll
+  // where polling would have seen it.
+  fault::start(32,
+               fault::FaultPlan::parse("kill:rank=0,at=2ms;kill:rank=9,at=4ms"),
+               42);
+  PinRun r = run_pinned(32, sim::cray_xt4(), uts_small(), pin_config());
+  fault::stop();
+  // The killed ranks' counters die with them: 18,260 of 19,037 tasks.
+  EXPECT_EQ(r.pin, (Pin{9676240, 18260, 85, 101, 348, 240503935, 0x366fe9cc97f5b2f8}));
+  // 152,323 resumes when every idle poll of a fault run resumed its fiber.
+  EXPECT_LE(r.resumes * 2, 152323u) << r.resumes << " fiber resumes";
 }
 
 TEST(UtsGolden, Cluster2008At64Ranks) {
@@ -511,6 +525,32 @@ TEST(UtsGolden, Armed) {
   std::remove(ckpt.c_str());
   for (int r = 0; r < 8; ++r) {
     std::remove((ckpt + ".r" + std::to_string(r)).c_str());
+  }
+}
+
+TEST(PgasRunSpmd, EnvArmedSessionsEndWithTheRun) {
+  // run_spmd stages the configs an environment variable arms. Once the
+  // run is over and the variable gone, the next run must be unarmed again
+  // and reproduce the unarmed run of UtsGolden.Armed.
+  const Pin unarmed{4806163, 19037, 58, 63, 56, 8754735, 0x1a23d973e4c80d88};
+  auto spmd_unarmed = [] {
+    return run_pinned(8, sim::cluster2008(), uts_small(), pin_config(), 1,
+                      {}, /*spmd=*/true)
+        .pin;
+  };
+  EXPECT_EQ(spmd_unarmed(), unarmed);
+  const Env armed[] = {
+      {{"SCIOTO_DETECTOR", "1"}},
+      {{"SCIOTO_ELASTIC", "1"}},
+      {{"SCIOTO_CONTROLLER", "local"}},
+  };
+  for (const Env& env : armed) {
+    run_pinned(8, sim::cluster2008(), uts_small(), pin_config(), 1, env);
+    EXPECT_EQ(spmd_unarmed(), unarmed) << "after " << env[0].first;
+    EXPECT_FALSE(detect::config().enabled) << "after " << env[0].first;
+    EXPECT_FALSE(elastic::config().enabled) << "after " << env[0].first;
+    EXPECT_EQ(control::config().mode, control::Mode::Off)
+        << "after " << env[0].first;
   }
 }
 
