@@ -6,6 +6,7 @@
 
 #include "fault/fault.hpp"
 #include "metrics/metrics.hpp"
+#include "trace/lineage.hpp"
 #include "trace/trace.hpp"
 
 namespace scioto::dag {
@@ -141,14 +142,15 @@ KindId DagScheduler::register_kind(NodeFn fn) {
 
 // ---- Cycle detection -----------------------------------------------------
 
-void DagScheduler::check_acyclic_and_depths() {
+void DagScheduler::check_acyclic_and_levels() {
   const std::size_t n = nodes_.size();
   std::vector<std::int64_t> indeg(n);
   for (std::size_t i = 0; i < n; ++i) {
     indeg[i] = nodes_[i].deps;
   }
   // Kahn's algorithm doubles as the critical-path depth computation the
-  // trace/metrics plane reports.
+  // trace/metrics plane reports, and its order walked backwards gives the
+  // bottom levels that decide which nodes fire with high affinity.
   std::vector<NodeId> order;
   order.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -167,6 +169,21 @@ void DagScheduler::check_acyclic_and_depths() {
     }
   }
   if (order.size() == n) {
+    // Unit-weight bottom level: the longest hop count to a sink. A node
+    // is critical iff a longest root-to-sink path runs through it.
+    std::vector<std::int32_t> height(n, 0);
+    std::int32_t longest = 0;
+    for (std::size_t k = n; k-- > 0;) {
+      const auto i = static_cast<std::size_t>(order[k]);
+      for (NodeId s : nodes_[i].successors) {
+        height[i] =
+            std::max(height[i], height[static_cast<std::size_t>(s)] + 1);
+      }
+      longest = std::max(longest, nodes_[i].depth + height[i]);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      nodes_[i].critical = nodes_[i].depth + height[i] == longest;
+    }
     return;
   }
   // Some nodes never topologically sorted: walk predecessors within the
@@ -214,7 +231,7 @@ void DagScheduler::execute() {
   SCIOTO_REQUIRE(!executed_, "DagScheduler::execute called twice");
   // Cycle check first: it is local and replicated, so every rank throws
   // identically before any collective is entered.
-  check_acyclic_and_depths();
+  check_acyclic_and_levels();
   executed_ = true;
 
   // The replicated build must agree across ranks.
@@ -486,9 +503,14 @@ void DagScheduler::fire(NodeId id, Rank home, std::int32_t depth) {
   }
   Task t = tc_.task_create(sizeof(DagBody), dispatch_handle_);
   t.body_as<DagBody>().node = id;
-  // Home-rank affinity: the node lands at the head of its home's queue
-  // (dead homes are redirected locally by the collection itself).
-  tc_.add(home, kAffinityHigh, t);
+  // The node lands on its home (dead homes are redirected locally by the
+  // collection itself). Critical static nodes and dynamic nodes, which
+  // have no static level, go to the head of the home's private queue;
+  // nodes with slack go to its steal end, where idle ranks take them
+  // first. A remote fire lands at the steal end whatever its affinity.
+  const bool critical =
+      is_dyn(id) || nodes_[static_cast<std::size_t>(id)].critical;
+  tc_.add(home, critical ? kAffinityHigh : kAffinityLow, t);
 }
 
 void DagScheduler::defer(NodeId id, GroupId group, bool version_wait) {
@@ -512,7 +534,7 @@ void DagScheduler::defer(NodeId id, GroupId group, bool version_wait) {
     tc_.add(me, kAffinityLow, t);
     return;
   }
-  parked_.push_back({id, group});
+  parked_.push_back({id, group, trace::lineage::current(me)});
   SCIOTO_METRIC_GAUGE(me, metrics::Gauge::DagParked, parked_.size());
 }
 
@@ -546,20 +568,26 @@ std::uint64_t DagScheduler::retry_parked() {
   if (parked_.empty()) {
     return 0;
   }
+  const Rank me = rt_.me();
+  // The re-fire's lineage parent is the dispatch that parked the node, not
+  // whatever task (or none, from the idle loop) happens to be running.
+  const std::uint64_t running = trace::lineage::current(me);
   std::uint64_t injected = 0;
   for (std::size_t i = 0; i < parked_.size();) {
     if (gates_look_open(parked_[i])) {
       Task t = tc_.task_create(sizeof(DagBody), dispatch_handle_);
       t.body_as<DagBody>().node = parked_[i].id;
-      tc_.add(rt_.me(), kAffinityHigh, t);
+      trace::lineage::set_current(me, parked_[i].lineage);
+      tc_.add(me, kAffinityLow, t);
       parked_.erase(parked_.begin() + static_cast<std::ptrdiff_t>(i));
       ++injected;
     } else {
       ++i;
     }
   }
+  trace::lineage::set_current(me, running);
   if (injected > 0) {
-    SCIOTO_METRIC_GAUGE(rt_.me(), metrics::Gauge::DagParked, parked_.size());
+    SCIOTO_METRIC_GAUGE(me, metrics::Gauge::DagParked, parked_.size());
   }
   return injected;
 }

@@ -23,10 +23,15 @@
 // every node carries a remaining-dependency counter homed on the node's
 // home rank; completing a task decrements each successor's counter with a
 // one-sided fetch-and-add, and the decrement that reaches zero fires the
-// successor into the split queue with high affinity on its home rank.
-// Ready nodes still migrate freely through work stealing, so dataflow
-// scheduling composes with the paper's load balancing -- and, under a
-// fault session, with dead-rank queue adoption (deferred nodes re-enter
+// successor into the split queue on its home rank. The paper's §5.1
+// affinity decides what thieves see: a static node on a longest
+// root-to-sink path (unit weights) and every dynamic node fire with high
+// affinity, at the head of the home's private queue; every other node
+// fires low, into the home's steal end, where idle ranks take it first.
+// A DAG rank rarely holds enough private tasks for release to expose
+// them, so low-affinity firing is how nodes with slack migrate. Dataflow
+// scheduling thus composes with the paper's load balancing -- and, under
+// a fault session, with dead-rank queue adoption (deferred nodes re-enter
 // the queue rather than rank-local parking, so they are adoptable).
 //
 // Graphs are built *replicated*: every rank makes identical add_node /
@@ -192,6 +197,7 @@ class DagScheduler : private LoopHook {
     GroupId group = kNoGroup;
     std::int64_t deps = 0;          // control in-degree (incl. versioned)
     std::int32_t depth = 0;         // longest path from a root
+    bool critical = false;          // on a longest root-to-sink path
     std::int64_t home_slot = -1;    // counter index on the home rank
     std::vector<NodeId> successors;
     std::vector<std::int32_t> vin;  // versioned in-edges (vedges_ indices)
@@ -211,6 +217,7 @@ class DagScheduler : private LoopHook {
   struct ParkEntry {
     NodeId id;
     GroupId group;
+    std::uint64_t lineage;  // the parking dispatch: the re-fire's parent
   };
   /// A dynamic child staged between spawn() and the parent's completion.
   struct StagedChild {
@@ -252,7 +259,7 @@ class DagScheduler : private LoopHook {
   }
   void publish_and_release_children();
   void bump_versions(const Node& n);
-  void check_acyclic_and_depths();
+  void check_acyclic_and_levels();
 
   Rank lock_home(GroupId g) const { return g % rt_.nprocs(); }
   std::size_t lock_offset(GroupId g) const {

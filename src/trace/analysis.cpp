@@ -554,6 +554,12 @@ CriticalPath critical_path(const LineageReport& rep,
     if (p == nullptr || !p->executed()) {
       break;  // parent lost to ring wrap
     }
+    if (s->spawn_t > p->finish()) {
+      // A DAG node re-fired after its parking dispatch (the parent)
+      // returned: it waited parked on that dispatch's rank.
+      rev.push_back(CritSegment{s->id, p->exec_rank, false, p->finish(),
+                                s->spawn_t});
+    }
     exec_end = std::min(std::max(s->spawn_t, p->exec_t), p->finish());
     s = p;
   }

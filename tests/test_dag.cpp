@@ -2,12 +2,15 @@
 // diamonds, and fan-in/fan-out shapes on both backends; conflict-edge
 // mutual exclusion; remote data-version RAW safety; streaming (recursive)
 // graph build; manual satisfy() joins; cycle reporting with node ids;
-// argument validation; 8-seed sim determinism; composition with the
-// fail-stop kill/adoption path; and the three-way reconciliation
+// argument validation; firing affinity (only the longest path stays at
+// the home's private head); 8-seed sim determinism and pinned makespans;
+// the DAG-vs-static Cholesky speedup; composition with the fail-stop
+// kill/adoption path; and the three-way reconciliation
 // DagStats == metrics counters == trace events (mirrors test_metrics).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <mutex>
 #include <ostream>
@@ -379,6 +382,118 @@ TEST(DagValidation, AddEdgeRejectsBadArgsAtCallTime) {
   });
 }
 
+// ---- Firing affinity: what thieves see ----
+
+TEST(DagSchedule, LocallyFiredNodesReachThieves) {
+  // One root fans out to 12 leaves beside a 3-node chain, all homed on
+  // rank 0. At chunk 10 a rank must hold more than 20 private tasks before
+  // release exposes any, so only nodes fired into the steal end can reach
+  // the other ranks.
+  constexpr int kRanks = 4;
+  constexpr int kLeaves = 12;
+  std::vector<int> ran_on(kRanks, 0);
+  testing::run_sim(kRanks, [&](Runtime& rt) {
+    TcConfig cfg = small_cfg();
+    cfg.chunk_size = 10;
+    TaskCollection tc(rt, cfg);
+    dag::DagScheduler dag(tc);
+    auto body = [&] {
+      rt.charge(50'000);
+      ran_on[static_cast<std::size_t>(rt.me())]++;
+    };
+    auto root = dag.add_node(0, body);
+    auto prev = root;
+    for (int i = 0; i < 3; ++i) {
+      auto c = dag.add_node(0, body);
+      dag.add_edge(prev, c);
+      prev = c;
+    }
+    for (int i = 0; i < kLeaves; ++i) {
+      dag.add_edge(root, dag.add_node(0, body));
+    }
+    dag.execute();
+    tc.destroy();
+  });
+  int total = 0;
+  for (int r = 0; r < kRanks; ++r) {
+    total += ran_on[static_cast<std::size_t>(r)];
+    if (r > 0) {
+      EXPECT_GE(ran_on[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    }
+  }
+  EXPECT_EQ(total, 1 + 3 + kLeaves);
+}
+
+TEST(DagSchedule, OnlyTheLongestPathFiresWithHighAffinity) {
+  // An 8-node chain on rank 0 with side branches s_i -> t_i hanging off
+  // its first five nodes: every side node has slack, so only the chain's
+  // local fires may push with high affinity. A local fire logs NodeReady
+  // and then the very next Push on that rank; a thief's StealOk of n tasks
+  // is followed by the n - 1 high pushes that requeue all but the one it
+  // runs. Every Push must be one of the two.
+  constexpr int kChain = 8;
+  constexpr int kSides = 5;
+  std::vector<bool> on_chain;
+  trace::start(4);
+  testing::run_sim(4, [&](Runtime& rt) {
+    TaskCollection tc(rt, small_cfg());
+    dag::DagScheduler dag(tc);
+    auto body = [&] { rt.charge(20'000); };
+    std::vector<dag::NodeId> chain;
+    for (int i = 0; i < kChain; ++i) {
+      chain.push_back(dag.add_node(0, body));
+      if (i > 0) {
+        dag.add_edge(chain[static_cast<std::size_t>(i) - 1], chain.back());
+      }
+    }
+    for (int i = 0; i < kSides; ++i) {
+      auto s = dag.add_node(i % 2, body);
+      auto t = dag.add_node(0, body);
+      dag.add_edge(chain[static_cast<std::size_t>(i)], s);
+      dag.add_edge(s, t);
+    }
+    if (rt.me() == 0) {
+      on_chain.assign(dag.num_nodes(), false);
+      for (dag::NodeId id : chain) {
+        on_chain[static_cast<std::size_t>(id)] = true;
+      }
+    }
+    dag.execute();
+    tc.destroy();
+  });
+  std::vector<trace::Event> evs = trace::all_events();
+  trace::stop();
+
+  std::vector<int> awaiting(4, -1);  // node whose local Push is next
+  std::vector<int> requeues(4, 0);   // steal requeues still to come
+  int chain_local = 0, side_local = 0, stolen_requeues = 0, high_pushes = 0;
+  for (const trace::Event& e : evs) {
+    const auto r = static_cast<std::size_t>(e.rank);
+    if (e.kind == trace::Ev::NodeReady && e.b == e.rank) {
+      awaiting[r] = e.a;
+      (on_chain[static_cast<std::size_t>(e.a)] ? chain_local : side_local)++;
+    } else if (e.kind == trace::Ev::StealOk) {
+      requeues[r] += e.b - 1;
+      stolen_requeues += e.b - 1;
+    } else if (e.kind == trace::Ev::Push) {
+      high_pushes += e.a == kAffinityHigh;
+      if (awaiting[r] >= 0) {
+        const bool chain = on_chain[static_cast<std::size_t>(awaiting[r])];
+        EXPECT_EQ(e.a, chain ? kAffinityHigh : kAffinityLow)
+            << "node " << awaiting[r];
+        awaiting[r] = -1;
+      } else {
+        EXPECT_GT(requeues[r], 0) << "push on rank " << r << " at t=" << e.t
+                                  << " follows neither a fire nor a steal";
+        requeues[r]--;
+      }
+    }
+  }
+  EXPECT_EQ(chain_local, kChain);  // the chain never leaves rank 0's head
+  EXPECT_GT(side_local, 0);
+  EXPECT_EQ(high_pushes, chain_local + stolen_requeues);
+}
+
 // ---- Sim determinism: byte-identical replay across 8 seeds ----
 
 /// A workload touching every mechanism: wavefront edges, one conflict
@@ -484,7 +599,7 @@ TEST(DagDeterminism, PinnedMakespanAndCounters) {
   // engine attaches to the work loop must leave every one where it was.
   const DagPin pins[] = {
       {97688, 17, 5, 6, 24, 12, 174721},
-      {96704, 18, 3, 6, 28, 14, 154426},
+      {98337, 18, 4, 8, 28, 14, 161063},
       {99315, 17, 4, 10, 28, 17, 162918},
       {95764, 17, 3, 8, 16, 11, 152048},
   };
@@ -522,15 +637,58 @@ TEST(DagDeterminism, CholeskyMakespanStatsAndResumes) {
     }
   });
   EXPECT_LT(res.residual, 1e-10);
-  EXPECT_EQ(backend.engine()->max_clock(), 24749031);
+  EXPECT_EQ(backend.engine()->max_clock(), 25212725);
   const dag::DagStats& d = res.dag;
   EXPECT_EQ((std::vector<std::uint64_t>{d.nodes_run, d.nodes_fired,
                                         d.remote_fires, d.conflict_retries,
                                         d.version_waits, d.max_depth}),
-            (std::vector<std::uint64_t>{364, 364, 175, 8, 31, 33}));
+            (std::vector<std::uint64_t>{364, 364, 212, 8, 71, 33}));
   // 74,683 resumes when every idle poll resumed its fiber.
   EXPECT_LE(backend.engine()->resumes() * 3, 74683u)
       << backend.engine()->resumes() << " fiber resumes";
+}
+
+// ---- Dataflow vs fork-join on tiled Cholesky ----
+
+TEST(DagCholesky, DataflowBeatsStaticForkJoin) {
+  // bench_cholesky's comparison (8 sim ranks, b = 16, runtime seed 42):
+  // both schedules in one SPMD region, exact virtual makespans, and the
+  // DAG schedule's speedup over the static owner-computes fork-join. It
+  // must pass 1.1 at 8 tiles and 1.4 at 12, where the grid is deep enough
+  // for cross-step overlap to pay; at 4 tiles it only has to win.
+  struct Row {
+    int tiles;
+    TimeNs dag_ns;
+    TimeNs static_ns;
+    double min_speedup;
+  };
+  const Row rows[] = {{4, 2962692, 3215350, 1.0},
+                      {8, 10072722, 13223824, 1.1},
+                      {12, 24568392, 45131600, 1.4}};
+  for (const Row& want : rows) {
+    pgas::Config cfg;
+    cfg.nranks = 8;
+    cfg.machine = sim::cluster2008_uniform();
+    apps::CholeskyConfig cc;
+    cc.tiles = want.tiles;
+    cc.tile = 16;
+    apps::CholeskyResult dag, stat;
+    pgas::run_spmd(cfg, [&](Runtime& rt) {
+      apps::CholeskyResult d = apps::cholesky_dag(rt, cc);
+      apps::CholeskyResult s = apps::cholesky_static(rt, cc);
+      if (rt.me() == 0) {
+        dag = d;
+        stat = s;
+      }
+    });
+    SCOPED_TRACE(std::to_string(want.tiles) + " tiles");
+    EXPECT_LT(dag.residual, 1e-12);
+    EXPECT_LT(stat.residual, 1e-12);
+    EXPECT_EQ(std::llround(dag.elapsed_ms * 1e6), want.dag_ns);
+    EXPECT_EQ(std::llround(stat.elapsed_ms * 1e6), want.static_ns);
+    EXPECT_GT(stat.elapsed_ms / dag.elapsed_ms, want.min_speedup);
+    EXPECT_GT(dag.dag.remote_fires, 0u);
+  }
 }
 
 // ---- Composition with the fail-stop kill / adoption path ----

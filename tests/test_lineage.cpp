@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/cholesky/cholesky.hpp"
 #include "apps/uts/uts_drivers.hpp"
 #include "fault/fault.hpp"
 #include "scioto/scioto_c.h"
@@ -247,6 +248,56 @@ TEST(LineageFault, StealChainConservationWhenARankDies) {
   // mismatches are permitted under faults -- but never more than the
   // tasks that actually migrated.
   EXPECT_LE(run.rep.hop_mismatches, run.rep.migrations);
+}
+
+// ---- DAG re-fires keep a task parent ----
+
+TEST(LineageDag, CholeskyHasOneLineageRootPerDagRoot) {
+  // A Cholesky node that loses its conflict-group CAS or finds a version
+  // slot unbumped parks, then re-fires from the idle loop or from another
+  // node's completion. The re-fire's parent is the dispatch that parked
+  // it, so the only root in the lineage is the DAG's only root: the first
+  // panel's POTRF.
+  constexpr int kRanks = 8;
+  trace::start(kRanks, /*capacity_per_rank=*/1 << 18);
+  trace::lineage::start(kRanks);
+  apps::CholeskyResult res;
+  testing::run_sim(kRanks, [&](Runtime& rt) {
+    apps::CholeskyConfig cc;
+    cc.tiles = 12;
+    apps::CholeskyResult r = apps::cholesky_dag(rt, cc);
+    if (rt.me() == 0) {
+      res = r;
+    }
+  });
+  const std::vector<trace::Event> evs = trace::all_events();
+  const trace::LineageReport rep =
+      trace::lineage_report(evs, kRanks, trace::total_dropped());
+  const trace::CriticalPath cp = trace::critical_path(rep, evs, kRanks);
+  trace::lineage::stop();
+  trace::stop();
+  ASSERT_EQ(rep.dropped, 0u);
+  EXPECT_TRUE(rep.causal_order_ok())
+      << "first violation: " << rep.violations.front();
+  EXPECT_LT(res.residual, 1e-12);
+  EXPECT_GT(res.dag.conflict_retries + res.dag.version_waits, 0u)
+      << "no node parked, so the re-fire path went untested";
+  std::uint64_t roots = 0;
+  for (const trace::LineageSpan& s : rep.spans) {
+    roots += s.parent == 0;
+    if (s.parent != 0) {
+      EXPECT_NE(rep.find(s.parent), nullptr) << "task " << s.id;
+    }
+  }
+  EXPECT_EQ(roots, 1u);
+  // The path runs back to that root, and the time a re-fired node spent
+  // parked is blamed as waiting, so the segments still tile the path.
+  ASSERT_FALSE(cp.segments.empty());
+  EXPECT_EQ(rep.find(cp.segments.front().id)->parent, 0u);
+  for (std::size_t i = 1; i < cp.segments.size(); ++i) {
+    EXPECT_EQ(cp.segments[i].t0, cp.segments[i - 1].t1) << "gap at " << i;
+  }
+  EXPECT_EQ(cp.exec_ns + cp.queue_ns, cp.length);
 }
 
 // ---- Lineage-off runs carry no lineage events ----
