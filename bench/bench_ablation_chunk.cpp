@@ -40,10 +40,8 @@ int main(int argc, char** argv) {
                "steal chunk-size sweep + steal-half adaptive policy on UTS");
   opts.add_int("procs", 32, "process count");
   opts.add_int("scale", 11, "geometric tree depth (T1)");
-  opts.add_flag("aborting", false, "also enable trylock-abort steals");
   if (!opts.parse(argc, argv)) return 0;
   const int procs = static_cast<int>(opts.get_int("procs"));
-  const bool aborting = opts.get_flag("aborting");
 
   // Two tree shapes in the spirit of the UTS T1/T2 workloads: the
   // near-balanced linear-decay geometric tree, and a binomial tree whose
@@ -66,13 +64,12 @@ int main(int argc, char** argv) {
   for (const auto& w : workloads) {
     UtsCounts expected = uts_sequential(w.tree);
     std::printf("workload %s: %s, %llu nodes on %d procs (heterogeneous "
-                "cluster)%s\n",
+                "cluster)\n",
                 w.name, uts_describe(w.tree).c_str(),
-                static_cast<unsigned long long>(expected.nodes), procs,
-                aborting ? ", aborting steals" : "");
+                static_cast<unsigned long long>(expected.nodes), procs);
 
     Table t({"Chunk", "Throughput(Mn/s)", "Steals", "Tasks-Stolen",
-             "Tasks/Steal", "Lock-Busy"});
+             "Tasks/Steal"});
     double best_static = 0.0, best_adaptive = 0.0;
     for (const Row& row : kRows) {
       pgas::Config cfg;
@@ -81,8 +78,7 @@ int main(int argc, char** argv) {
       cfg.machine = sim::cluster2008();
       UtsRunConfig rc;
       rc.chunk = row.chunk;
-      rc.adaptive_steal = row.adaptive;
-      rc.aborting_steals = aborting;
+      rc.steal_half = row.adaptive;
       UtsResult res;
       pgas::run_spmd(cfg, [&](pgas::Runtime& rt) {
         res = uts_run_scioto(rt, w.tree, rc);
@@ -100,9 +96,7 @@ int main(int argc, char** argv) {
                                 ? static_cast<double>(res.tasks_stolen) /
                                       static_cast<double>(res.steals)
                                 : 0.0,
-                            2),
-                 Table::fmt(static_cast<std::int64_t>(
-                     res.stats.steals_lock_busy))});
+                            2)});
     }
     t.print("Ablation: steal chunk size vs steal-half (UTS, Scioto split "
             "queues)");

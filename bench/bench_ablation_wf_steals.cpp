@@ -19,8 +19,6 @@ int main(int argc, char** argv) {
   Options opts("bench_ablation_wf_steals",
                "locked vs lock-free (CAS) steal path on UTS");
   opts.add_int("scale", 11, "geometric tree depth");
-  opts.add_flag("aborting", true, "adaptive-engine row: trylock-abort steals");
-  opts.add_flag("adaptive", true, "adaptive-engine row: steal-half chunking");
   if (!opts.parse(argc, argv)) return 0;
 
   UtsParams tree = uts_bench();
@@ -37,11 +35,11 @@ int main(int argc, char** argv) {
   sim::MachineModel nic_amo = sim::cluster2008();
   nic_amo.rmw_service = nic_amo.rma_service;
 
-  // The adaptive steal engine is the locked design's answer to the same
-  // convoying problem the lock-free path attacks: thieves abort instead of
-  // blocking, and the owner publishes split moves without the lock.
+  // Steal-half is the locked design's own answer to thieves convoying on
+  // one victim: each lock hold moves half the exposed work, so fewer
+  // thieves need to queue for it.
   auto run_one = [&](int p, const sim::MachineModel& m, QueueMode mode,
-                     bool adaptive_engine) {
+                     bool steal_half) {
     pgas::Config cfg;
     cfg.nranks = p;
     cfg.backend = pgas::BackendKind::Sim;
@@ -50,36 +48,27 @@ int main(int argc, char** argv) {
     pgas::run_spmd(cfg, [&](pgas::Runtime& rt) {
       UtsRunConfig rc;
       rc.queue_mode = mode;
-      if (adaptive_engine) {
-        rc.aborting_steals = opts.get_flag("aborting");
-        rc.adaptive_steal = opts.get_flag("adaptive");
-        rc.owner_fastpath = true;
-        rc.deferred_steal_copy = true;
-      }
+      rc.steal_half = steal_half;
       res = uts_run_scioto(rt, tree, rc);
     });
     SCIOTO_CHECK_MSG(res.counts == expected, "traversal mismatch");
     return res;
   };
 
-  Table t({"Procs", "Locked(Mn/s)", "Adaptive(Mn/s)", "LF-HostAMO(Mn/s)",
-           "LF-NicAMO(Mn/s)", "LF-NicAMO/Locked", "Busy", "Retargets"});
+  Table t({"Procs", "Locked(Mn/s)", "StealHalf(Mn/s)", "LF-HostAMO(Mn/s)",
+           "LF-NicAMO(Mn/s)", "LF-NicAMO/Locked"});
   for (int p : {8, 16, 32, 64}) {
     UtsResult locked = run_one(p, host_amo, QueueMode::Split, false);
-    UtsResult adaptive = run_one(p, host_amo, QueueMode::Split, true);
+    UtsResult half = run_one(p, host_amo, QueueMode::Split, true);
     UtsResult lf_host = run_one(p, host_amo, QueueMode::LockFree, false);
     UtsResult lf_nic = run_one(p, nic_amo, QueueMode::LockFree, false);
     t.add_row({Table::fmt(std::int64_t{p}),
                Table::fmt(locked.mnodes_per_sec, 2),
-               Table::fmt(adaptive.mnodes_per_sec, 2),
+               Table::fmt(half.mnodes_per_sec, 2),
                Table::fmt(lf_host.mnodes_per_sec, 2),
                Table::fmt(lf_nic.mnodes_per_sec, 2),
                Table::fmt(lf_nic.mnodes_per_sec / locked.mnodes_per_sec,
-                          3),
-               Table::fmt(static_cast<std::int64_t>(
-                   adaptive.stats.steals_lock_busy)),
-               Table::fmt(static_cast<std::int64_t>(
-                   adaptive.stats.steal_retargets))});
+                          3)});
   }
   t.print("Ablation: §8 lock-free steal path vs the locked shared portion "
           "(UTS). Host-assisted atomics make CAS steals a wash; "

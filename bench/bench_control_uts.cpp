@@ -2,8 +2,8 @@
 //
 // The claim under test (the control subsystem's win condition): starting
 // from the *default* configuration (chunk 10, fixed-width steals, stock
-// release threshold), the online controller -- local or global placement,
-// default rules -- matches or beats the best hand-picked static chunk on
+// release threshold), the online controller with its default rules
+// matches or beats the best hand-picked static chunk on
 // the bursty binomial tree, because it discovers mid-run what the static
 // sweep needs a full grid search to find (steal-half + eager release
 // while the root burst drains, then calmer settings as the fleet evens
@@ -78,10 +78,8 @@ int main(int argc, char** argv) {
   Options opts("bench_control_uts",
                "adaptive controller vs static configs on bursty UTS");
   opts.add_int("procs", 8, "process count");
-  opts.add_string("json", "", "also write results as JSON to this file");
   if (!opts.parse(argc, argv)) return 0;
   const int procs = static_cast<int>(opts.get_int("procs"));
-  const std::string json = opts.get_string("json");
 
   // The T2 bursty binomial workload from the chunk ablation: a wide root
   // fan-out into heavy-tailed subcritical subtrees -- deep victims one
@@ -101,13 +99,10 @@ int main(int argc, char** argv) {
   Table t({"Config", "Throughput(Mn/s)", "Steals", "Tasks/Steal",
            "Decisions"});
   double best_static = 0.0;
-  double static_tp[sizeof(kStaticChunks) / sizeof(kStaticChunks[0])] = {};
-  int si = 0;
   for (int chunk : kStaticChunks) {
     UtsResult res = run_once(t2, procs, chunk);
     SCIOTO_CHECK_MSG(res.counts == expected, "traversal mismatch");
     best_static = std::max(best_static, res.mnodes_per_sec);
-    static_tp[si++] = res.mnodes_per_sec;
     char label[32];
     std::snprintf(label, sizeof(label), "static %d", chunk);
     t.add_row({label, Table::fmt(res.mnodes_per_sec, 2),
@@ -120,69 +115,34 @@ int main(int argc, char** argv) {
                "-"});
   }
 
-  double adaptive_tp[2] = {0.0, 0.0};
-  std::uint64_t adaptive_decisions[2] = {0, 0};
-  const control::Mode modes[2] = {control::Mode::Local,
-                                  control::Mode::Global};
-  const char* mode_labels[2] = {"adaptive local", "adaptive global"};
-  for (int m = 0; m < 2; ++m) {
-    // Stage the controller; run_spmd arms it (and the metrics plane it
-    // reads) inside the run. Everything else stays at defaults -- this is
-    // the "no hand-tuning" row.
-    control::Config cc = control::config();
-    cc.mode = modes[m];
-    control::set_config(cc);
-    UtsResult res = run_once(t2, procs, /*chunk=*/10);
-    cc.mode = control::Mode::Off;
-    control::set_config(cc);
-    SCIOTO_CHECK_MSG(res.counts == expected, "traversal mismatch");
-    control::Stats cs = control::stats();
-    adaptive_tp[m] = res.mnodes_per_sec;
-    adaptive_decisions[m] = cs.decisions;
-    t.add_row({mode_labels[m], Table::fmt(res.mnodes_per_sec, 2),
-               Table::fmt(static_cast<std::int64_t>(res.steals)),
-               Table::fmt(res.steals
-                              ? static_cast<double>(res.tasks_stolen) /
-                                    static_cast<double>(res.steals)
-                              : 0.0,
-                          2),
-               Table::fmt(static_cast<std::int64_t>(cs.decisions))});
-  }
+  // Stage the controller; run_spmd arms it (and the metrics plane it
+  // reads) inside the run. Everything else stays at defaults -- this is
+  // the "no hand-tuning" row.
+  control::Config cc = control::config();
+  cc.mode = control::Mode::Local;
+  control::set_config(cc);
+  UtsResult res = run_once(t2, procs, /*chunk=*/10);
+  cc.mode = control::Mode::Off;
+  control::set_config(cc);
+  SCIOTO_CHECK_MSG(res.counts == expected, "traversal mismatch");
+  const control::Stats cs = control::stats();
+  t.add_row({"adaptive local", Table::fmt(res.mnodes_per_sec, 2),
+             Table::fmt(static_cast<std::int64_t>(res.steals)),
+             Table::fmt(res.steals ? static_cast<double>(res.tasks_stolen) /
+                                         static_cast<double>(res.steals)
+                                   : 0.0,
+                        2),
+             Table::fmt(static_cast<std::int64_t>(cs.decisions))});
   t.print("Adaptive controller (default config) vs static chunk grid "
           "(UTS T2, Scioto split queues)");
-  std::printf("best static %.2f Mn/s; adaptive local %.2f (%.3fx), "
-              "global %.2f (%.3fx)\n",
-              best_static, adaptive_tp[0], adaptive_tp[0] / best_static,
-              adaptive_tp[1], adaptive_tp[1] / best_static);
+  std::printf("best static %.2f Mn/s; adaptive local %.2f (%.3fx)\n",
+              best_static, res.mnodes_per_sec,
+              res.mnodes_per_sec / best_static);
 
   double fast_ns = 0, scrape_ns = 0;
   fastpath_micro(&fast_ns, &scrape_ns);
   std::printf("metrics fast path: own_ctr %.1f ns/read vs scrape %.1f "
               "ns/snapshot (%.0fx)\n",
               fast_ns, scrape_ns, scrape_ns / fast_ns);
-
-  if (!json.empty()) {
-    std::FILE* f = std::fopen(json.c_str(), "w");
-    SCIOTO_CHECK_MSG(f != nullptr, "cannot open " << json);
-    std::fprintf(f, "{\n  \"workload\": \"T2-binomial-bursty\",\n");
-    std::fprintf(f, "  \"procs\": %d,\n  \"nodes\": %llu,\n", procs,
-                 static_cast<unsigned long long>(expected.nodes));
-    std::fprintf(f, "  \"static\": {");
-    for (std::size_t i = 0; i < sizeof(kStaticChunks) / sizeof(int); ++i) {
-      std::fprintf(f, "%s\"%d\": %.4f", i ? ", " : "", kStaticChunks[i],
-                   static_tp[i]);
-    }
-    std::fprintf(f, "},\n  \"best_static_mnps\": %.4f,\n", best_static);
-    std::fprintf(f, "  \"adaptive_local_mnps\": %.4f,\n", adaptive_tp[0]);
-    std::fprintf(f, "  \"adaptive_global_mnps\": %.4f,\n", adaptive_tp[1]);
-    std::fprintf(f, "  \"adaptive_local_decisions\": %llu,\n",
-                 static_cast<unsigned long long>(adaptive_decisions[0]));
-    std::fprintf(f, "  \"adaptive_global_decisions\": %llu,\n",
-                 static_cast<unsigned long long>(adaptive_decisions[1]));
-    std::fprintf(f, "  \"fastpath_own_ctr_ns\": %.2f,\n", fast_ns);
-    std::fprintf(f, "  \"fastpath_scrape_ns\": %.2f\n}\n", scrape_ns);
-    std::fclose(f);
-    std::printf("json: wrote %s\n", json.c_str());
-  }
   return 0;
 }

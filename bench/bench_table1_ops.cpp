@@ -148,18 +148,17 @@ OpTimes measure(const sim::MachineModel& machine, int iters,
 /// the whole field's probe convoy in its lock wait. In lockfree mode an
 /// empty probe is one 16-byte get and failed CAS claims retry with an
 /// overlapped get pair, so probes overlap and only real claims contend.
-/// Timing covers the steal_from calls themselves (plus, in aborting
-/// mode, the busy-probes that precede a success, which are that
-/// protocol's retry cost); idle time between trickles is production
-/// schedule, identical across modes, and excluded.
+/// Timing covers the successful steal_from calls themselves; idle time
+/// between trickles is production schedule, identical across modes, and
+/// excluded.
 ///
 /// Release row: the owner's half of the split machinery under the same
 /// contention -- the owner drains its private side (charging a per-task
 /// execution cost) and reacquires from the shared side while thieves
 /// strip it. Locked-mode thin reacquires must take the owner's own lock
 /// and queue behind remote thief holds; lockfree thin reacquires
-/// self-steal through a LOCAL CAS (plus the same validated fast-path
-/// publish both modes share when the window is deep). release_maybe
+/// self-steal through a LOCAL CAS, or publish a validated split lowering
+/// when the window is deep. release_maybe
 /// itself is an unlocked local split-raise in every split-based mode and
 /// adds nothing to either side.
 ///
@@ -173,7 +172,7 @@ struct ModeTimes {
 };
 
 ModeTimes measure_mode(const sim::MachineModel& machine, QueueMode mode,
-                       bool aborting, int steal_iters) {
+                       int steal_iters) {
   ModeTimes out;
   pgas::Config cfg;
   cfg.nranks = 8;  // one victim, seven thieves: the fig7 tail shape
@@ -189,7 +188,6 @@ ModeTimes measure_mode(const sim::MachineModel& machine, QueueMode mode,
     qc.chunk = 2;
     qc.capacity = 1u << 16;
     qc.mode = mode;
-    qc.aborting_steals = aborting;
     SplitQueue q(rt, qc);
     std::vector<std::byte> task(qc.slot_bytes, std::byte{7});
     std::vector<std::byte> steal_buf(qc.slot_bytes * qc.chunk);
@@ -209,22 +207,14 @@ ModeTimes measure_mode(const sim::MachineModel& machine, QueueMode mode,
       }
       feeding.store(false, std::memory_order_release);
     } else {
-      TimeNs busy_spent = 0;  // aborting: probe cost of the next success
       for (;;) {
         TimeNs t0 = rt.now();
         int n = q.steal_from(0, steal_buf.data());
-        TimeNs dt = rt.now() - t0;
         if (n > 0) {
-          spent += dt + busy_spent;
-          busy_spent = 0;
+          spent += rt.now() - t0;
           ++steals;
           continue;
         }
-        if (n == SplitQueue::kStealBusy) {
-          busy_spent += dt;
-          continue;
-        }
-        busy_spent = 0;  // empty: no work, not protocol cost
         if (!feeding.load(std::memory_order_acquire) &&
             q.peek_shared(0) == 0) {
           break;
@@ -271,8 +261,7 @@ ModeTimes measure_mode(const sim::MachineModel& machine, QueueMode mode,
       }
     } else {
       for (;;) {
-        int n = q.steal_from(0, steal_buf.data());
-        if (n > 0 || n == SplitQueue::kStealBusy) {
+        if (q.steal_from(0, steal_buf.data()) > 0) {
           continue;
         }
         if (!draining.load(std::memory_order_acquire) &&
@@ -299,7 +288,7 @@ int main(int argc, char** argv) {
                   "histograms to this file");
   opts.add_string("mode-json", "",
                   "write per-queue-mode contended steal/release latency "
-                  "(locked | aborting | lockfree) to this file");
+                  "(locked | lockfree) to this file");
   if (!opts.parse(argc, argv)) return 0;
   int iters = static_cast<int>(opts.get_int("iters"));
   const std::string metrics_json = opts.get_string("metrics-json");
@@ -348,20 +337,13 @@ int main(int argc, char** argv) {
   // --- Per-queue-mode contended steal/release comparison ---
   const int mode_iters = std::max(20, iters / 5);
   ModeTimes locked =
-      measure_mode(sim::cluster2008_uniform(), QueueMode::Split,
-                   /*aborting=*/false, mode_iters);
-  ModeTimes aborting =
-      measure_mode(sim::cluster2008_uniform(), QueueMode::Split,
-                   /*aborting=*/true, mode_iters);
-  ModeTimes lockfree =
-      measure_mode(sim::cluster2008_uniform(), QueueMode::LockFree,
-                   /*aborting=*/false, mode_iters);
+      measure_mode(sim::cluster2008_uniform(), QueueMode::Split, mode_iters);
+  ModeTimes lockfree = measure_mode(sim::cluster2008_uniform(),
+                                    QueueMode::LockFree, mode_iters);
 
   Table mt({"Queue Mode", "Steal(us, 7 thieves)", "Release(us)"});
   mt.add_row({"locked", Table::fmt(locked.steal_us, 3),
               Table::fmt(locked.release_us, 4)});
-  mt.add_row({"aborting", Table::fmt(aborting.steal_us, 3),
-              Table::fmt(aborting.release_us, 4)});
   mt.add_row({"lockfree", Table::fmt(lockfree.steal_us, 3),
               Table::fmt(lockfree.release_us, 4)});
   mt.print("Steal protocol comparison, trickle-fed tail contention "
@@ -382,7 +364,6 @@ int main(int argc, char** argv) {
                  "\"thieves\": 7,\n",
                  mode_iters);
     emit_mode("locked", locked, ",");
-    emit_mode("aborting", aborting, ",");
     emit_mode("lockfree", lockfree, "");
     std::fprintf(f, "}\n");
     std::fclose(f);

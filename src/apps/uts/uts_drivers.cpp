@@ -45,10 +45,7 @@ TcConfig tc_config(const UtsRunConfig& cfg) {
   tcc.max_tasks_per_rank = cfg.max_tasks;
   tcc.queue_mode = cfg.queue_mode;
   tcc.color_optimization = cfg.color_optimization;
-  tcc.aborting_steals = cfg.aborting_steals;
-  tcc.adaptive_steal = cfg.adaptive_steal;
-  tcc.owner_fastpath = cfg.owner_fastpath;
-  tcc.deferred_steal_copy = cfg.deferred_steal_copy;
+  tcc.steal_half = cfg.steal_half;
   return tcc;
 }
 

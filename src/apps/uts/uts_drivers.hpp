@@ -26,14 +26,9 @@ struct UtsRunConfig {
   bool color_optimization = true;
   /// Per-rank queue capacity.
   std::int64_t max_tasks = 1 << 14;
-  /// Adaptive steal engine knobs (see TcConfig): trylock-abort + retarget,
-  /// steal-half chunking, the owner's lock-free split publish, and the
-  /// shrunken steal critical section. All default off (the paper's
-  /// blocking fixed-chunk protocol).
-  bool aborting_steals = false;
-  bool adaptive_steal = false;
-  bool owner_fastpath = false;
-  bool deferred_steal_copy = false;
+  /// Steal-half chunking (see TcConfig). Off by default: the paper's
+  /// fixed-chunk steals.
+  bool steal_half = false;
   /// MPI-WS: nodes processed between polls for steal requests. The
   /// original UTS-MPI polls on every node -- this explicit polling is
   /// precisely the overhead the paper credits Scioto with eliminating

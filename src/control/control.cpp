@@ -21,7 +21,6 @@ const char* mode_name(Mode m) {
   switch (m) {
     case Mode::Off: return "off";
     case Mode::Local: return "local";
-    case Mode::Global: return "global";
   }
   return "?";
 }
@@ -29,7 +28,6 @@ const char* mode_name(Mode m) {
 bool mode_from_name(const std::string& s, Mode* out) {
   if (s == "off" || s.empty()) { *out = Mode::Off; return true; }
   if (s == "local") { *out = Mode::Local; return true; }
-  if (s == "global") { *out = Mode::Global; return true; }
   return false;
 }
 
@@ -38,8 +36,6 @@ const char* reason_name(int r) {
     case kReasonStealFail: return "steal_fail";
     case kReasonHighCov: return "high_cov";
     case kReasonCalm: return "calm";
-    case kReasonBusy: return "busy";
-    case kReasonTarget: return "target";
     case kReasonInherit: return "inherit";
   }
   return "?";
@@ -141,16 +137,12 @@ void RuleEngine::step(const Signals& s, const std::int64_t cur[kNumKnobs],
   bool calm = s.have_cov && s.cov <= rules_.cov_lo &&
               (!sig_ok || succ >= rules_.succ_hi);
   calm_streak_ = calm ? calm_streak_ + 1 : 0;
-  busy_streak_ =
-      (sig_ok && s.busy * 4 >= s.attempts) ? busy_streak_ + 1 : 0;
 
   const int d = rules_.dwell;
   const std::int64_t chunk = cur[static_cast<int>(Knob::StealChunk)];
   const std::int64_t rel = cur[static_cast<int>(Knob::ReleaseThreshold)];
-  const std::int64_t ret = cur[static_cast<int>(Knob::RetargetBudget)];
   const std::int64_t chunk0 = base_[static_cast<int>(Knob::StealChunk)];
   const std::int64_t rel0 = base_[static_cast<int>(Knob::ReleaseThreshold)];
-  const std::int64_t ret0 = base_[static_cast<int>(Knob::RetargetBudget)];
 
   if (hi_cov_streak_ >= d) {
     // Fleet imbalanced: spill work to thieves as fast as possible.
@@ -188,11 +180,6 @@ void RuleEngine::step(const Signals& s, const std::int64_t cur[kNumKnobs],
             cur, out);
     propose(Knob::StealHalf, 1, kReasonStealFail, cur, out);
   }
-  if (busy_streak_ >= d) {
-    // Aborting steals keep bouncing off held locks: spend one more
-    // retarget hop before backing off.
-    propose(Knob::RetargetBudget, ret + 1, kReasonBusy, cur, out);
-  }
   if (calm_streak_ >= 2 * d) {
     // Balanced fleet with healthy steals: unwind the burst response in
     // reverse order -- walk the opened cap back toward baseline first,
@@ -211,9 +198,6 @@ void RuleEngine::step(const Signals& s, const std::int64_t cur[kNumKnobs],
       propose(Knob::ReleaseThreshold, std::min(rel0, rel * 2), kReasonCalm,
               cur, out);
     }
-    if (ret > ret0) {
-      propose(Knob::RetargetBudget, ret - 1, kReasonCalm, cur, out);
-    }
     propose(Knob::VictimSetSize, 0, kReasonCalm, cur, out);
   }
 }
@@ -228,29 +212,19 @@ struct alignas(64) RankRow {
   // still read a dead rank's last published values.
   std::atomic<std::int64_t> pub[kNumKnobs] = {};
   std::atomic<std::uint64_t> pub_version{0};
-  // Global-controller targets: the planner writes values then bumps the
-  // version (release); the owner polls the version (acquire) one-sidedly
-  // and applies the whole row on change.
-  std::atomic<std::int64_t> tgt[kNumKnobs] = {};
-  std::atomic<std::uint64_t> tgt_version{0};
-  // Owner-only local-controller state.
+  // Owner-only controller state.
   KnobSet* knobs = nullptr;
   TimeNs next_epoch = 0;
   bool primed = false;
-  std::uint64_t prev_attempts = 0, prev_steals = 0, prev_busy = 0;
-  std::uint64_t applied_tgt_version = 0;
+  std::uint64_t prev_attempts = 0, prev_steals = 0;
   RuleEngine engine;
-  // Planner-only per-rank state (serialized by the monitor's sample lock).
-  bool planner_primed = false;
-  std::uint64_t p_attempts = 0, p_steals = 0, p_busy = 0;
-  RuleEngine planner_engine;
 };
 
 struct CtlSession {
   Config cfg;
   int nranks = 0;
   std::unique_ptr<RankRow[]> rows;
-  // Fleet digest the monitor hook publishes for local controllers:
+  // Fleet digest the monitor hook publishes for the controllers:
   // the latest CoV (as raw double bits), a sample count, and the deepest
   // alive ranks packed 16 bits each (0xFFFF = empty slot) for the
   // restricted-victim-set steal path.
@@ -261,7 +235,6 @@ struct CtlSession {
   std::vector<DecisionRecord> log;
   std::atomic<std::uint64_t> st_epochs{0};
   std::atomic<std::uint64_t> st_decisions{0};
-  std::atomic<std::uint64_t> st_targets{0};
   std::atomic<std::uint64_t> st_inherits{0};
 };
 
@@ -286,10 +259,9 @@ void publish_row(RankRow& row) {
                         std::memory_order_release);
 }
 
-void log_decision(TimeNs t, Rank r, Knob k, std::int64_t v, int reason,
-                  bool planner) {
+void log_decision(TimeNs t, Rank r, Knob k, std::int64_t v, int reason) {
   std::lock_guard<std::mutex> lk(g_ctl.log_mu);
-  g_ctl.log.push_back(DecisionRecord{t, r, k, v, reason, planner});
+  g_ctl.log.push_back(DecisionRecord{t, r, k, v, reason});
 }
 
 /// Owner-side: push one decision through the KnobSet; on change, trace
@@ -307,12 +279,10 @@ bool apply_owner(Rank r, RankRow& row, const Decision& d, TimeNs t) {
                       row.knobs->get(Knob::StealHalf));
   SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlRelease,
                       row.knobs->get(Knob::ReleaseThreshold));
-  SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlRetarget,
-                      row.knobs->get(Knob::RetargetBudget));
   SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlVictimSet,
                       row.knobs->get(Knob::VictimSetSize));
   g_ctl.st_decisions.fetch_add(1, std::memory_order_relaxed);
-  log_decision(t, r, d.knob, applied, d.reason, /*planner=*/false);
+  log_decision(t, r, d.knob, applied, d.reason);
   return true;
 }
 
@@ -329,12 +299,10 @@ double digest_cov(bool* have) {
   return cov;
 }
 
-/// The monitor sample hook: publishes the fleet digest, and in global
-/// mode runs the rule engine per alive rank over the scraped snapshots
-/// and publishes per-rank targets. Runs in the sampler's context (the
-/// designated rank's fiber under sim, the monitor thread under threads),
-/// serialized by the monitor's sample lock.
-void planner_tick(const metrics::FleetSample& s) {
+/// The monitor sample hook: publishes the fleet digest. Runs in the
+/// sampler's context (the designated rank's fiber under sim, the monitor
+/// thread under threads), serialized by the monitor's sample lock.
+void digest_tick(const metrics::FleetSample& s) {
   if (!g_active.load(std::memory_order_acquire)) return;
   std::uint64_t bits;
   double cov = s.cov;
@@ -372,55 +340,6 @@ void planner_tick(const metrics::FleetSample& s) {
   }
   g_ctl.digest_hot.store(packed, std::memory_order_relaxed);
   g_ctl.digest_samples.fetch_add(1, std::memory_order_release);
-  if (g_ctl.cfg.mode != Mode::Global) return;
-  for (const metrics::RankSample& rs : s.ranks) {
-    // Never retune a fenced or dead rank: its targets freeze at the
-    // last published version and its row stays readable for wards.
-    if (rs.state != metrics::RankState::Alive) continue;
-    if (rs.r < 0 || rs.r >= g_ctl.nranks) continue;
-    RankRow& row = g_ctl.rows[rs.r];
-    if (row.pub_version.load(std::memory_order_acquire) == 0) continue;
-    metrics::Snapshot snap;
-    if (!metrics::scrape(rs.r, &snap)) continue;
-    std::uint64_t att = snap.ctr(metrics::Ctr::StealAttempts);
-    std::uint64_t st = snap.ctr(metrics::Ctr::Steals);
-    std::uint64_t busy = snap.ctr(metrics::Ctr::StealLockBusy);
-    std::int64_t cur[kNumKnobs];
-    for (int k = 0; k < kNumKnobs; ++k) {
-      cur[k] = row.pub[k].load(std::memory_order_relaxed);
-    }
-    if (!row.planner_primed) {
-      row.planner_primed = true;
-      row.planner_engine = RuleEngine(g_ctl.cfg.rules, cur, g_ctl.nranks);
-      for (int k = 0; k < kNumKnobs; ++k) {
-        row.tgt[k].store(cur[k], std::memory_order_relaxed);
-      }
-      row.p_attempts = att;
-      row.p_steals = st;
-      row.p_busy = busy;
-      continue;
-    }
-    Signals sig;
-    sig.attempts = att - row.p_attempts;
-    sig.steals = st - row.p_steals;
-    sig.busy = busy - row.p_busy;
-    sig.shared_depth = rs.shared;
-    sig.cov = s.cov;
-    sig.have_cov = s.alive + s.suspects >= 2;
-    row.p_attempts = att;
-    row.p_steals = st;
-    row.p_busy = busy;
-    std::vector<Decision> ds;
-    row.planner_engine.step(sig, cur, &ds);
-    if (ds.empty()) continue;
-    for (const Decision& d : ds) {
-      row.tgt[static_cast<int>(d.knob)].store(d.value,
-                                              std::memory_order_relaxed);
-      log_decision(s.t, rs.r, d.knob, d.value, d.reason, /*planner=*/true);
-    }
-    row.tgt_version.fetch_add(1, std::memory_order_release);
-    g_ctl.st_targets.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace
@@ -434,8 +353,7 @@ TimeNs period() { return active() ? g_ctl.cfg.period : 0; }
 void start(int nranks, const Config& cfg) {
   SCIOTO_REQUIRE(!active(), "control session already active");
   SCIOTO_REQUIRE(nranks >= 1, "control session needs >= 1 rank");
-  SCIOTO_REQUIRE(cfg.mode != Mode::Off,
-                 "control::start needs mode local or global");
+  SCIOTO_REQUIRE(cfg.mode != Mode::Off, "control::start needs mode local");
   SCIOTO_REQUIRE(metrics::active(),
                  "control needs an active metrics session (the controller "
                  "reads the metric patches)");
@@ -452,11 +370,10 @@ void start(int nranks, const Config& cfg) {
   }
   g_ctl.st_epochs.store(0, std::memory_order_relaxed);
   g_ctl.st_decisions.store(0, std::memory_order_relaxed);
-  g_ctl.st_targets.store(0, std::memory_order_relaxed);
   g_ctl.st_inherits.store(0, std::memory_order_relaxed);
   g_active.store(true, std::memory_order_release);
   metrics::monitor_set_sample_hook(
-      [](const metrics::FleetSample& s) { planner_tick(s); });
+      [](const metrics::FleetSample& s) { digest_tick(s); });
   metrics::monitor_set_knobs_text([](Rank r) { return knobs_text(r); });
 }
 
@@ -475,7 +392,6 @@ void attach(Rank r, KnobSet* knobs) {
   row.knobs = knobs;
   row.next_epoch = 0;
   row.primed = false;
-  row.applied_tgt_version = row.tgt_version.load(std::memory_order_relaxed);
   publish_row(row);
 }
 
@@ -489,17 +405,13 @@ void detach(Rank r) {
 bool poll_due(Rank r, TimeNs now) {
   if (!in_session(r)) return false;
   RankRow& row = g_ctl.rows[r];
-  if (row.knobs == nullptr) return false;
-  if (g_ctl.cfg.mode == Mode::Local) return now >= row.next_epoch;
-  return row.tgt_version.load(std::memory_order_relaxed) !=
-         row.applied_tgt_version;
+  return row.knobs != nullptr && now >= row.next_epoch;
 }
 
-TimeNs next_due(Rank r, TimeNs now) {
+TimeNs next_due(Rank r) {
   if (!in_session(r)) return kTimeNever;
   const RankRow& row = g_ctl.rows[r];
-  if (row.knobs == nullptr) return kTimeNever;
-  return g_ctl.cfg.mode == Mode::Local ? row.next_epoch : now;
+  return row.knobs == nullptr ? kTimeNever : row.next_epoch;
 }
 
 void poll_epoch(Rank r, TimeNs now, std::uint64_t shared_depth) {
@@ -509,22 +421,10 @@ void poll_epoch(Rank r, TimeNs now, std::uint64_t shared_depth) {
   // A fenced/suspected rank never retunes itself; it will either die (its
   // row freezing for the ward) or rejoin and resume at the next epoch.
   if (detect::active() && !detect::alive(r)) return;
-  if (g_ctl.cfg.mode == Mode::Global) {
-    std::uint64_t v = row.tgt_version.load(std::memory_order_acquire);
-    if (v == row.applied_tgt_version) return;
-    row.applied_tgt_version = v;
-    for (int k = 0; k < kNumKnobs; ++k) {
-      Decision d{static_cast<Knob>(k),
-                 row.tgt[k].load(std::memory_order_relaxed), kReasonTarget};
-      apply_owner(r, row, d, now);
-    }
-    return;
-  }
   if (now < row.next_epoch) return;
   row.next_epoch = now + g_ctl.cfg.period;
   std::uint64_t att = metrics::own_ctr(r, metrics::Ctr::StealAttempts);
   std::uint64_t st = metrics::own_ctr(r, metrics::Ctr::Steals);
-  std::uint64_t busy = metrics::own_ctr(r, metrics::Ctr::StealLockBusy);
   std::int64_t cur[kNumKnobs];
   for (int k = 0; k < kNumKnobs; ++k) {
     cur[k] = row.knobs->get(static_cast<Knob>(k));
@@ -534,18 +434,15 @@ void poll_epoch(Rank r, TimeNs now, std::uint64_t shared_depth) {
     row.engine = RuleEngine(g_ctl.cfg.rules, cur, g_ctl.nranks);
     row.prev_attempts = att;
     row.prev_steals = st;
-    row.prev_busy = busy;
     return;
   }
   Signals sig;
   sig.attempts = att - row.prev_attempts;
   sig.steals = st - row.prev_steals;
-  sig.busy = busy - row.prev_busy;
   sig.shared_depth = shared_depth;
   sig.cov = digest_cov(&sig.have_cov);
   row.prev_attempts = att;
   row.prev_steals = st;
-  row.prev_busy = busy;
   g_ctl.st_epochs.fetch_add(1, std::memory_order_relaxed);
   SCIOTO_METRIC_CTR(r, metrics::Ctr::CtlEpochs, 1);
   std::vector<Decision> ds;
@@ -606,12 +503,10 @@ std::string knobs_text(Rank r) {
   if (!published(r, v)) return {};
   char buf[96];
   std::snprintf(buf, sizeof(buf),
-                "ck=%" PRId64 " half=%" PRId64 " rel=%" PRId64 " rt=%" PRId64
-                " vs=%" PRId64,
+                "ck=%" PRId64 " half=%" PRId64 " rel=%" PRId64 " vs=%" PRId64,
                 v[static_cast<int>(Knob::StealChunk)],
                 v[static_cast<int>(Knob::StealHalf)],
                 v[static_cast<int>(Knob::ReleaseThreshold)],
-                v[static_cast<int>(Knob::RetargetBudget)],
                 v[static_cast<int>(Knob::VictimSetSize)]);
   return buf;
 }
@@ -627,8 +522,7 @@ std::string decisions_jsonl() {
   for (const DecisionRecord& d : ds) {
     os << "{\"t\":" << d.t << ",\"rank\":" << d.rank << ",\"knob\":\""
        << knob_name(d.knob) << "\",\"value\":" << d.value << ",\"reason\":\""
-       << reason_name(d.reason) << "\",\"planner\":"
-       << (d.planner ? "true" : "false") << "}\n";
+       << reason_name(d.reason) << "\"}\n";
   }
   return os.str();
 }
@@ -637,7 +531,6 @@ Stats stats() {
   Stats s;
   s.epochs = g_ctl.st_epochs.load(std::memory_order_relaxed);
   s.decisions = g_ctl.st_decisions.load(std::memory_order_relaxed);
-  s.targets_published = g_ctl.st_targets.load(std::memory_order_relaxed);
   s.inherits = g_ctl.st_inherits.load(std::memory_order_relaxed);
   return s;
 }

@@ -1,30 +1,19 @@
 // Adaptive control plane: closes the metrics -> knobs loop online.
 //
-// PR 5 built the global-view telemetry (per-rank counters, fleet CoV/Gini
-// imbalance, steal-success rate) and PR 3 built the knobs (chunk size,
-// steal-half, aborting steals, release threshold) -- this subsystem
-// connects them. A feedback controller periodically reads tear-free
-// metric snapshots and retunes each rank's live KnobSet (knobs.hpp)
-// through a shared hysteresis/epoch rule engine.
+// The telemetry plane (per-rank counters, fleet CoV/Gini imbalance,
+// steal-success rate) and the live knobs (chunk size, steal-half,
+// release threshold, victim set) meet here. Every rank runs its own
+// controller inside the scheduling loop: at each virtual-time epoch it
+// reads its own counters through the metrics fast path (own-patch relaxed
+// loads, no seqlock scrape), folds in a cheap fleet digest the monitor
+// publishes (CoV of queue depths and the deepest ranks), and retunes its
+// own KnobSet (knobs.hpp) through a hysteresis/epoch rule engine.
 //
-// Two placements share the same engine:
-//
-//  * local  -- every rank runs its own controller inside the scheduling
-//    loop. At each virtual-time epoch it reads its own counters through
-//    the metrics fast path (own-patch relaxed loads, no seqlock scrape),
-//    folds in a cheap fleet digest the monitor publishes (CoV of queue
-//    depths), and retunes its own knobs.
-//  * global -- the fleet monitor is the controller. After each sample it
-//    runs the rule engine per alive rank over the scraped snapshots and
-//    publishes per-rank *targets* into a knob segment; ranks poll the
-//    segment one-sidedly (one relaxed version check per loop) and apply
-//    changed targets to their own KnobSet.
-//
-// Either way the knobs themselves are only ever written from the owning
-// rank's context, so the queue/steal hot paths read plain (non-atomic)
-// values; all cross-rank traffic goes through this session's atomic rows
-// (published knobs, targets, fleet digest) -- the single-address-space
-// analog of a one-sided knob segment.
+// The knobs themselves are only ever written from the owning rank's
+// context, so the queue/steal hot paths read plain (non-atomic) values;
+// all cross-rank traffic goes through this session's atomic rows
+// (published knobs, fleet digest) -- the single-address-space analog of a
+// one-sided knob segment.
 //
 // Rule engine: additive-increase of the steal chunk on sustained steal
 // failure; on sustained fleet imbalance, steal-half plus an opened chunk
@@ -38,23 +27,23 @@
 // epochs so one decision suppresses further changes to the same knob --
 // hysteresis against oscillation.
 //
-// Determinism: under the sim backend, local epochs fire at virtual-time
-// deadlines inside the scheduling loop, the digest/targets are produced
-// by the monitor's deterministic virtual-time sampler, and the engine is
-// a pure integer/double state machine -- so the full decision sequence is
+// Determinism: under the sim backend, epochs fire at virtual-time
+// deadlines inside the scheduling loop, the digest is produced by the
+// monitor's deterministic virtual-time sampler, and the engine is a pure
+// integer/double state machine -- so the full decision sequence is
 // bit-deterministic across reruns. Under the threads backend every
 // cross-thread word is an atomic and decisions are wall-clock-paced
 // (TSan-clean, not deterministic).
 //
 // Composition with faults: a controller never retunes a fenced or dead
-// rank (the global planner skips non-alive ranks; a local controller
-// checks its own liveness before deciding), and a ward that adopts a
-// dead rank's queue inherits the victim's last *published* knobs --
-// published rows outlive the owner precisely so adoption can read them.
+// rank (it checks its own liveness before deciding), and a ward that
+// adopts a dead rank's queue inherits the victim's last *published*
+// knobs -- published rows outlive the owner precisely so adoption can
+// read them.
 //
 // Gating (same discipline as trace/ and metrics/): nothing happens until
-// start(); armed by SCIOTO_CONTROLLER=off|local|global (+
-// SCIOTO_CTL_PERIOD, SCIOTO_CTL_RULES) or the scioto_ctl_* C API.
+// start(); armed by SCIOTO_CONTROLLER=off|local (+ SCIOTO_CTL_PERIOD,
+// SCIOTO_CTL_RULES) or the scioto_ctl_* C API.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +55,7 @@
 
 namespace scioto::control {
 
-enum class Mode : int { Off, Local, Global };
+enum class Mode : int { Off, Local };
 
 const char* mode_name(Mode m);
 bool mode_from_name(const std::string& s, Mode* out);
@@ -112,7 +101,6 @@ void set_config(const Config& cfg);
 struct Signals {
   std::uint64_t attempts = 0;      // steal attempts this epoch (delta)
   std::uint64_t steals = 0;        // successful steals this epoch (delta)
-  std::uint64_t busy = 0;          // lock-busy bounces this epoch (delta)
   std::uint64_t shared_depth = 0;  // rank's stealable depth right now
   double cov = 0.0;                // fleet queue-depth CoV
   bool have_cov = false;           // digest available yet?
@@ -122,9 +110,7 @@ enum Reason : int {
   kReasonStealFail = 0,  // sustained steal failure
   kReasonHighCov = 1,    // sustained fleet imbalance
   kReasonCalm = 2,       // sustained balance + steal success
-  kReasonBusy = 3,       // sustained lock-busy bounces
-  kReasonTarget = 4,     // applied a global-controller target
-  kReasonInherit = 5,    // adopted a dead rank's published knobs
+  kReasonInherit = 3,    // adopted a dead rank's published knobs
 };
 const char* reason_name(int r);
 
@@ -160,7 +146,6 @@ class RuleEngine {
   int lo_succ_streak_ = 0;
   int hi_cov_streak_ = 0;
   int calm_streak_ = 0;
-  int busy_streak_ = 0;
 };
 
 // ---- Session ----
@@ -170,9 +155,9 @@ bool active();
 Mode mode();
 TimeNs period();
 
-/// Allocates the per-rank rows (published knobs, targets, engine state)
-/// and begins controlling. With Mode::Global also installs the planner
-/// hook into the fleet monitor (metrics/monitor.hpp).
+/// Allocates the per-rank rows (published knobs, engine state), installs
+/// the digest hook into the fleet monitor (metrics/monitor.hpp), and
+/// begins controlling.
 void start(int nranks, const Config& cfg);
 void stop();
 
@@ -182,20 +167,17 @@ void stop();
 void attach(Rank r, KnobSet* knobs);
 void detach(Rank r);
 
-/// Cheap per-iteration check: is a controller epoch (local) or an
-/// unapplied target version (global) pending for rank r?
+/// Cheap per-iteration check: is a controller epoch due for rank r?
 bool poll_due(Rank r, TimeNs now);
 
-/// Runs the due work found by poll_due: local = evaluate the rule engine
-/// over this epoch's signals and apply; global = apply the published
-/// targets. Never retunes a rank the detector considers fenced/dead.
+/// Runs the epoch found by poll_due: evaluates the rule engine over this
+/// epoch's signals and applies the decisions. Never retunes a rank the
+/// detector considers fenced/dead.
 void poll_epoch(Rank r, TimeNs now, std::uint64_t shared_depth);
 
-/// The first virtual time at which poll_due(r, ...) can turn true without
-/// another rank first touching r: the next local epoch; `now` under the
-/// global planner, whose targets land with no wake; kTimeNever when r has
-/// no controller.
-TimeNs next_due(Rank r, TimeNs now);
+/// The first virtual time at which poll_due(r, ...) can turn true: r's
+/// next epoch, or kTimeNever when r has no controller.
+TimeNs next_due(Rank r);
 
 /// Ward-side adoption: rank `me` inherits dead rank `dead`'s last
 /// published knobs into its own KnobSet.
@@ -203,7 +185,7 @@ void inherit(Rank me, Rank dead);
 
 /// Re-copies rank r's attached KnobSet into its published row. Called by
 /// TaskCollection::set_knob after a direct (C API) knob write so the
-/// dashboard, the planner, and future wards see the new values.
+/// dashboard and future wards see the new values.
 void republish(Rank r);
 
 // ---- Cross-rank reads ----
@@ -218,7 +200,7 @@ bool published(Rank r, std::int64_t out[kNumKnobs]);
 inline constexpr int kMaxHotVictims = 4;
 int hot_victims(Rank out[kMaxHotVictims]);
 
-/// One-line "c=10 h=1 r=20 t=4 v=0" rendering for the live dashboard;
+/// One-line "ck=10 half=1 rel=20 vs=0" rendering for the live dashboard;
 /// empty when r never published or no session is active.
 std::string knobs_text(Rank r);
 
@@ -230,17 +212,15 @@ struct DecisionRecord {
   Knob knob = Knob::StealChunk;
   std::int64_t value = 0;
   int reason = 0;
-  bool planner = false;  // true: global planner target; false: owner apply
 };
 
 std::vector<DecisionRecord> decisions();
 std::string decisions_jsonl();
 
 struct Stats {
-  std::uint64_t epochs = 0;             // local epochs evaluated
-  std::uint64_t decisions = 0;          // knob changes applied by owners
-  std::uint64_t targets_published = 0;  // target rows written by the planner
-  std::uint64_t inherits = 0;           // adoption-time knob inheritances
+  std::uint64_t epochs = 0;     // epochs evaluated
+  std::uint64_t decisions = 0;  // knob changes applied by owners
+  std::uint64_t inherits = 0;   // adoption-time knob inheritances
 };
 Stats stats();
 

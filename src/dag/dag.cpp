@@ -510,7 +510,13 @@ void DagScheduler::fire(NodeId id, Rank home, std::int32_t depth) {
   // first. A remote fire lands at the steal end whatever its affinity.
   const bool critical =
       is_dyn(id) || nodes_[static_cast<std::size_t>(id)].critical;
-  tc_.add(home, critical ? kAffinityHigh : kAffinityLow, t);
+  tc_.add(home, affinity(critical), t);
+}
+
+int DagScheduler::affinity(bool critical) const {
+  // With one rank there is no thief to expose slack to, and a steal-end
+  // push costs the owner a lock round trip plus a reacquire.
+  return critical || rt_.nprocs() == 1 ? kAffinityHigh : kAffinityLow;
 }
 
 void DagScheduler::defer(NodeId id, GroupId group, bool version_wait) {
@@ -578,7 +584,7 @@ std::uint64_t DagScheduler::retry_parked() {
       Task t = tc_.task_create(sizeof(DagBody), dispatch_handle_);
       t.body_as<DagBody>().node = parked_[i].id;
       trace::lineage::set_current(me, parked_[i].lineage);
-      tc_.add(me, kAffinityLow, t);
+      tc_.add(me, affinity(/*critical=*/false), t);
       parked_.erase(parked_.begin() + static_cast<std::ptrdiff_t>(i));
       ++injected;
     } else {

@@ -247,6 +247,9 @@ class DagScheduler : private LoopHook {
   void run_node(TaskContext& ctx);
   void decrement(NodeId succ, std::int64_t delta);
   void fire(NodeId id, Rank home, std::int32_t depth);
+  /// Queue affinity of a node entering the collection: high for a critical
+  /// node or on a one-rank fleet, low (the steal end) otherwise.
+  int affinity(bool critical) const;
   void defer(NodeId id, GroupId group, bool version_wait);
   bool gates_look_open(const ParkEntry& e);
   std::uint64_t retry_parked();

@@ -47,7 +47,6 @@ const char* ctr_name(Ctr c) {
     case Ctr::DagConflictRetries: return "dag_conflict_retries";
     case Ctr::DagVersionWaits:  return "dag_version_waits";
     case Ctr::DagRemoteFires:   return "dag_remote_fires";
-    case Ctr::StealLockBusy:    return "steal_lock_busy";
     case Ctr::CtlEpochs:        return "ctl_epochs";
     case Ctr::CtlDecisions:     return "ctl_decisions";
     case Ctr::CtlInherits:      return "ctl_inherits";
@@ -68,7 +67,6 @@ const char* gauge_name(Gauge g) {
     case Gauge::CtlChunk:     return "ctl_chunk";
     case Gauge::CtlStealHalf: return "ctl_steal_half";
     case Gauge::CtlRelease:   return "ctl_release";
-    case Gauge::CtlRetarget:  return "ctl_retarget";
     case Gauge::CtlVictimSet: return "ctl_victim_set";
     case Gauge::kCount:       break;
   }

@@ -87,8 +87,7 @@ enum class Ctr : int {
   DagConflictRetries, // dispatches bounced off a held conflict-group lock
   DagVersionWaits,  // dispatches deferred on an unbumped data version
   DagRemoteFires,   // subset of DagNodesFired homed on another rank
-  // Steal-path contention + the adaptive control plane (src/control).
-  StealLockBusy,    // aborting-steal attempts bounced off a held lock
+  // The adaptive control plane (src/control).
   CtlEpochs,        // controller epochs this rank evaluated
   CtlDecisions,     // knob changes this rank applied
   CtlInherits,      // knob rows inherited from dead ranks at adoption
@@ -108,7 +107,6 @@ enum class Gauge : int {
   CtlChunk,      // live steal-chunk knob
   CtlStealHalf,  // live steal-half on/off knob
   CtlRelease,    // live release-threshold knob
-  CtlRetarget,   // live retarget-budget knob
   CtlVictimSet,  // live restricted-victim-set knob (0 = unrestricted)
   kCount
 };

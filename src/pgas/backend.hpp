@@ -92,7 +92,6 @@ class Backend {
   /// Acquires lock `base+idx`, whose home is rank `home` (used for cost
   /// accounting; the lock state itself lives in the backend).
   virtual void lock(int base, int idx, Rank home) = 0;
-  virtual bool trylock(int base, int idx, Rank home) = 0;
   virtual void unlock(int base, int idx, Rank home) = 0;
 
   // ---- Atomicity escape hatch ----

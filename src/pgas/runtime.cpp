@@ -648,7 +648,7 @@ RunResult run_spmd(const Config& cfg,
     detect::start(cfg.nranks);
   }
 
-  // SCIOTO_CONTROLLER=off|local|global arms the adaptive control plane.
+  // SCIOTO_CONTROLLER=off|local arms the adaptive control plane.
   // Mode, epoch period, and rule thresholds come from the staged
   // control::config() (C API) with env overrides. The controller reads the
   // metrics plane, so arming it force-enables metrics below. A session the
@@ -657,7 +657,7 @@ RunResult run_spmd(const Config& cfg,
   control::Config ccfg = ccfg_caller;
   if (const char* v = std::getenv("SCIOTO_CONTROLLER")) {
     SCIOTO_REQUIRE(control::mode_from_name(v, &ccfg.mode),
-                   "SCIOTO_CONTROLLER must be off|local|global, got " << v);
+                   "SCIOTO_CONTROLLER must be off|local, got " << v);
   }
   if (const char* v = std::getenv("SCIOTO_CTL_PERIOD")) {
     ccfg.period = fault::parse_time(v);
@@ -721,7 +721,7 @@ RunResult run_spmd(const Config& cfg,
     });
   }
   if (own_control) {
-    // After monitor_start so the monitor hooks (planner tick, dashboard
+    // After monitor_start so the monitor hooks (fleet digest, dashboard
     // knob text) land in an armed monitor; works equally against a
     // caller-owned metrics session.
     control::set_config(ccfg);

@@ -210,9 +210,6 @@ class Runtime {
   /// Collective: creates one lock per rank.
   LockSet lockset_create();
   void lock(const LockSet& ls, Rank r) { backend_.lock(ls.base, r, r); }
-  bool trylock(const LockSet& ls, Rank r) {
-    return backend_.trylock(ls.base, r, r);
-  }
   void unlock(const LockSet& ls, Rank r) { backend_.unlock(ls.base, r, r); }
 
   // ---- Collectives ----

@@ -130,17 +130,6 @@ void SimBackend::lock(int base, int idx, Rank home) {
   }
 }
 
-bool SimBackend::trylock(int base, int idx, Rank home) {
-  engine_->wake(home);
-  OpCosts k = costs_for(home);
-  TimeNs done = engine_->rma_occupy(home, k.latency, k.service);
-  engine_->advance_to(done);
-  bool ok = engine_->lock_try(base + idx);
-  engine_->wake(home);
-  engine_->advance_unsynced(k.latency);
-  return ok;
-}
-
 void SimBackend::unlock(int base, int idx, Rank home) {
   // Unlock is a one-way notification: pay injection + delivery, release at
   // the delivery time so a queued competitor cannot acquire "too early".

@@ -104,10 +104,6 @@ void ThreadBackend::lock(int base, int idx, Rank) {
   }
 }
 
-bool ThreadBackend::trylock(int base, int idx, Rank) {
-  return locks_[static_cast<std::size_t>(base + idx)].try_lock();
-}
-
 void ThreadBackend::unlock(int base, int idx, Rank) {
   locks_[static_cast<std::size_t>(base + idx)].unlock();
 }

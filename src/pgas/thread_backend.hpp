@@ -39,7 +39,6 @@ class ThreadBackend : public Backend {
   void rmw_charge(Rank) override {}
   int lockset_create(int n) override;
   void lock(int base, int idx, Rank home) override;
-  bool trylock(int base, int idx, Rank home) override;
   void unlock(int base, int idx, Rank home) override;
   void critical(const std::function<void()>& fn) override;
   void idle_wait() override;

@@ -46,8 +46,7 @@ SplitQueue::SplitQueue(pgas::Runtime& rt, Config cfg)
   SCIOTO_REQUIRE(cfg_.release_threshold >= 1,
                  "release_threshold must be >= 1, got "
                      << cfg_.release_threshold);
-  knobs_.init(cfg_.chunk, chunk_max_, cfg_.adaptive_chunk,
-              /*retarget_budget=*/0,
+  knobs_.init(cfg_.chunk, chunk_max_, cfg_.steal_half,
               static_cast<std::int64_t>(cfg_.release_threshold), rt.nprocs());
   cfg_.slot_bytes = align_up(cfg_.slot_bytes, 8);  // word-wise CAS copies
   ft_ = fault::active();
@@ -61,7 +60,7 @@ SplitQueue::SplitQueue(pgas::Runtime& rt, Config cfg)
                  "fault tolerance requires locked steals: lockfree mode "
                  "(SCIOTO_QUEUE=lockfree) publishes claims with an unlocked "
                  "CAS and cannot anchor the steal-transaction log; use "
-                 "SCIOTO_QUEUE=locked or aborting with fault plans");
+                 "SCIOTO_QUEUE=locked with fault plans");
   // The adoption lease packs (epoch << 16) | (adopter + 1) into one CAS-able
   // word; a rank id that spills past 16 bits would corrupt the epoch field
   // the rival-ward comparison keys off. (Epochs bump only on deaths and
@@ -348,16 +347,11 @@ std::uint64_t SplitQueue::reacquire() {
   }
   Rank me = rt_.me();
   Ctl& c = ctl(me);
-  // Fault mode forces the locked path (as it forces locked steals): the
-  // lock-light split publish cannot observe an adoption fence, so a
-  // falsely-suspected owner could resurrect adopted work. (LockFree is
-  // rejected under fault mode at construction.)
-  if ((cfg_.mode == QueueMode::LockFree || cfg_.owner_fastpath) && !ft_) {
+  if (cfg_.mode == QueueMode::LockFree) {
+    // Deep shared portion: lower the split with one validated publish.
     if (std::uint64_t take = lower_split_validated()) {
       return take;
     }
-  }
-  if (cfg_.mode == QueueMode::LockFree) {
     // No lock exists to serialize a split lowering against in-flight
     // thieves, so a thin shared portion -- including the single-element
     // owner-vs-thief race -- falls back to self-stealing through the CAS,
@@ -400,15 +394,13 @@ std::uint64_t SplitQueue::reacquire() {
 
 std::uint64_t SplitQueue::lower_split_validated() {
   // Publish the new split with one seq_cst store and validate that no
-  // in-flight thief can overrun it. Locked thieves serialize on the lock
-  // and publish steal_head seq_cst; lock-free thieves load steal_head and
-  // then split seq_cst, in that order. Either way at most ONE thief's
-  // advance (bounded by its chunk) can be missing from the validation
-  // load -- see DESIGN.md for why the seq_cst total order bounds it to
-  // one. The margin uses chunk_max, not the live chunk: the in-flight
-  // thief steals at its OWN live width, which we cannot see but which its
-  // KnobSet clamps to the collective chunk_max. sh_idx() masks the
-  // LockFree ABA tag and is a no-op in Split mode.
+  // in-flight thief can overrun it. Thieves load steal_head and then split
+  // seq_cst, in that order, so at most ONE thief's advance (bounded by its
+  // chunk) can be missing from the validation load -- see DESIGN.md for
+  // why the seq_cst total order bounds it to one. The margin uses
+  // chunk_max, not the live chunk: the in-flight thief steals at its OWN
+  // live width, which we cannot see but which its KnobSet clamps to the
+  // collective chunk_max. sh_idx() masks the ABA tag.
   Ctl& c = ctl(rt_.me());
   const auto margin = static_cast<std::uint64_t>(chunk_max_);
   std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
@@ -561,23 +553,8 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
   // round trip (this is what keeps the paper's remote ops near 5 one-way
   // latencies).
   Rank me = rt_.me();
-  if (cfg_.aborting_steals) {
-    // Aborting steal: a held lock means another thief (or the owner) is in
-    // the critical section; re-targeting beats convoying on it. trylock
-    // costs one round trip either way; nothing on the victim changed.
-    if (!rt_.trylock(locks_, victim)) {
-      counters().steals_lock_busy++;
-      SCIOTO_TRACE_EVENT(me, trace::Ev::StealBusy, victim, 0, 0);
-      SCIOTO_METRIC_CTR(me, metrics::Ctr::StealLockBusy, 1);
-      return kStealBusy;
-    }
-  } else {
-    rt_.lock(locks_, victim);
-  }
+  rt_.lock(locks_, victim);
   Ctl& c = ctl(victim);
-  // seq_cst (rather than acquire) on the index handshake so the owner's
-  // lock-free fast-path reacquire can validate against in-flight thieves;
-  // same instruction on x86 loads, and no sim charge either way.
   std::uint64_t sh = c.steal_head.load(std::memory_order_seq_cst);
   std::uint64_t bd = cfg_.mode == QueueMode::NoSplit
                          ? unfrozen(c.priv_tail.load(std::memory_order_acquire))
@@ -600,16 +577,9 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
     rt_.unlock(locks_, victim);
     return 0;
   }
-  // The ring->buffer copy itself must happen under the lock: the moment
-  // steal_head moves, a remote add may reuse the slot just below it. What
-  // deferred_steal_copy moves past the unlock is the chunk's *wire time*
-  // (the RMA charge) -- the model of a one-sided get whose bulk payload
-  // streams while the victim's lock is already free.
-  if (cfg_.deferred_steal_copy) {
-    copy_span_raw(victim, sh, n, out);
-  } else {
-    copy_out_span(victim, sh, n, out);
-  }
+  // The copy happens under the lock: the moment steal_head moves, a
+  // remote add may reuse the slot just below it.
+  copy_out_span(victim, sh, n, out);
   if (ft_ && victim != me) {
     // Log the in-flight chunk victim-side before releasing the lock: if we
     // die before requeue+commit, the victim (or its ward) replays it from
@@ -631,9 +601,6 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
   }
   c.steal_head.store(sh + n, std::memory_order_seq_cst);
   rt_.unlock(locks_, victim);
-  if (cfg_.deferred_steal_copy) {
-    rt_.rma_charge(victim, n * cfg_.slot_bytes);
-  }
   return static_cast<int>(n);
 }
 
@@ -1103,9 +1070,7 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
                            static_cast<std::uint64_t>(
                                std::max<TimeNs>(rt_.now() - t0, 0)));
     }
-  } else if (n == 0) {
-    // kStealBusy already traced its own event; it is neither a success
-    // nor an empty-handed probe.
+  } else {
     SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealFail, victim, 0, 0);
     SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::StealFails, 1);
   }
@@ -1207,28 +1172,6 @@ SplitQueue::Snapshot SplitQueue::debug_snapshot(Rank r) {
   s.split = c.split.load(std::memory_order_seq_cst);
   s.priv_tail = c.priv_tail.load(std::memory_order_seq_cst);
   return s;
-}
-
-std::uint64_t SplitQueue::debug_patch_hash(Rank r) {
-  Snapshot s = debug_snapshot(r);
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(s.steal_head);
-  mix(s.split);
-  mix(s.priv_tail);
-  const std::byte* ring = rt_.seg_ptr(seg_, r) + slots_off_;
-  const std::size_t bytes =
-      static_cast<std::size_t>(internal_cap_) * cfg_.slot_bytes;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= static_cast<std::uint64_t>(ring[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 void SplitQueue::metrics_owner_op(metrics::Hist h, TimeNs t0) {

@@ -44,6 +44,11 @@
 //   same-index-different-history word. See DESIGN.md for the full
 //   memory-order argument.
 //
+// Steal width is the one policy every mode shares: the thief's live chunk,
+// or with steal-half min(ceil(shared depth / 2), chunk). Locked steals
+// block on the victim's lock and copy the chunk inside the critical
+// section, as in the paper.
+//
 // Cost model: local lock-free ops charge MachineModel::local_insert/get;
 // remote ops charge lock/RMA/RMW costs through the runtime, which under
 // sim also serializes contenders in virtual time.
@@ -112,32 +117,12 @@ class SplitQueue {
     /// shared portion has fewer than `chunk` tasks. Must be >= 1 (the
     /// initial ReleaseThreshold knob, whose lower bound is 1).
     std::uint64_t release_threshold = 2 * 10;
-    /// Aborting steals: thieves trylock the victim and return kStealBusy
-    /// instead of convoying on a held lock (caller re-targets). Split and
-    /// NoSplit modes only; lock-free steals never block to begin with.
-    bool aborting_steals = false;
-    /// Steal-half adaptive chunking: a steal takes
-    /// min(ceil(shared_depth / 2), chunk) tasks instead of the fixed
-    /// `chunk`, so a deep victim sheds half its exposed work in one get
-    /// while a nearly-dry one is not stripped bare. Initial StealHalf knob.
-    bool adaptive_chunk = false;
-    /// Lock-light owner fast path: when the shared portion is deep enough
-    /// that no in-flight thief can overrun it, reacquire() lowers `split`
-    /// with a single validated seq_cst publish instead of taking the lock
-    /// (falling back to the locked path when the margin is thin).
-    bool owner_fastpath = false;
-    /// Shrinks the steal critical section: the chunk's wire time (its RMA
-    /// charge) is paid after the victim's lock is released, modelling a
-    /// get whose bulk data streams while the lock is already free. The
-    /// ring->buffer copy itself stays under the lock (remote adds reuse
-    /// slots just below steal_head immediately after it moves).
-    bool deferred_steal_copy = false;
+    /// Steal-half: a steal takes min(ceil(shared_depth / 2), chunk) tasks
+    /// instead of the fixed `chunk`, so a deep victim sheds half its
+    /// exposed work in one get while a nearly-dry one is not stripped
+    /// bare. Initial StealHalf knob.
+    bool steal_half = false;
   };
-
-  /// steal_from() result when aborting_steals is set and the victim's lock
-  /// was held: nothing was transferred and the victim's queue state is
-  /// untouched; the caller should back off and pick another victim.
-  static constexpr int kStealBusy = -1;
 
   struct Counters {
     std::uint64_t pushes = 0;
@@ -154,9 +139,8 @@ class SplitQueue {
     std::uint64_t steals_aborted = 0;   // fault-truncated to zero tasks
     std::uint64_t tasks_recovered = 0;  // replayed txns + adopted queues
     std::uint64_t commit_retries = 0;   // dropped commit writes retried
-    std::uint64_t steals_lock_busy = 0;  // aborting steals: victim lock held
     std::uint64_t owner_lock_acqs = 0;   // owner took its own queue's lock
-    std::uint64_t reacquires_fast = 0;   // lock-free fast-path reacquires
+    std::uint64_t reacquires_fast = 0;   // LockFree validated reacquires
   };
 
   /// Collective: allocates the queue segment and its lock set.
@@ -191,8 +175,7 @@ class SplitQueue {
   /// Unlocked peek at a victim's stealable-task count (one 16-byte get).
   std::uint64_t peek_shared(Rank victim);
   /// Steals up to cfg.chunk tasks from the victim's shared portion into
-  /// `out` (which must hold chunk * slot_bytes). Returns tasks stolen, or
-  /// kStealBusy when aborting_steals is set and the victim's lock was held.
+  /// `out` (which must hold chunk * slot_bytes). Returns tasks stolen.
   int steal_from(Rank victim, std::byte* out);
   /// Adds one descriptor to `target`'s shared end.
   /// Returns false if the target queue is full.
@@ -268,13 +251,6 @@ class SplitQueue {
     bool operator==(const Snapshot&) const = default;
   };
   Snapshot debug_snapshot(Rank r);
-  /// FNV-1a hash of `r`'s control indices plus every ring slot byte. The
-  /// contention stress test uses it to assert that an aborted (kStealBusy)
-  /// steal left the victim's patch byte-identical.
-  std::uint64_t debug_patch_hash(Rank r);
-  /// Acquire/release this rank's own queue lock (contention tests only).
-  void debug_lock_own() { rt_.lock(locks_, rt_.me()); }
-  void debug_unlock_own() { rt_.unlock(locks_, rt_.me()); }
 
  private:
   // All indices start at kIndexBase so the steal end can grow downward
@@ -358,7 +334,7 @@ class SplitQueue {
   void copy_out_span(Rank victim, std::uint64_t first, std::uint64_t count,
                      std::byte* out);
   /// The raw two-segment ring copy of copy_out_span without its RMA
-  /// charge (deferred_steal_copy pays the wire time after unlock).
+  /// charge (snapshot_local copies the owner's own ring).
   void copy_span_raw(Rank victim, std::uint64_t first, std::uint64_t count,
                      std::byte* out);
   int live_chunk() const {
@@ -384,7 +360,7 @@ class SplitQueue {
   /// instead of UB; the data it may tear is discarded with its failed CAS.
   void store_slot_relaxed(Rank victim, std::uint64_t index,
                           const std::byte* src);
-  /// Owner's lock-light split lowering (Split+owner_fastpath, LockFree):
+  /// LockFree owner's split lowering without a lock:
   /// publishes split - ceil(avail / 2) seq_cst, re-reads steal_head and
   /// keeps the move only if a chunk_max margin survives. Returns the
   /// tasks privatized, or 0 (split untouched) when the margin is thin.
@@ -417,7 +393,7 @@ class SplitQueue {
   control::KnobSet knobs_;
   /// Normalized cfg_.chunk_max (>= chunk). Everything sized at
   /// construction -- buffers, txn log, internal capacity headroom, the
-  /// owner-fastpath margin -- uses this bound, never the live chunk.
+  /// LockFree reacquire margin -- uses this bound, never the live chunk.
   int chunk_max_ = 0;
   /// Internal capacity adds headroom so concurrent remote adds (bounded by
   /// nranks) cannot overflow between an owner's stale capacity check and

@@ -149,8 +149,6 @@ void tc_stats_get(tc_t tc, scioto_stats_t* out) {
   out->steals_aborted = g.steals_aborted;
   out->op_retries = g.op_retries;
   out->td_resplices = g.td_resplices;
-  out->steals_lock_busy = g.steals_lock_busy;
-  out->steal_retargets = g.steal_retargets;
   out->owner_lock_acqs = g.owner_lock_acqs;
   out->reacquires_fast = g.reacquires_fast;
 }
@@ -510,7 +508,6 @@ void scioto_ctl_stats_get(scioto_ctl_stats_t* out) {
   scioto::control::Stats s = scioto::control::stats();
   out->epochs = s.epochs;
   out->decisions = s.decisions;
-  out->targets_published = s.targets_published;
   out->inherits = s.inherits;
 }
 

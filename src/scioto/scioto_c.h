@@ -62,9 +62,7 @@ typedef struct scioto_stats {
   uint64_t steals_aborted;
   uint64_t op_retries;
   uint64_t td_resplices;
-  /* Adaptive steal engine; all zero unless the knobs were enabled. */
-  uint64_t steals_lock_busy;
-  uint64_t steal_retargets;
+  /* Owner lock acquisitions and LockFree validated reacquires. */
   uint64_t owner_lock_acqs;
   uint64_t reacquires_fast;
 } scioto_stats_t;
@@ -261,16 +259,16 @@ int scioto_metrics_read_rank(int rank, const char* name, uint64_t* value);
 
 /* ---- Adaptive control plane ----------------------------------------------
  * The feedback controller that closes the metrics -> knobs loop online:
- * per-rank live tuning parameters (steal chunk, steal-half, retarget
- * budget, release threshold, victim set) retuned from telemetry by a
- * hysteresis rule engine, either per rank ("local") or by the fleet
- * monitor ("global"). Staged like the detector and metrics knobs:
- * scioto_ctl_mode_set() arms a session inside the next SPMD run (the
- * SCIOTO_CONTROLLER / SCIOTO_CTL_PERIOD / SCIOTO_CTL_RULES environment
- * knobs override it). The tc_knob_* calls below work with or without an
- * armed controller -- they poke the live KnobSet directly. */
+ * per-rank live tuning parameters (steal chunk, steal-half, release
+ * threshold, victim set) retuned from telemetry by a hysteresis rule
+ * engine that every rank runs on its own ("local"). Staged like the
+ * detector and metrics knobs: scioto_ctl_mode_set() arms a session inside
+ * the next SPMD run (the SCIOTO_CONTROLLER / SCIOTO_CTL_PERIOD /
+ * SCIOTO_CTL_RULES environment knobs override it). The tc_knob_* calls
+ * below work with or without an armed controller -- they poke the live
+ * KnobSet directly. */
 
-/// Staged controller mode: "off", "local", or "global".
+/// Staged controller mode: "off" or "local".
 const char* scioto_ctl_mode(void);
 /// Stages the mode for the next SPMD run. Returns 0, or -1 on an unknown
 /// mode name (nothing staged).
@@ -291,19 +289,18 @@ int scioto_ctl_rules_set(const char* spec, char* errbuf, int errbuf_len);
 /// Controller counters for the current (or last) armed session; all zero
 /// when no controller ever ran.
 typedef struct scioto_ctl_stats {
-  uint64_t epochs;             /* local decision epochs executed */
-  uint64_t decisions;          /* knob changes applied (all ranks) */
-  uint64_t targets_published;  /* global-planner target rows written */
-  uint64_t inherits;           /* knob rows adopted from dead ranks */
+  uint64_t epochs;     /* decision epochs executed */
+  uint64_t decisions;  /* knob changes applied (all ranks) */
+  uint64_t inherits;   /* knob rows adopted from dead ranks */
 } scioto_ctl_stats_t;
 
 void scioto_ctl_stats_get(scioto_ctl_stats_t* out);
 
 /// Live knob access on this rank's view of a collection, by knob name
-/// ("steal_chunk", "steal_half", "retarget_budget", "release_threshold",
-/// "victim_set"). Sets are clamped to the knob's bounds and take effect
-/// mid-process() -- unlike the tc_create parameters, which only seed the
-/// initial values. Returns 0 on success, -1 on an unknown knob name.
+/// ("steal_chunk", "steal_half", "release_threshold", "victim_set"). Sets
+/// are clamped to the knob's bounds and take effect mid-process() --
+/// unlike the tc_create parameters, which only seed the initial values.
+/// Returns 0 on success, -1 on an unknown knob name.
 int tc_knob_get(tc_t tc, const char* name, int64_t* value);
 int tc_knob_set(tc_t tc, const char* name, int64_t value);
 

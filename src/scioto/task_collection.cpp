@@ -52,8 +52,6 @@ TcStats& TcStats::operator+=(const TcStats& o) {
   steals_aborted += o.steals_aborted;
   op_retries += o.op_retries;
   td_resplices += o.td_resplices;
-  steals_lock_busy += o.steals_lock_busy;
-  steal_retargets += o.steal_retargets;
   owner_lock_acqs += o.owner_lock_acqs;
   reacquires_fast += o.reacquires_fast;
   time_total += o.time_total;
@@ -93,12 +91,9 @@ Table tc_stats_table(const TcStats& s) {
     add_u64("op_retries", s.op_retries);
     add_u64("td_resplices", s.td_resplices);
   }
-  // Adaptive steal engine rows appear only when one of the knobs was on,
-  // so default-config tables are unchanged.
-  if (s.steals_lock_busy != 0 || s.steal_retargets != 0 ||
-      s.reacquires_fast != 0) {
-    add_u64("steals_lock_busy", s.steals_lock_busy);
-    add_u64("steal_retargets", s.steal_retargets);
+  // The owner-lock rows appear only in runs where the LockFree owner
+  // published a validated split lowering.
+  if (s.reacquires_fast != 0) {
     add_u64("owner_lock_acqs", s.owner_lock_acqs);
     add_u64("reacquires_fast", s.reacquires_fast);
     t.add_row({"mean_steal_chunk",
@@ -142,9 +137,8 @@ struct TaskCollection::MetricsHook final : Hook {
   TimeNs next_due(TimeNs) override { return metrics::monitor_next_due(); }
 };
 
-/// Control pump: a local decision epoch (or the global planner's pending
-/// targets) at period boundaries. Charge-free and virtual-time driven, so
-/// controller-off runs trace byte-identically.
+/// Control pump: a decision epoch at period boundaries. Charge-free and
+/// virtual-time driven, so controller-off runs trace byte-identically.
 struct TaskCollection::ControlHook final : Hook {
   using Hook::Hook;
   Top top(bool) override {
@@ -154,9 +148,7 @@ struct TaskCollection::ControlHook final : Hook {
     }
     return Top::Go;
   }
-  TimeNs next_due(TimeNs now) override {
-    return control::next_due(tc.rt_.me(), now);
-  }
+  TimeNs next_due(TimeNs) override { return control::next_due(tc.rt_.me()); }
 };
 
 /// Fail-stop injection and recovery.
@@ -221,12 +213,11 @@ struct TaskCollection::DetectorHook final : Hook {
 TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
     : rt_(rt),
       cfg_(cfg),
-      clos_(rt),
-      rng_(derive_seed(rt.seed(), rt.me(), /*stream=*/0xA11)) {
+      clos_(rt) {
   SCIOTO_REQUIRE(cfg_.max_task_body >= 0, "negative max_task_body");
   SCIOTO_REQUIRE(cfg_.chunk_size >= 1, "chunk_size must be >= 1");
   SCIOTO_REQUIRE(cfg_.max_tasks_per_rank >= 2, "max_tasks_per_rank too small");
-  // SCIOTO_QUEUE=locked|aborting|lockfree selects the steal protocol at
+  // SCIOTO_QUEUE=locked|lockfree selects the steal protocol at
   // construction time (collectively uniform: every rank reads the same
   // environment). It overrides the configured mode so existing programs
   // can A/B the lock-free path without a rebuild.
@@ -234,17 +225,11 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
     const std::string_view v(qm);
     if (v == "locked") {
       cfg_.queue_mode = QueueMode::Split;
-      cfg_.aborting_steals = false;
-    } else if (v == "aborting") {
-      cfg_.queue_mode = QueueMode::Split;
-      cfg_.aborting_steals = true;
     } else if (v == "lockfree") {
       cfg_.queue_mode = QueueMode::LockFree;
-      cfg_.aborting_steals = false;  // CAS steals never block on a lock
     } else if (!v.empty()) {
       SCIOTO_REQUIRE(false, "SCIOTO_QUEUE: unknown mode '"
-                                << qm
-                                << "' (expected locked|aborting|lockfree)");
+                                << qm << "' (expected locked|lockfree)");
     }
   }
   if (cfg_.chunk_max == 0) {
@@ -281,15 +266,11 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
       cfg_.release_threshold != 0
           ? cfg_.release_threshold
           : 2 * static_cast<std::uint64_t>(cfg_.chunk_size);
-  qc.aborting_steals = cfg_.aborting_steals;
-  qc.adaptive_chunk = cfg_.adaptive_steal;
-  qc.owner_fastpath = cfg_.owner_fastpath;
-  qc.deferred_steal_copy = cfg_.deferred_steal_copy;
+  qc.steal_half = cfg_.steal_half;
   // The queue's live KnobSet seeds from these TcConfig values; from here
   // on the queue and the steal path read through it, so set_knob (and the
   // controller) retune a running collection.
   queue_ = std::make_unique<SplitQueue>(rt_, qc);
-  queue_->knobs().set(control::Knob::RetargetBudget, cfg_.steal_retarget_max);
   if (control::active()) {
     control::attach(rt_.me(), &queue_->knobs());
   }
@@ -307,7 +288,8 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
   }
   victims_ = std::make_unique<VictimPolicy>(
       rt_.me(), rt_.nprocs(), rt_.machine().cores_per_node,
-      cfg_.node_steal_bias, queue_->knobs(), rng_);
+      cfg_.node_steal_bias, queue_->knobs(),
+      Xoshiro256(derive_seed(rt_.seed(), rt_.me(), /*stream=*/0xA11)));
   metrics_hook_ = std::make_unique<MetricsHook>(*this);
   control_hook_ = std::make_unique<ControlHook>(*this);
   fault_hook_ = std::make_unique<FaultHook>(*this);
@@ -611,41 +593,9 @@ bool TaskCollection::steal(TimeNs idle_begin) {
     if (victim == kNoRank) {
       return false;
     }
-    int got = 0;
-    for (int retarget = 0;;) {
-      if (queue_->peek_shared(victim) == 0) {
-        got = 0;
-        break;
-      }
-      got = queue_->steal_from(victim, buf);
-      if (got != SplitQueue::kStealBusy) {
-        break;
-      }
-      // Aborted on a held lock: back off briefly (seeded + capped, so
-      // sim replays stay bit-deterministic) and aim at a different
-      // victim instead of convoying behind the current one. The budget
-      // is a live knob (initialized from cfg_.steal_retarget_max).
-      if (retarget >= static_cast<int>(queue_->knobs().get(
-                          control::Knob::RetargetBudget))) {
-        got = 0;
-        break;
-      }
-      ++retarget;
-      stats_.steal_retargets++;
-      TimeNs b = std::min<TimeNs>(ns(200) << std::min(retarget - 1, 4),
-                                  ns(3200));
-      b = b / 2 + static_cast<TimeNs>(rng_.next_below(
-                      static_cast<std::uint64_t>(b / 2) + 1));
-      rt_.charge(b);
-      Rank next = victims_->pick(victim);
-      SCIOTO_TRACE_EVENT(me, trace::Ev::StealRetarget, victim,
-                         next == kNoRank ? victim : next, b);
-      if (next == kNoRank) {
-        got = 0;
-        break;
-      }
-      victim = next;
-    }
+    int got = queue_->peek_shared(victim) == 0
+                  ? 0
+                  : queue_->steal_from(victim, buf);
     if (got > 0 && txn) {
       // This is the window the victim-side transaction log protects: the
       // chunk is copied out but not yet requeued. A kill here loses only
@@ -667,7 +617,7 @@ bool TaskCollection::steal(TimeNs idle_begin) {
         }
       }
     }
-    if (got <= 0) {
+    if (got == 0) {
       continue;
     }
     if (rt_.machine().cores_per_node > 1 &&
@@ -865,7 +815,6 @@ void TaskCollection::leave_phase(TimeNs t_begin) {
   stats_.steals_aborted = qc.steals_aborted;
   stats_.op_retries = qc.commit_retries + tc.token_retries;
   stats_.td_resplices = tc.resplices;
-  stats_.steals_lock_busy = qc.steals_lock_busy;
   stats_.owner_lock_acqs = qc.owner_lock_acqs;
   stats_.reacquires_fast = qc.reacquires_fast;
 }

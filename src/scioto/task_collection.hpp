@@ -59,7 +59,7 @@ struct TcConfig {
   /// fully locked queue, Figure 7's ablation), or LockFree (Chase-Lev CAS
   /// steals with the split machinery live -- the §8 lock-free steal
   /// path). Overridable at construction by the SCIOTO_QUEUE env knob
-  /// (locked | aborting | lockfree).
+  /// (locked | lockfree).
   QueueMode queue_mode = QueueMode::Split;
   /// The paper allows disabling dynamic load balancing before process().
   bool load_balancing = true;
@@ -83,24 +83,10 @@ struct TcConfig {
   /// the machine model has cores_per_node > 1. 0 = the paper's uniform
   /// victim selection.
   double node_steal_bias = 0.0;
-  /// Aborting steals: a thief trylocks its victim and, when the lock is
-  /// held, immediately re-targets a different victim after a short seeded
-  /// backoff instead of convoying on the lock.
-  bool aborting_steals = false;
-  /// Steal-half adaptive chunking: steals take min(ceil(depth/2),
-  /// chunk_size) tasks based on the victim's shared depth instead of the
-  /// fixed chunk_size.
-  bool adaptive_steal = false;
-  /// Lock-light owner fast path: split-pointer reacquires become a single
-  /// validated atomic publish when the shared portion is deep enough; the
-  /// owner takes its own lock only when it is nearly empty.
-  bool owner_fastpath = false;
-  /// Pay the stolen chunk's wire time after the victim's lock is released
-  /// (shrinks the steal critical section to pointer updates + txn record).
-  bool deferred_steal_copy = false;
-  /// Aborting steals: victims re-targeted after a busy abort before the
-  /// thief gives the round up (0 = abort straight to the TD poll).
-  int steal_retarget_max = 4;
+  /// Steal-half: steals take min(ceil(depth/2), chunk_size) tasks based
+  /// on the victim's shared depth instead of the fixed chunk_size. The
+  /// initial value of the steal_half knob.
+  bool steal_half = false;
 };
 
 /// Aggregated execution statistics (per-rank, summable across ranks).
@@ -123,11 +109,8 @@ struct TcStats {
   std::uint64_t steals_aborted = 0;   // steals truncated to zero tasks
   std::uint64_t op_retries = 0;       // dropped commit/token sends retried
   std::uint64_t td_resplices = 0;     // spanning-tree reconfigurations
-  // Adaptive steal engine (all zero with the knobs off):
-  std::uint64_t steals_lock_busy = 0;  // aborting steals hit a held lock
-  std::uint64_t steal_retargets = 0;   // victims re-picked after an abort
   std::uint64_t owner_lock_acqs = 0;   // owner took its own queue's lock
-  std::uint64_t reacquires_fast = 0;   // lock-free fast-path reacquires
+  std::uint64_t reacquires_fast = 0;   // LockFree validated reacquires
   TimeNs time_total = 0;
   TimeNs time_working = 0;   // executing task callbacks
   TimeNs time_searching = 0; // stealing + termination detection
@@ -327,8 +310,6 @@ class TaskCollection {
   CloRegistry clos_;
   /// Callback table (identical contents on every rank by SPMD discipline).
   CallbackRegistry registry_;
-  /// Victim-selection stream, seeded per rank.
-  Xoshiro256 rng_;
   std::unique_ptr<VictimPolicy> victims_;
   TcStats stats_;
   /// Searching time charged since the last Search trace event: one

@@ -9,7 +9,7 @@ namespace scioto {
 
 VictimPolicy::VictimPolicy(Rank me, int nprocs, int cores_per_node,
                            double node_bias, const control::KnobSet& knobs,
-                           Xoshiro256& rng)
+                           Xoshiro256 rng)
     : me_(me),
       n_(nprocs),
       cores_(cores_per_node),
@@ -44,7 +44,7 @@ void VictimPolicy::refresh() {
   }
 }
 
-Rank VictimPolicy::pick(Rank avoid) {
+Rank VictimPolicy::pick() {
   // §8 multicore enhancement: optionally prefer a victim sharing our
   // node, whose queue we can raid through shared memory.
   if (node_bias_ > 0 && cores_ > 1 && rng_.bernoulli(node_bias_)) {
@@ -64,7 +64,7 @@ Rank VictimPolicy::pick(Rank avoid) {
   }
   const int vset = static_cast<int>(knobs_.get(control::Knob::VictimSetSize));
   if (vset > 0) {
-    const Rank hot = pick_hot(avoid, vset);
+    const Rank hot = pick_hot(vset);
     if (hot != kNoRank) {
       return hot;
     }
@@ -77,30 +77,20 @@ Rank VictimPolicy::pick(Rank avoid) {
     if (live == 0) {
       return kNoRank;  // sole survivor: nothing left to steal from
     }
-    std::size_t idx = static_cast<std::size_t>(
-        rng_.next_below(static_cast<std::uint64_t>(live)));
-    if (alive_others_[idx] == avoid && live > 1) {
-      idx = (idx + 1) % live;
-    }
-    return alive_others_[idx];
+    return alive_others_[static_cast<std::size_t>(
+        rng_.next_below(static_cast<std::uint64_t>(live)))];
   }
   // Every rank but me. Over the ordered all-but-me list this is exactly
-  // the pool draw above: list[idx] is idx < me ? idx : idx + 1, and
-  // `avoid` shifts to the next rank in ring order.
+  // the pool draw above: list[idx] is idx < me ? idx : idx + 1.
   Rank victim =
       static_cast<Rank>(rng_.next_below(static_cast<std::uint64_t>(n_ - 1)));
   if (victim >= me_) {
     ++victim;
   }
-  if (victim == avoid && n_ > 2) {
-    do {
-      victim = (victim + 1) % n_;
-    } while (victim == me_);
-  }
   return victim;
 }
 
-Rank VictimPolicy::pick_hot(Rank avoid, int vset) {
+Rank VictimPolicy::pick_hot(int vset) {
   // Restricted victim set (control plane): with the victim_set knob at
   // k > 0, aim at the k deepest ranks from the monitor digest (the
   // controller sets this under sustained imbalance -- blind uniform
@@ -120,22 +110,10 @@ Rank VictimPolicy::pick_hot(Rank avoid, int vset) {
     pool[npool++] = hot[i];
   }
   if (npool > 0) {
-    const std::uint64_t off =
-        rng_.next_below(static_cast<std::uint64_t>(npool));
-    Rank cand = pool[off];
-    if (cand == avoid && npool > 1) {
-      cand = pool[(off + 1) % static_cast<std::uint64_t>(npool)];
-    }
-    return cand;
+    return pool[rng_.next_below(static_cast<std::uint64_t>(npool))];
   }
   const std::uint64_t off = rng_.next_below(static_cast<std::uint64_t>(vset));
-  Rank cand = static_cast<Rank>((me_ + 1 + static_cast<Rank>(off)) % n_);
-  if (cand == avoid && vset > 1) {
-    cand = static_cast<Rank>(
-        (me_ + 1 + static_cast<Rank>((off + 1) % static_cast<std::uint64_t>(
-                                         vset))) %
-        n_);
-  }
+  const Rank cand = static_cast<Rank>((me_ + 1 + static_cast<Rank>(off)) % n_);
   return !watch_ || detect::alive(cand) ? cand : kNoRank;
 }
 

@@ -17,10 +17,9 @@ namespace scioto {
 class VictimPolicy {
  public:
   /// `knobs` is the thief's live knob set (victim_set is read on every
-  /// pick); `rng` its victim-selection stream, which the caller may also
-  /// draw from between picks.
+  /// pick); `rng` seeds its victim-selection stream.
   VictimPolicy(Rank me, int nprocs, int cores_per_node, double node_bias,
-               const control::KnobSet& knobs, Xoshiro256& rng);
+               const control::KnobSet& knobs, Xoshiro256 rng);
 
   /// Whether membership can move during this phase (a fault or elastic
   /// session is armed): picks then skip dead and parked ranks.
@@ -32,19 +31,17 @@ class VictimPolicy {
   void forget() { epoch_seen_ = ~std::uint64_t{0}; }
 
   /// The next victim, or kNoRank when there is nobody to steal from.
-  /// `avoid` (a busy victim being re-targeted) shifts a repeat pick to the
-  /// next candidate without another draw.
-  Rank pick(Rank avoid = kNoRank);
+  Rank pick();
 
  private:
-  Rank pick_hot(Rank avoid, int vset);
+  Rank pick_hot(int vset);
 
   const Rank me_;
   const int n_;
   const int cores_;
   const double node_bias_;
   const control::KnobSet& knobs_;
-  Xoshiro256& rng_;
+  Xoshiro256 rng_;
   bool watch_ = false;
   /// Starts at ~0 so the first refresh builds the pool.
   std::uint64_t epoch_seen_ = ~std::uint64_t{0};

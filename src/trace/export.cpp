@@ -174,16 +174,6 @@ void emit_event(std::ostream& os, const Event& e) {
       os << ",\"s\":\"t\",\"args\":{\"epoch\":" << e.a
          << ",\"alive\":" << e.b << "}}";
       return;
-    case Ev::StealBusy:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"victim\":" << e.a << "}}";
-      return;
-    case Ev::StealRetarget:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"busy_victim\":" << e.a
-         << ",\"new_victim\":" << e.b << ",\"backoff_ns\":" << e.c
-         << "}}";
-      return;
     case Ev::ReacquireFast:
       emit_head(os, e, "queue", "C", e.t);
       os << ",\"args\":{\"tasks\":" << e.c << "}}";

@@ -95,11 +95,7 @@ namespace scioto::trace {
   X(TaskRecovered, "task_recovered", "fault")                                 \
   /* a=epoch, b=alive rank count after the resplice */                        \
   X(TreeRespliced, "tree_respliced", "fault")                                 \
-  /* a=victim rank (aborting steal: lock held, no transfer) */                \
-  X(StealBusy, "steal_busy", "steal")                                         \
-  /* a=busy victim, b=new victim, c=backoff charged (ns) */                   \
-  X(StealRetarget, "steal_retarget", "steal")                                 \
-  /* a=tasks reacquired via the lock-free owner fast path */                  \
+  /* a=tasks reacquired by the LockFree owner's validated split publish */   \
   X(ReacquireFast, "reacquire_fast", "queue")                                 \
   /* a=suspected rank, c=silence observed so far (ns) */                      \
   X(Suspect, "suspect", "detect")                                             \

@@ -691,6 +691,29 @@ TEST(DagCholesky, DataflowBeatsStaticForkJoin) {
   }
 }
 
+TEST(DagCholesky, OneRankFiresEverythingHigh) {
+  // With no thief, a slack node at the steal end only costs the owner a
+  // locked push and a reacquire, so a one-rank fleet fires every node
+  // high. Exact 1-rank makespans (cluster model, b = 16, runtime seed 42).
+  const struct {
+    int tiles;
+    TimeNs dag_ns;
+  } rows[] = {{8, 40025448}, {16, 316490048}};
+  for (const auto& want : rows) {
+    pgas::Config cfg;
+    cfg.nranks = 1;
+    cfg.machine = sim::cluster2008_uniform();
+    apps::CholeskyConfig cc;
+    cc.tiles = want.tiles;
+    apps::CholeskyResult dag;
+    pgas::run_spmd(cfg,
+                   [&](Runtime& rt) { dag = apps::cholesky_dag(rt, cc); });
+    SCOPED_TRACE(std::to_string(want.tiles) + " tiles");
+    EXPECT_LT(dag.residual, 1e-12);
+    EXPECT_EQ(std::llround(dag.elapsed_ms * 1e6), want.dag_ns);
+  }
+}
+
 // ---- Composition with the fail-stop kill / adoption path ----
 
 TEST(DagFault, KillARankEveryNodeRunsExactlyOnce) {

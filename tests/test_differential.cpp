@@ -1,8 +1,8 @@
-// Differential test battery for the adaptive steal engine: the same
-// workloads run with every combination of the new steal knobs (aborting
-// steals, steal-half chunking, the owner fast path, deferred steal copy)
-// must produce results identical to the sequential oracle, on both the
-// simulated and the real-threads backend, across many scheduler seeds.
+// Differential test battery for the steal engine: the same workloads run
+// under every queue mode (split, no-split, lockfree) with steal-half off
+// and on must produce results identical to the sequential oracle, on both
+// the simulated and the real-threads backend, across many scheduler
+// seeds.
 //
 // Two workloads:
 //   * UTS tree traversal -- exact node/leaf/depth counts vs
@@ -36,21 +36,18 @@ constexpr int kSeeds = 8;
 /// One steal-engine configuration under test.
 struct Knobs {
   const char* name;
-  bool aborting = false;
-  bool adaptive = false;
-  bool fastpath = false;
-  bool deferred = false;
+  QueueMode mode = QueueMode::Split;
+  bool half = false;
 };
 
-/// The {aborting on/off} x {adaptive on/off} grid the issue asks for,
-/// plus an everything-on row that also exercises the owner fast path and
-/// the deferred chunk copy.
+/// {split, no-split, lockfree} x {steal-half off, on}.
 constexpr Knobs kGrid[] = {
-    {"baseline", false, false, false, false},
-    {"aborting", true, false, false, false},
-    {"adaptive", false, true, false, false},
-    {"aborting+adaptive", true, true, false, false},
-    {"all-on", true, true, true, true},
+    {"split", QueueMode::Split, false},
+    {"split+half", QueueMode::Split, true},
+    {"no-split", QueueMode::NoSplit, false},
+    {"no-split+half", QueueMode::NoSplit, true},
+    {"lockfree", QueueMode::LockFree, false},
+    {"lockfree+half", QueueMode::LockFree, true},
 };
 
 class DifferentialTest
@@ -71,10 +68,8 @@ TEST_P(DifferentialTest, UtsMatchesSequentialOracle) {
           [&](pgas::Runtime& rt) {
             UtsRunConfig cfg;
             cfg.chunk = 2;  // small chunks force steal traffic on a tiny tree
-            cfg.aborting_steals = k.aborting;
-            cfg.adaptive_steal = k.adaptive;
-            cfg.owner_fastpath = k.fastpath;
-            cfg.deferred_steal_copy = k.deferred;
+            cfg.queue_mode = k.mode;
+            cfg.steal_half = k.half;
             auto res = apps::uts_run_scioto(rt, tree, cfg);
             if (rt.me() == 0) {
               got = res.counts;
@@ -93,11 +88,8 @@ TEST_P(DifferentialTest, UtsMatchesSequentialOracle) {
       // criterion.
       EXPECT_GT(stats.tasks_executed, 0u)
           << "knobs=" << k.name << " seed=" << seed;
-      if (!k.aborting) {
-        EXPECT_EQ(stats.steals_lock_busy, 0u) << "knobs=" << k.name;
-        EXPECT_EQ(stats.steal_retargets, 0u) << "knobs=" << k.name;
-      }
-      if (!k.fastpath) {
+      // Only the lockfree owner lowers its split without the lock.
+      if (k.mode != QueueMode::LockFree) {
         EXPECT_EQ(stats.reacquires_fast, 0u) << "knobs=" << k.name;
       }
     }
@@ -121,75 +113,13 @@ TEST_P(DifferentialTest, UtsBinomialMatchesSequentialOracle) {
           [&](pgas::Runtime& rt) {
             UtsRunConfig cfg;
             cfg.chunk = 4;
-            cfg.aborting_steals = k.aborting;
-            cfg.adaptive_steal = k.adaptive;
-            cfg.owner_fastpath = k.fastpath;
-            cfg.deferred_steal_copy = k.deferred;
+            cfg.queue_mode = k.mode;
+            cfg.steal_half = k.half;
             auto res = apps::uts_run_scioto(rt, tree, cfg);
             if (rt.me() == 0) got = res.counts;
           },
           seed);
       EXPECT_EQ(got, expected) << "knobs=" << k.name << " seed=" << seed;
-    }
-  }
-}
-
-// ---- Queue-mode matrix ----
-
-/// The three production steal protocols behind SCIOTO_QUEUE: locked
-/// (the paper's blocking chunked steals), aborting (trylock + retarget),
-/// and lockfree (the Chase-Lev tagged-CAS path). Same UTS workload, both
-/// backends, eight scheduler seeds each: every cell must reproduce the
-/// sequential oracle exactly. Lockfree stays opt-in -- the default mode
-/// is untouched Split, so the fig4/fig7 trace goldens (test_trace) stay
-/// byte-identical with this feature merely compiled in.
-struct ModeRow {
-  const char* name;
-  QueueMode mode;
-  bool aborting;
-};
-
-constexpr ModeRow kModes[] = {
-    {"locked", QueueMode::Split, false},
-    {"aborting", QueueMode::Split, true},
-    {"lockfree", QueueMode::LockFree, false},
-};
-
-TEST_P(DifferentialTest, QueueModeMatrixMatchesSequentialOracle) {
-  const UtsParams tree = apps::uts_tiny();
-  const UtsCounts expected = apps::uts_sequential(tree);
-  ASSERT_GT(expected.nodes, 0u);
-
-  for (const ModeRow& m : kModes) {
-    for (int s = 0; s < kSeeds; ++s) {
-      const std::uint64_t seed = 4000 + 53 * static_cast<std::uint64_t>(s);
-      UtsCounts got;
-      TcStats stats;
-      testing::run(
-          kRanks, GetParam(),
-          [&](pgas::Runtime& rt) {
-            UtsRunConfig cfg;
-            cfg.chunk = 2;
-            cfg.queue_mode = m.mode;
-            cfg.aborting_steals = m.aborting;
-            auto res = apps::uts_run_scioto(rt, tree, cfg);
-            if (rt.me() == 0) {
-              got = res.counts;
-              stats = res.stats;
-            }
-          },
-          seed);
-      EXPECT_EQ(got, expected) << "mode=" << m.name << " seed=" << seed;
-      EXPECT_GT(stats.tasks_executed, 0u)
-          << "mode=" << m.name << " seed=" << seed;
-      if (!m.aborting) {
-        // Neither pure-locked nor lockfree ever bounces off a held lock:
-        // the former convoys, the latter has no lock on the steal path.
-        EXPECT_EQ(stats.steals_lock_busy, 0u)
-            << "mode=" << m.name << " seed=" << seed;
-        EXPECT_EQ(stats.steal_retargets, 0u)
-            << "mode=" << m.name << " seed=" << seed;
-      }
     }
   }
 }
@@ -233,10 +163,8 @@ MmResult run_matmul(pgas::BackendKind kind, const Knobs& k,
         TcConfig tcc;
         tcc.max_task_body = sizeof(MmTask);
         tcc.chunk_size = 2;
-        tcc.aborting_steals = k.aborting;
-        tcc.adaptive_steal = k.adaptive;
-        tcc.owner_fastpath = k.fastpath;
-        tcc.deferred_steal_copy = k.deferred;
+        tcc.queue_mode = k.mode;
+        tcc.steal_half = k.half;
         TaskCollection tc(rt, tcc);
 
         std::vector<double> abuf(bs * bs), bbuf(bs * bs), cbuf(bs * bs);

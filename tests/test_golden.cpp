@@ -73,9 +73,9 @@ TEST(GoldenArmed, LocalControllerRunOutputs) {
   EXPECT_FALSE(log.empty());
   EXPECT_EQ(sha1_hex(jsonl), "16e2a6753dc7186a09cef96d24e87f56c9540504")
       << jsonl.size() << " B metrics JSONL";
-  EXPECT_EQ(sha1_hex(prom), "252342a25b2f07aaa43f62de149752eaf8194b19")
+  EXPECT_EQ(sha1_hex(prom), "3e30d8ae5d81c3a5b6d434b09069dae29b42e896")
       << prom.size() << " B Prometheus dump";
-  EXPECT_EQ(sha1_hex(log), "b6e950210ac44a9488356c5d9333f1be8485e8d9")
+  EXPECT_EQ(sha1_hex(log), "7714e5caff86fc9fbc193d2cee4c2329d5c8873d")
       << log.size() << " B decision log";
   std::remove((base + ".jsonl").c_str());
   std::remove((base + ".prom").c_str());
@@ -94,7 +94,7 @@ TEST(GoldenArmed, MetricsOnlyRunOutputs) {
   const std::string prom = slurp(base + ".prom");
   EXPECT_EQ(sha1_hex(jsonl), "92d68d9a14cd7a1b73ee3c172517255f8f86b65a")
       << jsonl.size() << " B metrics JSONL";
-  EXPECT_EQ(sha1_hex(prom), "2f034a36e3e20da98186dab78eb49313b2c3c7e6")
+  EXPECT_EQ(sha1_hex(prom), "150e52703c89dc4c3f9ac2cfa0debdd5f96db916")
       << prom.size() << " B Prometheus dump";
   std::remove((base + ".jsonl").c_str());
   std::remove((base + ".prom").c_str());

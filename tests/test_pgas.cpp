@@ -187,30 +187,6 @@ TEST_P(PgasBackends, LocksetProvidesMutualExclusion) {
   });
 }
 
-TEST_P(PgasBackends, TrylockEventuallySucceedsAndExcludes) {
-  run(3, GetParam(), [&](Runtime& rt) {
-    pgas::SegId seg = rt.seg_alloc(sizeof(std::int64_t));
-    pgas::LockSet ls = rt.lockset_create();
-    rt.barrier();
-    int done = 0;
-    while (done < 50) {
-      if (rt.trylock(ls, 1)) {
-        auto* p = reinterpret_cast<volatile std::int64_t*>(rt.seg_ptr(seg, 1));
-        *p = *p + 1;
-        rt.unlock(ls, 1);
-        ++done;
-      } else {
-        rt.relax();
-      }
-    }
-    rt.barrier();
-    std::int64_t total = 0;
-    rt.get(seg, 1, 0, &total, sizeof(total));
-    EXPECT_EQ(total, 150);
-    rt.seg_free(seg);
-  });
-}
-
 TEST_P(PgasBackends, SendRecvRing) {
   run(5, GetParam(), [&](Runtime& rt) {
     Rank next = (rt.me() + 1) % rt.nprocs();

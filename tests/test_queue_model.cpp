@@ -16,12 +16,10 @@
 // only four slots of advance -- wrap-around coverage is automatic, and a
 // phase-spin between sequences shifts the wrap point through the ring.
 //
-// Runs the enumeration over the steal-knob grid (adaptive chunking and
-// the owner fast path change which code paths move the split pointer, but
-// must never change the externally visible queue contents), and over the
-// Split and LockFree queue modes. The Chase-Lev LockFree mode has one
-// observable semantic difference the model tracks: when the shared
-// portion is thinner than the fast-path margin (2 * chunk_max),
+// Runs the enumeration with steal-half off and on, over the Split and
+// LockFree queue modes. The Chase-Lev LockFree mode has one observable
+// semantic difference the model tracks: when the shared portion is
+// thinner than the validated-publish margin (2 * chunk_max),
 // reacquire() self-steals through the thief CAS path, so the *oldest*
 // shared tasks come back as the *newest* private tasks instead of the
 // newest shared becoming the oldest private.
@@ -115,7 +113,7 @@ struct Model {
     }
     return give;
   }
-  std::uint64_t reacquire(QueueMode mode, bool adaptive) {
+  std::uint64_t reacquire(QueueMode mode, bool half) {
     if (shared_.empty()) return 0;
     std::uint64_t avail = shared_.size();
     if (mode == QueueMode::LockFree &&
@@ -124,7 +122,7 @@ struct Model {
       // so the owner self-steals through the thief CAS path (the classic
       // owner-CAS-on-top arbitration) and re-pushes -- the *oldest*
       // shared tasks become the *newest* private tasks.
-      std::uint64_t n = steal_width(adaptive);
+      std::uint64_t n = steal_width(half);
       for (std::uint64_t i = 0; i < n; ++i) {
         priv_.push_back(shared_.front());
         shared_.pop_front();
@@ -140,10 +138,10 @@ struct Model {
     }
     return take;
   }
-  std::uint64_t steal_width(bool adaptive) const {
+  std::uint64_t steal_width(bool half) const {
     std::uint64_t avail = shared_.size();
     const auto chunk = static_cast<std::uint64_t>(kChunk);
-    if (!adaptive) return std::min(avail, chunk);
+    if (!half) return std::min(avail, chunk);
     return std::min((avail + 1) / 2, chunk);
   }
   /// Removes the n oldest shared tasks (what a steal takes) into `out`.
@@ -155,22 +153,21 @@ struct Model {
   }
 };
 
-SplitQueue::Config model_cfg(QueueMode mode, bool adaptive, bool fastpath) {
+SplitQueue::Config model_cfg(QueueMode mode, bool half) {
   SplitQueue::Config c;
   c.slot_bytes = kSlot;
   c.capacity = kCapacity;
   c.chunk = kChunk;
   c.mode = mode;
   c.release_threshold = kThreshold;
-  c.adaptive_chunk = adaptive;
-  c.owner_fastpath = fastpath;
+  c.steal_half = half;
   return c;
 }
 
 /// Applies one op to both queue and model, checking predictions and index
 /// invariants. Records removed ids (with duplicates detection) in `seen`.
 void apply_checked(SplitQueue& q, Model& m, Op op, QueueMode mode,
-                   bool adaptive, std::uint64_t* next_id,
+                   bool half, std::uint64_t* next_id,
                    std::uint64_t* pushed,
                    std::multiset<std::uint64_t>* removed,
                    const std::string& ctx) {
@@ -212,12 +209,12 @@ void apply_checked(SplitQueue& q, Model& m, Op op, QueueMode mode,
       break;
     }
     case Op::Reacquire: {
-      std::uint64_t want = m.reacquire(mode, adaptive);
+      std::uint64_t want = m.reacquire(mode, half);
       ASSERT_EQ(q.reacquire(), want) << ctx;
       break;
     }
     case Op::SelfSteal: {
-      std::uint64_t want_n = m.steal_width(adaptive);
+      std::uint64_t want_n = m.steal_width(half);
       std::vector<std::uint64_t> want_ids;
       m.steal(want_n, &want_ids);
       int got = q.steal_from(q.runtime().me(), steal_buf);
@@ -244,7 +241,7 @@ void apply_checked(SplitQueue& q, Model& m, Op op, QueueMode mode,
 
 /// Empties queue + model, asserting every remaining task comes out with
 /// the right id, then checks conservation for the whole sequence.
-void drain_checked(SplitQueue& q, Model& m, QueueMode mode, bool adaptive,
+void drain_checked(SplitQueue& q, Model& m, QueueMode mode, bool half,
                    std::uint64_t pushed,
                    std::multiset<std::uint64_t>* removed,
                    const std::string& ctx) {
@@ -257,7 +254,7 @@ void drain_checked(SplitQueue& q, Model& m, QueueMode mode, bool adaptive,
       ASSERT_EQ(slot_id(buf), want_id) << ctx;
       removed->insert(want_id);
     } else {
-      std::uint64_t want = m.reacquire(mode, adaptive);
+      std::uint64_t want = m.reacquire(mode, half);
       ASSERT_GT(want, 0u) << ctx;
       ASSERT_EQ(q.reacquire(), want) << ctx;
     }
@@ -297,10 +294,10 @@ void spin_phase(SplitQueue& q, int cycles, std::uint64_t* next_id) {
 
 /// Enumerates every op sequence of length `len` against one knob combo,
 /// starting each sequence at the given ring phase.
-void run_enumeration(QueueMode mode, bool adaptive, bool fastpath, int len,
+void run_enumeration(QueueMode mode, bool half, int len,
                      int phase_cycles) {
   testing::run_sim(1, [&](Runtime& rt) {
-    SplitQueue q(rt, model_cfg(mode, adaptive, fastpath));
+    SplitQueue q(rt, model_cfg(mode, half));
     std::uint64_t next_id = 1;
     long total = 1;
     for (int i = 0; i < len; ++i) total *= kNumOps;
@@ -318,11 +315,11 @@ void run_enumeration(QueueMode mode, bool adaptive, bool fastpath, int len,
         c /= kNumOps;
         ctx += op_name(op);
         ctx += ' ';
-        apply_checked(q, m, op, mode, adaptive, &next_id, &pushed, &removed,
+        apply_checked(q, m, op, mode, half, &next_id, &pushed, &removed,
                       ctx);
         if (::testing::Test::HasFatalFailure()) return;
       }
-      drain_checked(q, m, mode, adaptive, pushed, &removed, ctx);
+      drain_checked(q, m, mode, half, pushed, &removed, ctx);
       if (::testing::Test::HasFatalFailure()) return;
     }
     q.destroy();
@@ -330,33 +327,31 @@ void run_enumeration(QueueMode mode, bool adaptive, bool fastpath, int len,
 }
 
 TEST(QueueModel, ExhaustiveLength6Baseline) {
-  run_enumeration(QueueMode::Split, /*adaptive=*/false, /*fastpath=*/false,
-                  /*len=*/6, /*phase_cycles=*/0);
+  run_enumeration(QueueMode::Split, /*half=*/false, /*len=*/6,
+                  /*phase_cycles=*/0);
 }
 
-TEST(QueueModel, ExhaustiveLength6AllKnobs) {
-  run_enumeration(QueueMode::Split, /*adaptive=*/true, /*fastpath=*/true,
-                  /*len=*/6, /*phase_cycles=*/1);
+TEST(QueueModel, ExhaustiveLength6StealHalf) {
+  run_enumeration(QueueMode::Split, /*half=*/true, /*len=*/6,
+                  /*phase_cycles=*/1);
 }
 
 TEST(QueueModel, ExhaustiveLength6LockFree) {
-  run_enumeration(QueueMode::LockFree, /*adaptive=*/false,
-                  /*fastpath=*/false, /*len=*/6, /*phase_cycles=*/0);
+  run_enumeration(QueueMode::LockFree, /*half=*/false, /*len=*/6,
+                  /*phase_cycles=*/0);
 }
 
-TEST(QueueModel, ExhaustiveLength6LockFreeAdaptive) {
-  run_enumeration(QueueMode::LockFree, /*adaptive=*/true, /*fastpath=*/false,
-                  /*len=*/6, /*phase_cycles=*/1);
+TEST(QueueModel, ExhaustiveLength6LockFreeStealHalf) {
+  run_enumeration(QueueMode::LockFree, /*half=*/true, /*len=*/6,
+                  /*phase_cycles=*/1);
 }
 
 TEST(QueueModel, ExhaustiveLength4AcrossKnobsAndPhases) {
   for (QueueMode mode : {QueueMode::Split, QueueMode::LockFree}) {
-    for (bool adaptive : {false, true}) {
-      for (bool fastpath : {false, true}) {
-        for (int phase : {0, 3, 5}) {
-          run_enumeration(mode, adaptive, fastpath, /*len=*/4, phase);
-          if (::testing::Test::HasFatalFailure()) return;
-        }
+    for (bool half : {false, true}) {
+      for (int phase : {0, 3, 5}) {
+        run_enumeration(mode, half, /*len=*/4, phase);
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
   }
@@ -368,7 +363,7 @@ TEST(QueueModel, ExhaustiveLength4AcrossKnobsAndPhases) {
 TEST(QueueModel, RandomWalkLongWrap) {
   for (QueueMode mode : {QueueMode::Split, QueueMode::LockFree}) {
     testing::run_sim(1, [&](Runtime& rt) {
-      SplitQueue q(rt, model_cfg(mode, /*adaptive=*/true, /*fastpath=*/true));
+      SplitQueue q(rt, model_cfg(mode, /*half=*/true));
       Model m;
       std::multiset<std::uint64_t> removed;
       std::uint64_t next_id = 1, pushed = 0;
@@ -380,11 +375,11 @@ TEST(QueueModel, RandomWalkLongWrap) {
         Op op = kOps[state % kNumOps];
         std::string ctx = std::string(queue_mode_name(mode)) + " step " +
                           std::to_string(step) + " " + op_name(op);
-        apply_checked(q, m, op, mode, /*adaptive=*/true, &next_id, &pushed,
+        apply_checked(q, m, op, mode, /*half=*/true, &next_id, &pushed,
                       &removed, ctx);
         if (::testing::Test::HasFatalFailure()) return;
       }
-      drain_checked(q, m, mode, /*adaptive=*/true, pushed, &removed,
+      drain_checked(q, m, mode, /*half=*/true, pushed, &removed,
                     "random-walk drain");
       q.destroy();
     });

@@ -1,17 +1,12 @@
 // Steal-contention stress tests on the real-threads backend: one victim,
-// N-1 thieves hammering it with the full adaptive steal engine enabled
-// (steal-half chunking, owner fast path, and -- per steal protocol under
-// test -- blocking locked steals, aborting trylock steals, or the
-// lockfree Chase-Lev CAS path). Runs under the CI TSan job (suite names
-// carry "Threads" for its filter).
+// N-1 thieves hammering it under every queue mode (split and no-split
+// with blocking locked steals, or the lockfree Chase-Lev CAS path), with
+// steal-half off and on. Runs under the CI TSan job (suite names carry
+// "Threads" for its filter).
 //
-//   * Conservation: every task the victim produces is consumed exactly
-//     once, by the victim itself or by exactly one thief -- checked with
-//     an id-sum / id-square-sum fingerprint reduced over all ranks.
-//   * Aborted steals are strictly read-only: while the victim holds its
-//     own queue lock, every thief's steal must return kStealBusy and
-//     leave the victim's entire patch (indices + every ring byte)
-//     byte-identical, witnessed by a FNV hash before/after.
+// Conservation: every task the victim produces is consumed exactly once,
+// by the victim itself or by exactly one thief -- checked with an id-sum /
+// id-square-sum fingerprint reduced over all ranks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -42,19 +37,20 @@ std::uint64_t slot_id(const std::byte* buf) {
   return id;
 }
 
-/// One steal protocol under stress. `locked` is the paper's blocking
-/// chunked steal, `aborting` adds trylock + kStealBusy, `lockfree` is
-/// the Chase-Lev tagged-CAS path (which has no lock to be busy on).
+/// One queue mode under stress, with steal-half off or on.
 struct StressMode {
   const char* name;
   QueueMode mode;
-  bool aborting;
+  bool half;
 };
 
 constexpr StressMode kStressModes[] = {
     {"locked", QueueMode::Split, false},
-    {"aborting", QueueMode::Split, true},
+    {"locked_half", QueueMode::Split, true},
+    {"nosplit", QueueMode::NoSplit, false},
+    {"nosplit_half", QueueMode::NoSplit, true},
     {"lockfree", QueueMode::LockFree, false},
+    {"lockfree_half", QueueMode::LockFree, true},
 };
 
 SplitQueue::Config stress_cfg(const StressMode& m) {
@@ -64,15 +60,9 @@ SplitQueue::Config stress_cfg(const StressMode& m) {
   c.chunk = 4;
   c.mode = m.mode;
   c.release_threshold = 4;
-  c.aborting_steals = m.aborting;
-  c.adaptive_chunk = true;
-  c.owner_fastpath = true;
-  // The shrunken critical section only exists on the locked steal path.
-  c.deferred_steal_copy = m.mode == QueueMode::Split;
+  c.steal_half = m.half;
   return c;
 }
-
-SplitQueue::Config stress_cfg() { return stress_cfg(kStressModes[1]); }
 
 class StealStressModeThreads
     : public ::testing::TestWithParam<StressMode> {};
@@ -102,8 +92,8 @@ TEST_P(StealStressModeThreads, OneVictimManyThievesConservation) {
 
     if (rt.me() == 0) {
       // Victim: produce kTasks, keep feeding the shared portion, consume
-      // part of the stream itself (pops + fast-path reacquires race the
-      // thieves the whole time).
+      // part of the stream itself (pops + reacquires race the thieves the
+      // whole time).
       for (std::uint64_t id = 1; id <= kTasks; ++id) {
         make_slot(buf, id);
         ASSERT_TRUE(q.push_local(buf, kAffinityHigh));
@@ -123,9 +113,7 @@ TEST_P(StealStressModeThreads, OneVictimManyThievesConservation) {
       done->store(1, std::memory_order_release);
     } else {
       // Thieves: steal until the victim says it is done AND its shared
-      // portion is drained. kStealBusy means another thief (or the
-      // owner's locked slow path) held the lock -- re-try, never convoy.
-      std::uint64_t busy = 0;
+      // portion is drained.
       for (;;) {
         int got = q.steal_from(0, steal_buf.data());
         if (got > 0) {
@@ -136,21 +124,11 @@ TEST_P(StealStressModeThreads, OneVictimManyThievesConservation) {
           }
           continue;
         }
-        if (got == SplitQueue::kStealBusy) {
-          EXPECT_TRUE(GetParam().aborting)
-              << "kStealBusy from a non-aborting steal protocol";
-          ++busy;
-          continue;
-        }
         if (done->load(std::memory_order_acquire) == 1 &&
             q.peek_shared(0) == 0) {
           break;
         }
         rt.relax();
-      }
-      EXPECT_EQ(q.counters().steals_lock_busy, busy);
-      if (!GetParam().aborting) {
-        EXPECT_EQ(busy, 0u);
       }
     }
     rt.barrier();
@@ -177,64 +155,6 @@ INSTANTIATE_TEST_SUITE_P(Modes, StealStressModeThreads,
                          [](const auto& info) {
                            return std::string(info.param.name);
                          });
-
-// Aborting-specific: the trylock bounce must be strictly read-only.
-// Locked-only by construction (lockfree has no lock for the victim to
-// sit on; its no-mutation guarantee is the failed-CAS path, stressed
-// above and in test_queue_lockfree).
-TEST(StealStressThreads, AbortedStealLeavesVictimByteIdentical) {
-  testing::run_threads(kRanks, [&](Runtime& rt) {
-    SplitQueue q(rt, stress_cfg());
-    std::byte buf[kSlot];
-    std::vector<std::byte> steal_buf(
-        static_cast<std::size_t>(q.config().chunk) * kSlot);
-
-    if (rt.me() == 0) {
-      // Expose eight tasks, then sit on our own lock: every steal in the
-      // window below must abort without touching the patch.
-      for (std::uint64_t id = 100; id < 108; ++id) {
-        make_slot(buf, id);
-        ASSERT_TRUE(q.push_local(buf, kAffinityLow));
-      }
-      ASSERT_EQ(q.shared_size(), 8u);
-      q.debug_lock_own();
-    }
-    rt.barrier();
-
-    if (rt.me() != 0) {
-      std::uint64_t before = q.debug_patch_hash(0);
-      for (int attempt = 0; attempt < 4; ++attempt) {
-        EXPECT_EQ(q.steal_from(0, steal_buf.data()), SplitQueue::kStealBusy);
-        EXPECT_EQ(q.debug_patch_hash(0), before)
-            << "aborted steal mutated the victim's patch";
-      }
-    }
-    rt.barrier();
-
-    if (rt.me() == 0) {
-      q.debug_unlock_own();
-    }
-    rt.barrier();
-
-    // With the lock released the same thieves drain all eight tasks; busy
-    // aborts among contending thieves are fine, losing a task is not.
-    std::uint64_t count = 0, sum = 0;
-    if (rt.me() != 0) {
-      while (q.peek_shared(0) > 0) {
-        int got = q.steal_from(0, steal_buf.data());
-        for (int i = 0; i < got; ++i) {
-          std::uint64_t id =
-              slot_id(steal_buf.data() + static_cast<std::size_t>(i) * kSlot);
-          ++count;
-          sum += id;
-        }
-      }
-    }
-    EXPECT_EQ(rt.allreduce_sum(count), 8u);
-    EXPECT_EQ(rt.allreduce_sum(sum), 8u * (100 + 107) / 2);
-    q.destroy();
-  });
-}
 
 }  // namespace
 }  // namespace scioto

@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "dag/dag.hpp"
@@ -546,6 +547,25 @@ double tc_bytes_per_rank(int n, std::size_t (*in_use)(),
     tc.destroy();
   });
   return (static_cast<double>(after) - static_cast<double>(before)) / n;
+}
+
+TEST(TcEnv, RemovedQueueModeRejectedByName) {
+  // SCIOTO_QUEUE names two steal protocols; any other value ends the run
+  // with the accepted list.
+  ASSERT_EQ(setenv("SCIOTO_QUEUE", "aborting", 1), 0);
+  try {
+    testing::run_sim(2, [&](Runtime& rt) {
+      TaskCollection tc(rt, small_cfg());
+      tc.destroy();
+    });
+    ADD_FAILURE() << "SCIOTO_QUEUE=aborting was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("SCIOTO_QUEUE"), std::string::npos) << what;
+    EXPECT_NE(what.find("'aborting'"), std::string::npos) << what;
+    EXPECT_NE(what.find("locked|lockfree"), std::string::npos) << what;
+  }
+  ASSERT_EQ(unsetenv("SCIOTO_QUEUE"), 0);
 }
 
 TEST(TcMemory, PerRankHeapIndependentOfFleetSize) {

@@ -442,17 +442,14 @@ TEST(UtsGolden, QueueModes) {
   const struct {
     const char* name;
     QueueMode mode;
-    bool aborting;
     Pin pin;
   } cases[] = {
-      {"locked", QueueMode::Split, false, Pin{3778476, 19037, 94, 118, 288, 80817753, 0x65cd5e845e304521}},
-      {"aborting", QueueMode::Split, true, Pin{3794254, 19037, 92, 117, 288, 81079980, 0x506a735898cde052}},
-      {"lockfree", QueueMode::LockFree, false, Pin{3488043, 19037, 66, 105, 288, 71917963, 0xb5591f7a3bdb1593}},
+      {"locked", QueueMode::Split, Pin{3778476, 19037, 94, 118, 288, 80817753, 0x65cd5e845e304521}},
+      {"lockfree", QueueMode::LockFree, Pin{3488043, 19037, 66, 105, 288, 71917963, 0xb5591f7a3bdb1593}},
   };
   for (const auto& c : cases) {
     TcConfig tcc = pin_config();
     tcc.queue_mode = c.mode;
-    tcc.aborting_steals = c.aborting;
     EXPECT_EQ(run_pinned(32, sim::cluster2008(), uts_small(), tcc).pin, c.pin)
         << c.name;
   }

@@ -1,5 +1,5 @@
-// VictimPolicy on its own, outside any run: the uniform draw, the `avoid`
-// shift, the alive-pool restriction under a partial membership view, and
+// VictimPolicy on its own, outside any run: the uniform draw, the
+// alive-pool restriction under a partial membership view, and
 // the victim_set knob aiming only at the monitor's hot digest.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@ namespace {
 control::KnobSet knobs_for(int nprocs, int victim_set = 0) {
   control::KnobSet ks;
   ks.init(/*chunk=*/10, /*chunk_max=*/10, /*steal_half=*/false,
-          /*retarget_budget=*/4, /*release_threshold=*/20, nprocs);
+          /*release_threshold=*/20, nprocs);
   ks.set(control::Knob::VictimSetSize, victim_set);
   return ks;
 }
@@ -52,23 +52,6 @@ TEST(VictimPolicy, FullViewDrawsEveryOtherRankUniformly) {
   EXPECT_LT(chi2, 36.12);
 }
 
-TEST(VictimPolicy, AvoidIsNeverReturnedAboveTwoRanks) {
-  for (const int n : {3, 4, 16}) {
-    const control::KnobSet ks = knobs_for(n);
-    Xoshiro256 rng(static_cast<std::uint64_t>(n));
-    const Rank me = n - 1;
-    VictimPolicy policy(me, n, 1, 0.0, ks, rng);
-    for (Rank avoid = 0; avoid < n; ++avoid) {
-      if (avoid == me) continue;
-      for (int i = 0; i < 2000; ++i) {
-        const Rank v = policy.pick(avoid);
-        ASSERT_NE(v, avoid) << "n=" << n;
-        ASSERT_NE(v, me) << "n=" << n;
-      }
-    }
-  }
-}
-
 TEST(VictimPolicy, PartialViewNeverPicksDeadOrParkedRanks) {
   constexpr int kRanks = 8;
   // Ranks 6 and 7 parked (elastic), rank 2 confirmed dead.
@@ -86,7 +69,7 @@ TEST(VictimPolicy, PartialViewNeverPicksDeadOrParkedRanks) {
   policy.refresh();
   std::set<Rank> seen;
   for (int i = 0; i < 20000; ++i) {
-    const Rank v = policy.pick(i % 2 == 0 ? kNoRank : 0);
+    const Rank v = policy.pick();
     ASSERT_NE(v, me);
     ASSERT_EQ(excluded.count(v), 0u) << "picked rank " << v;
     seen.insert(v);
@@ -118,7 +101,7 @@ TEST(VictimPolicy, VictimSetPicksOnlyFromHotDigest) {
     VictimPolicy policy(c.me, kRanks, 1, 0.0, ks, rng);
     std::set<Rank> seen;
     for (int i = 0; i < 10000; ++i) {
-      seen.insert(policy.pick(i % 3 == 0 ? *c.pool.begin() : kNoRank));
+      seen.insert(policy.pick());
     }
     EXPECT_EQ(seen, c.pool) << "thief " << c.me;
   }
