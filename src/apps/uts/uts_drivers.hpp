@@ -26,9 +26,9 @@ struct UtsRunConfig {
   bool color_optimization = true;
   /// Per-rank queue capacity.
   std::int64_t max_tasks = 1 << 14;
-  /// Steal-half chunking (see TcConfig). Off by default: the paper's
-  /// fixed-chunk steals.
-  bool steal_half = false;
+  /// Steal-half chunking (see TcConfig), defaulting to the collection's
+  /// own default; false gives the paper's fixed-chunk steals.
+  bool steal_half = TcConfig{}.steal_half;
   /// MPI-WS: nodes processed between polls for steal requests. The
   /// original UTS-MPI polls on every node -- this explicit polling is
   /// precisely the overhead the paper credits Scioto with eliminating

@@ -44,10 +44,10 @@
 //   same-index-different-history word. See DESIGN.md for the full
 //   memory-order argument.
 //
-// Steal width is the one policy every mode shares: the thief's live chunk,
-// or with steal-half min(ceil(shared depth / 2), chunk). Locked steals
-// block on the victim's lock and copy the chunk inside the critical
-// section, as in the paper.
+// Steal width is the one policy every mode shares: with steal-half (the
+// default) min(ceil(shared depth / 2), chunk), else the thief's live chunk
+// (the paper's fixed-chunk steal). Locked steals block on the victim's
+// lock and copy the chunk inside the critical section, as in the paper.
 //
 // Cost model: local lock-free ops charge MachineModel::local_insert/get;
 // remote ops charge lock/RMA/RMW costs through the runtime, which under
@@ -120,8 +120,9 @@ class SplitQueue {
     /// Steal-half: a steal takes min(ceil(shared_depth / 2), chunk) tasks
     /// instead of the fixed `chunk`, so a deep victim sheds half its
     /// exposed work in one get while a nearly-dry one is not stripped
-    /// bare. Initial StealHalf knob.
-    bool steal_half = false;
+    /// bare. Initial StealHalf knob. The same default as
+    /// TcConfig::steal_half; false is the paper's fixed-chunk steal.
+    bool steal_half = true;
   };
 
   struct Counters {

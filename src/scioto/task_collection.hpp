@@ -85,8 +85,10 @@ struct TcConfig {
   double node_steal_bias = 0.0;
   /// Steal-half: steals take min(ceil(depth/2), chunk_size) tasks based
   /// on the victim's shared depth instead of the fixed chunk_size. The
-  /// initial value of the steal_half knob.
-  bool steal_half = false;
+  /// initial value of the steal_half knob. On by default: it beat the
+  /// paper's fixed-chunk steals on UTS makespan (EXPERIMENTS.md,
+  /// "Steal-half as the default"); false restores the paper's §5 steal.
+  bool steal_half = true;
 };
 
 /// Aggregated execution statistics (per-rank, summable across ranks).

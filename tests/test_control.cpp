@@ -496,7 +496,7 @@ apps::UtsParams t2_tree() {
 
 /// One T2 traversal on 8 cluster ranks, runtime seed 42; returns the
 /// makespan after checking the traversal against the sequential oracle.
-TimeNs t2_makespan(int chunk) {
+TimeNs t2_makespan(int chunk, bool steal_half) {
   const apps::UtsParams tree = t2_tree();
   pgas::Config cfg;
   cfg.nranks = 8;
@@ -507,6 +507,7 @@ TimeNs t2_makespan(int chunk) {
   pgas::run_spmd(cfg, [&](pgas::Runtime& rt) {
     apps::UtsRunConfig rc;
     rc.chunk = chunk;
+    rc.steal_half = steal_half;
     apps::UtsResult r = apps::uts_run_scioto(rt, tree, rc);
     if (rt.me() == 0) res = r;
   });
@@ -545,14 +546,15 @@ void fastpath_ns(double* own_ns, double* scrape_ns) {
 
 }  // namespace
 
-// Starting from the stock config (chunk 10, fixed-width steals), the local
+// Starting from the stock config (chunk 10, steal-half), the local
 // controller with default rules must finish the bursty tree no later than
-// the best hand-picked static chunk. Sim virtual time is exact, so both
+// the best hand-picked static chunk (fixed-width steals, so "static" means
+// every steal takes exactly `chunk`). Sim virtual time is exact, so both
 // makespans are pinned.
 TEST(CtlBudget, AdaptiveLocalBeatsBestStaticChunkOnT2) {
   TimeNs best_static = kTimeNever;
   for (int chunk : {1, 2, 5, 10, 20, 50}) {
-    const TimeNs t = t2_makespan(chunk);
+    const TimeNs t = t2_makespan(chunk, /*steal_half=*/false);
     if (chunk == 50) {
       EXPECT_EQ(t, TimeNs{10169811}) << "static chunk 50";
     }
@@ -561,9 +563,9 @@ TEST(CtlBudget, AdaptiveLocalBeatsBestStaticChunkOnT2) {
   TimeNs adaptive = 0;
   {
     CtlGuard guard(control::Mode::Local);
-    adaptive = t2_makespan(10);
+    adaptive = t2_makespan(10, TcConfig{}.steal_half);
   }
-  EXPECT_EQ(adaptive, TimeNs{10023750}) << "adaptive local";
+  EXPECT_EQ(adaptive, TimeNs{10049542}) << "adaptive local";
   EXPECT_LE(adaptive, best_static);
   EXPECT_GT(control::stats().decisions, 0u);
 

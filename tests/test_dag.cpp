@@ -600,8 +600,8 @@ TEST(DagDeterminism, PinnedMakespanAndCounters) {
   const DagPin pins[] = {
       {97688, 17, 5, 6, 24, 12, 174721},
       {98337, 18, 4, 8, 28, 14, 161063},
-      {99315, 17, 4, 10, 28, 17, 162918},
-      {95764, 17, 3, 8, 16, 11, 152048},
+      {100679, 17, 4, 11, 28, 16, 166529},
+      {95230, 18, 3, 7, 20, 11, 147343},
   };
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     std::vector<TcStats> per_rank;
@@ -637,12 +637,12 @@ TEST(DagDeterminism, CholeskyMakespanStatsAndResumes) {
     }
   });
   EXPECT_LT(res.residual, 1e-10);
-  EXPECT_EQ(backend.engine()->max_clock(), 25212725);
+  EXPECT_EQ(backend.engine()->max_clock(), 23454962);
   const dag::DagStats& d = res.dag;
   EXPECT_EQ((std::vector<std::uint64_t>{d.nodes_run, d.nodes_fired,
                                         d.remote_fires, d.conflict_retries,
                                         d.version_waits, d.max_depth}),
-            (std::vector<std::uint64_t>{364, 364, 212, 8, 71, 33}));
+            (std::vector<std::uint64_t>{364, 364, 183, 4, 46, 33}));
   // 74,683 resumes when every idle poll resumed its fiber.
   EXPECT_LE(backend.engine()->resumes() * 3, 74683u)
       << backend.engine()->resumes() << " fiber resumes";
@@ -662,9 +662,9 @@ TEST(DagCholesky, DataflowBeatsStaticForkJoin) {
     TimeNs static_ns;
     double min_speedup;
   };
-  const Row rows[] = {{4, 2962692, 3215350, 1.0},
-                      {8, 10072722, 13223824, 1.1},
-                      {12, 24568392, 45131600, 1.4}};
+  const Row rows[] = {{4, 2739230, 3215350, 1.0},
+                      {8, 8359748, 13223824, 1.1},
+                      {12, 22810629, 45131600, 1.4}};
   for (const Row& want : rows) {
     pgas::Config cfg;
     cfg.nranks = 8;

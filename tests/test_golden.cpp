@@ -1,9 +1,8 @@
 // Byte-identity pins for the outputs armed subsystems write (ctest label
 // `golden`). Each test runs one small sim UTS traversal through run_spmd
 // with sessions armed by their environment variables, then compares the
-// SHA-1 of every output against a digest recorded before the idle loop's
-// armed hooks learned to sleep. A change that moves virtual time on
-// purpose re-pins these digests and says why.
+// SHA-1 of every output against a recorded digest. A change that moves
+// virtual time on purpose re-pins these digests and says why.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -71,11 +70,11 @@ TEST(GoldenArmed, LocalControllerRunOutputs) {
   const std::string prom = slurp(base + ".prom");
   const std::string log = control::decisions_jsonl();
   EXPECT_FALSE(log.empty());
-  EXPECT_EQ(sha1_hex(jsonl), "16e2a6753dc7186a09cef96d24e87f56c9540504")
+  EXPECT_EQ(sha1_hex(jsonl), "ed28135c2054a814c524b87a6fd5f33a439e6b16")
       << jsonl.size() << " B metrics JSONL";
-  EXPECT_EQ(sha1_hex(prom), "3e30d8ae5d81c3a5b6d434b09069dae29b42e896")
+  EXPECT_EQ(sha1_hex(prom), "78cededdfa081631104e175f1b49d6c83b391a5e")
       << prom.size() << " B Prometheus dump";
-  EXPECT_EQ(sha1_hex(log), "7714e5caff86fc9fbc193d2cee4c2329d5c8873d")
+  EXPECT_EQ(sha1_hex(log), "9389b5cf61d141689ff76c1503fd7dd3836863dc")
       << log.size() << " B decision log";
   std::remove((base + ".jsonl").c_str());
   std::remove((base + ".prom").c_str());
@@ -92,9 +91,9 @@ TEST(GoldenArmed, MetricsOnlyRunOutputs) {
                  {"SCIOTO_METRICS_PROM", base + ".prom"}});
   const std::string jsonl = slurp(base + ".jsonl");
   const std::string prom = slurp(base + ".prom");
-  EXPECT_EQ(sha1_hex(jsonl), "92d68d9a14cd7a1b73ee3c172517255f8f86b65a")
+  EXPECT_EQ(sha1_hex(jsonl), "dea55b7773fb4dfc0b4878a17f1d7262e4e87729")
       << jsonl.size() << " B metrics JSONL";
-  EXPECT_EQ(sha1_hex(prom), "150e52703c89dc4c3f9ac2cfa0debdd5f96db916")
+  EXPECT_EQ(sha1_hex(prom), "0ecf4e2df7a087fd41daeb325ab708bccc851e5c")
       << prom.size() << " B Prometheus dump";
   std::remove((base + ".jsonl").c_str());
   std::remove((base + ".prom").c_str());

@@ -528,13 +528,16 @@ SplitQueue::Config lockfree_cfg(int chunk = 4, int chunk_max = 8,
 // oldest-index-first. Low-affinity pushes enter at steal_head - 1, so
 // push order 1..12 exposes 12 as the OLDEST (lowest index): exact
 // deterministic steal order under sim. The locked Split mode must honour
-// the queue's own KnobSet identically (the knob path is shared).
+// the queue's own KnobSet identically (the knob path is shared). Fixed
+// widths, so steal-half is off: with it the last take would be 2 of 4.
 TEST(LockFreeQueueSim, ChunkFlipTakesLiveWidthOldestFirst) {
   for (QueueMode mode : {QueueMode::LockFree, QueueMode::Split}) {
     SCOPED_TRACE(queue_mode_name(mode));
     testing::run_sim(2, [&](Runtime& rt) {
-      SplitQueue q(rt, lockfree_cfg(/*chunk=*/3, /*chunk_max=*/8,
-                                    /*capacity=*/4096, mode));
+      SplitQueue::Config c = lockfree_cfg(/*chunk=*/3, /*chunk_max=*/8,
+                                          /*capacity=*/4096, mode);
+      c.steal_half = false;
+      SplitQueue q(rt, c);
       control::KnobSet& knobs = q.knobs();
       std::byte buf[kSlot];
       if (rt.me() == 0) {

@@ -282,10 +282,10 @@ TEST(UtsSim, DeterministicAcrossRuns) {
 
 // ---- Golden virtual-time pins ----
 //
-// Exact makespans and per-rank scheduler counters of fixed UTS runs,
-// recorded when every idle poll still resumed its fiber. The simulator's
-// host-side shortcuts (idle ranks sleeping through quiet polls) must leave
-// every one of these numbers where it was.
+// Exact makespans and per-rank scheduler counters of fixed UTS runs under
+// the default (steal-half) steal width. The simulator's host-side
+// shortcuts (idle ranks sleeping through quiet polls) must leave every one
+// of these numbers where it was.
 
 /// Makespan, fleet sums of five TcStats counters, and a digest of their
 /// per-rank values.
@@ -412,10 +412,60 @@ UtsParams geo_depth10() {
 
 TEST(UtsGolden, Xt4At256Ranks) {
   PinRun r = run_pinned(256, sim::cray_xt4(), geo_depth10(), pin_config());
-  EXPECT_EQ(r.pin, (Pin{4338545, 9332, 51, 81, 1792, 937474614, 0x70f77db081b71f1f}));
+  EXPECT_EQ(r.pin, (Pin{3524431, 9332, 82, 95, 1536, 730861444, 0xafc14c97eba1ddc}));
   // Idle ranks sleep through their quiet polls instead of resuming for
   // each one: 1,100,299 resumes when every poll resumed its fiber.
   EXPECT_LE(r.resumes * 3, 1100299u) << r.resumes << " fiber resumes";
+}
+
+// One steal-width default: the collection, the queue it builds and the
+// UTS driver config agree, and a default collection's live knob reads it.
+TEST(TcDefaults, OneStealHalfDefault) {
+  EXPECT_TRUE(TcConfig{}.steal_half);
+  EXPECT_EQ(UtsRunConfig{}.steal_half, TcConfig{}.steal_half);
+  EXPECT_EQ(SplitQueue::Config{}.steal_half, TcConfig{}.steal_half);
+  testing::run_sim(2, [](Runtime& rt) {
+    TaskCollection tc(rt, TcConfig{});
+    EXPECT_EQ(tc.knob(control::Knob::StealHalf), 1);
+    tc.destroy();
+  });
+}
+
+// Steal-half is the default because it beats the paper's fixed-chunk
+// steal on UTS makespan. Geo depth 11 on 256 XT4 ranks is the shape where
+// it won every seed of the steal-flag sweep (EXPERIMENTS.md).
+TEST(UtsGolden, StealHalfDefaultBeatsFixedChunkXt4) {
+  const UtsParams tree = uts_bench();
+  const UtsCounts expected = uts_sequential(tree);
+  const struct {
+    std::uint64_t seed;
+    TimeNs default_ns;
+    TimeNs fixed_ns;
+  } rows[] = {{1, 5100424, 6168506},
+              {2, 4989174, 5847433},
+              {3, 5721427, 6537221}};
+  for (const auto& row : rows) {
+    auto makespan = [&](const UtsRunConfig& rc) {
+      pgas::Config cfg;
+      cfg.nranks = 256;
+      cfg.machine = sim::cray_xt4();
+      cfg.seed = row.seed;
+      UtsResult res;
+      pgas::run_spmd(cfg, [&](Runtime& rt) {
+        UtsResult r = uts_run_scioto(rt, tree, rc);
+        if (rt.me() == 0) res = r;
+      });
+      EXPECT_EQ(res.counts, expected) << "seed " << row.seed;
+      return res.elapsed;
+    };
+    UtsRunConfig fixed;
+    fixed.steal_half = false;
+    const TimeNs def = makespan(UtsRunConfig{});
+    const TimeNs fix = makespan(fixed);
+    EXPECT_EQ(def, row.default_ns) << "seed " << row.seed << " default";
+    EXPECT_EQ(fix, row.fixed_ns) << "seed " << row.seed << " fixed chunk";
+    EXPECT_LT(def, fix) << "seed " << row.seed;
+  }
 }
 
 TEST(UtsGolden, OracleKillsAt32Ranks) {
@@ -427,15 +477,15 @@ TEST(UtsGolden, OracleKillsAt32Ranks) {
                42);
   PinRun r = run_pinned(32, sim::cray_xt4(), uts_small(), pin_config());
   fault::stop();
-  // The killed ranks' counters die with them: 18,260 of 19,037 tasks.
-  EXPECT_EQ(r.pin, (Pin{9676240, 18260, 85, 101, 348, 240503935, 0x366fe9cc97f5b2f8}));
+  // The killed ranks' counters die with them: 18,059 of 19,037 tasks.
+  EXPECT_EQ(r.pin, (Pin{6160744, 18059, 139, 151, 269, 135034139, 0xac83482cfc326521}));
   // 152,323 resumes when every idle poll of a fault run resumed its fiber.
   EXPECT_LE(r.resumes * 2, 152323u) << r.resumes << " fiber resumes";
 }
 
 TEST(UtsGolden, Cluster2008At64Ranks) {
   PinRun r = run_pinned(64, sim::cluster2008(), uts_small(), pin_config());
-  EXPECT_EQ(r.pin, (Pin{3843619, 19037, 105, 135, 640, 186704958, 0xd5ede05315902cde}));
+  EXPECT_EQ(r.pin, (Pin{3483622, 19037, 168, 192, 320, 164044391, 0x7a3b79ae58a4e012}));
 }
 
 TEST(UtsGolden, QueueModes) {
@@ -444,8 +494,8 @@ TEST(UtsGolden, QueueModes) {
     QueueMode mode;
     Pin pin;
   } cases[] = {
-      {"locked", QueueMode::Split, Pin{3778476, 19037, 94, 118, 288, 80817753, 0x65cd5e845e304521}},
-      {"lockfree", QueueMode::LockFree, Pin{3488043, 19037, 66, 105, 288, 71917963, 0xb5591f7a3bdb1593}},
+      {"locked", QueueMode::Split, Pin{3273753, 19037, 163, 177, 256, 63703706, 0xa8119bcc7e4dd}},
+      {"lockfree", QueueMode::LockFree, Pin{2555995, 19037, 124, 151, 128, 42356008, 0x73cca310af657337}},
   };
   for (const auto& c : cases) {
     TcConfig tcc = pin_config();
@@ -461,9 +511,9 @@ TEST(UtsGolden, StealBackoffAndStealsPerPoll) {
     int steals_per_poll;
     Pin pin;
   } cases[] = {
-      {0, 1, Pin{5848014, 19037, 112, 201, 256, 136758538, 0x2de3b01a93f6200d}},
-      {1, 1, Pin{5129555, 19037, 111, 186, 288, 114059450, 0xfb6030958c63dad5}},
-      {64, 2, Pin{5315628, 19037, 105, 153, 288, 119356859, 0xcf2d6519f2525038}},
+      {0, 1, Pin{4823672, 19037, 187, 218, 192, 103057902, 0x525621f97c5bc443}},
+      {1, 1, Pin{3912707, 19037, 150, 168, 160, 74349537, 0xa8229b422793d58b}},
+      {64, 2, Pin{4012718, 19037, 128, 146, 128, 77019257, 0xae46f51e17a6faac}},
   };
   for (const auto& c : cases) {
     TcConfig tcc = pin_config();
@@ -477,7 +527,7 @@ TEST(UtsGolden, StealBackoffAndStealsPerPoll) {
 
 TEST(UtsGolden, FiftyPhasesOverProcessAndReset) {
   PinRun r = run_pinned(16, sim::cluster2008(), uts_tiny(), pin_config(), 50);
-  EXPECT_EQ(r.pin, (Pin{29357729, 29400, 178, 269, 2240, 351785397, 0xe5b69de994434bef}));
+  EXPECT_EQ(r.pin, (Pin{28883848, 29400, 371, 394, 2080, 341752691, 0xf424e22bb9e58160}));
 }
 
 // Armed sessions: each row arms one subsystem through its environment
@@ -486,27 +536,27 @@ TEST(UtsGolden, FiftyPhasesOverProcessAndReset) {
 // them where it was.
 TEST(UtsGolden, Armed) {
   const std::string ckpt = ::testing::TempDir() + "scioto_uts_golden.ckpt";
-  const Pin unarmed{4806163, 19037, 58, 63, 56, 8754735, 0x1a23d973e4c80d88};
+  const Pin unarmed{4771564, 19037, 50, 52, 48, 7787112, 0x1f5d977162761bda};
   const struct {
     const char* name;
     Env env;
     Pin pin;
   } cases[] = {
       {"unarmed", {}, unarmed},
-      // The killed rank's counters die with it: 18,090 of 19,037 tasks.
+      // The killed rank's counters die with it: 17,952 of 19,037 tasks.
       {"fault kill", {{"SCIOTO_FAULT_PLAN", "kill:rank=3,at=2ms"}},
-       Pin{6994591, 18090, 66, 72, 51, 19795337, 0xcb9238950a76809e}},
+       Pin{6595851, 17952, 65, 67, 49, 16180794, 0x99b542c1472bda94}},
       {"detector stall-resume",
        {{"SCIOTO_DETECTOR", "1"},
         {"SCIOTO_FAULT_PLAN", "stall:rank=5,at=300us,for=2ms"}},
-       Pin{20385090, 19037, 80, 82, 80, 32144703, 0x4a5b346fe139952b}},
+       Pin{15754714, 19037, 85, 86, 64, 17362853, 0x935cc9c01b8a593}},
       {"elastic grow 4->8 + ckpt",
        {{"SCIOTO_ELASTIC", "1"},
         {"SCIOTO_CKPT_PATH", ckpt},
         {"SCIOTO_FAULT_PLAN",
          "join:rank=4,at=500us;join:rank=5,at=500us;join:rank=6,at=1ms;"
          "join:rank=7,at=1ms;ckpt:at=2ms"}},
-       Pin{15684311, 19037, 78, 80, 56, 21408295, 0x845fe5154b5f3284}},
+       Pin{12687361, 19037, 69, 69, 32, 10994383, 0x97ef21a194d68b9}},
       {"controller local", {{"SCIOTO_CONTROLLER", "local"}},
        Pin{4497443, 19037, 60, 66, 16, 5669112, 0xe01a830baf49a61b}},
       // Telemetry is charge-free: arming it must not move a single number.
@@ -529,7 +579,7 @@ TEST(PgasRunSpmd, EnvArmedSessionsEndWithTheRun) {
   // run_spmd stages the configs an environment variable arms. Once the
   // run is over and the variable gone, the next run must be unarmed again
   // and reproduce the unarmed run of UtsGolden.Armed.
-  const Pin unarmed{4806163, 19037, 58, 63, 56, 8754735, 0x1a23d973e4c80d88};
+  const Pin unarmed{4771564, 19037, 50, 52, 48, 7787112, 0x1f5d977162761bda};
   auto spmd_unarmed = [] {
     return run_pinned(8, sim::cluster2008(), uts_small(), pin_config(), 1,
                       {}, /*spmd=*/true)
