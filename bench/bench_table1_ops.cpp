@@ -11,8 +11,6 @@
 //              Remote Insert 18.0819 us  27.018 us
 //              Local Get     0.3613 us   0.6913 us
 //              Remote Steal  29.0080 us  32.384 us
-#include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <vector>
 
@@ -66,7 +64,7 @@ OpTimes measure(const sim::MachineModel& machine, int iters,
     std::vector<std::byte> task(qc.slot_bytes, std::byte{7});
     std::vector<std::byte> steal_buf(qc.slot_bytes * 10);
 
-    // --- Local insert / local get (rank 0, lock-free path) ---
+    // --- Local insert / local get (rank 0, unlocked private end) ---
     if (rt.me() == 0) {
       TimeNs t0 = rt.now();
       for (int i = 0; i < iters; ++i) {
@@ -137,147 +135,6 @@ OpTimes measure(const sim::MachineModel& machine, int iters,
   return out;
 }
 
-/// Steal/release latency per steal protocol (SCIOTO_QUEUE modes), in the
-/// regime the lockfree mode exists for: the fig7 high-rank-count TAIL,
-/// where many thieves poll one victim whose shared window is thin and
-/// refilled in trickles (fine-grained 64-byte descriptors, chunk 2).
-///
-/// Steal row: seven thieves poll the victim while it trickles 8-task
-/// batches. In locked mode every probe -- including the empty ones that
-/// dominate the tail -- is a lock round trip serialized through
-/// Engine::lock_acquire's waiter queue, so a successful steal inherits
-/// the whole field's probe convoy in its lock wait. In lockfree mode an
-/// empty probe is one 16-byte get and failed CAS claims retry with an
-/// overlapped get pair, so probes overlap and only real claims contend.
-/// Timing covers the successful steal_from calls themselves; idle time
-/// between trickles is production schedule, identical across modes, and
-/// excluded.
-///
-/// Release row: the owner's half of the split machinery under the same
-/// contention -- the owner drains its private side (charging a per-task
-/// execution cost) and reacquires from the shared side while thieves
-/// strip it. Locked-mode thin reacquires must take the owner's own lock
-/// and queue behind remote thief holds; lockfree thin reacquires
-/// self-steal through a LOCAL CAS, or publish a validated split lowering
-/// when the window is deep. release_maybe
-/// itself is an unlocked local split-raise in every split-based mode and
-/// adds nothing to either side.
-///
-/// The converse regime is Table 1's bulk steal (1 kB bodies, chunk 10,
-/// deep window): there the chunk's wire time dominates, a failed CAS
-/// re-pays copies the locked protocol never wastes, and the idealized
-/// handoff lock wins -- which is why the mode is opt-in, not the default.
-struct ModeTimes {
-  double steal_us = 0;
-  double release_us = 0;
-};
-
-ModeTimes measure_mode(const sim::MachineModel& machine, QueueMode mode,
-                       int steal_iters) {
-  ModeTimes out;
-  pgas::Config cfg;
-  cfg.nranks = 8;  // one victim, seven thieves: the fig7 tail shape
-  cfg.backend = pgas::BackendKind::Sim;
-  cfg.machine = machine;
-  // Plain shared flags are safe here: the sim backend runs all ranks as
-  // fibers of one thread.
-  std::atomic<bool> feeding{true};
-  std::atomic<bool> draining{true};
-  pgas::run_spmd(cfg, [&](pgas::Runtime& rt) {
-    SplitQueue::Config qc;
-    qc.slot_bytes = align_up(sizeof(TaskHeader) + 48, 8);  // 64 B descriptor
-    qc.chunk = 2;
-    qc.capacity = 1u << 16;
-    qc.mode = mode;
-    qc.steal_half = false;  // fixed 2-task steals, as in every mode's row
-    SplitQueue q(rt, qc);
-    std::vector<std::byte> task(qc.slot_bytes, std::byte{7});
-    std::vector<std::byte> steal_buf(qc.slot_bytes * qc.chunk);
-
-    // --- Steal row: trickle-fed tail contention.
-    const int rounds = std::max(16, steal_iters / 2);
-    constexpr int kBatch = 8;
-    constexpr TimeNs kTrickleNs = 60'000;  // next batch ~60 us later
-    TimeNs spent = 0;
-    std::uint64_t steals = 0;
-    if (rt.me() == 0) {
-      for (int r = 0; r < rounds; ++r) {
-        for (int i = 0; i < kBatch; ++i) {
-          SCIOTO_CHECK(q.push_local(task.data(), kAffinityLow));
-        }
-        rt.charge(kTrickleNs);  // produce the next batch off-queue
-      }
-      feeding.store(false, std::memory_order_release);
-    } else {
-      for (;;) {
-        TimeNs t0 = rt.now();
-        int n = q.steal_from(0, steal_buf.data());
-        if (n > 0) {
-          spent += rt.now() - t0;
-          ++steals;
-          continue;
-        }
-        if (!feeding.load(std::memory_order_acquire) &&
-            q.peek_shared(0) == 0) {
-          break;
-        }
-      }
-    }
-    rt.barrier();
-    std::uint64_t all_steals = rt.allreduce_sum(steals);
-    std::uint64_t all_ns = rt.allreduce_sum(static_cast<std::uint64_t>(spent));
-    if (rt.me() == 0 && all_steals > 0) {
-      out.steal_us = to_us(static_cast<TimeNs>(all_ns)) /
-                     static_cast<double>(all_steals);
-    }
-    q.reset_collective();
-
-    // --- Release row: owner split-ops while thieves strip the window.
-    constexpr TimeNs kExecNs = 2'000;  // owner per-task execution cost
-    const std::uint64_t seed = 2048;
-    if (rt.me() == 0) {
-      for (std::uint64_t i = 0; i < seed; ++i) {
-        SCIOTO_CHECK(q.push_local(task.data(), kAffinityLow));
-      }
-    }
-    rt.barrier();
-    if (rt.me() == 0) {
-      TimeNs owner_spent = 0;
-      std::uint64_t owner_ops = 0;
-      for (;;) {
-        while (q.pop_local(task.data())) {
-          rt.charge(kExecNs);
-        }
-        if (q.shared_size() == 0) {
-          break;
-        }
-        TimeNs t0 = rt.now();
-        (void)q.release_maybe();
-        (void)q.reacquire();
-        owner_spent += rt.now() - t0;
-        ++owner_ops;
-      }
-      draining.store(false, std::memory_order_release);
-      if (owner_ops > 0) {
-        out.release_us = to_us(owner_spent) / static_cast<double>(owner_ops);
-      }
-    } else {
-      for (;;) {
-        if (q.steal_from(0, steal_buf.data()) > 0) {
-          continue;
-        }
-        if (!draining.load(std::memory_order_acquire) &&
-            q.peek_shared(0) == 0) {
-          break;
-        }
-      }
-    }
-    rt.barrier();
-    q.destroy();
-  });
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -332,21 +189,6 @@ int main(int argc, char** argv) {
     std::fclose(f);
     std::printf("json: wrote %s\n", json.c_str());
   }
-
-  // --- Per-queue-mode contended steal/release comparison ---
-  const int mode_iters = std::max(20, iters / 5);
-  ModeTimes locked =
-      measure_mode(sim::cluster2008_uniform(), QueueMode::Split, mode_iters);
-  ModeTimes lockfree = measure_mode(sim::cluster2008_uniform(),
-                                    QueueMode::LockFree, mode_iters);
-
-  Table mt({"Queue Mode", "Steal(us, 7 thieves)", "Release(us)"});
-  mt.add_row({"locked", Table::fmt(locked.steal_us, 3),
-              Table::fmt(locked.release_us, 4)});
-  mt.add_row({"lockfree", Table::fmt(lockfree.steal_us, 3),
-              Table::fmt(lockfree.release_us, 4)});
-  mt.print("Steal protocol comparison, trickle-fed tail contention "
-           "(cluster model, 64 B descriptors, chunk 2)");
 
   if (want_hists && cluster_h.valid && xt4_h.valid) {
     std::FILE* f = std::fopen(metrics_json.c_str(), "w");

@@ -1,7 +1,7 @@
-// UTS demo: traverse an unbalanced tree under Scioto, the no-split or
-// lock-free queue variant, or the MPI-style work-stealing baseline, and
-// report throughput plus load-balancing statistics. An unknown
-// --scheduler name is rejected (exit status 2).
+// UTS demo: traverse an unbalanced tree under Scioto, the no-split queue
+// variant, or the MPI-style work-stealing baseline, and report throughput
+// plus load-balancing statistics. An unknown --scheduler name is rejected
+// (exit status 2).
 //
 //   ./uts_demo --ranks 16 --tree geo --scale 10 --scheduler scioto
 //   ./uts_demo --scheduler mpi-ws --machine xt4
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   opts.add_int("scale", 10, "geometric depth (gen_mx) / binomial root size");
   opts.add_int("seed", 19, "tree seed");
   opts.add_string("scheduler", "scioto",
-                  "scioto | no-split | lockfree | mpi-ws");
+                  "scioto | no-split | mpi-ws");
   opts.add_int("chunk", 10, "steal chunk size");
   if (!opts.parse(argc, argv)) return 0;
 
@@ -31,12 +31,10 @@ int main(int argc, char** argv) {
   QueueMode mode = QueueMode::Split;
   if (sched == "no-split") {
     mode = QueueMode::NoSplit;
-  } else if (sched == "lockfree") {
-    mode = QueueMode::LockFree;
   } else if (sched != "scioto" && sched != "mpi-ws") {
     std::fprintf(stderr,
                  "uts_demo: unknown --scheduler '%s' (expected scioto | "
-                 "no-split | lockfree | mpi-ws)\n",
+                 "no-split | mpi-ws)\n",
                  sched.c_str());
     return 2;
   }

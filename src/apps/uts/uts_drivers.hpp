@@ -20,7 +20,7 @@ struct UtsRunConfig {
   /// Steal granularity in tasks (paper microbenchmarks use 10).
   int chunk = 10;
   /// Queue variant: NoSplit gives the "No Split" ablation line of
-  /// Figure 7; LockFree exercises the §8 lock-free (CAS) steal path.
+  /// Figure 7.
   QueueMode queue_mode = QueueMode::Split;
   /// §5.3 token-coloring optimization.
   bool color_optimization = true;

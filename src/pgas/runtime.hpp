@@ -73,9 +73,9 @@ class Runtime {
 
   /// Charges local compute cost (scaled by this rank's CPU speed in sim).
   void charge(TimeNs dt) { backend_.charge(dt); }
-  /// Charges the cost of one local atomic publish with fences -- the
-  /// owner's lock-free split-pointer update. Modelled as a local queue-op
-  /// cost (no round trip, no lock service slot).
+  /// Charges the cost of one local atomic publish with fences, such as a
+  /// heartbeat store. Modelled as a local queue-op cost (no round trip, no
+  /// lock service slot).
   void atomic_publish_charge();
   /// Polite progress step for spin loops.
   void relax() { backend_.relax(); }

@@ -11,22 +11,12 @@
 
 namespace scioto {
 
-namespace {
-// Lockfree steal retry backoff step: a lost CAS backs off by this much
-// times the attempt number before re-claiming, so contending thieves
-// fall out of lock-step instead of re-running the whole field each
-// round. ~ one NIC service slot on the calibrated cluster model.
-constexpr TimeNs kStealBackoffNs = 6000;
-}  // namespace
-
 const char* queue_mode_name(QueueMode mode) {
   switch (mode) {
     case QueueMode::Split:
       return "split";
     case QueueMode::NoSplit:
       return "no-split";
-    case QueueMode::LockFree:
-      return "lockfree";
   }
   return "?";
 }
@@ -48,19 +38,8 @@ SplitQueue::SplitQueue(pgas::Runtime& rt, Config cfg)
                      << cfg_.release_threshold);
   knobs_.init(cfg_.chunk, chunk_max_, cfg_.steal_half,
               static_cast<std::int64_t>(cfg_.release_threshold), rt.nprocs());
-  cfg_.slot_bytes = align_up(cfg_.slot_bytes, 8);  // word-wise CAS copies
+  cfg_.slot_bytes = align_up(cfg_.slot_bytes, 8);  // word-aligned slots
   ft_ = fault::active();
-  // A lock-free thief publishes its claim with an unlocked CAS, so there is
-  // no critical section in which to log the stolen chunk into the
-  // victim-side transaction buffer before the claim becomes visible -- a
-  // thief death between CAS and requeue would lose the chunk. Rejected at
-  // init (fail-fast, pinned by tests/test_fault.cpp) rather than silently
-  // falling back to the locked mode.
-  SCIOTO_REQUIRE(!(ft_ && cfg_.mode == QueueMode::LockFree),
-                 "fault tolerance requires locked steals: lockfree mode "
-                 "(SCIOTO_QUEUE=lockfree) publishes claims with an unlocked "
-                 "CAS and cannot anchor the steal-transaction log; use "
-                 "SCIOTO_QUEUE=locked with fault plans");
   // The adoption lease packs (epoch << 16) | (adopter + 1) into one CAS-able
   // word; a rank id that spills past 16 bits would corrupt the epoch field
   // the rival-ward comparison keys off. (Epochs bump only on deaths and
@@ -93,8 +72,9 @@ SplitQueue::SplitQueue(pgas::Runtime& rt, Config cfg)
     }
   }
   locks_ = rt_.lockset_create();
-  reacquire_buf_.resize(static_cast<std::size_t>(chunk_max_) *
-                        cfg_.slot_bytes);
+  if (ft_) {
+    drain_buf_.resize(static_cast<std::size_t>(chunk_max_) * cfg_.slot_bytes);
+  }
   rt_.barrier();
 }
 
@@ -142,7 +122,7 @@ std::uint64_t SplitQueue::private_size() const {
 std::uint64_t SplitQueue::shared_size() const {
   const Ctl& c = const_cast<SplitQueue*>(this)->ctl(rt_.me());
   std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-  std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_relaxed));
+  std::uint64_t sh = c.steal_head.load(std::memory_order_relaxed);
   return sp > sh ? sp - sh : 0;
 }
 
@@ -197,25 +177,18 @@ SplitQueue::PushOutcome SplitQueue::try_push_local(const std::byte* task,
   }
 
   if (affinity >= kAffinityHigh) {
-    // Lock-free private push: thieves never touch [split, priv_tail).
+    // Unlocked private push: thieves never touch [split, priv_tail).
     std::uint64_t pt = c.priv_tail.load(std::memory_order_relaxed);
     if (ft_ && (pt & kFrozenBit)) {
       // A ward froze the queue mid-adoption: bail before touching any
       // slot -- the ward may be copying the ring out right now.
       return PushOutcome::Fenced;
     }
-    std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_acquire));
+    std::uint64_t sh = c.steal_head.load(std::memory_order_acquire);
     if (pt - sh >= cfg_.capacity) {
       return PushOutcome::Full;
     }
-    if (cfg_.mode == QueueMode::LockFree) {
-      // A stale lock-free thief may still be speculatively reading a slot
-      // that physically aliases this one across a full ring wrap; make the
-      // race benign (its claim cannot succeed -- the tag moved on).
-      store_slot_relaxed(me, pt, task);
-    } else {
-      std::memcpy(slot(me, pt), task, cfg_.slot_bytes);
-    }
+    std::memcpy(slot(me, pt), task, cfg_.slot_bytes);
     if (ft_) {
       // The CAS arbitrates against a ward freezing priv_tail mid-adoption
       // (priv_tail has no other concurrent writer): the freeze installs
@@ -239,21 +212,8 @@ SplitQueue::PushOutcome SplitQueue::try_push_local(const std::byte* task,
   }
 
   // Low affinity: enter at the steal end so this task migrates first.
-  // Even the owner uses the remote-add publication protocol so the slot
-  // is never visible half-written (lock-free thieves validate only
-  // against steal_head).
-  if (cfg_.mode == QueueMode::LockFree) {
-    if (!add_remote_lockfree(me, task)) {
-      return PushOutcome::Full;
-    }
-    rt_.charge(rt_.machine().local_insert);
-    SCIOTO_TRACE_EVENT(me, trace::Ev::Push, affinity, 0,
-                       c.priv_tail.load(std::memory_order_relaxed) -
-                           sh_idx(c.steal_head.load(
-                               std::memory_order_relaxed)));
-    metrics_owner_op(metrics::Hist::PushNs, t0);
-    return PushOutcome::Ok;
-  }
+  // The owner takes its own lock, as a remote add does, because thieves
+  // move steal_head under it.
   rt_.lock(locks_, me);
   counters().owner_lock_acqs++;
   if (ft_ && c.fence.load(std::memory_order_acquire) != 0) {
@@ -334,8 +294,7 @@ bool SplitQueue::pop_local(std::byte* out) {
   rt_.charge(rt_.machine().local_get);
   counters().pops++;
   SCIOTO_TRACE_EVENT(me, trace::Ev::Pop, 0, 0,
-                     (pt - 1) - sh_idx(c.steal_head.load(
-                                    std::memory_order_relaxed)));
+                     (pt - 1) - c.steal_head.load(std::memory_order_relaxed));
   SCIOTO_METRIC_CTR(me, metrics::Ctr::QPops, 1);
   metrics_owner_op(metrics::Hist::PopNs, t0);
   return true;
@@ -347,31 +306,6 @@ std::uint64_t SplitQueue::reacquire() {
   }
   Rank me = rt_.me();
   Ctl& c = ctl(me);
-  if (cfg_.mode == QueueMode::LockFree) {
-    // Deep shared portion: lower the split with one validated publish.
-    if (std::uint64_t take = lower_split_validated()) {
-      return take;
-    }
-    // No lock exists to serialize a split lowering against in-flight
-    // thieves, so a thin shared portion -- including the single-element
-    // owner-vs-thief race -- falls back to self-stealing through the CAS,
-    // i.e. the standard Chase-Lev "owner CASes top" arbitration: exactly
-    // one of owner and thief wins each contested task.
-    std::byte* buf = reacquire_buf_.data();
-    int got = steal_from_lockfree(me, buf);
-    for (int i = 0; i < got; ++i) {
-      bool ok = push_local(buf + static_cast<std::size_t>(i) *
-                                     cfg_.slot_bytes,
-                           kAffinityHigh);
-      SCIOTO_CHECK_MSG(ok, "overflow re-pushing self-stolen tasks");
-    }
-    if (got == 0) {
-      return 0;
-    }
-    return note_reacquire(
-        static_cast<std::uint64_t>(got),
-        sh_idx(c.steal_head.load(std::memory_order_relaxed)), false);
-  }
   // Lowering `split` races in-flight steals, so it needs the lock.
   rt_.lock(locks_, me);
   counters().owner_lock_acqs++;
@@ -389,53 +323,9 @@ std::uint64_t SplitQueue::reacquire() {
   std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
   c.split.store(sp - take, std::memory_order_release);
   rt_.unlock(locks_, me);
-  return note_reacquire(take, sh, false);
-}
-
-std::uint64_t SplitQueue::lower_split_validated() {
-  // Publish the new split with one seq_cst store and validate that no
-  // in-flight thief can overrun it. Thieves load steal_head and then split
-  // seq_cst, in that order, so at most ONE thief's advance (bounded by its
-  // chunk) can be missing from the validation load -- see DESIGN.md for
-  // why the seq_cst total order bounds it to one. The margin uses
-  // chunk_max, not the live chunk: the in-flight thief steals at its OWN
-  // live width, which we cannot see but which its KnobSet clamps to the
-  // collective chunk_max. sh_idx() masks the ABA tag.
-  Ctl& c = ctl(rt_.me());
-  const auto margin = static_cast<std::uint64_t>(chunk_max_);
-  std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
-  std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-  std::uint64_t avail = sp > sh ? sp - sh : 0;
-  if (avail < 2 * margin) {
-    return 0;
-  }
-  std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
-  std::uint64_t new_sp = sp - take;
-  c.split.store(new_sp, std::memory_order_seq_cst);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  std::uint64_t sh2 = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
-  if (sh2 + margin > new_sp) {
-    // Thieves drained the margin under us. Raising split back is always
-    // safe (it is exactly a release); the caller takes its slow path.
-    c.split.store(sp, std::memory_order_seq_cst);
-    return 0;
-  }
-  // One local atomic publish instead of a lock round trip.
-  rt_.atomic_publish_charge();
-  return note_reacquire(take, sh2, true);
-}
-
-std::uint64_t SplitQueue::note_reacquire(std::uint64_t take,
-                                         [[maybe_unused]] std::uint64_t sh,
-                                         bool fast) {
-  [[maybe_unused]] Rank me = rt_.me();
   counters().reacquires++;
-  if (fast) {
-    counters().reacquires_fast++;
-  }
-  SCIOTO_TRACE_EVENT(me, fast ? trace::Ev::ReacquireFast : trace::Ev::Reacquire,
-                     take, 0,
-                     ctl(me).priv_tail.load(std::memory_order_relaxed) - sh);
+  SCIOTO_TRACE_EVENT(me, trace::Ev::Reacquire, take, 0,
+                     c.priv_tail.load(std::memory_order_relaxed) - sh);
   SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
   SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, take);
   metrics_queue_gauges();
@@ -485,8 +375,7 @@ std::uint64_t SplitQueue::release_maybe() {
   counters().releases++;
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::Release, give, 0,
                      c.priv_tail.load(std::memory_order_relaxed) -
-                         sh_idx(c.steal_head.load(
-                             std::memory_order_relaxed)));
+                         c.steal_head.load(std::memory_order_relaxed));
   SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::QReleases, 1);
   SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::QReleasedTasks, give);
   metrics_queue_gauges();
@@ -498,7 +387,7 @@ std::uint64_t SplitQueue::peek_shared(Rank victim) {
   if (victim != rt_.me()) {
     rt_.rma_charge(victim, 2 * sizeof(std::uint64_t));
   }
-  std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_acquire));
+  std::uint64_t sh = c.steal_head.load(std::memory_order_acquire);
   std::uint64_t bd = steal_boundary(c);
   return bd > sh ? bd - sh : 0;
 }
@@ -533,18 +422,6 @@ std::uint64_t SplitQueue::steal_width(std::uint64_t avail) const {
   // KnobSet in turn clamps to the chunk_max the caller's buffers (and the
   // fault-mode transaction log) are sized for.
   return std::min((avail + 1) / 2, chunk);
-}
-
-void SplitQueue::copy_slot_relaxed(Rank victim, std::uint64_t index,
-                                   std::byte* out) {
-  const auto* src =
-      reinterpret_cast<const std::uint64_t*>(slot(victim, index));
-  auto* dst = reinterpret_cast<std::uint64_t*>(out);
-  const std::size_t words = cfg_.slot_bytes / sizeof(std::uint64_t);
-  for (std::size_t w = 0; w < words; ++w) {
-    dst[w] = std::atomic_ref<const std::uint64_t>(src[w])
-                 .load(std::memory_order_relaxed);
-  }
 }
 
 int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
@@ -727,7 +604,7 @@ std::uint64_t SplitQueue::drain_dead(Rank dead) {
     rt_.backend().rma_charge_oneway(dead, sizeof(std::uint64_t));
   }
   // Freeze the queue: swinging priv_tail to the kFrozenBit-tagged anchor
-  // makes every lock-free owner CAS (push pt->pt+1, pop pt->pt-1) fail --
+  // makes every unlocked owner CAS (push pt->pt+1, pop pt->pt-1) fail --
   // in-flight ones because their pre-freeze expected value cannot match
   // the tag, future ones because the owner's re-read sees the tag and
   // bails before touching a slot. (Freezing to the bare steal_head index
@@ -749,7 +626,7 @@ std::uint64_t SplitQueue::drain_dead(Rank dead) {
   // excludes all readers -- and the queue ends low-anchored (sh = sp =
   // unfrozen(pt)) so a rejoining owner, whose fence_ack thaws priv_tail
   // back to that anchor, restarts from a trivially consistent state.
-  std::byte* buf = reacquire_buf_.data();
+  std::byte* buf = drain_buf_.data();
   std::uint64_t idx = sh;
   while (idx < pt) {
     // Batch by the buffer's capacity (chunk_max), not the live policy
@@ -827,7 +704,7 @@ std::uint64_t SplitQueue::fence_ack() {
   std::uint64_t pt = c.priv_tail.load(std::memory_order_relaxed);
   if (pt & kFrozenBit) {
     // Thaw: restore the low anchor the adopter's freeze tagged (it left
-    // sh = split = unfrozen(priv_tail)), re-enabling our lock-free ops.
+    // sh = split = unfrozen(priv_tail)), re-enabling our unlocked ops.
     c.priv_tail.store(unfrozen(pt), std::memory_order_release);
   }
   if (detect::active() && !detect::alive(me)) {
@@ -894,151 +771,12 @@ std::uint64_t SplitQueue::flush_overflow() {
   return moved;
 }
 
-void SplitQueue::store_slot_relaxed(Rank victim, std::uint64_t index,
-                                    const std::byte* src) {
-  auto* dst = reinterpret_cast<std::uint64_t*>(slot(victim, index));
-  const auto* s = reinterpret_cast<const std::uint64_t*>(src);
-  const std::size_t words = cfg_.slot_bytes / sizeof(std::uint64_t);
-  for (std::size_t w = 0; w < words; ++w) {
-    std::atomic_ref<std::uint64_t>(dst[w]).store(s[w],
-                                                 std::memory_order_relaxed);
-  }
-}
-
-int SplitQueue::steal_from_lockfree(Rank victim, std::byte* out) {
-  // Chase-Lev steal, chunked: load the tagged top word, then the split
-  // ("bottom" of the shared window), copy the chunk speculatively, and
-  // claim it with one CAS of raw -> raw + n (tag preserved: the index
-  // lives in the low 48 bits). The loads are seq_cst *in this order* --
-  // the owner's validated split-lowering depends on it: any thief whose
-  // top load is ordered after the owner's validation load must also read
-  // the lowered split, so at most one stale-split claim (width clamped to
-  // chunk_max by the KnobSet) can land past the validation, which is
-  // exactly the margin the owner checks. A failed CAS means the window
-  // moved (a thief claimed, or an add bumped the tag); retry, bounded
-  // and cheaply:
-  //
-  //  * The failed CAS itself returned the current raw word, and an RMW
-  //    read is as good a top observation as a load in the seq_cst order
-  //    the margin lemma needs (observe top, THEN load split) -- so a
-  //    retry skips the index fetch and refreshes only the split word.
-  //    The split refresh is NOT optional: a retry that reused a stale
-  //    split could claim past a validated split-lowering's margin.
-  //  * The split refresh and the speculative re-copy are both plain gets
-  //    from the victim, so a retry issues them as one non-blocking pair
-  //    completed by a single wait (the re-copy width is sized from the
-  //    stale split and the claim clamped to the fresh value afterwards);
-  //    the pair is charged as one combined transfer. That takes a full
-  //    round trip off every retry relative to the serial first attempt.
-  //  * If the tag has not moved since `out` was filled, no add has
-  //    rewritten any slot -- steals only advance top, and pushes stay
-  //    above the split -- so the buffered copy is still byte-accurate
-  //    for every index >= the new top. The retry then clamps its claim
-  //    to the data it already holds instead of re-paying the chunk's
-  //    wire time (the dominant cost of a lost race on big tasks).
-  //  * Losing a claim means other thieves are mid-window; a short,
-  //    linearly growing backoff breaks the lock-step convoy where every
-  //    round re-runs the full field minus one.
-  Ctl& c = ctl(victim);
-  const bool remote = victim != rt_.me();
-  std::uint64_t raw = 0;
-  std::uint64_t bd = 0;
-  bool have_raw = false;        // raw already witnessed by a failed CAS
-  std::uint64_t copy_raw = 0;   // raw observed when `out` was filled
-  std::uint64_t copy_base = 0;  // first index held in `out`
-  std::uint64_t copy_n = 0;     // slots held in `out`
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    std::uint64_t sh;
-    std::uint64_t n;
-    bool reuse = false;
-    if (!have_raw) {
-      if (remote) {
-        rt_.rma_charge(victim, 2 * sizeof(std::uint64_t));  // fetch indices
-      }
-      raw = c.steal_head.load(std::memory_order_seq_cst);
-      sh = sh_idx(raw);
-      bd = c.split.load(std::memory_order_seq_cst);
-      std::uint64_t avail = bd > sh ? bd - sh : 0;
-      n = steal_width(avail);
-      if (n == 0) {
-        return 0;
-      }
-      // Speculative copy: may race a concurrent overwrite, but a lost CAS
-      // below discards the data, so torn reads never escape.
-      if (remote) {
-        rt_.rma_charge(victim, n * cfg_.slot_bytes);
-      }
-    } else {
-      sh = sh_idx(raw);
-      reuse = copy_n > 0 &&
-              (copy_raw >> kShTagShift) == (raw >> kShTagShift) &&
-              sh >= copy_base && sh < copy_base + copy_n;
-      // Width of the speculative re-copy, sized from the stale split
-      // (the fresh value is in flight alongside it).
-      std::uint64_t stale_avail = bd > sh ? bd - sh : 0;
-      std::uint64_t n_spec = reuse ? 0 : steal_width(stale_avail);
-      if (remote) {
-        rt_.rma_charge(victim,
-                       sizeof(std::uint64_t) + n_spec * cfg_.slot_bytes);
-      }
-      bd = c.split.load(std::memory_order_seq_cst);
-      std::uint64_t avail = bd > sh ? bd - sh : 0;
-      n = steal_width(avail);
-      if (n == 0) {
-        return 0;
-      }
-      if (reuse) {
-        n = std::min(n, copy_base + copy_n - sh);
-        counters().steal_copy_reuses++;
-      } else if (n > n_spec) {
-        // A release raised the split past the stale window mid-retry;
-        // fetch the extra slots the speculative get did not cover.
-        if (remote) {
-          rt_.rma_charge(victim, (n - n_spec) * cfg_.slot_bytes);
-        }
-      }
-    }
-    if (!reuse) {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        copy_slot_relaxed(victim, sh + i,
-                          out + static_cast<std::size_t>(i) * cfg_.slot_bytes);
-      }
-      copy_raw = raw;
-      copy_base = sh;
-      copy_n = n;
-    }
-    if (remote) {
-      rt_.backend().rmw_charge(victim);
-    }
-    std::uint64_t expected = raw;
-    if (c.steal_head.compare_exchange_strong(expected, raw + n,
-                                             std::memory_order_seq_cst)) {
-      if (sh != copy_base) {
-        // Claimed a suffix of the buffered copy: slide it to the front.
-        std::memmove(out,
-                     out + static_cast<std::size_t>(sh - copy_base) *
-                               cfg_.slot_bytes,
-                     static_cast<std::size_t>(n) * cfg_.slot_bytes);
-      }
-      return static_cast<int>(n);
-    }
-    counters().cas_retries++;
-    raw = expected;  // the failed CAS witnessed the current word
-    have_raw = true;
-    if (remote) {
-      rt_.charge(kStealBackoffNs * static_cast<TimeNs>(attempt + 1));
-    }
-  }
-  return 0;  // heavy contention: give up, caller picks another victim
-}
-
 int SplitQueue::steal_from(Rank victim, std::byte* out) {
   counters().steal_attempts++;
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealAttempt, victim, 0, 0);
   SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::StealAttempts, 1);
   TimeNs t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
-  int n = cfg_.mode == QueueMode::LockFree ? steal_from_lockfree(victim, out)
-                                            : steal_from_locked(victim, out);
+  int n = steal_from_locked(victim, out);
   if (n > 0) {
     counters().steals_in++;
     counters().tasks_stolen_in += static_cast<std::uint64_t>(n);
@@ -1047,9 +785,8 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
       // The thief stamps the migration into its landed copy (the
       // victim's slots are dead or replayable either way): one hop bump
       // and one MigrateEdge per task, so per-task hop counts and the
-      // steal matrix reconcile one-for-one. The self-steal guard keeps
-      // the LockFree owner's CAS reacquire -- a reclaim, not a migration
-      // -- out of the lineage stream.
+      // steal matrix reconcile one-for-one. A rank stealing from itself
+      // migrates nothing, so it stays out of the lineage stream.
       for (int i = 0; i < n; ++i) {
         std::byte* slot =
             out + static_cast<std::size_t>(i) * cfg_.slot_bytes;
@@ -1077,82 +814,32 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
   return n;
 }
 
-bool SplitQueue::add_remote_lockfree(Rank target, const std::byte* task) {
-  // Adders serialize among themselves on the target's lock (adds are
-  // rare) but must publish with a CAS because thieves do not honour the
-  // lock; the slot is written *before* publishing so a thief can never
-  // observe it half-written under a successful CAS. The CAS bumps the
-  // tag -- an add is precisely the operation that re-opens the ABA window
-  // a monotone top never has, so it must change the word beyond what a
-  // subsequent steal could undo -- and the slot write is word-wise
-  // atomic, because a stale thief may still be speculatively reading a
-  // physically aliased slot (its doomed claim discards whatever it tears).
-  Ctl& c = ctl(target);
-  const bool remote = target != rt_.me();
-  rt_.lock(locks_, target);
-  bool ok = false;
-  for (;;) {
-    std::uint64_t raw = c.steal_head.load(std::memory_order_seq_cst);
-    std::uint64_t sh = sh_idx(raw);
-    std::uint64_t pt = c.priv_tail.load(std::memory_order_acquire);
-    if (pt - (sh - 1) >= cfg_.capacity) {
-      break;
-    }
-    if (remote) {
-      rt_.rma_charge(target, cfg_.slot_bytes);
-    }
-    store_slot_relaxed(target, sh - 1, task);
-    if (remote) {
-      rt_.backend().rmw_charge(target);
-    }
-    std::uint64_t expected = raw;
-    if (c.steal_head.compare_exchange_strong(expected,
-                                             sh_tag_bump(raw, sh - 1),
-                                             std::memory_order_seq_cst)) {
-      ok = true;
-      break;
-    }
-    // A thief advanced steal_head meanwhile; rewrite at the new position.
-    counters().cas_retries++;
-  }
-  rt_.unlock(locks_, target);
-  return ok;
-}
-
 bool SplitQueue::add_remote(Rank target, const std::byte* task) {
   SCIOTO_REQUIRE(target != rt_.me(), "add_remote to self; use push_local");
-  bool ok;
-  if (cfg_.mode == QueueMode::LockFree) {
-    ok = add_remote_lockfree(target, task);
-  } else {
-    // As in steal_from: the control block rides along with the lock grant.
-    rt_.lock(locks_, target);
-    Ctl& c = ctl(target);
-    std::uint64_t sh = c.steal_head.load(std::memory_order_acquire);
-    // unfrozen(): an add racing a dead target's adoption (alive-check then
-    // death) must not misread the freeze tag as a full queue.
-    std::uint64_t pt = unfrozen(c.priv_tail.load(std::memory_order_acquire));
-    if (pt - (sh - 1) >= cfg_.capacity) {
-      rt_.unlock(locks_, target);
-      return false;
-    }
-    rt_.rma_charge(target, cfg_.slot_bytes);
-    std::memcpy(slot(target, sh - 1), task, cfg_.slot_bytes);
-    c.steal_head.store(sh - 1, std::memory_order_seq_cst);
+  // As in steal_from: the control block rides along with the lock grant.
+  rt_.lock(locks_, target);
+  Ctl& c = ctl(target);
+  std::uint64_t sh = c.steal_head.load(std::memory_order_acquire);
+  // unfrozen(): an add racing a dead target's adoption (alive-check then
+  // death) must not misread the freeze tag as a full queue.
+  std::uint64_t pt = unfrozen(c.priv_tail.load(std::memory_order_acquire));
+  if (pt - (sh - 1) >= cfg_.capacity) {
     rt_.unlock(locks_, target);
-    ok = true;
+    return false;
   }
-  if (ok) {
-    counters().remote_adds++;
-    SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::RemoteAdd, target, 0, 0);
-  }
-  return ok;
+  rt_.rma_charge(target, cfg_.slot_bytes);
+  std::memcpy(slot(target, sh - 1), task, cfg_.slot_bytes);
+  c.steal_head.store(sh - 1, std::memory_order_seq_cst);
+  rt_.unlock(locks_, target);
+  counters().remote_adds++;
+  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::RemoteAdd, target, 0, 0);
+  return true;
 }
 
 std::uint64_t SplitQueue::snapshot_local(std::vector<std::byte>& out) {
   Rank me = rt_.me();
   Ctl& c = ctl(me);
-  std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_acquire));
+  std::uint64_t sh = c.steal_head.load(std::memory_order_acquire);
   std::uint64_t pt = unfrozen(c.priv_tail.load(std::memory_order_acquire));
   std::uint64_t n = pt > sh ? pt - sh : 0;
   std::size_t base = out.size();
@@ -1167,8 +854,7 @@ std::uint64_t SplitQueue::snapshot_local(std::vector<std::byte>& out) {
 SplitQueue::Snapshot SplitQueue::debug_snapshot(Rank r) {
   Ctl& c = ctl(r);
   Snapshot s;
-  // Masked: the LockFree ABA tag is protocol-internal, not queue state.
-  s.steal_head = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
+  s.steal_head = c.steal_head.load(std::memory_order_seq_cst);
   s.split = c.split.load(std::memory_order_seq_cst);
   s.priv_tail = c.priv_tail.load(std::memory_order_seq_cst);
   return s;
@@ -1194,7 +880,7 @@ void SplitQueue::metrics_queue_gauges() {
   Ctl& c = ctl(me);
   std::uint64_t pt = unfrozen(c.priv_tail.load(std::memory_order_relaxed));
   std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-  std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_relaxed));
+  std::uint64_t sh = c.steal_head.load(std::memory_order_relaxed);
   metrics::gauge_set(me, metrics::Gauge::QueueDepth, pt > sh ? pt - sh : 0);
   metrics::gauge_set(me, metrics::Gauge::QueueShared, sp > sh ? sp - sh : 0);
   // Split position relative to the ring origin: how far the split point

@@ -1,11 +1,11 @@
-// The split task queue (paper §5, Figure 2) and its variants.
+// The split task queue (paper §5, Figure 2) and its no-split ablation.
 //
 // Each rank owns one circular array of fixed-size task slots living in
 // PGAS shared space. Three monotone-ish 64-bit indices partition it:
 //
 //      steal_head              split              priv_tail
 //          |--- shared portion ---|--- private portion ---|
-//        (thieves steal oldest/    (owner-only, lock-free;
+//        (thieves steal oldest/    (owner-only, no lock;
 //         lowest-affinity tasks     owner pushes and pops
 //         from this end)            LIFO at this end)
 //
@@ -20,36 +20,20 @@
 //
 // Queue modes (QueueMode):
 //
-// * Split (the paper's design): thieves lock the victim's queue, steal up
-//   to `chunk` tasks from [steal_head, split), and advance steal_head.
-//   reacquire() lowers `split` under the lock.
+// * Split (the paper's design, and the only steal protocol): thieves lock
+//   the victim's queue, steal from [steal_head, split), and advance
+//   steal_head. reacquire() lowers `split` under the lock.
 //
 // * NoSplit (the paper's original implementation, Figure 7's ablation):
 //   one region, every operation -- including the owner's local push/pop --
 //   takes the lock. Figure 7 measures the collapse this causes.
 //
-// * LockFree (Chase-Lev top/bottom on the shared portion; the paper's §8
-//   future-work item of lock-free steals): thieves claim chunks with a
-//   single CAS on steal_head ("top") and never block, but the full split
-//   machinery stays live -- the owner still releases by raising `split`
-//   ("bottom" of the shared window) and still *lowers* it in reacquire()
-//   through a validated seq_cst publish, falling back to a CAS self-steal
-//   when the shared portion is thin (the classic owner-CAS-on-top
-//   arbitration for the last element). Remote adds serialize among
-//   themselves on the victim's lock but publish with a CAS. What makes the
-//   unlocked claims sound against those adds -- which move steal_head
-//   *down*, re-opening the ABA window a monotone top never has -- is a
-//   16-bit modification tag packed into steal_head's top bits: every add
-//   bumps the tag, so a stale thief's CAS cannot succeed against a
-//   same-index-different-history word. See DESIGN.md for the full
-//   memory-order argument.
-//
-// Steal width is the one policy every mode shares: with steal-half (the
+// Steal width is the one policy both modes share: with steal-half (the
 // default) min(ceil(shared depth / 2), chunk), else the thief's live chunk
-// (the paper's fixed-chunk steal). Locked steals block on the victim's
-// lock and copy the chunk inside the critical section, as in the paper.
+// (the paper's fixed-chunk steal). Steals block on the victim's lock and
+// copy the chunk inside the critical section, as in the paper.
 //
-// Cost model: local lock-free ops charge MachineModel::local_insert/get;
+// Cost model: local unlocked ops charge MachineModel::local_insert/get;
 // remote ops charge lock/RMA/RMW costs through the runtime, which under
 // sim also serializes contenders in virtual time.
 //
@@ -65,8 +49,7 @@
 // remote add overwrites ring slots just below steal_head, the ring itself
 // cannot serve as the recovery log -- the side buffer can. Exactly-once
 // completion holds because kills fire only at safepoints and the
-// requeue+commit sequence contains none. Lock-free claims have no lock to
-// anchor the transaction, so fault mode requires locked steals.
+// requeue+commit sequence contains none.
 #pragma once
 
 #include <atomic>
@@ -79,9 +62,8 @@
 namespace scioto {
 
 enum class QueueMode {
-  Split,     // §5: lock-free private portion + locked shared portion
-  NoSplit,   // original fully locked queue (Figure 7 ablation)
-  LockFree,  // Chase-Lev: CAS steals + tagged ABA-safe adds + live split
+  Split,    // §5: unlocked private portion + locked shared portion
+  NoSplit,  // original fully locked queue (Figure 7 ablation)
 };
 
 const char* queue_mode_name(QueueMode mode);
@@ -90,15 +72,14 @@ class SplitQueue {
  public:
   struct Config {
     /// Whole-descriptor slot size in bytes (header + max body); rounded
-    /// up to a multiple of 8 internally (LockFree slot copies are
-    /// word-wise).
+    /// up to a multiple of 8 internally (slots stay word-aligned).
     std::size_t slot_bytes = 64;
     /// Byte offset of the causal-lineage trailer inside each slot, or 0
     /// when no lineage session is armed. Nonzero makes a successful
     /// steal_from bump each landed record's hop count and emit one
-    /// MigrateEdge per task -- the single choke point every steal
-    /// protocol (and the owner's self-steal reacquire, which is exempt)
-    /// funnels through. Set by TaskCollection; collectively uniform.
+    /// MigrateEdge per task -- the single choke point every steal funnels
+    /// through (a rank stealing from itself is exempt). Set by
+    /// TaskCollection; collectively uniform.
     std::size_t lineage_off = 0;
     /// Per-rank capacity in tasks (the paper's max_tasks).
     std::uint64_t capacity = 1 << 16;
@@ -134,14 +115,10 @@ class SplitQueue {
     std::uint64_t steal_attempts = 0;   // including empty-handed
     std::uint64_t tasks_stolen_in = 0;  // tasks obtained by stealing
     std::uint64_t remote_adds = 0;      // tasks we pushed to other ranks
-    std::uint64_t cas_retries = 0;      // LockFree mode only
-    std::uint64_t steal_copy_reuses = 0;  // lockfree retries that kept the
-                                          // buffered chunk (same tag)
     std::uint64_t steals_aborted = 0;   // fault-truncated to zero tasks
     std::uint64_t tasks_recovered = 0;  // replayed txns + adopted queues
     std::uint64_t commit_retries = 0;   // dropped commit writes retried
     std::uint64_t owner_lock_acqs = 0;   // owner took its own queue's lock
-    std::uint64_t reacquires_fast = 0;   // LockFree validated reacquires
   };
 
   /// Collective: allocates the queue segment and its lock set.
@@ -152,16 +129,14 @@ class SplitQueue {
 
   // ---- Owner-side operations (current rank's queue) ----
   /// Pushes one descriptor. High affinity enters the private end
-  /// (lock-free), low affinity enters the shared steal end (locked).
+  /// (unlocked), low affinity enters the shared steal end (locked).
   /// Returns false when the queue is full.
   bool push_local(const std::byte* task, int affinity);
   /// Pops the newest private task (LIFO). Returns false if the private
   /// portion is empty (shared tasks need reacquire()).
   bool pop_local(std::byte* out);
-  /// Moves up to half of the shared portion back to private (Split mode
-  /// lowers the split under the lock; LockFree publishes a validated
-  /// lowering or self-steals through the CAS path and re-pushes). Returns
-  /// the number of tasks reclaimed.
+  /// Moves up to half of the shared portion back to private by lowering
+  /// the split under the lock. Returns the number of tasks reclaimed.
   std::uint64_t reacquire();
   /// Donates oldest private tasks to the shared portion when the release
   /// policy triggers. Returns tasks released.
@@ -258,30 +233,9 @@ class SplitQueue {
   // (remote adds decrement steal_head) without underflow.
   static constexpr std::uint64_t kIndexBase = 1ull << 32;
 
-  /// LockFree mode packs steal_head as (tag << 48) | index. Thief claims
-  /// preserve the tag (raw + n keeps bits 48..63 while index < 2^48);
-  /// every remote add bumps it. The tag is what closes the ABA window:
-  /// without it, "steal n, then add n" returns steal_head to a value a
-  /// stale thief still holds as its CAS expected word, and the claim
-  /// would land on slots that no longer hold the tasks it copied. With
-  /// the bump, a raw value can only recur after 65536 adds *and* an
-  /// exactly offsetting steal volume inside one thief's load-to-CAS
-  /// window -- out of scope by construction (a thief's window contains
-  /// at most one chunk copy). Other modes never set tag bits, so the
-  /// masked readers below are no-ops for them.
-  static constexpr int kShTagShift = 48;
-  static constexpr std::uint64_t kShIndexMask = (1ull << kShTagShift) - 1;
-  static constexpr std::uint64_t sh_idx(std::uint64_t raw) {
-    return raw & kShIndexMask;
-  }
-  static constexpr std::uint64_t sh_tag_bump(std::uint64_t raw,
-                                             std::uint64_t new_idx) {
-    return (((raw >> kShTagShift) + 1) & 0xffff) << kShTagShift | new_idx;
-  }
-
   /// Freeze tag a ward installs in priv_tail while it adopts the queue
   /// (drain_dead). No reachable index ever carries this bit, so a falsely
-  /// suspected owner's lock-free push/pop CAS -- whose expected value is
+  /// suspected owner's unlocked push/pop CAS -- whose expected value is
   /// always a previously *loaded* priv_tail -- can never succeed against a
   /// frozen word, no matter whether the load happened before or after the
   /// freeze: pre-freeze loads mismatch the tag, post-freeze loads bail on
@@ -329,8 +283,8 @@ class SplitQueue {
   /// push_local without the stash-on-fence fallback (see PushOutcome).
   PushOutcome try_push_local(const std::byte* task, int affinity);
   void stash_overflow(const std::byte* task);
-  /// Steal boundary as seen by thieves: split in split-based modes, the
-  /// whole deque in NoSplit.
+  /// Steal boundary as seen by thieves: split in Split mode, the whole
+  /// deque in NoSplit.
   std::uint64_t steal_boundary(const Ctl& c) const;
   void copy_out_span(Rank victim, std::uint64_t first, std::uint64_t count,
                      std::byte* out);
@@ -351,35 +305,7 @@ class SplitQueue {
   /// Steal width: fixed live chunk, or ceil(avail/2) capped at the live
   /// chunk when steal-half is on.
   std::uint64_t steal_width(std::uint64_t avail) const;
-  /// Word-wise relaxed-atomic copy of one slot: safe to race with a
-  /// concurrent overwrite because the caller discards the data when its
-  /// publishing CAS fails.
-  void copy_slot_relaxed(Rank victim, std::uint64_t index, std::byte* out);
-  /// Word-wise relaxed-atomic slot write: LockFree-mode writers use it so
-  /// a *stale* thief's speculative read of a physically aliased ring slot
-  /// (its claim is doomed -- the tag moved on) is a benign atomic race
-  /// instead of UB; the data it may tear is discarded with its failed CAS.
-  void store_slot_relaxed(Rank victim, std::uint64_t index,
-                          const std::byte* src);
-  /// LockFree owner's split lowering without a lock:
-  /// publishes split - ceil(avail / 2) seq_cst, re-reads steal_head and
-  /// keeps the move only if a chunk_max margin survives. Returns the
-  /// tasks privatized, or 0 (split untouched) when the margin is thin.
-  std::uint64_t lower_split_validated();
-  /// Reacquire bookkeeping shared by every path: counters, trace event
-  /// (`sh` is the steal_head index the queue depth is reported against),
-  /// metrics. Returns `take`.
-  std::uint64_t note_reacquire(std::uint64_t take, std::uint64_t sh,
-                               bool fast);
   int steal_from_locked(Rank victim, std::byte* out);
-  /// Chase-Lev claim: bounded multi-CAS take loop. Each attempt re-reads
-  /// the tagged steal_head and the live knobs (chunk/steal-half), copies
-  /// the candidate chunk speculatively, and publishes with one seq_cst
-  /// CAS of raw -> raw + n; a lost race discards the copy and retries.
-  int steal_from_lockfree(Rank victim, std::byte* out);
-  /// Adders serialize on the victim's lock; the publishing CAS bumps the
-  /// steal_head tag -- the ABA fence the unlocked thief claims rely on.
-  bool add_remote_lockfree(Rank target, const std::byte* task);
   /// Telemetry: record an owner-op latency sample (t0 taken at op entry)
   /// and refresh this rank's queue gauges. One predicted-false branch when
   /// no metrics session is active.
@@ -393,8 +319,8 @@ class SplitQueue {
   Config cfg_;
   control::KnobSet knobs_;
   /// Normalized cfg_.chunk_max (>= chunk). Everything sized at
-  /// construction -- buffers, txn log, internal capacity headroom, the
-  /// LockFree reacquire margin -- uses this bound, never the live chunk.
+  /// construction -- buffers, txn log, internal capacity headroom -- uses
+  /// this bound, never the live chunk.
   int chunk_max_ = 0;
   /// Internal capacity adds headroom so concurrent remote adds (bounded by
   /// nranks) cannot overflow between an owner's stale capacity check and
@@ -409,9 +335,9 @@ class SplitQueue {
   std::size_t buf_off_ = 0;
   std::size_t slots_off_ = 0;
   Counters counters_;
-  /// chunk_max-sized scratch: the LockFree self-steal reacquire and a
-  /// ward's drain_dead copy batches land here.
-  std::vector<std::byte> reacquire_buf_;
+  /// chunk_max-sized scratch (fault mode only): a ward's drain_dead copy
+  /// batches land here.
+  std::vector<std::byte> drain_buf_;
   /// Stash for recovered tasks that did not fit the queue.
   std::vector<std::byte> overflow_;
 };

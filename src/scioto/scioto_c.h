@@ -62,9 +62,8 @@ typedef struct scioto_stats {
   uint64_t steals_aborted;
   uint64_t op_retries;
   uint64_t td_resplices;
-  /* Owner lock acquisitions and LockFree validated reacquires. */
+  /* Owner lock acquisitions. */
   uint64_t owner_lock_acqs;
-  uint64_t reacquires_fast;
 } scioto_stats_t;
 
 /// Collective. Creates a task collection sized for descriptors with up to
@@ -83,9 +82,8 @@ void tc_reset(tc_t tc);
 /// Collective: fills `out` with statistics summed over all ranks from the
 /// last tc_process().
 void tc_stats_get(tc_t tc, scioto_stats_t* out);
-/// Effective steal protocol of this collection after the SCIOTO_QUEUE env
-/// override ("split", "no-split", or "lockfree"); static
-/// storage, valid for the process lifetime.
+/// Queue mode of this collection ("split" or "no-split"); static storage,
+/// valid for the process lifetime.
 const char* tc_queue_mode(tc_t tc);
 
 task_t* tc_task_create(int body_sz, task_handle_t th);

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -53,7 +52,6 @@ TcStats& TcStats::operator+=(const TcStats& o) {
   op_retries += o.op_retries;
   td_resplices += o.td_resplices;
   owner_lock_acqs += o.owner_lock_acqs;
-  reacquires_fast += o.reacquires_fast;
   time_total += o.time_total;
   time_working += o.time_working;
   time_searching += o.time_searching;
@@ -90,18 +88,6 @@ Table tc_stats_table(const TcStats& s) {
     add_u64("steals_aborted", s.steals_aborted);
     add_u64("op_retries", s.op_retries);
     add_u64("td_resplices", s.td_resplices);
-  }
-  // The owner-lock rows appear only in runs where the LockFree owner
-  // published a validated split lowering.
-  if (s.reacquires_fast != 0) {
-    add_u64("owner_lock_acqs", s.owner_lock_acqs);
-    add_u64("reacquires_fast", s.reacquires_fast);
-    t.add_row({"mean_steal_chunk",
-               Table::fmt(s.steals > 0
-                              ? static_cast<double>(s.tasks_stolen) /
-                                    static_cast<double>(s.steals)
-                              : 0.0,
-                          2)});
   }
   add_ms("time_total_ms", s.time_total);
   add_ms("time_working_ms", s.time_working);
@@ -217,20 +203,15 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
   SCIOTO_REQUIRE(cfg_.max_task_body >= 0, "negative max_task_body");
   SCIOTO_REQUIRE(cfg_.chunk_size >= 1, "chunk_size must be >= 1");
   SCIOTO_REQUIRE(cfg_.max_tasks_per_rank >= 2, "max_tasks_per_rank too small");
-  // SCIOTO_QUEUE=locked|lockfree selects the steal protocol at
-  // construction time (collectively uniform: every rank reads the same
-  // environment). It overrides the configured mode so existing programs
-  // can A/B the lock-free path without a rebuild.
+  // SCIOTO_QUEUE once chose between steal protocols. A run that still
+  // sets it, to any value, fails by name rather than silently running a
+  // protocol it did not ask for.
   if (const char* qm = std::getenv("SCIOTO_QUEUE")) {
-    const std::string_view v(qm);
-    if (v == "locked") {
-      cfg_.queue_mode = QueueMode::Split;
-    } else if (v == "lockfree") {
-      cfg_.queue_mode = QueueMode::LockFree;
-    } else if (!v.empty()) {
-      SCIOTO_REQUIRE(false, "SCIOTO_QUEUE: unknown mode '"
-                                << qm << "' (expected locked|lockfree)");
-    }
+    SCIOTO_REQUIRE(false, "SCIOTO_QUEUE='"
+                              << qm
+                              << "': the SCIOTO_QUEUE knob was removed; the "
+                                 "locked split queue is the only steal "
+                                 "protocol (unset SCIOTO_QUEUE)");
   }
   if (cfg_.chunk_max == 0) {
     cfg_.chunk_max = cfg_.chunk_size;
@@ -487,7 +468,7 @@ void TaskCollection::fence_abort_and_rejoin() {
   // detect::rejoin() under that same lock -- clearing the fence and
   // rejoining must be one critical section, or a ward that passed its
   // alive() re-check could install a fence between them that nobody ever
-  // clears. Nothing is drained twice: our lock-free push/pop CASes failed
+  // clears. Nothing is drained twice: our unlocked push/pop CASes failed
   // from the moment the adopter froze priv_tail (bounced pushes sit in
   // the overflow stash, rank-local memory the adopter never scoops), and
   // the adopter's under-lock alive() re-check blocks any adoption
@@ -816,7 +797,6 @@ void TaskCollection::leave_phase(TimeNs t_begin) {
   stats_.op_retries = qc.commit_retries + tc.token_retries;
   stats_.td_resplices = tc.resplices;
   stats_.owner_lock_acqs = qc.owner_lock_acqs;
-  stats_.reacquires_fast = qc.reacquires_fast;
 }
 
 void TaskCollection::reset() {

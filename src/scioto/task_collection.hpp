@@ -55,11 +55,10 @@ struct TcConfig {
   int chunk_max = 0;
   /// Per-rank queue capacity in tasks (the paper's max_sz).
   std::int64_t max_tasks_per_rank = 1 << 16;
-  /// Queue variant: Split (the paper's design), NoSplit (the original
-  /// fully locked queue, Figure 7's ablation), or LockFree (Chase-Lev CAS
-  /// steals with the split machinery live -- the §8 lock-free steal
-  /// path). Overridable at construction by the SCIOTO_QUEUE env knob
-  /// (locked | lockfree).
+  /// Queue variant: Split (the paper's design, and the only steal
+  /// protocol) or NoSplit (the original fully locked queue, Figure 7's
+  /// ablation). Construction fails if the removed SCIOTO_QUEUE env knob
+  /// is set.
   QueueMode queue_mode = QueueMode::Split;
   /// The paper allows disabling dynamic load balancing before process().
   bool load_balancing = true;
@@ -112,7 +111,6 @@ struct TcStats {
   std::uint64_t op_retries = 0;       // dropped commit/token sends retried
   std::uint64_t td_resplices = 0;     // spanning-tree reconfigurations
   std::uint64_t owner_lock_acqs = 0;   // owner took its own queue's lock
-  std::uint64_t reacquires_fast = 0;   // LockFree validated reacquires
   TimeNs time_total = 0;
   TimeNs time_working = 0;   // executing task callbacks
   TimeNs time_searching = 0; // stealing + termination detection
@@ -170,7 +168,7 @@ class TaskCollection {
 
   pgas::Runtime& runtime() { return rt_; }
   const TcConfig& config() const { return cfg_; }
-  /// Effective queue mode after the SCIOTO_QUEUE env override.
+  /// The configured queue mode.
   QueueMode queue_mode() const { return cfg_.queue_mode; }
 
   // ---- Collective registration (before first process()) ----

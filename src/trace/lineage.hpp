@@ -28,7 +28,7 @@
 // therefore the sim's virtual-time charges of a lineage-off run are
 // byte-identical to a build that never heard of lineage. Because the
 // trailer is part of the slot, it flows through every path a descriptor
-// takes -- local push, release/reacquire, all three steal protocols,
+// takes -- local push, release/reacquire, steals from both queue modes,
 // remote add, DAG node firing, fault-mode steal replay, checkpoint
 // save/restore -- without any of those paths knowing it is there; only
 // the stamp (tc_add), the hop bump (steal landing, redeal), and the read

@@ -95,7 +95,7 @@ namespace scioto::trace {
   X(TaskRecovered, "task_recovered", "fault")                                 \
   /* a=epoch, b=alive rank count after the resplice */                        \
   X(TreeRespliced, "tree_respliced", "fault")                                 \
-  /* a=tasks reacquired by the LockFree owner's validated split publish */   \
+  /* never emitted; kept while perfbench/scioto_bench.cpp names it */         \
   X(ReacquireFast, "reacquire_fast", "queue")                                 \
   /* a=suspected rank, c=silence observed so far (ns) */                      \
   X(Suspect, "suspect", "detect")                                             \

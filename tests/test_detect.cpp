@@ -215,7 +215,7 @@ TEST(DetectFalseSuspicion, StallResumeExactThreads8Seeds) {
 // Deterministic replay of the falsely-suspected-owner interleaving: a ward
 // confirms a live rank dead and adopts its queue; the owner then runs every
 // queue op a resuming rank would. The freeze must reject the owner's
-// lock-free push/pop outright (the tagged priv_tail can never match a CAS
+// unlocked push/pop outright (the tagged priv_tail can never match a CAS
 // expected value, so a push cannot land in -- or tear -- a slot the ward
 // copied), flush_overflow must bail while fenced instead of re-stashing the
 // same task forever, and fence_ack must thaw the queue and rejoin the
@@ -295,7 +295,7 @@ TEST(DetectFence, AdoptionFreezesOwnerQueueUntilFenceAck) {
 }
 
 // Real-concurrency variant of the same property (threads backend, runs
-// under TSan in CI): the owner spams lock-free pushes with no
+// under TSan in CI): the owner spams unlocked pushes with no
 // synchronization while the ward confirms it dead and adopts mid-stream --
 // the window the review of the freeze protocol cared about, an owner
 // deep in a task body whose CAS races the freeze itself. Whatever the

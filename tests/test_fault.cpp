@@ -345,41 +345,5 @@ TEST(FaultRecovery, RecoveryCountersSurfaceInStats) {
   EXPECT_GE(res.stats.td_resplices, 2u);
 }
 
-// ---- queue-mode composition ----
-
-// Unlocked steal protocols cannot anchor the steal-transaction log (the
-// claim becomes visible with a CAS outside any critical section, so a
-// thief death between claim and requeue would lose the chunk). The
-// lockfree (SCIOTO_QUEUE=lockfree) mode must be rejected at INIT under an
-// active fault session -- fail-fast with a clear error, never a silently
-// non-recoverable run -- while the locked mode keeps constructing under
-// the very same session.
-TEST(FaultComposition, UnlockedStealModesRejectedAtInit) {
-  fault::start(1, fault::FaultPlan{}, 7);
-  testing::run_sim(1, [&](Runtime& rt) {
-    SplitQueue::Config qc;
-    qc.mode = QueueMode::LockFree;
-    EXPECT_THROW(SplitQueue(rt, qc), Error);
-
-    // The documented user-facing path composes the same way: a task
-    // collection switched to lockfree via the environment fails its
-    // constructor under the session...
-    ASSERT_EQ(setenv("SCIOTO_QUEUE", "lockfree", 1), 0);
-    EXPECT_THROW(TaskCollection(rt, TcConfig{}), Error);
-    // ...and the locked protocol stays fully fault-composable.
-    ASSERT_EQ(setenv("SCIOTO_QUEUE", "locked", 1), 0);
-    {
-      TaskCollection tc(rt, TcConfig{});
-      EXPECT_STREQ(queue_mode_name(tc.queue_mode()), "split");
-      tc.destroy();
-    }
-    ASSERT_EQ(unsetenv("SCIOTO_QUEUE"), 0);
-    SplitQueue::Config ok;  // default Split
-    SplitQueue q(rt, ok);
-    q.destroy();
-  });
-  fault::stop();
-}
-
 }  // namespace
 }  // namespace scioto

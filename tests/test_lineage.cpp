@@ -1,6 +1,6 @@
 // Tests of causal task lineage: id packing, session lifecycle, 8-seed
 // determinism of the merged causal timeline, happens-before validation
-// across both backends and both steal paths (locked, lock-free), steal-chain
+// across both backends and both queue modes (split, no-split), steal-chain
 // conservation under a kill-a-rank fault plan, lineage-off traces
 // carrying no lineage events, and the C API round-trip.
 #include <gtest/gtest.h>
@@ -164,14 +164,14 @@ TEST(LineageDeterminism, MergedTimelineIsBitIdenticalAcrossEightSeeds) {
   }
 }
 
-// ---- Happens-before validation: backends x steal paths ----
+// ---- Happens-before validation: backends x queue modes ----
 
-TEST(LineageHappensBefore, HoldsOnBothBackendsAndBothStealPaths) {
-  const QueueMode modes[] = {QueueMode::Split, QueueMode::LockFree};
+TEST(LineageHappensBefore, HoldsOnBothBackendsAndBothQueueModes) {
+  const QueueMode modes[] = {QueueMode::Split, QueueMode::NoSplit};
   for (auto backend : {pgas::BackendKind::Sim, pgas::BackendKind::Threads}) {
     for (QueueMode mode : modes) {
       SCOPED_TRACE(testing::backend_name(backend) + "/mode=" +
-                   std::to_string(static_cast<int>(mode)));
+                   queue_mode_name(mode));
       LineageRun run = run_traced_uts(21, backend, mode);
       ASSERT_EQ(run.dropped, 0u);
       EXPECT_TRUE(run.rep.causal_order_ok())

@@ -1,9 +1,10 @@
 // Tests for the split task queue: LIFO local semantics, release/reacquire
 // split-pointer moves, steal correctness (no task lost or duplicated),
-// affinity ordering, capacity handling, and the no-split ablation -- on
-// both backends.
+// affinity ordering, capacity handling, live steal-width knobs, ring
+// wraparound, and the no-split ablation -- on both backends.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <mutex>
 #include <set>
@@ -278,13 +279,11 @@ TEST_P(QueueBackends, NoSplitModeStillMovesTasks) {
   });
 }
 
-// ---- Lock-free steal mode (§8) ----
-
-// Remote adds publish with a tag-bumping CAS: the owner must see the
-// task in its shared portion and a thief must be able to claim it.
-TEST_P(QueueBackends, LockFreeRemoteAddVisibleToOwnerAndThieves) {
+// A remote add lands in the shared portion: the owner sees it and a thief
+// can claim it.
+TEST_P(QueueBackends, RemoteAddVisibleToOwnerAndThieves) {
   testing::run(3, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg(1024, /*chunk=*/2, QueueMode::LockFree));
+    SplitQueue q(rt, qcfg(1024, /*chunk=*/2));
     std::byte buf[kSlot];
     if (rt.me() == 1) {
       make_slot(buf, 777);
@@ -308,9 +307,203 @@ TEST_P(QueueBackends, LockFreeRemoteAddVisibleToOwnerAndThieves) {
   });
 }
 
+// Steal widths obey the thief's LIVE StealChunk knob, including a flip
+// between steals, and tasks come off the steal end oldest-index-first.
+// Low-affinity pushes enter at steal_head - 1, so push order 1..12
+// exposes 12 as the OLDEST (lowest index). Fixed widths, so steal-half is
+// off: with it the last take would be 2 of 4.
+TEST_P(QueueBackends, ChunkFlipTakesLiveWidthOldestFirst) {
+  testing::run(2, GetParam(), [&](Runtime& rt) {
+    SplitQueue::Config c = qcfg(4096, /*chunk=*/3);
+    c.chunk_max = 8;
+    c.steal_half = false;
+    SplitQueue q(rt, c);
+    control::KnobSet& knobs = q.knobs();
+    std::byte buf[kSlot];
+    if (rt.me() == 0) {
+      for (std::uint64_t id = 1; id <= 12; ++id) {
+        make_slot(buf, id);
+        ASSERT_TRUE(q.push_local(buf, kAffinityLow));
+      }
+      ASSERT_EQ(q.shared_size(), 12u);
+    }
+    rt.barrier();
+
+    if (rt.me() == 1) {
+      std::vector<std::byte> out(8 * kSlot);
+      ASSERT_EQ(q.steal_from(0, out.data()), 3);
+      EXPECT_EQ(slot_id(out.data()), 12u);
+      EXPECT_EQ(slot_id(out.data() + kSlot), 11u);
+      EXPECT_EQ(slot_id(out.data() + 2 * kSlot), 10u);
+
+      // Live flip: the thief's own KnobSet governs its next take width.
+      ASSERT_TRUE(knobs.set(control::Knob::StealChunk, 5));
+      ASSERT_EQ(q.steal_from(0, out.data()), 5);
+      for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(slot_id(out.data() + static_cast<std::size_t>(i) * kSlot),
+                  static_cast<std::uint64_t>(9 - i));
+      }
+
+      // Clamp: requests above chunk_max are bounded by the buffers'
+      // sizing, never by luck.
+      knobs.set(control::Knob::StealChunk, 99);
+      EXPECT_EQ(knobs.get(control::Knob::StealChunk), 8);
+      ASSERT_EQ(q.steal_from(0, out.data()), 4);  // 4 tasks remain
+    }
+    rt.barrier();
+    EXPECT_EQ(q.peek_shared(0), 0u);
+    q.destroy();
+  });
+}
+
+// 400 tasks through an 8-task queue: indices lap the physical ring many
+// times at the steal end, downward for the adds and upward for the
+// steals. Exact id-set conservation after every round.
+TEST_P(QueueBackends, StealEndWraparoundConservation) {
+  testing::run(2, GetParam(), [&](Runtime& rt) {
+    SplitQueue q(rt, qcfg(/*cap=*/8, /*chunk=*/4));
+    std::byte buf[kSlot];
+    std::vector<std::byte> out(4 * kSlot);
+    std::uint64_t sum = 0, count = 0;
+    for (int round = 0; round < 100; ++round) {
+      if (rt.me() == 0) {
+        for (int i = 0; i < 4; ++i) {
+          make_slot(buf, static_cast<std::uint64_t>(round * 4 + i + 1));
+          ASSERT_TRUE(q.push_local(buf, kAffinityLow));
+        }
+      }
+      rt.barrier();
+      if (rt.me() == 1) {
+        while (q.peek_shared(0) > 0) {
+          int got = q.steal_from(0, out.data());
+          ASSERT_GE(got, 0);
+          for (int i = 0; i < got; ++i) {
+            sum += slot_id(out.data() + static_cast<std::size_t>(i) * kSlot);
+            ++count;
+          }
+        }
+      }
+      rt.barrier();
+    }
+    EXPECT_EQ(rt.allreduce_sum(count), 400u);
+    EXPECT_EQ(rt.allreduce_sum(sum), 400u * 401u / 2);
+    q.destroy();
+  });
+}
+
+// Real-threads conservation stress (CI TSan filter matches "Threads"):
+// one victim feeding 2000 tasks, 7 thieves. Two aggravations beyond
+// test_steal_stress: (a) thieves re-add a slice of their loot back to the
+// victim via add_remote, moving steal_head DOWN while other steals are in
+// flight; (b) every thief flips its OWN StealChunk knob mid-run (1 <-> 4),
+// so single-task and chunked takes interleave. The victim races its own
+// pops and reacquires against everything. Exactly-once is checked with
+// the count / id-sum / id-square-sum fingerprint.
+TEST(QueueStealThreads, OneVictimManyThievesKnobFlipConservation) {
+  constexpr std::uint64_t kTasks = 2000;
+  constexpr int kRanks = 8;
+  testing::run_threads(kRanks, [&](Runtime& rt) {
+    SplitQueue::Config c = qcfg(4096, /*chunk=*/4);
+    c.release_threshold = 4;
+    c.steal_half = true;
+    SplitQueue q(rt, c);
+    // Per-rank queue object: its KnobSet is thief-side policy, TSan-clean.
+    control::KnobSet& knobs = q.knobs();
+    pgas::SegId flag_seg = rt.seg_alloc(64);
+    auto* done =
+        reinterpret_cast<std::atomic<std::uint64_t>*>(rt.seg_ptr(flag_seg, 0));
+    if (rt.me() == 0) {
+      done->store(0, std::memory_order_release);
+    }
+    rt.barrier();
+
+    std::uint64_t count = 0, sum = 0, sumsq = 0;
+    auto record = [&](std::uint64_t id) {
+      ++count;
+      sum += id;
+      sumsq += id * id;
+    };
+
+    std::byte buf[kSlot];
+    std::vector<std::byte> steal_buf(
+        static_cast<std::size_t>(q.config().chunk_max) * kSlot);
+
+    if (rt.me() == 0) {
+      for (std::uint64_t id = 1; id <= kTasks; ++id) {
+        make_slot(buf, id);
+        ASSERT_TRUE(q.push_local(buf, kAffinityHigh));
+        q.release_maybe();
+        if (id % 3 == 0 && q.pop_local(buf)) {
+          record(slot_id(buf));
+        }
+      }
+      while (q.size() > 0) {
+        q.release_maybe();
+        if (q.pop_local(buf)) {
+          record(slot_id(buf));
+        } else if (q.reacquire() == 0) {
+          rt.relax();
+        }
+      }
+      done->store(1, std::memory_order_release);
+      // Thieves may re-add after this point; they also drain what they
+      // re-add (each one spins until the shared portion reads empty).
+    } else {
+      std::uint64_t steals = 0;
+      int readds_left = 20;  // bounded: guarantees global termination
+      for (;;) {
+        int got = q.steal_from(0, steal_buf.data());
+        ASSERT_GE(got, 0);
+        if (got > 0) {
+          ++steals;
+          if (steals % 64 == 0) {
+            // Live mid-run flip of this thief's own take width.
+            knobs.set(control::Knob::StealChunk,
+                      knobs.get(control::Knob::StealChunk) == 4 ? 1 : 4);
+          }
+          for (int i = 0; i < got; ++i) {
+            const std::byte* t =
+                steal_buf.data() + static_cast<std::size_t>(i) * kSlot;
+            if (readds_left > 0 &&
+                (steals + static_cast<std::uint64_t>(i)) % 7 == 0 &&
+                q.add_remote(0, t)) {
+              --readds_left;
+            } else {
+              record(slot_id(t));
+            }
+          }
+          continue;
+        }
+        if (done->load(std::memory_order_acquire) == 1 &&
+            q.peek_shared(0) == 0) {
+          // A task WE re-added was either still visible (we would have
+          // stolen it back) or is now another active thief's problem;
+          // every re-adder spins here until its own view drains, so the
+          // finite global re-add budget bounds the chain.
+          break;
+        }
+        rt.relax();
+      }
+    }
+    rt.barrier();
+
+    std::uint64_t n = rt.allreduce_sum(count);
+    std::uint64_t s = rt.allreduce_sum(sum);
+    std::uint64_t s2 = rt.allreduce_sum(sumsq);
+    std::uint64_t want_s = kTasks * (kTasks + 1) / 2;
+    std::uint64_t want_s2 = kTasks * (kTasks + 1) * (2 * kTasks + 1) / 6;
+    EXPECT_EQ(n, kTasks);
+    EXPECT_EQ(s, want_s);
+    EXPECT_EQ(s2, want_s2);
+
+    rt.seg_free(flag_seg);
+    q.destroy();
+  });
+}
+
 // Property test: under concurrent producer/thief traffic, every task is
-// transferred exactly once -- nothing lost, nothing duplicated -- in every
-// queue mode.
+// transferred exactly once -- nothing lost, nothing duplicated -- in both
+// queue modes.
 class QueueStealProperty
     : public ::testing::TestWithParam<
           std::tuple<BackendKind, int, int, QueueMode>> {};
@@ -390,15 +583,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          BackendKind::Threads),
                        ::testing::Values(2, 4, 7),
                        ::testing::Values(1, 5, 16),
-                       ::testing::Values(QueueMode::Split, QueueMode::NoSplit,
-                                         QueueMode::LockFree)),
+                       ::testing::Values(QueueMode::Split, QueueMode::NoSplit)),
     [](const auto& info) {
-      std::string mode;
-      switch (std::get<3>(info.param)) {
-        case QueueMode::Split: mode = "split"; break;
-        case QueueMode::NoSplit: mode = "nosplit"; break;
-        case QueueMode::LockFree: mode = "lockfree"; break;
-      }
+      const std::string mode =
+          std::get<3>(info.param) == QueueMode::Split ? "split" : "nosplit";
       return scioto::testing::backend_name(std::get<0>(info.param)) + "_p" +
              std::to_string(std::get<1>(info.param)) + "_c" +
              std::to_string(std::get<2>(info.param)) + "_" + mode;

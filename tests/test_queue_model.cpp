@@ -16,13 +16,7 @@
 // only four slots of advance -- wrap-around coverage is automatic, and a
 // phase-spin between sequences shifts the wrap point through the ring.
 //
-// Runs the enumeration with steal-half off and on, over the Split and
-// LockFree queue modes. The Chase-Lev LockFree mode has one observable
-// semantic difference the model tracks: when the shared portion is
-// thinner than the validated-publish margin (2 * chunk_max),
-// reacquire() self-steals through the thief CAS path, so the *oldest*
-// shared tasks come back as the *newest* private tasks instead of the
-// newest shared becoming the oldest private.
+// Runs the enumeration with steal-half off and on.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -113,22 +107,9 @@ struct Model {
     }
     return give;
   }
-  std::uint64_t reacquire(QueueMode mode, bool half) {
+  std::uint64_t reacquire() {
     if (shared_.empty()) return 0;
     std::uint64_t avail = shared_.size();
-    if (mode == QueueMode::LockFree &&
-        avail < 2 * static_cast<std::uint64_t>(kChunk)) {
-      // Thin shared portion: no margin for the validated split publish,
-      // so the owner self-steals through the thief CAS path (the classic
-      // owner-CAS-on-top arbitration) and re-pushes -- the *oldest*
-      // shared tasks become the *newest* private tasks.
-      std::uint64_t n = steal_width(half);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        priv_.push_back(shared_.front());
-        shared_.pop_front();
-      }
-      return n;
-    }
     std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
     // The newest shared tasks (just below split) become the oldest
     // private tasks.
@@ -153,12 +134,11 @@ struct Model {
   }
 };
 
-SplitQueue::Config model_cfg(QueueMode mode, bool half) {
+SplitQueue::Config model_cfg(bool half) {
   SplitQueue::Config c;
   c.slot_bytes = kSlot;
   c.capacity = kCapacity;
   c.chunk = kChunk;
-  c.mode = mode;
   c.release_threshold = kThreshold;
   c.steal_half = half;
   return c;
@@ -166,8 +146,8 @@ SplitQueue::Config model_cfg(QueueMode mode, bool half) {
 
 /// Applies one op to both queue and model, checking predictions and index
 /// invariants. Records removed ids (with duplicates detection) in `seen`.
-void apply_checked(SplitQueue& q, Model& m, Op op, QueueMode mode,
-                   bool half, std::uint64_t* next_id,
+void apply_checked(SplitQueue& q, Model& m, Op op, bool half,
+                   std::uint64_t* next_id,
                    std::uint64_t* pushed,
                    std::multiset<std::uint64_t>* removed,
                    const std::string& ctx) {
@@ -209,7 +189,7 @@ void apply_checked(SplitQueue& q, Model& m, Op op, QueueMode mode,
       break;
     }
     case Op::Reacquire: {
-      std::uint64_t want = m.reacquire(mode, half);
+      std::uint64_t want = m.reacquire();
       ASSERT_EQ(q.reacquire(), want) << ctx;
       break;
     }
@@ -241,8 +221,7 @@ void apply_checked(SplitQueue& q, Model& m, Op op, QueueMode mode,
 
 /// Empties queue + model, asserting every remaining task comes out with
 /// the right id, then checks conservation for the whole sequence.
-void drain_checked(SplitQueue& q, Model& m, QueueMode mode, bool half,
-                   std::uint64_t pushed,
+void drain_checked(SplitQueue& q, Model& m, std::uint64_t pushed,
                    std::multiset<std::uint64_t>* removed,
                    const std::string& ctx) {
   std::byte buf[kSlot];
@@ -254,7 +233,7 @@ void drain_checked(SplitQueue& q, Model& m, QueueMode mode, bool half,
       ASSERT_EQ(slot_id(buf), want_id) << ctx;
       removed->insert(want_id);
     } else {
-      std::uint64_t want = m.reacquire(mode, half);
+      std::uint64_t want = m.reacquire();
       ASSERT_GT(want, 0u) << ctx;
       ASSERT_EQ(q.reacquire(), want) << ctx;
     }
@@ -294,10 +273,9 @@ void spin_phase(SplitQueue& q, int cycles, std::uint64_t* next_id) {
 
 /// Enumerates every op sequence of length `len` against one knob combo,
 /// starting each sequence at the given ring phase.
-void run_enumeration(QueueMode mode, bool half, int len,
-                     int phase_cycles) {
+void run_enumeration(bool half, int len, int phase_cycles) {
   testing::run_sim(1, [&](Runtime& rt) {
-    SplitQueue q(rt, model_cfg(mode, half));
+    SplitQueue q(rt, model_cfg(half));
     std::uint64_t next_id = 1;
     long total = 1;
     for (int i = 0; i < len; ++i) total *= kNumOps;
@@ -315,11 +293,10 @@ void run_enumeration(QueueMode mode, bool half, int len,
         c /= kNumOps;
         ctx += op_name(op);
         ctx += ' ';
-        apply_checked(q, m, op, mode, half, &next_id, &pushed, &removed,
-                      ctx);
+        apply_checked(q, m, op, half, &next_id, &pushed, &removed, ctx);
         if (::testing::Test::HasFatalFailure()) return;
       }
-      drain_checked(q, m, mode, half, pushed, &removed, ctx);
+      drain_checked(q, m, pushed, &removed, ctx);
       if (::testing::Test::HasFatalFailure()) return;
     }
     q.destroy();
@@ -327,32 +304,18 @@ void run_enumeration(QueueMode mode, bool half, int len,
 }
 
 TEST(QueueModel, ExhaustiveLength6Baseline) {
-  run_enumeration(QueueMode::Split, /*half=*/false, /*len=*/6,
-                  /*phase_cycles=*/0);
+  run_enumeration(/*half=*/false, /*len=*/6, /*phase_cycles=*/0);
 }
 
 TEST(QueueModel, ExhaustiveLength6StealHalf) {
-  run_enumeration(QueueMode::Split, /*half=*/true, /*len=*/6,
-                  /*phase_cycles=*/1);
-}
-
-TEST(QueueModel, ExhaustiveLength6LockFree) {
-  run_enumeration(QueueMode::LockFree, /*half=*/false, /*len=*/6,
-                  /*phase_cycles=*/0);
-}
-
-TEST(QueueModel, ExhaustiveLength6LockFreeStealHalf) {
-  run_enumeration(QueueMode::LockFree, /*half=*/true, /*len=*/6,
-                  /*phase_cycles=*/1);
+  run_enumeration(/*half=*/true, /*len=*/6, /*phase_cycles=*/1);
 }
 
 TEST(QueueModel, ExhaustiveLength4AcrossKnobsAndPhases) {
-  for (QueueMode mode : {QueueMode::Split, QueueMode::LockFree}) {
-    for (bool half : {false, true}) {
-      for (int phase : {0, 3, 5}) {
-        run_enumeration(mode, half, /*len=*/4, phase);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
+  for (bool half : {false, true}) {
+    for (int phase : {0, 3, 5}) {
+      run_enumeration(half, /*len=*/4, phase);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
@@ -361,30 +324,25 @@ TEST(QueueModel, ExhaustiveLength4AcrossKnobsAndPhases) {
 // that the physical ring wraps hundreds of times; the model must track
 // every transition.
 TEST(QueueModel, RandomWalkLongWrap) {
-  for (QueueMode mode : {QueueMode::Split, QueueMode::LockFree}) {
-    testing::run_sim(1, [&](Runtime& rt) {
-      SplitQueue q(rt, model_cfg(mode, /*half=*/true));
-      Model m;
-      std::multiset<std::uint64_t> removed;
-      std::uint64_t next_id = 1, pushed = 0;
-      std::uint64_t state = 0x9e3779b97f4a7c15ull;  // deterministic walk
-      for (int step = 0; step < 20000; ++step) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        Op op = kOps[state % kNumOps];
-        std::string ctx = std::string(queue_mode_name(mode)) + " step " +
-                          std::to_string(step) + " " + op_name(op);
-        apply_checked(q, m, op, mode, /*half=*/true, &next_id, &pushed,
-                      &removed, ctx);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-      drain_checked(q, m, mode, /*half=*/true, pushed, &removed,
-                    "random-walk drain");
-      q.destroy();
-    });
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+  testing::run_sim(1, [&](Runtime& rt) {
+    SplitQueue q(rt, model_cfg(/*half=*/true));
+    Model m;
+    std::multiset<std::uint64_t> removed;
+    std::uint64_t next_id = 1, pushed = 0;
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;  // deterministic walk
+    for (int step = 0; step < 20000; ++step) {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      Op op = kOps[state % kNumOps];
+      std::string ctx = "step " + std::to_string(step) + " " + op_name(op);
+      apply_checked(q, m, op, /*half=*/true, &next_id, &pushed, &removed,
+                    ctx);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    drain_checked(q, m, pushed, &removed, "random-walk drain");
+    q.destroy();
+  });
 }
 
 }  // namespace

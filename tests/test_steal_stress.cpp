@@ -1,7 +1,6 @@
 // Steal-contention stress tests on the real-threads backend: one victim,
-// N-1 thieves hammering it under every queue mode (split and no-split
-// with blocking locked steals, or the lockfree Chase-Lev CAS path), with
-// steal-half off and on. Runs under the CI TSan job (suite names carry
+// N-1 thieves hammering it under both queue modes (split and no-split,
+// each with blocking locked steals), with steal-half off and on. Runs under the CI TSan job (suite names carry
 // "Threads" for its filter).
 //
 // Conservation: every task the victim produces is consumed exactly once,
@@ -49,8 +48,6 @@ constexpr StressMode kStressModes[] = {
     {"locked_half", QueueMode::Split, true},
     {"nosplit", QueueMode::NoSplit, false},
     {"nosplit_half", QueueMode::NoSplit, true},
-    {"lockfree", QueueMode::LockFree, false},
-    {"lockfree_half", QueueMode::LockFree, true},
 };
 
 SplitQueue::Config stress_cfg(const StressMode& m) {

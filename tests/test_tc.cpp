@@ -550,22 +550,29 @@ double tc_bytes_per_rank(int n, std::size_t (*in_use)(),
 }
 
 TEST(TcEnv, RemovedQueueModeRejectedByName) {
-  // SCIOTO_QUEUE names two steal protocols; any other value ends the run
-  // with the accepted list.
-  ASSERT_EQ(setenv("SCIOTO_QUEUE", "aborting", 1), 0);
-  try {
-    testing::run_sim(2, [&](Runtime& rt) {
-      TaskCollection tc(rt, small_cfg());
-      tc.destroy();
-    });
-    ADD_FAILURE() << "SCIOTO_QUEUE=aborting was accepted";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("SCIOTO_QUEUE"), std::string::npos) << what;
-    EXPECT_NE(what.find("'aborting'"), std::string::npos) << what;
-    EXPECT_NE(what.find("locked|lockfree"), std::string::npos) << what;
+  // The SCIOTO_QUEUE knob is gone: any value, including the names of the
+  // protocols it once chose between, ends the run with an error naming it.
+  for (const char* value : {"aborting", "lockfree", "locked"}) {
+    SCOPED_TRACE(value);
+    ASSERT_EQ(setenv("SCIOTO_QUEUE", value, 1), 0);
+    try {
+      testing::run_sim(2, [&](Runtime& rt) {
+        TaskCollection tc(rt, small_cfg());
+        tc.destroy();
+      });
+      ADD_FAILURE() << "SCIOTO_QUEUE=" << value << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("SCIOTO_QUEUE='" + std::string(value) + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("knob was removed"), std::string::npos) << what;
+      EXPECT_NE(what.find("the locked split queue is the only steal protocol"),
+                std::string::npos)
+          << what;
+    }
+    ASSERT_EQ(unsetenv("SCIOTO_QUEUE"), 0);
   }
-  ASSERT_EQ(unsetenv("SCIOTO_QUEUE"), 0);
 }
 
 TEST(TcMemory, PerRankHeapIndependentOfFleetSize) {

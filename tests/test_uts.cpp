@@ -495,7 +495,7 @@ TEST(UtsGolden, QueueModes) {
     Pin pin;
   } cases[] = {
       {"locked", QueueMode::Split, Pin{3273753, 19037, 163, 177, 256, 63703706, 0xa8119bcc7e4dd}},
-      {"lockfree", QueueMode::LockFree, Pin{2555995, 19037, 124, 151, 128, 42356008, 0x73cca310af657337}},
+      {"no-split", QueueMode::NoSplit, Pin{17486138, 19037, 485, 518, 288, 23564362, 0xecf7e5c88b8dc765}},
   };
   for (const auto& c : cases) {
     TcConfig tcc = pin_config();
