@@ -3,25 +3,19 @@
 // The claim under test (the control subsystem's win condition): starting
 // from the *default* configuration (chunk 10, steal-half, stock release
 // threshold), the online controller with its default rules matches or
-// beats the best hand-picked static chunk (fixed-width steals) on
-// the bursty binomial tree, because it discovers mid-run what the static
-// sweep needs a full grid search to find (a wide chunk cap, eager release
-// and hot-victim steering while the root burst drains, then calmer
-// settings as the fleet evens out). Every decision it took is available as a JSONL log and as
-// knob_change trace events.
-//
-// Also measures the metrics fast path the local controller rides on:
-// own-rank counter reads via direct relaxed loads (metrics::own_ctr)
-// against the general seqlock scrape -- the difference is why a per-rank
-// controller can poll every scheduling iteration.
-#include <chrono>
+// beats the best hand-picked static chunk (fixed-width steals) on the
+// bursty binomial tree. The controller has one rule: while the fleet's
+// queue-depth CoV stays high it opens the chunk cap (steal-half keeps a
+// wide cap from overshooting shallow victims), releases earlier on the
+// deep rank, and steers thieves at the deepest ranks -- what the static
+// sweep needs a full grid search to approximate. Every decision it took
+// is available as a JSONL log and as knob_change trace events.
 #include <cstdio>
 
 #include "apps/uts/uts_drivers.hpp"
 #include "base/options.hpp"
 #include "base/table.hpp"
 #include "control/control.hpp"
-#include "metrics/metrics.hpp"
 
 using namespace scioto;
 using namespace scioto::apps;
@@ -46,32 +40,6 @@ UtsResult run_once(const UtsParams& tree, int procs, int chunk,
     res = uts_run_scioto(rt, tree, rc);
   });
   return res;
-}
-
-// Microbenchmark: ns per own-counter read (relaxed load fast path) vs ns
-// per seqlock scrape of the full patch. Wall-clock, order-of-magnitude
-// numbers -- the point is the ratio, not the absolute timing.
-void fastpath_micro(double* fast_ns, double* scrape_ns) {
-  metrics::start(1);
-  metrics::counter_add(0, metrics::Ctr::TasksExecuted, 123);
-  const int iters = 200000;
-  volatile std::uint64_t sink = 0;
-  auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    sink = sink + metrics::own_ctr(0, metrics::Ctr::TasksExecuted);
-  }
-  auto t1 = std::chrono::steady_clock::now();
-  metrics::Snapshot snap;
-  for (int i = 0; i < iters; ++i) {
-    metrics::scrape(0, &snap);
-    sink = sink + snap.ctr(metrics::Ctr::TasksExecuted);
-  }
-  auto t2 = std::chrono::steady_clock::now();
-  metrics::stop();
-  *fast_ns = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-             iters;
-  *scrape_ns = std::chrono::duration<double, std::nano>(t2 - t1).count() /
-               iters;
 }
 
 }  // namespace
@@ -141,11 +109,5 @@ int main(int argc, char** argv) {
   std::printf("best static %.2f Mn/s; adaptive local %.2f (%.3fx)\n",
               best_static, res.mnodes_per_sec,
               res.mnodes_per_sec / best_static);
-
-  double fast_ns = 0, scrape_ns = 0;
-  fastpath_micro(&fast_ns, &scrape_ns);
-  std::printf("metrics fast path: own_ctr %.1f ns/read vs scrape %.1f "
-              "ns/snapshot (%.0fx)\n",
-              fast_ns, scrape_ns, scrape_ns / fast_ns);
   return 0;
 }

@@ -33,9 +33,7 @@ bool mode_from_name(const std::string& s, Mode* out) {
 
 const char* reason_name(int r) {
   switch (r) {
-    case kReasonStealFail: return "steal_fail";
     case kReasonHighCov: return "high_cov";
-    case kReasonCalm: return "calm";
     case kReasonInherit: return "inherit";
   }
   return "?";
@@ -65,14 +63,8 @@ bool Rules::parse(const std::string& spec, Rules* out, std::string* err) {
       if (err) *err = "bad numeric value '" + val + "' for key '" + key + "'";
       return false;
     }
-    if (key == "succ_lo") r.succ_lo = d;
-    else if (key == "succ_hi") r.succ_hi = d;
-    else if (key == "cov_hi") r.cov_hi = d;
-    else if (key == "cov_lo") r.cov_lo = d;
+    if (key == "cov_hi") r.cov_hi = d;
     else if (key == "dwell") r.dwell = static_cast<int>(d);
-    else if (key == "chunk_step") r.chunk_step = static_cast<int>(d);
-    else if (key == "min_attempts")
-      r.min_attempts = static_cast<std::uint64_t>(d);
     else if (key == "chunk_burst")
       r.chunk_burst = static_cast<std::int64_t>(d);
     else if (key == "release_min")
@@ -87,31 +79,19 @@ bool Rules::parse(const std::string& spec, Rules* out, std::string* err) {
     if (err) *err = "dwell must be >= 1";
     return false;
   }
-  if (r.chunk_step < 1) {
-    if (err) *err = "chunk_step must be >= 1";
-    return false;
-  }
   *out = r;
   return true;
 }
 
 std::string Rules::to_string() const {
   std::ostringstream os;
-  os << "succ_lo=" << succ_lo << ";succ_hi=" << succ_hi
-     << ";cov_hi=" << cov_hi << ";cov_lo=" << cov_lo << ";dwell=" << dwell
-     << ";chunk_step=" << chunk_step << ";min_attempts=" << min_attempts
+  os << "cov_hi=" << cov_hi << ";dwell=" << dwell
      << ";release_min=" << release_min << ";chunk_burst=" << chunk_burst
      << ";hot_set=" << hot_set;
   return os.str();
 }
 
 // ---- Rule engine ----
-
-RuleEngine::RuleEngine(const Rules& rules,
-                       const std::int64_t baseline[kNumKnobs], int nprocs)
-    : rules_(rules), nprocs_(nprocs) {
-  std::memcpy(base_, baseline, sizeof(base_));
-}
 
 void RuleEngine::propose(Knob k, std::int64_t v, int reason,
                          const std::int64_t cur[kNumKnobs],
@@ -128,77 +108,34 @@ void RuleEngine::step(const Signals& s, const std::int64_t cur[kNumKnobs],
   for (int k = 0; k < kNumKnobs; ++k) {
     if (dwell_left_[k] > 0) --dwell_left_[k];
   }
-  bool sig_ok = s.attempts >= rules_.min_attempts;
-  double succ = sig_ok ? double(s.steals) / double(s.attempts) : 0.0;
-  lo_succ_streak_ =
-      (sig_ok && succ < rules_.succ_lo) ? lo_succ_streak_ + 1 : 0;
   hi_cov_streak_ =
       (s.have_cov && s.cov >= rules_.cov_hi) ? hi_cov_streak_ + 1 : 0;
-  bool calm = s.have_cov && s.cov <= rules_.cov_lo &&
-              (!sig_ok || succ >= rules_.succ_hi);
-  calm_streak_ = calm ? calm_streak_ + 1 : 0;
+  if (hi_cov_streak_ < rules_.dwell) return;
 
-  const int d = rules_.dwell;
+  // Fleet imbalanced: spill work to thieves as fast as possible. With
+  // steal-half governing the width the chunk is only a *cap* on
+  // min(ceil(depth/2), cap): opening it wide cannot overshoot a shallow
+  // victim, while each steal from the deep one moves as much work as one
+  // fixed one-sided latency can amortize. The owner's KnobSet clamps the
+  // proposal at chunk_max.
   const std::int64_t chunk = cur[static_cast<int>(Knob::StealChunk)];
   const std::int64_t rel = cur[static_cast<int>(Knob::ReleaseThreshold)];
-  const std::int64_t chunk0 = base_[static_cast<int>(Knob::StealChunk)];
-  const std::int64_t rel0 = base_[static_cast<int>(Knob::ReleaseThreshold)];
-
-  if (hi_cov_streak_ >= d) {
-    // Fleet imbalanced: spill work to thieves as fast as possible.
-    // Steal-half drains the hot rank geometrically, and with steal-half
-    // governing the width the chunk is only a *cap* on
-    // min(ceil(depth/2), cap): opening it wide cannot overshoot a shallow
-    // victim, while each steal from the deep one moves as much work as
-    // one fixed one-sided latency can amortize. The owner's KnobSet
-    // clamps the proposal at chunk_max.
-    propose(Knob::StealHalf, 1, kReasonHighCov, cur, out);
-    if (rules_.chunk_burst > chunk) {
-      propose(Knob::StealChunk, rules_.chunk_burst, kReasonHighCov, cur,
-              out);
-    }
-    if (s.shared_depth >= 8 * static_cast<std::uint64_t>(rel)) {
-      // Only the rank that IS the imbalance (its own shared queue dwarfs
-      // its release threshold) spills private work sooner; cutting the
-      // threshold fleet-wide makes shallow ranks churn publish/reacquire.
-      propose(Knob::ReleaseThreshold, std::max(rules_.release_min, rel / 2),
-              kReasonHighCov, cur, out);
-    }
-    if (rules_.hot_set > 0) {
-      // Blind victim choice finds one deep rank among n with probability
-      // 1/(n-1), and every miss doubles the thief's steal backoff -- so
-      // steer everyone at the digest's deepest queues while the imbalance
-      // lasts.
-      propose(Knob::VictimSetSize, rules_.hot_set, kReasonHighCov, cur,
-              out);
-    }
-  } else if (lo_succ_streak_ >= d) {
-    // Probes mostly come back empty-handed: amortize each successful
-    // steal harder (additive chunk increase) and take half when a deep
-    // victim does turn up.
-    propose(Knob::StealChunk, chunk + rules_.chunk_step, kReasonStealFail,
-            cur, out);
-    propose(Knob::StealHalf, 1, kReasonStealFail, cur, out);
+  if (rules_.chunk_burst > chunk) {
+    propose(Knob::StealChunk, rules_.chunk_burst, kReasonHighCov, cur, out);
   }
-  if (calm_streak_ >= 2 * d) {
-    // Balanced fleet with healthy steals: unwind the burst response in
-    // reverse order -- walk the opened cap back toward baseline first,
-    // only then restore the steal-half mode the config started with --
-    // relax thief pressure, and let victim choice go back to uniform
-    // (a calm fleet has no hot rank worth converging on).
-    if (chunk > chunk0) {
-      propose(Knob::StealChunk, std::max(chunk0, chunk - rules_.chunk_step),
-              kReasonCalm, cur, out);
-    } else if (cur[static_cast<int>(Knob::StealHalf)] !=
-               base_[static_cast<int>(Knob::StealHalf)]) {
-      propose(Knob::StealHalf, base_[static_cast<int>(Knob::StealHalf)],
-              kReasonCalm, cur, out);
-    }
-    if (rel < rel0) {
-      propose(Knob::ReleaseThreshold, std::min(rel0, rel * 2), kReasonCalm,
-              cur, out);
-    }
-    propose(Knob::VictimSetSize, 0, kReasonCalm, cur, out);
+  if (s.shared_depth >= 8 * static_cast<std::uint64_t>(rel)) {
+    // Only the rank that IS the imbalance (its own shared queue dwarfs
+    // its release threshold) spills private work sooner; cutting the
+    // threshold fleet-wide makes shallow ranks churn publish/reacquire.
+    propose(Knob::ReleaseThreshold, std::max(rules_.release_min, rel / 2),
+            kReasonHighCov, cur, out);
+  }
+  if (rules_.hot_set > 0) {
+    // Blind victim choice finds one deep rank among n with probability
+    // 1/(n-1), and every miss doubles the thief's steal backoff -- so
+    // steer everyone at the digest's deepest queues while the imbalance
+    // lasts.
+    propose(Knob::VictimSetSize, rules_.hot_set, kReasonHighCov, cur, out);
   }
 }
 
@@ -216,7 +153,6 @@ struct alignas(64) RankRow {
   KnobSet* knobs = nullptr;
   TimeNs next_epoch = 0;
   bool primed = false;
-  std::uint64_t prev_attempts = 0, prev_steals = 0;
   RuleEngine engine;
 };
 
@@ -275,8 +211,6 @@ bool apply_owner(Rank r, RankRow& row, const Decision& d, TimeNs t) {
   SCIOTO_METRIC_CTR(r, metrics::Ctr::CtlDecisions, 1);
   SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlChunk,
                       row.knobs->get(Knob::StealChunk));
-  SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlStealHalf,
-                      row.knobs->get(Knob::StealHalf));
   SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlRelease,
                       row.knobs->get(Knob::ReleaseThreshold));
   SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlVictimSet,
@@ -356,7 +290,7 @@ void start(int nranks, const Config& cfg) {
   SCIOTO_REQUIRE(cfg.mode != Mode::Off, "control::start needs mode local");
   SCIOTO_REQUIRE(metrics::active(),
                  "control needs an active metrics session (the controller "
-                 "reads the metric patches)");
+                 "reads the monitor's fleet digest)");
   g_ctl.cfg = cfg;
   if (g_ctl.cfg.period <= 0) g_ctl.cfg.period = 100'000;
   g_ctl.nranks = nranks;
@@ -423,26 +357,20 @@ void poll_epoch(Rank r, TimeNs now, std::uint64_t shared_depth) {
   if (detect::active() && !detect::alive(r)) return;
   if (now < row.next_epoch) return;
   row.next_epoch = now + g_ctl.cfg.period;
-  std::uint64_t att = metrics::own_ctr(r, metrics::Ctr::StealAttempts);
-  std::uint64_t st = metrics::own_ctr(r, metrics::Ctr::Steals);
+  if (!row.primed) {
+    // A rank's first epoch only starts its engine: the cadence (and so
+    // every decision timestamp) is one period behind attach.
+    row.primed = true;
+    row.engine = RuleEngine(g_ctl.cfg.rules);
+    return;
+  }
   std::int64_t cur[kNumKnobs];
   for (int k = 0; k < kNumKnobs; ++k) {
     cur[k] = row.knobs->get(static_cast<Knob>(k));
   }
-  if (!row.primed) {
-    row.primed = true;
-    row.engine = RuleEngine(g_ctl.cfg.rules, cur, g_ctl.nranks);
-    row.prev_attempts = att;
-    row.prev_steals = st;
-    return;
-  }
   Signals sig;
-  sig.attempts = att - row.prev_attempts;
-  sig.steals = st - row.prev_steals;
   sig.shared_depth = shared_depth;
   sig.cov = digest_cov(&sig.have_cov);
-  row.prev_attempts = att;
-  row.prev_steals = st;
   g_ctl.st_epochs.fetch_add(1, std::memory_order_relaxed);
   SCIOTO_METRIC_CTR(r, metrics::Ctr::CtlEpochs, 1);
   std::vector<Decision> ds;
@@ -502,10 +430,8 @@ std::string knobs_text(Rank r) {
   std::int64_t v[kNumKnobs];
   if (!published(r, v)) return {};
   char buf[96];
-  std::snprintf(buf, sizeof(buf),
-                "ck=%" PRId64 " half=%" PRId64 " rel=%" PRId64 " vs=%" PRId64,
+  std::snprintf(buf, sizeof(buf), "ck=%" PRId64 " rel=%" PRId64 " vs=%" PRId64,
                 v[static_cast<int>(Knob::StealChunk)],
-                v[static_cast<int>(Knob::StealHalf)],
                 v[static_cast<int>(Knob::ReleaseThreshold)],
                 v[static_cast<int>(Knob::VictimSetSize)]);
   return buf;

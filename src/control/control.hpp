@@ -1,13 +1,11 @@
 // Adaptive control plane: closes the metrics -> knobs loop online.
 //
-// The telemetry plane (per-rank counters, fleet CoV/Gini imbalance,
-// steal-success rate) and the live knobs (chunk size, steal-half,
-// release threshold, victim set) meet here. Every rank runs its own
-// controller inside the scheduling loop: at each virtual-time epoch it
-// reads its own counters through the metrics fast path (own-patch relaxed
-// loads, no seqlock scrape), folds in a cheap fleet digest the monitor
-// publishes (CoV of queue depths and the deepest ranks), and retunes its
-// own KnobSet (knobs.hpp) through a hysteresis/epoch rule engine.
+// The telemetry plane (per-rank counters, fleet CoV/Gini imbalance) and
+// the live knobs (chunk size, release threshold, victim set) meet here.
+// Every rank runs its own controller inside the scheduling loop: at each
+// virtual-time epoch it reads a cheap fleet digest the monitor publishes
+// (CoV of queue depths and the deepest ranks) and retunes its own KnobSet
+// (knobs.hpp) through a hysteresis/epoch rule engine.
 //
 // The knobs themselves are only ever written from the owning rank's
 // context, so the queue/steal hot paths read plain (non-atomic) values;
@@ -15,17 +13,16 @@
 // (published knobs, fleet digest) -- the single-address-space analog of a
 // one-sided knob segment.
 //
-// Rule engine: additive-increase of the steal chunk on sustained steal
-// failure; on sustained fleet imbalance, steal-half plus an opened chunk
-// cap (with steal-half the chunk only caps min(ceil(depth/2), cap), so a
-// wide cap moves the burst without overshooting shallow victims), an
-// earlier release on the deep rank only, and a restricted victim set
-// that steers thieves at the deepest ranks in the monitor digest --
-// random victim choice finds a single deep rank with probability 1/n,
-// and every miss inflates the thief's steal backoff; decay back toward
-// the configured baseline when the fleet is calm; and per-knob dwell
-// epochs so one decision suppresses further changes to the same knob --
-// hysteresis against oscillation.
+// Rule engine: one rule. On sustained fleet imbalance (CoV at or above
+// cov_hi for `dwell` epochs) it opens the chunk cap -- with steal-half
+// (TcConfig's default) the chunk only caps min(ceil(depth/2), cap), so a
+// wide cap moves the burst without overshooting shallow victims --
+// releases earlier on the deep rank only, and restricts the victim set
+// to the deepest ranks in the monitor digest (random victim choice finds
+// a single deep rank with probability 1/n, and every miss inflates the
+// thief's steal backoff). Per-knob dwell epochs let one decision suppress
+// further changes to the same knob -- hysteresis against oscillation.
+// Nothing reverts a decision.
 //
 // Determinism: under the sim backend, epochs fire at virtual-time
 // deadlines inside the scheduling loop, the digest is produced by the
@@ -63,14 +60,9 @@ bool mode_from_name(const std::string& s, Mode* out);
 // ---- Rule engine parameters (SCIOTO_CTL_RULES / scioto_ctl_rules_set) ----
 
 struct Rules {
-  double succ_lo = 0.50;   // steal success below this = failing
-  double succ_hi = 0.90;   // steal success above this = succeeding
-  double cov_hi = 1.00;    // fleet CoV above this = imbalanced
-  double cov_lo = 0.30;    // fleet CoV below this = calm
+  double cov_hi = 1.00;    // fleet CoV at or above this = imbalanced
   int dwell = 3;           // epochs a condition must hold, and epochs a
                            // changed knob stays frozen afterwards
-  int chunk_step = 2;      // additive chunk increase per decision
-  std::uint64_t min_attempts = 4;  // ignore success rate on fewer samples
   std::int64_t release_min = 8;    // floor for the release threshold
                                    // (lower makes shallow queues churn
                                    // publish/reacquire)
@@ -99,18 +91,14 @@ void set_config(const Config& cfg);
 // ---- Rule engine (pure, deterministic, unit-testable) ----
 
 struct Signals {
-  std::uint64_t attempts = 0;      // steal attempts this epoch (delta)
-  std::uint64_t steals = 0;        // successful steals this epoch (delta)
   std::uint64_t shared_depth = 0;  // rank's stealable depth right now
   double cov = 0.0;                // fleet queue-depth CoV
   bool have_cov = false;           // digest available yet?
 };
 
 enum Reason : int {
-  kReasonStealFail = 0,  // sustained steal failure
-  kReasonHighCov = 1,    // sustained fleet imbalance
-  kReasonCalm = 2,       // sustained balance + steal success
-  kReasonInherit = 3,    // adopted a dead rank's published knobs
+  kReasonHighCov = 0,   // sustained fleet imbalance
+  kReasonInherit = 1,   // adopted a dead rank's published knobs
 };
 const char* reason_name(int r);
 
@@ -122,10 +110,7 @@ struct Decision {
 
 class RuleEngine {
  public:
-  /// `baseline` holds the knob values the config started from (decrease
-  /// rules decay toward them); `nprocs` sizes the restricted victim set.
-  RuleEngine(const Rules& rules, const std::int64_t baseline[kNumKnobs],
-             int nprocs);
+  explicit RuleEngine(const Rules& rules) : rules_(rules) {}
   RuleEngine() = default;
 
   /// One controller epoch: folds the signals into the streak/dwell state
@@ -140,12 +125,8 @@ class RuleEngine {
                std::vector<Decision>* out);
 
   Rules rules_;
-  std::int64_t base_[kNumKnobs] = {};
-  int nprocs_ = 0;
   int dwell_left_[kNumKnobs] = {};
-  int lo_succ_streak_ = 0;
   int hi_cov_streak_ = 0;
-  int calm_streak_ = 0;
 };
 
 // ---- Session ----
@@ -200,7 +181,7 @@ bool published(Rank r, std::int64_t out[kNumKnobs]);
 inline constexpr int kMaxHotVictims = 4;
 int hot_victims(Rank out[kMaxHotVictims]);
 
-/// One-line "ck=10 half=1 rel=20 vs=0" rendering for the live dashboard;
+/// One-line "ck=10 rel=20 vs=0" rendering for the live dashboard;
 /// empty when r never published or no session is active.
 std::string knobs_text(Rank r);
 

@@ -2,7 +2,7 @@
 // collection.
 //
 // Before the control plane existed, every tuning value (steal chunk,
-// steal-half, release threshold) was copied out of TcConfig into
+// release threshold) was copied out of TcConfig into
 // SplitQueue::Config at construction and never looked at again -- so
 // post-init changes through the C API silently did nothing. KnobSet is
 // the single source of truth the queue and the steal path now read
@@ -32,7 +32,6 @@ namespace scioto::control {
 
 enum class Knob : int {
   StealChunk,        // max tasks moved per steal / release / reacquire
-  StealHalf,         // 0/1: steal half of the visible shared portion
   ReleaseThreshold,  // min private depth before releasing work to thieves
   VictimSetSize,     // 0 = any victim; k>0 = only the next k ranks in
                      // ring order (restricted victim set)
@@ -44,7 +43,6 @@ inline constexpr int kNumKnobs = static_cast<int>(Knob::kCount);
 inline const char* knob_name(Knob k) {
   switch (k) {
     case Knob::StealChunk: return "steal_chunk";
-    case Knob::StealHalf: return "steal_half";
     case Knob::ReleaseThreshold: return "release_threshold";
     case Knob::VictimSetSize: return "victim_set";
     case Knob::kCount: break;
@@ -73,20 +71,17 @@ class KnobSet {
 
   /// Fixes bounds and initial values. `chunk_max` caps the live steal
   /// chunk (buffers are sized for it); `nprocs` caps the victim set.
-  void init(int chunk, int chunk_max, bool steal_half,
-            std::int64_t release_threshold, int nprocs) {
+  void init(int chunk, int chunk_max, std::int64_t release_threshold,
+            int nprocs) {
     SCIOTO_REQUIRE(chunk >= 1 && chunk_max >= chunk,
                    "knob init needs chunk >= 1 and chunk_max >= chunk");
     lo_[idx(Knob::StealChunk)] = 1;
     hi_[idx(Knob::StealChunk)] = chunk_max;
-    lo_[idx(Knob::StealHalf)] = 0;
-    hi_[idx(Knob::StealHalf)] = 1;
     lo_[idx(Knob::ReleaseThreshold)] = 1;
     hi_[idx(Knob::ReleaseThreshold)] = std::int64_t{1} << 32;
     lo_[idx(Knob::VictimSetSize)] = 0;
     hi_[idx(Knob::VictimSetSize)] = nprocs > 1 ? nprocs - 1 : 0;
     v_[idx(Knob::StealChunk)] = clamp(Knob::StealChunk, chunk);
-    v_[idx(Knob::StealHalf)] = steal_half ? 1 : 0;
     v_[idx(Knob::ReleaseThreshold)] =
         clamp(Knob::ReleaseThreshold, release_threshold);
     v_[idx(Knob::VictimSetSize)] = 0;

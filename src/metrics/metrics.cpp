@@ -65,7 +65,6 @@ const char* gauge_name(Gauge g) {
     case Gauge::DagParked:    return "dag_parked";
     case Gauge::DagDepthMax:  return "dag_depth_max";
     case Gauge::CtlChunk:     return "ctl_chunk";
-    case Gauge::CtlStealHalf: return "ctl_steal_half";
     case Gauge::CtlRelease:   return "ctl_release";
     case Gauge::CtlVictimSet: return "ctl_victim_set";
     case Gauge::kCount:       break;
@@ -202,18 +201,6 @@ void hist_record(Rank r, Hist h, std::uint64_t v) {
   if (v > slot_load(p, mx)) slot_store(p, mx, v);
   slot_store(p, bkt, slot_load(p, bkt) + 1);
   wr_end(p);
-}
-
-std::uint64_t own_ctr(Rank r, Ctr c) {
-  if (!in_session(r)) return 0;
-  return slot_load(patch(r),
-                   kCtrBase + static_cast<std::size_t>(static_cast<int>(c)));
-}
-
-std::uint64_t own_gauge(Rank r, Gauge g) {
-  if (!in_session(r)) return 0;
-  return slot_load(patch(r),
-                   kGaugeBase + static_cast<std::size_t>(static_cast<int>(g)));
 }
 
 bool scrape(Rank r, Snapshot* out, int max_retries) {

@@ -105,7 +105,6 @@ enum class Gauge : int {
   DagDepthMax,   // deepest dag node this rank has executed so far
   // Live knob values (src/control); mirror the owning rank's KnobSet.
   CtlChunk,      // live steal-chunk knob
-  CtlStealHalf,  // live steal-half on/off knob
   CtlRelease,    // live release-threshold knob
   CtlVictimSet,  // live restricted-victim-set knob (0 = unrestricted)
   kCount
@@ -164,21 +163,6 @@ int session_nranks();
 void counter_add(Rank r, Ctr c, std::uint64_t delta = 1);
 void gauge_set(Rank r, Gauge g, std::uint64_t v);
 void hist_record(Rank r, Hist h, std::uint64_t v);
-
-// ---- Owner fast path (the per-rank controller's poll) ----
-//
-// A rank reading its *own* patch cannot race itself (it is the patch's
-// sole writer), so it may skip the seqlock protocol entirely: one
-// relaxed load per word, no retry loop, no whole-patch copy. This is
-// what makes a per-rank controller poll cost nanoseconds where a
-// one-sided scrape costs a full-patch validated copy.
-
-/// Direct relaxed load of one of rank r's own counters. Call only from
-/// rank r's execution context. Returns 0 when no session is active.
-std::uint64_t own_ctr(Rank r, Ctr c);
-
-/// Same fast path for gauges.
-std::uint64_t own_gauge(Rank r, Gauge g);
 
 // ---- Snapshots ----
 

@@ -36,7 +36,7 @@ SplitQueue::SplitQueue(pgas::Runtime& rt, Config cfg)
   SCIOTO_REQUIRE(cfg_.release_threshold >= 1,
                  "release_threshold must be >= 1, got "
                      << cfg_.release_threshold);
-  knobs_.init(cfg_.chunk, chunk_max_, cfg_.steal_half,
+  knobs_.init(cfg_.chunk, chunk_max_,
               static_cast<std::int64_t>(cfg_.release_threshold), rt.nprocs());
   cfg_.slot_bytes = align_up(cfg_.slot_bytes, 8);  // word-aligned slots
   ft_ = fault::active();
@@ -215,7 +215,6 @@ SplitQueue::PushOutcome SplitQueue::try_push_local(const std::byte* task,
   // The owner takes its own lock, as a remote add does, because thieves
   // move steal_head under it.
   rt_.lock(locks_, me);
-  counters().owner_lock_acqs++;
   if (ft_ && c.fence.load(std::memory_order_acquire) != 0) {
     rt_.unlock(locks_, me);
     return PushOutcome::Fenced;
@@ -308,7 +307,6 @@ std::uint64_t SplitQueue::reacquire() {
   Ctl& c = ctl(me);
   // Lowering `split` races in-flight steals, so it needs the lock.
   rt_.lock(locks_, me);
-  counters().owner_lock_acqs++;
   if (ft_ && c.fence.load(std::memory_order_acquire) != 0) {
     rt_.unlock(locks_, me);
     return 0;  // adopted: the work loop handles the fence abort
@@ -350,7 +348,6 @@ std::uint64_t SplitQueue::release_maybe() {
     // serializes on our own lock and honours the fence like every other
     // locked owner op.
     rt_.lock(locks_, rt_.me());
-    counters().owner_lock_acqs++;
     if (c.fence.load(std::memory_order_acquire) != 0) {
       rt_.unlock(locks_, rt_.me());
       return 0;
@@ -412,10 +409,11 @@ void SplitQueue::copy_span_raw(Rank victim, std::uint64_t first,
 }
 
 std::uint64_t SplitQueue::steal_width(std::uint64_t avail) const {
-  // Thief-side policy: the *caller's* live knobs decide how much to take
-  // (the victim never constrains width beyond what is visible/available).
+  // Thief-side policy: the *caller's* live chunk and steal-half config
+  // decide how much to take (the victim never constrains width beyond
+  // what is visible/available).
   const auto chunk = static_cast<std::uint64_t>(live_chunk());
-  if (!live_steal_half()) {
+  if (!cfg_.steal_half) {
     return std::min(avail, chunk);
   }
   // Steal-half: take ceil(avail / 2), capped at the live chunk, which the
@@ -699,7 +697,6 @@ std::uint64_t SplitQueue::fence_ack() {
   // -- we never come back to clear it, so pops fail, reacquire returns 0,
   // and the stash counts as live work forever (termination hangs).
   rt_.lock(locks_, me);
-  counters().owner_lock_acqs++;
   std::uint64_t old = c.fence.exchange(0, std::memory_order_acq_rel);
   std::uint64_t pt = c.priv_tail.load(std::memory_order_relaxed);
   if (pt & kFrozenBit) {

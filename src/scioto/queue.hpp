@@ -101,8 +101,9 @@ class SplitQueue {
     /// Steal-half: a steal takes min(ceil(shared_depth / 2), chunk) tasks
     /// instead of the fixed `chunk`, so a deep victim sheds half its
     /// exposed work in one get while a nearly-dry one is not stripped
-    /// bare. Initial StealHalf knob. The same default as
-    /// TcConfig::steal_half; false is the paper's fixed-chunk steal.
+    /// bare. Fixed for the queue's lifetime (not a live knob). The same
+    /// default as TcConfig::steal_half; false is the paper's fixed-chunk
+    /// steal.
     bool steal_half = true;
   };
 
@@ -118,7 +119,6 @@ class SplitQueue {
     std::uint64_t steals_aborted = 0;   // fault-truncated to zero tasks
     std::uint64_t tasks_recovered = 0;  // replayed txns + adopted queues
     std::uint64_t commit_retries = 0;   // dropped commit writes retried
-    std::uint64_t owner_lock_acqs = 0;   // owner took its own queue's lock
   };
 
   /// Collective: allocates the queue segment and its lock set.
@@ -208,8 +208,8 @@ class SplitQueue {
   void reset_collective();
 
   const Config& config() const { return cfg_; }
-  /// This rank's live policy knobs (steal width, steal-half, release
-  /// threshold), initialized from the Config and read on every decision,
+  /// This rank's live policy knobs (steal chunk, release threshold,
+  /// victim set), initialized from the Config and read on every decision,
   /// so writes take effect mid-run. Owner-context only (control/knobs.hpp).
   control::KnobSet& knobs() { return knobs_; }
   const control::KnobSet& knobs() const { return knobs_; }
@@ -294,9 +294,6 @@ class SplitQueue {
                      std::byte* out);
   int live_chunk() const {
     return static_cast<int>(knobs_.get(control::Knob::StealChunk));
-  }
-  bool live_steal_half() const {
-    return knobs_.get(control::Knob::StealHalf) != 0;
   }
   std::uint64_t live_release_threshold() const {
     return static_cast<std::uint64_t>(

@@ -149,7 +149,6 @@ void tc_stats_get(tc_t tc, scioto_stats_t* out) {
   out->steals_aborted = g.steals_aborted;
   out->op_retries = g.op_retries;
   out->td_resplices = g.td_resplices;
-  out->owner_lock_acqs = g.owner_lock_acqs;
 }
 
 task_t* tc_task_create(int body_sz, task_handle_t th) {

@@ -62,8 +62,6 @@ typedef struct scioto_stats {
   uint64_t steals_aborted;
   uint64_t op_retries;
   uint64_t td_resplices;
-  /* Owner lock acquisitions. */
-  uint64_t owner_lock_acqs;
 } scioto_stats_t;
 
 /// Collective. Creates a task collection sized for descriptors with up to
@@ -257,9 +255,9 @@ int scioto_metrics_read_rank(int rank, const char* name, uint64_t* value);
 
 /* ---- Adaptive control plane ----------------------------------------------
  * The feedback controller that closes the metrics -> knobs loop online:
- * per-rank live tuning parameters (steal chunk, steal-half, release
- * threshold, victim set) retuned from telemetry by a hysteresis rule
- * engine that every rank runs on its own ("local"). Staged like the
+ * per-rank live tuning parameters (steal chunk, release threshold,
+ * victim set) retuned from telemetry by a one-rule hysteresis engine that
+ * every rank runs on its own ("local"). Staged like the
  * detector and metrics knobs: scioto_ctl_mode_set() arms a session inside
  * the next SPMD run (the SCIOTO_CONTROLLER / SCIOTO_CTL_PERIOD /
  * SCIOTO_CTL_RULES environment knobs override it). The tc_knob_* calls
@@ -277,11 +275,10 @@ int64_t scioto_ctl_period_ns(void);
 void scioto_ctl_set_period_ns(int64_t period_ns);
 
 /// Stages rule-engine thresholds from a "key=value;key=value" spec (keys:
-/// succ_lo, succ_hi, cov_hi, cov_lo, dwell, chunk_step, min_attempts,
-/// release_min, chunk_burst, hot_set). Returns 0; on a bad spec returns
-/// -1, stages
-/// nothing, and copies the message into errbuf (when non-NULL, truncated
-/// to errbuf_len). NULL or "" restores the defaults.
+/// cov_hi, dwell, release_min, chunk_burst, hot_set). Returns 0; on a bad
+/// spec (an unknown key included) returns -1, stages nothing, and copies
+/// the message into errbuf (when non-NULL, truncated to errbuf_len). NULL
+/// or "" restores the defaults.
 int scioto_ctl_rules_set(const char* spec, char* errbuf, int errbuf_len);
 
 /// Controller counters for the current (or last) armed session; all zero
@@ -295,10 +292,11 @@ typedef struct scioto_ctl_stats {
 void scioto_ctl_stats_get(scioto_ctl_stats_t* out);
 
 /// Live knob access on this rank's view of a collection, by knob name
-/// ("steal_chunk", "steal_half", "release_threshold", "victim_set"). Sets
-/// are clamped to the knob's bounds and take effect mid-process() --
-/// unlike the tc_create parameters, which only seed the initial values.
-/// Returns 0 on success, -1 on an unknown knob name.
+/// ("steal_chunk", "release_threshold", "victim_set"). Sets are clamped to
+/// the knob's bounds and take effect mid-process() -- unlike the tc_create
+/// parameters, which only seed the initial values. Returns 0 on success,
+/// -1 on an unknown knob name. Steal-half is not a live knob: it is fixed
+/// when the collection is created.
 int tc_knob_get(tc_t tc, const char* name, int64_t* value);
 int tc_knob_set(tc_t tc, const char* name, int64_t value);
 

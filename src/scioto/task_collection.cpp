@@ -51,7 +51,6 @@ TcStats& TcStats::operator+=(const TcStats& o) {
   steals_aborted += o.steals_aborted;
   op_retries += o.op_retries;
   td_resplices += o.td_resplices;
-  owner_lock_acqs += o.owner_lock_acqs;
   time_total += o.time_total;
   time_working += o.time_working;
   time_searching += o.time_searching;
@@ -796,7 +795,6 @@ void TaskCollection::leave_phase(TimeNs t_begin) {
   stats_.steals_aborted = qc.steals_aborted;
   stats_.op_retries = qc.commit_retries + tc.token_retries;
   stats_.td_resplices = tc.resplices;
-  stats_.owner_lock_acqs = qc.owner_lock_acqs;
 }
 
 void TaskCollection::reset() {

@@ -83,9 +83,9 @@ struct TcConfig {
   /// victim selection.
   double node_steal_bias = 0.0;
   /// Steal-half: steals take min(ceil(depth/2), chunk_size) tasks based
-  /// on the victim's shared depth instead of the fixed chunk_size. The
-  /// initial value of the steal_half knob. On by default: it beat the
-  /// paper's fixed-chunk steals on UTS makespan (EXPERIMENTS.md,
+  /// on the victim's shared depth instead of the fixed chunk_size. Fixed
+  /// for the collection's lifetime (not a live knob). On by default: it
+  /// beat the paper's fixed-chunk steals on UTS makespan (EXPERIMENTS.md,
   /// "Steal-half as the default"); false restores the paper's §5 steal.
   bool steal_half = true;
 };
@@ -110,7 +110,6 @@ struct TcStats {
   std::uint64_t steals_aborted = 0;   // steals truncated to zero tasks
   std::uint64_t op_retries = 0;       // dropped commit/token sends retried
   std::uint64_t td_resplices = 0;     // spanning-tree reconfigurations
-  std::uint64_t owner_lock_acqs = 0;   // owner took its own queue's lock
   TimeNs time_total = 0;
   TimeNs time_working = 0;   // executing task callbacks
   TimeNs time_searching = 0; // stealing + termination detection
@@ -257,6 +256,10 @@ class TaskCollection {
 
   /// Descriptor slot size (header + max body, padded).
   std::size_t slot_bytes() const { return queue_->slot_bytes(); }
+
+  /// The config this rank's queue was built from (steal-half included,
+  /// which is fixed for the collection's lifetime).
+  const SplitQueue::Config& queue_config() const { return queue_->config(); }
 
  private:
   friend class ElasticLoop;

@@ -352,17 +352,6 @@ void Engine::lock_acquire(int id) {
   SCIOTO_CHECK(l.holder == current_);
 }
 
-bool Engine::lock_try(int id) {
-  sync();
-  LockState& l = locks_[static_cast<std::size_t>(id)];
-  if (l.held) {
-    return false;
-  }
-  l.held = true;
-  l.holder = current_;
-  return true;
-}
-
 void Engine::lock_release(int id) {
   LockState& l = locks_[static_cast<std::size_t>(id)];
   SCIOTO_CHECK_MSG(l.held && l.holder == current_,

@@ -140,7 +140,6 @@ class Engine {
   // ---- Virtual-time mutexes ----
   int lock_create();
   void lock_acquire(int id);
-  bool lock_try(int id);
   void lock_release(int id);
   /// True if the lock is currently held (by anyone).
   bool lock_held(int id) const;

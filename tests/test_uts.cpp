@@ -418,15 +418,21 @@ TEST(UtsGolden, Xt4At256Ranks) {
   EXPECT_LE(r.resumes * 3, 1100299u) << r.resumes << " fiber resumes";
 }
 
-// One steal-width default: the collection, the queue it builds and the
-// UTS driver config agree, and a default collection's live knob reads it.
+// One steal-width default: the collection, the queue config and the UTS
+// driver config agree, and the queue a collection builds carries its
+// setting either way.
 TEST(TcDefaults, OneStealHalfDefault) {
   EXPECT_TRUE(TcConfig{}.steal_half);
   EXPECT_EQ(UtsRunConfig{}.steal_half, TcConfig{}.steal_half);
   EXPECT_EQ(SplitQueue::Config{}.steal_half, TcConfig{}.steal_half);
   testing::run_sim(2, [](Runtime& rt) {
     TaskCollection tc(rt, TcConfig{});
-    EXPECT_EQ(tc.knob(control::Knob::StealHalf), 1);
+    EXPECT_TRUE(tc.queue_config().steal_half);
+    TcConfig fixed;
+    fixed.steal_half = false;
+    TaskCollection paper(rt, fixed);
+    EXPECT_FALSE(paper.queue_config().steal_half);
+    paper.destroy();
     tc.destroy();
   });
 }

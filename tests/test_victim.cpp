@@ -18,8 +18,8 @@ namespace {
 
 control::KnobSet knobs_for(int nprocs, int victim_set = 0) {
   control::KnobSet ks;
-  ks.init(/*chunk=*/10, /*chunk_max=*/10, /*steal_half=*/false,
-          /*release_threshold=*/20, nprocs);
+  ks.init(/*chunk=*/10, /*chunk_max=*/10, /*release_threshold=*/20,
+          nprocs);
   ks.set(control::Knob::VictimSetSize, victim_set);
   return ks;
 }
