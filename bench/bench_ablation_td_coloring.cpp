@@ -21,7 +21,8 @@ struct ColoringStats {
   double mnodes;
   std::uint64_t marks_sent;
   std::uint64_t marks_skipped;
-  std::uint64_t waves;
+  std::uint64_t waves;        // termination waves (each rank votes once)
+  std::uint64_t black_votes;  // summed over ranks and waves
 };
 
 ColoringStats run(int procs, const UtsParams& tree, bool opt) {
@@ -68,7 +69,8 @@ ColoringStats run(int procs, const UtsParams& tree, bool opt) {
       out.mnodes = static_cast<double>(nodes) / (to_sec(elapsed) * 1e6);
       out.marks_sent = g.td_marks_sent;
       out.marks_skipped = g.td_marks_skipped;
-      out.waves = g.td_waves_voted;
+      out.waves = g.td_waves_voted / static_cast<std::uint64_t>(procs);
+      out.black_votes = g.td_black_votes;
     }
     tc.destroy();
   });
@@ -87,7 +89,7 @@ int main(int argc, char** argv) {
   tree.gen_mx = static_cast<int>(opts.get_int("scale"));
 
   Table t({"Procs", "Variant", "Mnodes/s", "DirtyMarks", "MarksSkipped",
-           "Waves"});
+           "Waves", "BlackVotes"});
   for (int p : {16, 64}) {
     for (bool opt : {false, true}) {
       ColoringStats s = run(p, tree, opt);
@@ -96,7 +98,8 @@ int main(int argc, char** argv) {
                  Table::fmt(s.mnodes, 2),
                  Table::fmt(static_cast<std::int64_t>(s.marks_sent)),
                  Table::fmt(static_cast<std::int64_t>(s.marks_skipped)),
-                 Table::fmt(static_cast<std::int64_t>(s.waves))});
+                 Table::fmt(static_cast<std::int64_t>(s.waves)),
+                 Table::fmt(static_cast<std::int64_t>(s.black_votes))});
     }
   }
   t.print("Ablation: §5.3 token-coloring optimization (UTS workload)");

@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
   opts.add_string("fault-plan", "",
                   "fault plan (spec/JSON/@file) injected into the max-procs "
                   "run; detection must still converge on the survivors");
-  opts.add_string("json", "", "also write results as JSON to this file");
   opts.add_string("metrics-json", "",
                   "write per-procs wave-latency percentiles from the live "
                   "metrics histograms to this file");
@@ -179,26 +178,6 @@ int main(int argc, char** argv) {
   t.print("Figure 4: termination detection vs ARMCI/MPI barrier on the "
           "cluster (log-log in the paper; expect ~log p growth, "
           "termination wave ~2x barrier)");
-
-  const std::string json = opts.get_string("json");
-  if (!json.empty()) {
-    std::FILE* f = std::fopen(json.c_str(), "w");
-    SCIOTO_CHECK_MSG(f != nullptr, "cannot open " << json);
-    std::fprintf(f,
-                 "{\n  \"bench\": \"fig4_termination\", \"trials\": %d,\n"
-                 "  \"rows\": [\n",
-                 trials);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"procs\": %d, \"term_us\": %.3f, "
-                   "\"armci_us\": %.3f, \"mpi_us\": %.3f}%s\n",
-                   rows[i].procs, rows[i].term_us, rows[i].armci_us,
-                   rows[i].mpi_us, i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("json: wrote %s\n", json.c_str());
-  }
 
   if (want_hists) {
     std::FILE* f = std::fopen(metrics_json.c_str(), "w");

@@ -319,8 +319,11 @@ TerminationDetector::Status TerminationDetector::step() {
     }
     if (children_in) {
       quiet = false;
-      bool black = children_black || st.self_black ||
-                   aref(my.dirty).exchange(0, std::memory_order_acq_rel) != 0;
+      // Read the mark unconditionally: left set behind a black child, it
+      // would black out the next wave too, one more per tree level.
+      const bool dirty =
+          aref(my.dirty).exchange(0, std::memory_order_acq_rel) != 0;
+      bool black = children_black || st.self_black || dirty;
       st.self_black = false;
       st.voted_wave = st.wave_seen;
       counters_.waves_voted++;

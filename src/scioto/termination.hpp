@@ -5,9 +5,12 @@
 // reflects off the leaves, each idle process combines its own color with
 // its children's and passes the result up. Tokens start white; a process
 // colors its token black if it performed a load-balancing operation since
-// its last vote or if a thief marked it dirty. A black token reaching the
-// root triggers a re-vote; an all-white wave means every process was idle
-// with no work in flight, so the root broadcasts termination down the tree.
+// its last vote or if a thief marked it dirty since then. Every vote
+// consumes both marks, whatever its color: a mark only obliges the next
+// vote to be black, and a vote that is black for any reason fails its
+// wave. A black token reaching the root triggers a re-vote; an all-white
+// wave means every process was idle with no work in flight, so the root
+// broadcasts termination down the tree.
 //
 // All token movement uses one-sided 8-byte puts into per-rank mailboxes,
 // polled by idle processes -- there is no two-sided communication, matching

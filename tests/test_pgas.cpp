@@ -411,6 +411,35 @@ TEST(PgasSim, RemoteOpsCostVirtualTime) {
   EXPECT_GT(remote_t[0], 2 * sim::test_machine().rma_latency - 1);
 }
 
+// A rank's lock on its own lock word is charged as a network round trip
+// plus a one-way unlock, exactly like an idle remote rank's. This is
+// calibration, not an oversight: it is what makes the no-split queue (every
+// owner op locks) collapse as in the paper's Fig. 7. Charged at intra-node
+// cost, no-split at 64 cluster ranks rises from 4.7 to 34.8 Mn/s.
+TEST(PgasSim, OwnLockCostsTheSameAsAnIdleRemoteLock) {
+  pgas::Config cfg = testing::make_cfg(2, BackendKind::Sim);
+  cfg.machine = sim::cluster2008_uniform();
+  TimeNs own = 0;
+  TimeNs remote = 0;
+  pgas::run_spmd(cfg, [&](Runtime& rt) {
+    pgas::LockSet ls = rt.lockset_create();
+    rt.barrier();
+    if (rt.me() == 0) {
+      TimeNs t0 = rt.now();
+      rt.lock(ls, 0);
+      rt.unlock(ls, 0);
+      own = rt.now() - t0;
+      t0 = rt.now();
+      rt.lock(ls, 1);
+      rt.unlock(ls, 1);
+      remote = rt.now() - t0;
+    }
+    rt.barrier();
+  });
+  EXPECT_EQ(own, remote);
+  EXPECT_EQ(own, 10187);  // round trip + one-way unlock, in ns
+}
+
 TEST(PgasSim, DeterministicElapsed) {
   auto body = [](Runtime& rt) {
     pgas::SegId seg = rt.seg_alloc(256);

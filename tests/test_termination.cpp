@@ -179,6 +179,36 @@ TEST_P(TdBackends, DescendantRuleSkipsMark) {
   });
 }
 
+// A vote consumes the dirty mark whatever its color. Rank 3 (a leaf under
+// the inner rank 1 of a 7-rank tree) moves work against its parent before
+// wave 1, with the votes-before skip off, so rank 1 holds a dirty mark
+// while its child votes black in wave 1. Wave 1 fails (3 black votes: 3,
+// 1 and the root); with no further load-balancing op wave 2 must be
+// all-white. A mark left unread behind the black child would black out
+// wave 2 as well (rank 1, then the root) and decide only in wave 3.
+TEST_P(TdBackends, BlackVoteConsumesDirtyMark) {
+  testing::run(7, GetParam(), [&](Runtime& rt) {
+    TerminationDetector::Config cfg;
+    cfg.color_optimization = false;
+    TerminationDetector td(rt, cfg);
+    td.reset();
+    if (rt.me() == 3) {
+      td.note_lb_op(1);
+      EXPECT_EQ(td.counters().dirty_marks_sent, 1u);
+    }
+    rt.barrier();  // the mark has landed before any wave starts
+    int steps = 0;
+    while (td.step() == TerminationDetector::Status::Working) {
+      rt.relax();
+      ASSERT_LT(++steps, 1000000);
+    }
+    auto sum = td.counters_sum();
+    EXPECT_EQ(sum.waves_started, 2u) << "stale dirty mark blacked out a wave";
+    EXPECT_EQ(sum.black_votes, 3u);
+    td.destroy();
+  });
+}
+
 // The §5.3 votes-before edge under failure: the victim votes white, a
 // thief completes a steal against it, and the victim fail-stops before its
 // re-vote (the dirty mark never lands). The stolen work is alive on the

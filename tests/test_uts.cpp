@@ -412,7 +412,7 @@ UtsParams geo_depth10() {
 
 TEST(UtsGolden, Xt4At256Ranks) {
   PinRun r = run_pinned(256, sim::cray_xt4(), geo_depth10(), pin_config());
-  EXPECT_EQ(r.pin, (Pin{3524431, 9332, 82, 95, 1536, 730861444, 0xafc14c97eba1ddc}));
+  EXPECT_EQ(r.pin, (Pin{3444805, 9332, 82, 95, 1024, 709401937, 0xc8011548b8f9e7a4}));
   // Idle ranks sleep through their quiet polls instead of resuming for
   // each one: 1,100,299 resumes when every poll resumed its fiber.
   EXPECT_LE(r.resumes * 3, 1100299u) << r.resumes << " fiber resumes";
@@ -447,9 +447,9 @@ TEST(UtsGolden, StealHalfDefaultBeatsFixedChunkXt4) {
     std::uint64_t seed;
     TimeNs default_ns;
     TimeNs fixed_ns;
-  } rows[] = {{1, 5100424, 6168506},
-              {2, 4989174, 5847433},
-              {3, 5721427, 6537221}};
+  } rows[] = {{1, 4599908, 5709054},
+              {2, 4529125, 5386235},
+              {3, 5285208, 6084071}};
   for (const auto& row : rows) {
     auto makespan = [&](const UtsRunConfig& rc) {
       pgas::Config cfg;
@@ -484,14 +484,14 @@ TEST(UtsGolden, OracleKillsAt32Ranks) {
   PinRun r = run_pinned(32, sim::cray_xt4(), uts_small(), pin_config());
   fault::stop();
   // The killed ranks' counters die with them: 18,059 of 19,037 tasks.
-  EXPECT_EQ(r.pin, (Pin{6160744, 18059, 139, 151, 269, 135034139, 0xac83482cfc326521}));
+  EXPECT_EQ(r.pin, (Pin{5893529, 18059, 139, 151, 179, 127032530, 0xd7b599dd81c6339f}));
   // 152,323 resumes when every idle poll of a fault run resumed its fiber.
   EXPECT_LE(r.resumes * 2, 152323u) << r.resumes << " fiber resumes";
 }
 
 TEST(UtsGolden, Cluster2008At64Ranks) {
   PinRun r = run_pinned(64, sim::cluster2008(), uts_small(), pin_config());
-  EXPECT_EQ(r.pin, (Pin{3483622, 19037, 168, 192, 320, 164044391, 0x7a3b79ae58a4e012}));
+  EXPECT_EQ(r.pin, (Pin{3437042, 19037, 168, 192, 192, 161218879, 0xd992e3bac33a8fcb}));
 }
 
 TEST(UtsGolden, QueueModes) {
@@ -500,8 +500,8 @@ TEST(UtsGolden, QueueModes) {
     QueueMode mode;
     Pin pin;
   } cases[] = {
-      {"locked", QueueMode::Split, Pin{3273753, 19037, 163, 177, 256, 63703706, 0xa8119bcc7e4dd}},
-      {"no-split", QueueMode::NoSplit, Pin{17486138, 19037, 485, 518, 288, 23564362, 0xecf7e5c88b8dc765}},
+      {"locked", QueueMode::Split, Pin{3180904, 19037, 163, 177, 96, 60657979, 0x67acb5ec0d5c5812}},
+      {"no-split", QueueMode::NoSplit, Pin{16797896, 19037, 485, 518, 128, 21932634, 0x4fc7c790cfe29a8e}},
   };
   for (const auto& c : cases) {
     TcConfig tcc = pin_config();
@@ -517,9 +517,9 @@ TEST(UtsGolden, StealBackoffAndStealsPerPoll) {
     int steals_per_poll;
     Pin pin;
   } cases[] = {
-      {0, 1, Pin{4823672, 19037, 187, 218, 192, 103057902, 0x525621f97c5bc443}},
-      {1, 1, Pin{3912707, 19037, 150, 168, 160, 74349537, 0xa8229b422793d58b}},
-      {64, 2, Pin{4012718, 19037, 128, 146, 128, 77019257, 0xae46f51e17a6faac}},
+      {0, 1, Pin{4296789, 19037, 187, 218, 96, 86097111, 0xb401100aa1810202}},
+      {1, 1, Pin{3745349, 19037, 150, 168, 96, 69117456, 0x5632ae15af81ab48}},
+      {64, 2, Pin{3968297, 19037, 128, 146, 96, 75636664, 0x24821b0fb61b49f2}},
   };
   for (const auto& c : cases) {
     TcConfig tcc = pin_config();
@@ -542,7 +542,7 @@ TEST(UtsGolden, FiftyPhasesOverProcessAndReset) {
 // them where it was.
 TEST(UtsGolden, Armed) {
   const std::string ckpt = ::testing::TempDir() + "scioto_uts_golden.ckpt";
-  const Pin unarmed{4771564, 19037, 50, 52, 48, 7787112, 0x1f5d977162761bda};
+  const Pin unarmed{4740766, 19037, 50, 52, 24, 7533236, 0xfe6a6ec104e59b75};
   const struct {
     const char* name;
     Env env;
@@ -551,18 +551,18 @@ TEST(UtsGolden, Armed) {
       {"unarmed", {}, unarmed},
       // The killed rank's counters die with it: 17,952 of 19,037 tasks.
       {"fault kill", {{"SCIOTO_FAULT_PLAN", "kill:rank=3,at=2ms"}},
-       Pin{6595851, 17952, 65, 67, 49, 16180794, 0x99b542c1472bda94}},
+       Pin{6543055, 17952, 65, 67, 35, 15844351, 0xc34017fbf6d8b59a}},
       {"detector stall-resume",
        {{"SCIOTO_DETECTOR", "1"},
         {"SCIOTO_FAULT_PLAN", "stall:rank=5,at=300us,for=2ms"}},
-       Pin{15754714, 19037, 85, 86, 64, 17362853, 0x935cc9c01b8a593}},
+       Pin{15640890, 19037, 85, 86, 40, 16996434, 0x42bd18268a944bb4}},
       {"elastic grow 4->8 + ckpt",
        {{"SCIOTO_ELASTIC", "1"},
         {"SCIOTO_CKPT_PATH", ckpt},
         {"SCIOTO_FAULT_PLAN",
          "join:rank=4,at=500us;join:rank=5,at=500us;join:rank=6,at=1ms;"
          "join:rank=7,at=1ms;ckpt:at=2ms"}},
-       Pin{12687361, 19037, 69, 69, 32, 10994383, 0x97ef21a194d68b9}},
+       Pin{12648635, 19037, 69, 69, 24, 10882418, 0xcd2b8ddbbfa702c4}},
       {"controller local", {{"SCIOTO_CONTROLLER", "local"}},
        Pin{4497443, 19037, 60, 66, 16, 5669112, 0xe01a830baf49a61b}},
       // Telemetry is charge-free: arming it must not move a single number.
@@ -585,7 +585,7 @@ TEST(PgasRunSpmd, EnvArmedSessionsEndWithTheRun) {
   // run_spmd stages the configs an environment variable arms. Once the
   // run is over and the variable gone, the next run must be unarmed again
   // and reproduce the unarmed run of UtsGolden.Armed.
-  const Pin unarmed{4771564, 19037, 50, 52, 48, 7787112, 0x1f5d977162761bda};
+  const Pin unarmed{4740766, 19037, 50, 52, 24, 7533236, 0xfe6a6ec104e59b75};
   auto spmd_unarmed = [] {
     return run_pinned(8, sim::cluster2008(), uts_small(), pin_config(), 1,
                       {}, /*spmd=*/true)
