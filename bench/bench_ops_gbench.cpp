@@ -84,7 +84,8 @@ BENCHMARK(BM_UtsChild);
 
 void BM_QueueLocalPushPop(benchmark::State& state) {
   pgas::run_spmd(rt_cfg(1), [&](pgas::Runtime& rt) {
-    SplitQueue q(rt, qcfg());
+    TcStats st;
+    SplitQueue q(rt, qcfg(), st);
     std::vector<std::byte> task(q.slot_bytes(), std::byte{3});
     for (auto _ : state) {
       benchmark::DoNotOptimize(q.push_local(task.data(), kAffinityHigh));
@@ -99,7 +100,8 @@ void BM_QueueReleaseReacquire(benchmark::State& state) {
   pgas::run_spmd(rt_cfg(1), [&](pgas::Runtime& rt) {
     SplitQueue::Config c = qcfg();
     c.release_threshold = 1;  // always eligible: private depth stays >> 1
-    SplitQueue q(rt, c);
+    TcStats st;
+    SplitQueue q(rt, c, st);
     std::vector<std::byte> task(q.slot_bytes(), std::byte{3});
     for (int i = 0; i < 64; ++i) {
       q.push_local(task.data(), kAffinityHigh);
@@ -118,7 +120,8 @@ void BM_RemoteAddPlusSteal(benchmark::State& state) {
   // steal back -- the full one-sided transfer path (locks + memcpy) on
   // real hardware.
   pgas::run_spmd(rt_cfg(2), [&](pgas::Runtime& rt) {
-    SplitQueue q(rt, qcfg());
+    TcStats st;
+    SplitQueue q(rt, qcfg(), st);
     if (rt.me() == 1) {
       std::vector<std::byte> task(q.slot_bytes(), std::byte{3});
       std::vector<std::byte> out(q.slot_bytes() * 10);

@@ -60,7 +60,8 @@ OpTimes measure(const sim::MachineModel& machine, int iters,
     qc.capacity = static_cast<std::uint64_t>(iters) * 16;
     qc.chunk = 10;
     qc.steal_half = false;  // Table 1 times the paper's fixed 10-task steal
-    SplitQueue q(rt, qc);
+    TcStats st;
+    SplitQueue q(rt, qc, st);
     std::vector<std::byte> task(qc.slot_bytes, std::byte{7});
     std::vector<std::byte> steal_buf(qc.slot_bytes * 10);
 

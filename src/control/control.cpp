@@ -31,14 +31,6 @@ bool mode_from_name(const std::string& s, Mode* out) {
   return false;
 }
 
-const char* reason_name(int r) {
-  switch (r) {
-    case kReasonHighCov: return "high_cov";
-    case kReasonInherit: return "inherit";
-  }
-  return "?";
-}
-
 // ---- Rules ----
 
 bool Rules::parse(const std::string& spec, Rules* out, std::string* err) {

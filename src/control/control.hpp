@@ -96,12 +96,6 @@ struct Signals {
   bool have_cov = false;           // digest available yet?
 };
 
-enum Reason : int {
-  kReasonHighCov = 0,   // sustained fleet imbalance
-  kReasonInherit = 1,   // adopted a dead rank's published knobs
-};
-const char* reason_name(int r);
-
 struct Decision {
   Knob knob;
   std::int64_t value;  // desired value (owner clamps through its KnobSet)

@@ -50,6 +50,21 @@ inline const char* knob_name(Knob k) {
   return "?";
 }
 
+/// Why a knob changed: the decision log and the trace's knob_change
+/// events name it with reason_name().
+enum Reason : int {
+  kReasonHighCov = 0,   // sustained fleet imbalance
+  kReasonInherit = 1,   // adopted a dead rank's published knobs
+};
+
+inline const char* reason_name(int r) {
+  switch (r) {
+    case kReasonHighCov: return "high_cov";
+    case kReasonInherit: return "inherit";
+  }
+  return "?";
+}
+
 /// Parses a knob name as printed by knob_name(); returns false on unknown.
 inline bool knob_from_name(const char* name, Knob* out) {
   for (int i = 0; i < kNumKnobs; ++i) {

@@ -11,81 +11,27 @@
 
 namespace scioto::metrics {
 
-const char* ctr_name(Ctr c) {
-  switch (c) {
-    case Ctr::TasksExecuted:    return "tasks_executed";
-    case Ctr::TasksSpawned:     return "tasks_spawned";
-    case Ctr::RemoteSpawns:     return "remote_spawns";
-    case Ctr::QPushes:          return "q_pushes";
-    case Ctr::QPops:            return "q_pops";
-    case Ctr::QReleases:        return "q_releases";
-    case Ctr::QReleasedTasks:   return "q_released_tasks";
-    case Ctr::QReacquires:      return "q_reacquires";
-    case Ctr::QReacquiredTasks: return "q_reacquired_tasks";
-    case Ctr::StealAttempts:    return "steal_attempts";
-    case Ctr::Steals:           return "steals";
-    case Ctr::StealFails:       return "steal_fails";
-    case Ctr::TasksStolen:      return "tasks_stolen";
-    case Ctr::TdVotes:          return "td_votes";
-    case Ctr::TdBlackVotes:     return "td_black_votes";
-    case Ctr::TdWaves:          return "td_waves";
-    case Ctr::Probes:           return "probes";
-    case Ctr::Heartbeats:       return "heartbeats";
-    case Ctr::Suspects:         return "suspects";
-    case Ctr::Refutes:          return "refutes";
-    case Ctr::Confirms:         return "confirms";
-    case Ctr::OpRetries:        return "op_retries";
-    case Ctr::TasksRecovered:   return "tasks_recovered";
-    case Ctr::PgasGets:         return "pgas_gets";
-    case Ctr::PgasPuts:         return "pgas_puts";
-    case Ctr::PgasAccs:         return "pgas_accs";
-    case Ctr::PgasRmws:         return "pgas_rmws";
-    case Ctr::PgasGetBytes:     return "pgas_get_bytes";
-    case Ctr::PgasPutBytes:     return "pgas_put_bytes";
-    case Ctr::DagNodesRun:      return "dag_nodes_run";
-    case Ctr::DagNodesFired:    return "dag_nodes_fired";
-    case Ctr::DagConflictRetries: return "dag_conflict_retries";
-    case Ctr::DagVersionWaits:  return "dag_version_waits";
-    case Ctr::DagRemoteFires:   return "dag_remote_fires";
-    case Ctr::CtlEpochs:        return "ctl_epochs";
-    case Ctr::CtlDecisions:     return "ctl_decisions";
-    case Ctr::CtlInherits:      return "ctl_inherits";
-    case Ctr::kCount:           break;
-  }
-  return "?";
-}
+namespace {
 
-const char* gauge_name(Gauge g) {
-  switch (g) {
-    case Gauge::QueueDepth:   return "queue_depth";
-    case Gauge::QueueShared:  return "queue_shared";
-    case Gauge::QueueSplit:   return "queue_split";
-    case Gauge::AliveView:    return "alive_view";
-    case Gauge::SuspectsView: return "suspects_view";
-    case Gauge::DagParked:    return "dag_parked";
-    case Gauge::DagDepthMax:  return "dag_depth_max";
-    case Gauge::CtlChunk:     return "ctl_chunk";
-    case Gauge::CtlRelease:   return "ctl_release";
-    case Gauge::CtlVictimSet: return "ctl_victim_set";
-    case Gauge::kCount:       break;
-  }
-  return "?";
-}
+constexpr const char* kCtrNames[] = {
+#define SCIOTO_CTR_TWIN(field, group, id, name) name,
+#define SCIOTO_CTR_NAME(id, name) name,
+    SCIOTO_COUNTER_ROWS(SCIOTO_ROW_SKIP, SCIOTO_CTR_TWIN, SCIOTO_CTR_NAME,
+                        SCIOTO_ROW_SKIP)
+#undef SCIOTO_CTR_TWIN
+#undef SCIOTO_CTR_NAME
+};
+#define SCIOTO_METRIC_NAME(id, name) name,
+constexpr const char* kGaugeNames[] = {
+    SCIOTO_METRIC_GAUGES(SCIOTO_METRIC_NAME)};
+constexpr const char* kHistNames[] = {SCIOTO_METRIC_HISTS(SCIOTO_METRIC_NAME)};
+#undef SCIOTO_METRIC_NAME
 
-const char* hist_name(Hist h) {
-  switch (h) {
-    case Hist::TaskExecNs:  return "task_exec_ns";
-    case Hist::SearchNs:    return "search_ns";
-    case Hist::PushNs:      return "push_ns";
-    case Hist::PopNs:       return "pop_ns";
-    case Hist::StealNs:     return "steal_ns";
-    case Hist::WaveNs:      return "wave_ns";
-    case Hist::ProbeRttNs:  return "probe_rtt_ns";
-    case Hist::DagNodeDepth: return "dag_node_depth";
-    case Hist::kCount:      break;
-  }
-  return "?";
-}
+}  // namespace
+
+const char* ctr_name(Ctr c) { return kCtrNames[static_cast<int>(c)]; }
+const char* gauge_name(Gauge g) { return kGaugeNames[static_cast<int>(g)]; }
+const char* hist_name(Hist h) { return kHistNames[static_cast<int>(h)]; }
 
 namespace {
 

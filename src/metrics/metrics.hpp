@@ -40,6 +40,7 @@
 
 #include "base/stats.hpp"
 #include "base/types.hpp"
+#include "metrics/counters.h"
 
 namespace scioto::metrics {
 
@@ -47,80 +48,65 @@ namespace scioto::metrics {
 //
 // The schema is compile-time fixed so every rank's patch has the same
 // layout and a scraper needs no coordination to interpret remote bytes.
-// Extend by appending (the names table and kCount asserts keep the
-// exposition and the C API in sync).
+// Each metric is one row of a list, and the enum, the exposition name
+// and the patch layout follow from the rows. To add a counter, add a CTR
+// row to SCIOTO_COUNTER_ROWS (metrics/counters.h), or a TWIN row when
+// TcStats counts the same fact; to add a gauge or a histogram, add a row
+// to SCIOTO_METRIC_GAUGES or SCIOTO_METRIC_HISTS below.
 
 enum class Ctr : int {
-  TasksExecuted,    // tasks run to completion by this rank
-  TasksSpawned,     // tasks this rank added (local + remote targets)
-  RemoteSpawns,     // subset of TasksSpawned landing in another rank's queue
-  QPushes,          // local queue pushes
-  QPops,            // local queue pops
-  QReleases,        // release operations (private -> shared)
-  QReleasedTasks,   // tasks moved private -> shared
-  QReacquires,      // reacquire operations (shared -> private)
-  QReacquiredTasks, // tasks moved shared -> private
-  StealAttempts,    // steal_from calls on a victim
-  Steals,           // attempts that transferred >= 1 task
-  StealFails,       // empty-handed / aborted attempts
-  TasksStolen,      // tasks received by stealing
-  TdVotes,          // termination-detector votes passed up
-  TdBlackVotes,     // votes carrying a black token
-  TdWaves,          // waves started (root only)
-  Probes,           // detector probes issued
-  Heartbeats,       // heartbeat publishes
-  Suspects,         // alive -> suspect transitions observed
-  Refutes,          // suspect -> alive refutations observed
-  Confirms,         // suspect -> confirmed-dead transitions observed
-  OpRetries,        // one-sided op retries after an injected drop
-  TasksRecovered,   // tasks adopted from a dead rank's queue
-  PgasGets,         // one-sided get operations (remote targets)
-  PgasPuts,         // one-sided put operations (remote targets)
-  PgasAccs,         // one-sided accumulate operations (remote targets)
-  PgasRmws,         // one-sided fetch-add/swap operations (remote targets)
-  PgasGetBytes,     // bytes moved by gets
-  PgasPutBytes,     // bytes moved by puts
-  // DAG scheduler (src/dag); all zero when no DagScheduler runs.
-  DagNodesRun,      // dag nodes executed to completion by this rank
-  DagNodesFired,    // nodes this rank made ready (fleet fired - fleet run
-                    // = globally ready/running dag nodes)
-  DagConflictRetries, // dispatches bounced off a held conflict-group lock
-  DagVersionWaits,  // dispatches deferred on an unbumped data version
-  DagRemoteFires,   // subset of DagNodesFired homed on another rank
-  // The adaptive control plane (src/control).
-  CtlEpochs,        // controller epochs this rank evaluated
-  CtlDecisions,     // knob changes this rank applied
-  CtlInherits,      // knob rows inherited from dead ranks at adoption
+#define SCIOTO_CTR_TWIN(field, group, id, name) id,
+#define SCIOTO_CTR_ID(id, name) id,
+  SCIOTO_COUNTER_ROWS(SCIOTO_ROW_SKIP, SCIOTO_CTR_TWIN, SCIOTO_CTR_ID,
+                      SCIOTO_ROW_SKIP)
+#undef SCIOTO_CTR_TWIN
+#undef SCIOTO_CTR_ID
   kCount
 };
 
-enum class Gauge : int {
-  QueueDepth,    // private + shared tasks currently queued
-  QueueShared,   // tasks in the shared (stealable) portion
-  QueueSplit,    // split position: tasks ever moved past the split point
-  AliveView,     // ranks this rank's membership view believes alive
-  SuspectsView,  // peers this rank currently suspects
-  DagParked,     // dag nodes parked on this rank awaiting a gate (conflict
-                 // lock or data version) -- the deferred ready-set
-  DagDepthMax,   // deepest dag node this rank has executed so far
-  // Live knob values (src/control); mirror the owning rank's KnobSet.
-  CtlChunk,      // live steal-chunk knob
-  CtlRelease,    // live release-threshold knob
-  CtlVictimSet,  // live restricted-victim-set knob (0 = unrestricted)
-  kCount
-};
+#define SCIOTO_METRIC_GAUGES(X)                                              \
+  /* private + shared tasks currently queued */                             \
+  X(QueueDepth, "queue_depth")                                              \
+  /* tasks in the shared (stealable) portion */                             \
+  X(QueueShared, "queue_shared")                                            \
+  /* split position: tasks ever moved past the split point */               \
+  X(QueueSplit, "queue_split")                                              \
+  /* ranks this rank's membership view believes alive */                    \
+  X(AliveView, "alive_view")                                                \
+  /* peers this rank currently suspects */                                  \
+  X(SuspectsView, "suspects_view")                                          \
+  /* dag nodes parked on this rank awaiting a gate (conflict lock or */     \
+  /* data version): the deferred ready-set */                               \
+  X(DagParked, "dag_parked")                                                \
+  /* deepest dag node this rank has executed so far */                      \
+  X(DagDepthMax, "dag_depth_max")                                           \
+  /* live knob values (src/control), mirroring the rank's KnobSet: steal */ \
+  /* chunk, release threshold, restricted victim set (0 = unrestricted) */  \
+  X(CtlChunk, "ctl_chunk")                                                  \
+  X(CtlRelease, "ctl_release")                                              \
+  X(CtlVictimSet, "ctl_victim_set")
 
-enum class Hist : int {
-  TaskExecNs,   // task execution time
-  SearchNs,     // idle/steal-search spell length
-  PushNs,       // local push latency
-  PopNs,        // local pop latency
-  StealNs,      // successful steal latency (attempt -> tasks landed)
-  WaveNs,       // termination wave latency (root only)
-  ProbeRttNs,   // detector probe round-trip time
-  DagNodeDepth, // critical-path depth of each executed dag node
-  kCount
-};
+#define SCIOTO_METRIC_HISTS(X)                                               \
+  /* task execution time */                                                 \
+  X(TaskExecNs, "task_exec_ns")                                             \
+  /* idle/steal-search spell length */                                      \
+  X(SearchNs, "search_ns")                                                  \
+  /* local push and pop latency */                                          \
+  X(PushNs, "push_ns")                                                      \
+  X(PopNs, "pop_ns")                                                        \
+  /* successful steal latency (attempt -> tasks landed) */                  \
+  X(StealNs, "steal_ns")                                                    \
+  /* termination wave latency (root only) */                                \
+  X(WaveNs, "wave_ns")                                                      \
+  /* detector probe round-trip time */                                      \
+  X(ProbeRttNs, "probe_rtt_ns")                                             \
+  /* critical-path depth of each executed dag node */                       \
+  X(DagNodeDepth, "dag_node_depth")
+
+#define SCIOTO_METRIC_ID(id, name) id,
+enum class Gauge : int { SCIOTO_METRIC_GAUGES(SCIOTO_METRIC_ID) kCount };
+enum class Hist : int { SCIOTO_METRIC_HISTS(SCIOTO_METRIC_ID) kCount };
+#undef SCIOTO_METRIC_ID
 
 inline constexpr int kNumCtrs = static_cast<int>(Ctr::kCount);
 inline constexpr int kNumGauges = static_cast<int>(Gauge::kCount);

@@ -21,8 +21,8 @@ const char* queue_mode_name(QueueMode mode) {
   return "?";
 }
 
-SplitQueue::SplitQueue(pgas::Runtime& rt, Config cfg)
-    : rt_(rt), cfg_(cfg) {
+SplitQueue::SplitQueue(pgas::Runtime& rt, Config cfg, TcStats& stats)
+    : rt_(rt), cfg_(cfg), stats_(stats) {
   SCIOTO_REQUIRE(cfg_.slot_bytes >= sizeof(std::uint64_t),
                  "slot_bytes too small: " << cfg_.slot_bytes);
   SCIOTO_REQUIRE(cfg_.capacity >= 2, "capacity too small: " << cfg_.capacity);
@@ -148,7 +148,6 @@ SplitQueue::PushOutcome SplitQueue::try_push_local(const std::byte* task,
                                                    int affinity) {
   Rank me = rt_.me();
   Ctl& c = ctl(me);
-  counters().pushes++;
   SCIOTO_METRIC_CTR(me, metrics::Ctr::QPushes, 1);
   TimeNs t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
 
@@ -256,7 +255,6 @@ bool SplitQueue::pop_local(std::byte* out) {
     c.split.store(pt - 1, std::memory_order_release);
     rt_.unlock(locks_, me);
     rt_.charge(rt_.machine().local_get);
-    counters().pops++;
     SCIOTO_TRACE_EVENT(me, trace::Ev::Pop, 0, 0, (pt - 1) - sh);
     SCIOTO_METRIC_CTR(me, metrics::Ctr::QPops, 1);
     metrics_owner_op(metrics::Hist::PopNs, t0);
@@ -291,7 +289,6 @@ bool SplitQueue::pop_local(std::byte* out) {
     c.priv_tail.store(pt - 1, std::memory_order_release);
   }
   rt_.charge(rt_.machine().local_get);
-  counters().pops++;
   SCIOTO_TRACE_EVENT(me, trace::Ev::Pop, 0, 0,
                      (pt - 1) - c.steal_head.load(std::memory_order_relaxed));
   SCIOTO_METRIC_CTR(me, metrics::Ctr::QPops, 1);
@@ -321,10 +318,9 @@ std::uint64_t SplitQueue::reacquire() {
   std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
   c.split.store(sp - take, std::memory_order_release);
   rt_.unlock(locks_, me);
-  counters().reacquires++;
+  SCIOTO_COUNT(me, stats_, reacquires, 1);
   SCIOTO_TRACE_EVENT(me, trace::Ev::Reacquire, take, 0,
                      c.priv_tail.load(std::memory_order_relaxed) - sh);
-  SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
   SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, take);
   metrics_queue_gauges();
   return take;
@@ -369,11 +365,10 @@ std::uint64_t SplitQueue::release_maybe() {
     sp = c.split.load(std::memory_order_relaxed);
     c.split.store(sp + give, std::memory_order_release);
   }
-  counters().releases++;
+  SCIOTO_COUNT(rt_.me(), stats_, releases, 1);
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::Release, give, 0,
                      c.priv_tail.load(std::memory_order_relaxed) -
                          c.steal_head.load(std::memory_order_relaxed));
-  SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::QReleases, 1);
   SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::QReleasedTasks, give);
   metrics_queue_gauges();
   return give;
@@ -442,7 +437,7 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
     int allowed = fault::truncate_steal(me, victim, static_cast<int>(n));
     if (allowed == 0) {
       rt_.unlock(locks_, victim);
-      counters().steals_aborted++;
+      stats_.steals_aborted++;
       SCIOTO_TRACE_EVENT(me, trace::Ev::StealAborted, victim, 0, 0);
       return 0;
     }
@@ -494,7 +489,7 @@ void SplitQueue::commit_steal(Rank victim) {
     if (f.fate == fault::Fate::Fail) {
       // A lost commit would make the victim replay a chunk we already
       // requeued, so commits retry past the drop budget (finite by plan).
-      counters().commit_retries++;
+      stats_.op_retries++;
       rt_.charge(fault::backoff(me, attempt++));
       rt_.relax();
       continue;
@@ -539,9 +534,8 @@ std::uint64_t SplitQueue::recover_open_txns() {
       }
     }
     rec.state.store(0, std::memory_order_release);
-    counters().tasks_recovered += n;
+    SCIOTO_COUNT(me, stats_, tasks_recovered, n);
     total += n;
-    SCIOTO_METRIC_CTR(me, metrics::Ctr::TasksRecovered, n);
     metrics_queue_gauges();
     SCIOTO_TRACE_EVENT(me, trace::Ev::TaskRecovered, t,
                        static_cast<std::uint64_t>(n), rt_.now() - t0);
@@ -671,8 +665,7 @@ std::uint64_t SplitQueue::drain_dead(Rank dead) {
   }
   rt_.unlock(locks_, dead);
   if (adopted > 0) {
-    counters().tasks_recovered += adopted;
-    SCIOTO_METRIC_CTR(me, metrics::Ctr::TasksRecovered, adopted);
+    SCIOTO_COUNT(me, stats_, tasks_recovered, adopted);
     metrics_queue_gauges();
     SCIOTO_TRACE_EVENT(me, trace::Ev::TaskRecovered, dead, adopted,
                        rt_.now() - t0);
@@ -769,14 +762,13 @@ std::uint64_t SplitQueue::flush_overflow() {
 }
 
 int SplitQueue::steal_from(Rank victim, std::byte* out) {
-  counters().steal_attempts++;
+  SCIOTO_COUNT(rt_.me(), stats_, steal_attempts, 1);
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealAttempt, victim, 0, 0);
-  SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::StealAttempts, 1);
   TimeNs t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
   int n = steal_from_locked(victim, out);
   if (n > 0) {
-    counters().steals_in++;
-    counters().tasks_stolen_in += static_cast<std::uint64_t>(n);
+    SCIOTO_COUNT(rt_.me(), stats_, steals, 1);
+    SCIOTO_COUNT(rt_.me(), stats_, tasks_stolen, n);
     SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealOk, victim, n, 0);
     if (cfg_.lineage_off != 0 && victim != rt_.me()) {
       // The thief stamps the migration into its landed copy (the
@@ -795,8 +787,6 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
                            rec.hops, rec.id);
       }
     }
-    SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::Steals, 1);
-    SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::TasksStolen, n);
     if (SCIOTO_METRICS_ON()) {
       // Attempt -> tasks landed in our buffer; the thief's own gauges are
       // untouched (the stolen chunk is not in its queue yet).
@@ -828,7 +818,6 @@ bool SplitQueue::add_remote(Rank target, const std::byte* task) {
   std::memcpy(slot(target, sh - 1), task, cfg_.slot_bytes);
   c.steal_head.store(sh - 1, std::memory_order_seq_cst);
   rt_.unlock(locks_, target);
-  counters().remote_adds++;
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::RemoteAdd, target, 0, 0);
   return true;
 }
@@ -900,7 +889,6 @@ void SplitQueue::reset_collective() {
     }
     overflow_.clear();
   }
-  counters() = Counters{};  // per-phase statistics start fresh
   rt_.barrier();
 }
 

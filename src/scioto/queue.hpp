@@ -58,6 +58,7 @@
 #include "control/knobs.hpp"
 #include "metrics/metrics.hpp"
 #include "pgas/runtime.hpp"
+#include "scioto/stats.hpp"
 
 namespace scioto {
 
@@ -107,22 +108,10 @@ class SplitQueue {
     bool steal_half = true;
   };
 
-  struct Counters {
-    std::uint64_t pushes = 0;
-    std::uint64_t pops = 0;
-    std::uint64_t releases = 0;
-    std::uint64_t reacquires = 0;
-    std::uint64_t steals_in = 0;        // successful steals we performed
-    std::uint64_t steal_attempts = 0;   // including empty-handed
-    std::uint64_t tasks_stolen_in = 0;  // tasks obtained by stealing
-    std::uint64_t remote_adds = 0;      // tasks we pushed to other ranks
-    std::uint64_t steals_aborted = 0;   // fault-truncated to zero tasks
-    std::uint64_t tasks_recovered = 0;  // replayed txns + adopted queues
-    std::uint64_t commit_retries = 0;   // dropped commit writes retried
-  };
-
-  /// Collective: allocates the queue segment and its lock set.
-  SplitQueue(pgas::Runtime& rt, Config cfg);
+  /// Collective: allocates the queue segment and its lock set. The queue
+  /// counts its steals, releases, reacquires and recovery work into
+  /// `stats` (the task collection passes its own block).
+  SplitQueue(pgas::Runtime& rt, Config cfg, TcStats& stats);
 
   /// Collective: releases shared space.
   void destroy();
@@ -214,7 +203,6 @@ class SplitQueue {
   control::KnobSet& knobs() { return knobs_; }
   const control::KnobSet& knobs() const { return knobs_; }
   std::size_t slot_bytes() const { return cfg_.slot_bytes; }
-  Counters& counters() { return counters_; }
   pgas::Runtime& runtime() { return rt_; }
 
   // ---- Test/debug inspection (no charges; not part of the model) ----
@@ -331,7 +319,7 @@ class SplitQueue {
   std::size_t txn_off_ = 0;
   std::size_t buf_off_ = 0;
   std::size_t slots_off_ = 0;
-  Counters counters_;
+  TcStats& stats_;
   /// chunk_max-sized scratch (fault mode only): a ward's drain_dead copy
   /// batches land here.
   std::vector<std::byte> drain_buf_;

@@ -131,24 +131,12 @@ void tc_reset(tc_t tc) { collection(tc).reset(); }
 void tc_stats_get(tc_t tc, scioto_stats_t* out) {
   SCIOTO_REQUIRE(out != nullptr, "tc_stats_get: null output pointer");
   scioto::TcStats g = collection(tc).stats_global();
-  out->tasks_executed = g.tasks_executed;
-  out->tasks_spawned_local = g.tasks_spawned_local;
-  out->tasks_spawned_remote = g.tasks_spawned_remote;
-  out->steals = g.steals;
-  out->steals_same_node = g.steals_same_node;
-  out->steal_attempts = g.steal_attempts;
-  out->tasks_stolen = g.tasks_stolen;
-  out->releases = g.releases;
-  out->reacquires = g.reacquires;
-  out->td_waves_voted = g.td_waves_voted;
-  out->td_black_votes = g.td_black_votes;
-  out->time_total_ns = g.time_total;
-  out->time_working_ns = g.time_working;
-  out->time_searching_ns = g.time_searching;
-  out->tasks_recovered = g.tasks_recovered;
-  out->steals_aborted = g.steals_aborted;
-  out->op_retries = g.op_retries;
-  out->td_resplices = g.td_resplices;
+#define SCIOTO_C_STATS_COPY(field, ...) out->field = g.field;
+#define SCIOTO_C_STATS_TIME(field) out->field##_ns = g.field;
+  SCIOTO_COUNTER_ROWS(SCIOTO_C_STATS_COPY, SCIOTO_C_STATS_COPY,
+                      SCIOTO_ROW_SKIP, SCIOTO_C_STATS_TIME)
+#undef SCIOTO_C_STATS_COPY
+#undef SCIOTO_C_STATS_TIME
 }
 
 task_t* tc_task_create(int body_sz, task_handle_t th) {

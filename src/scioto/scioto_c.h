@@ -23,6 +23,8 @@
 
 #include <cstdint>
 
+#include "metrics/counters.h"
+
 namespace scioto::pgas {
 class Runtime;
 }
@@ -40,28 +42,17 @@ typedef void (*tc_callback_t)(tc_t tc, task_t* task);
 
 enum { TC_AFFINITY_LOW = 0, TC_AFFINITY_HIGH = 1 };
 
-/// C view of scioto::TcStats: execution counters from the last
-/// tc_process(). Times are nanoseconds (virtual under the sim backend).
+/// C view of scioto::TcStats: execution counters since tc_create() or the
+/// last tc_reset(), one field per row of the counter table
+/// (metrics/counters.h). Times are nanoseconds (virtual under the sim
+/// backend); the fault-group counters stay zero without a fault plan.
 typedef struct scioto_stats {
-  uint64_t tasks_executed;
-  uint64_t tasks_spawned_local;
-  uint64_t tasks_spawned_remote;
-  uint64_t steals;
-  uint64_t steals_same_node;
-  uint64_t steal_attempts;
-  uint64_t tasks_stolen;
-  uint64_t releases;
-  uint64_t reacquires;
-  uint64_t td_waves_voted;
-  uint64_t td_black_votes;
-  int64_t time_total_ns;
-  int64_t time_working_ns;
-  int64_t time_searching_ns;
-  /* Resilience counters; all zero unless a fault plan was active. */
-  uint64_t tasks_recovered;
-  uint64_t steals_aborted;
-  uint64_t op_retries;
-  uint64_t td_resplices;
+#define SCIOTO_C_STATS_FIELD(field, ...) uint64_t field;
+#define SCIOTO_C_STATS_TIME(field) int64_t field##_ns;
+  SCIOTO_COUNTER_ROWS(SCIOTO_C_STATS_FIELD, SCIOTO_C_STATS_FIELD,
+                      SCIOTO_ROW_SKIP, SCIOTO_C_STATS_TIME)
+#undef SCIOTO_C_STATS_FIELD
+#undef SCIOTO_C_STATS_TIME
 } scioto_stats_t;
 
 /// Collective. Creates a task collection sized for descriptors with up to
@@ -77,8 +68,7 @@ void tc_add(tc_t tc, int proc, int affty, task_t* t);
 void tc_process(tc_t tc);
 /// Collective; rearms the collection for another phase.
 void tc_reset(tc_t tc);
-/// Collective: fills `out` with statistics summed over all ranks from the
-/// last tc_process().
+/// Collective: fills `out` with statistics summed over all ranks.
 void tc_stats_get(tc_t tc, scioto_stats_t* out);
 /// Queue mode of this collection ("split" or "no-split"); static storage,
 /// valid for the process lifetime.

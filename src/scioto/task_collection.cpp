@@ -31,31 +31,12 @@ struct PollWords {
   bool operator==(const PollWords&) const = default;
 };
 
-}  // namespace
+/// The counter table's row groups: FAULT rows print only when one of them
+/// is non-zero.
+constexpr bool kFaultGroup_MAIN = false;
+constexpr bool kFaultGroup_FAULT = true;
 
-TcStats& TcStats::operator+=(const TcStats& o) {
-  tasks_executed += o.tasks_executed;
-  tasks_spawned_local += o.tasks_spawned_local;
-  tasks_spawned_remote += o.tasks_spawned_remote;
-  steals += o.steals;
-  steals_same_node += o.steals_same_node;
-  steal_attempts += o.steal_attempts;
-  tasks_stolen += o.tasks_stolen;
-  releases += o.releases;
-  reacquires += o.reacquires;
-  td_waves_voted += o.td_waves_voted;
-  td_black_votes += o.td_black_votes;
-  td_marks_sent += o.td_marks_sent;
-  td_marks_skipped += o.td_marks_skipped;
-  tasks_recovered += o.tasks_recovered;
-  steals_aborted += o.steals_aborted;
-  op_retries += o.op_retries;
-  td_resplices += o.td_resplices;
-  time_total += o.time_total;
-  time_working += o.time_working;
-  time_searching += o.time_searching;
-  return *this;
-}
+}  // namespace
 
 Table tc_stats_table(const TcStats& s) {
   Table t({"metric", "value"});
@@ -68,29 +49,19 @@ Table tc_stats_table(const TcStats& s) {
   auto add_pct = [&](const char* name, double num, double den) {
     t.add_row({name, Table::fmt(den > 0 ? 100.0 * num / den : 0.0, 1)});
   };
-  add_u64("tasks_executed", s.tasks_executed);
-  add_u64("tasks_spawned_local", s.tasks_spawned_local);
-  add_u64("tasks_spawned_remote", s.tasks_spawned_remote);
-  add_u64("steals", s.steals);
-  add_u64("steals_same_node", s.steals_same_node);
-  add_u64("steal_attempts", s.steal_attempts);
-  add_u64("tasks_stolen", s.tasks_stolen);
-  add_u64("releases", s.releases);
-  add_u64("reacquires", s.reacquires);
-  add_u64("td_waves_voted", s.td_waves_voted);
-  add_u64("td_black_votes", s.td_black_votes);
-  add_u64("td_marks_sent", s.td_marks_sent);
-  add_u64("td_marks_skipped", s.td_marks_skipped);
-  if (s.tasks_recovered != 0 || s.steals_aborted != 0 || s.op_retries != 0 ||
-      s.td_resplices != 0) {
-    add_u64("tasks_recovered", s.tasks_recovered);
-    add_u64("steals_aborted", s.steals_aborted);
-    add_u64("op_retries", s.op_retries);
-    add_u64("td_resplices", s.td_resplices);
-  }
-  add_ms("time_total_ms", s.time_total);
-  add_ms("time_working_ms", s.time_working);
-  add_ms("time_searching_ms", s.time_searching);
+  bool fault = false;
+#define SCIOTO_TABLE_FAULT(field, group, ...) \
+  fault |= kFaultGroup_##group && s.field != 0;
+  SCIOTO_COUNTER_ROWS(SCIOTO_TABLE_FAULT, SCIOTO_TABLE_FAULT, SCIOTO_ROW_SKIP,
+                      SCIOTO_ROW_SKIP)
+#undef SCIOTO_TABLE_FAULT
+#define SCIOTO_TABLE_ROW(field, group, ...) \
+  if (fault || !kFaultGroup_##group) add_u64(#field, s.field);
+#define SCIOTO_TABLE_TIME(field) add_ms(#field "_ms", s.field);
+  SCIOTO_COUNTER_ROWS(SCIOTO_TABLE_ROW, SCIOTO_TABLE_ROW, SCIOTO_ROW_SKIP,
+                      SCIOTO_TABLE_TIME)
+#undef SCIOTO_TABLE_ROW
+#undef SCIOTO_TABLE_TIME
   add_pct("steal_success_pct", static_cast<double>(s.steals),
           static_cast<double>(s.steal_attempts));
   add_pct("working_pct", static_cast<double>(s.time_working),
@@ -250,14 +221,14 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
   // The queue's live KnobSet seeds from these TcConfig values; from here
   // on the queue and the steal path read through it, so set_knob (and the
   // controller) retune a running collection.
-  queue_ = std::make_unique<SplitQueue>(rt_, qc);
+  queue_ = std::make_unique<SplitQueue>(rt_, qc, stats_);
   if (control::active()) {
     control::attach(rt_.me(), &queue_->knobs());
   }
 
   TerminationDetector::Config tdc;
   tdc.color_optimization = cfg_.color_optimization;
-  td_ = std::make_unique<TerminationDetector>(rt_, tdc);
+  td_ = std::make_unique<TerminationDetector>(rt_, tdc, stats_);
 
   if (detect::active()) {
     // Collective: every rank allocates its heartbeat patch together.
@@ -368,8 +339,7 @@ void TaskCollection::add_raw(Rank where, int affinity,
   } else {
     ok = queue_->add_remote(where, scratch_.data());
     if (ok) {
-      stats_.tasks_spawned_remote++;
-      SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::RemoteSpawns, 1);
+      SCIOTO_COUNT(rt_.me(), stats_, tasks_spawned_remote, 1);
       // A remote add moves work: termination detection must know (§5.2).
       td_->note_lb_op(where);
     }
@@ -418,8 +388,7 @@ void TaskCollection::execute(std::byte* descriptor) {
     trace::record(rt_.me(), trace::Ev::TaskEnd, hdr->callback, 0,
                   rt_.now() - t0);
   }
-  stats_.tasks_executed++;
-  SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::TasksExecuted, 1);
+  SCIOTO_COUNT(rt_.me(), stats_, tasks_executed, 1);
   if (SCIOTO_METRICS_ON()) {
     metrics::hist_record(rt_.me(), metrics::Hist::TaskExecNs,
                          static_cast<std::uint64_t>(
@@ -765,7 +734,7 @@ void TaskCollection::process() {
                           << " (priv=" << queue_->private_size()
                           << " shared=" << queue_->shared_size()
                           << ") executed=" << stats_.tasks_executed
-                          << " steals=" << queue_->counters().steals_in);
+                          << " steals=" << stats_.steals);
     }
   }
 
@@ -779,22 +748,6 @@ void TaskCollection::leave_phase(TimeNs t_begin) {
   const TimeNs phase_dur = rt_.now() - t_begin;
   stats_.time_total += phase_dur;
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::PhaseEnd, 0, 0, phase_dur);
-  // Fold queue/TD counters into the stats snapshot.
-  const SplitQueue::Counters& qc = queue_->counters();
-  stats_.steals = qc.steals_in;
-  stats_.steal_attempts = qc.steal_attempts;
-  stats_.tasks_stolen = qc.tasks_stolen_in;
-  stats_.releases = qc.releases;
-  stats_.reacquires = qc.reacquires;
-  const TerminationDetector::Counters& tc = td_->counters();
-  stats_.td_waves_voted = tc.waves_voted;
-  stats_.td_black_votes = tc.black_votes;
-  stats_.td_marks_sent = tc.dirty_marks_sent;
-  stats_.td_marks_skipped = tc.dirty_marks_skipped;
-  stats_.tasks_recovered = qc.tasks_recovered;
-  stats_.steals_aborted = qc.steals_aborted;
-  stats_.op_retries = qc.commit_retries + tc.token_retries;
-  stats_.td_resplices = tc.resplices;
 }
 
 void TaskCollection::reset() {

@@ -33,6 +33,7 @@
 #include "detect/detect.hpp"
 #include "scioto/clo.hpp"
 #include "scioto/queue.hpp"
+#include "scioto/stats.hpp"
 #include "scioto/task.hpp"
 #include "scioto/termination.hpp"
 #include "scioto/victim.hpp"
@@ -88,33 +89,6 @@ struct TcConfig {
   /// beat the paper's fixed-chunk steals on UTS makespan (EXPERIMENTS.md,
   /// "Steal-half as the default"); false restores the paper's §5 steal.
   bool steal_half = true;
-};
-
-/// Aggregated execution statistics (per-rank, summable across ranks).
-struct TcStats {
-  std::uint64_t tasks_executed = 0;
-  std::uint64_t tasks_spawned_local = 0;
-  std::uint64_t tasks_spawned_remote = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t steals_same_node = 0;  // subset of steals (multicore topo)
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t tasks_stolen = 0;
-  std::uint64_t releases = 0;
-  std::uint64_t reacquires = 0;
-  std::uint64_t td_waves_voted = 0;
-  std::uint64_t td_black_votes = 0;
-  std::uint64_t td_marks_sent = 0;
-  std::uint64_t td_marks_skipped = 0;
-  // Fault-recovery work (all zero without an active fault session):
-  std::uint64_t tasks_recovered = 0;  // replayed txns + adopted queues
-  std::uint64_t steals_aborted = 0;   // steals truncated to zero tasks
-  std::uint64_t op_retries = 0;       // dropped commit/token sends retried
-  std::uint64_t td_resplices = 0;     // spanning-tree reconfigurations
-  TimeNs time_total = 0;
-  TimeNs time_working = 0;   // executing task callbacks
-  TimeNs time_searching = 0; // stealing + termination detection
-
-  TcStats& operator+=(const TcStats& o);
 };
 
 /// Renders a stats snapshot as a two-column metric/value table, including
@@ -243,7 +217,8 @@ class TaskCollection {
   }
 
   // ---- Statistics ----
-  /// This rank's counters from the last process() call.
+  /// This rank's counters over every process() since construction or the
+  /// last reset().
   const TcStats& stats_local() const { return stats_; }
   /// Collective: sum over all ranks.
   TcStats stats_global();
@@ -272,8 +247,7 @@ class TaskCollection {
   /// Builds this phase's hook list and runs the elastic entry. Returns
   /// false when the phase ended while this rank was still parked.
   bool attach_hooks();
-  /// Phase exit: the elastic sentinel, phase time, and the queue and
-  /// detector counters folded into stats_.
+  /// Phase exit: the elastic sentinel and the phase time.
   void leave_phase(TimeNs t_begin);
   LoopHook::Top hooks_top(bool idled);
   /// The least next_due of this phase's hooks; kForever with none.
@@ -314,6 +288,7 @@ class TaskCollection {
   /// Callback table (identical contents on every rank by SPMD discipline).
   CallbackRegistry registry_;
   std::unique_ptr<VictimPolicy> victims_;
+  /// This rank's counters; the queue and the detector count into it too.
   TcStats stats_;
   /// Searching time charged since the last Search trace event: one
   /// coalesced event per idle spell instead of one per poll.

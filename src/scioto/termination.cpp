@@ -21,11 +21,9 @@ std::atomic_ref<T> aref(T& word) {
 
 }  // namespace
 
-TerminationDetector::TerminationDetector(pgas::Runtime& rt)
-    : TerminationDetector(rt, Config{}) {}
-
-TerminationDetector::TerminationDetector(pgas::Runtime& rt, Config cfg)
-    : rt_(rt), cfg_(cfg) {
+TerminationDetector::TerminationDetector(pgas::Runtime& rt, Config cfg,
+                                         TcStats& stats)
+    : rt_(rt), cfg_(cfg), stats_(stats) {
   seg_ = rt_.seg_alloc(sizeof(TdCtl));
   if (rt_.me() == 0) {
     for (Rank r = 0; r < rt_.nprocs(); ++r) {
@@ -107,7 +105,7 @@ bool TerminationDetector::maybe_resplice(LocalState& st) {
   st.voted_wave = 0;
   st.self_black = !st.join_white;
   st.join_white = false;
-  counters_.resplices++;
+  stats_.td_resplices++;
   SCIOTO_TRACE_EVENT(me, trace::Ev::TreeRespliced, static_cast<long long>(e),
                      static_cast<long long>(st.alive.size()), 0);
   return true;
@@ -127,7 +125,7 @@ void TerminationDetector::put_token(Rank target, std::size_t offset,
                                     [[maybe_unused]] int what) {
   int retries = 0;
   rt_.put_word_reliable(seg_, target, offset, value, width, &retries);
-  counters_.token_retries += static_cast<std::uint64_t>(retries);
+  stats_.op_retries += static_cast<std::uint64_t>(retries);
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::TokenSend, target, what, 0);
 }
 
@@ -147,7 +145,6 @@ void TerminationDetector::reset_local() {
     st.kids[s] = c < rt_.nprocs() ? c : kNoRank;
   }
   state_ = std::move(st);
-  counters_ = Counters{};
 }
 
 void TerminationDetector::reset() {
@@ -162,7 +159,7 @@ void TerminationDetector::note_lb_op(Rank other) {
 
   if ((fault::active() || detect::active()) && !detect::alive(other)) {
     // A dead partner never votes again; our own black vote covers the op.
-    counters_.dirty_marks_skipped++;
+    stats_.td_marks_skipped++;
     return;
   }
   if (cfg_.color_optimization) {
@@ -170,13 +167,13 @@ void TerminationDetector::note_lb_op(Rank other) {
     // our own future vote will be black and forces the re-vote anyway.
     bool have_voted = st.voted_wave > 0 && st.voted_wave == st.wave_seen;
     if (!have_voted || is_descendant(st, other, rt_.me())) {
-      counters_.dirty_marks_skipped++;
+      stats_.td_marks_skipped++;
       return;
     }
   }
   put_token(other, offsetof(TdCtl, dirty), 1, sizeof(std::uint32_t),
             /*what=*/3);
-  counters_.dirty_marks_sent++;
+  stats_.td_marks_sent++;
 }
 
 void TerminationDetector::mark_self_black() {
@@ -285,8 +282,7 @@ TerminationDetector::Status TerminationDetector::step() {
       // Previous wave concluded (or none started): launch the next one.
       quiet = false;
       ++st.wave_seen;
-      counters_.waves_started++;
-      SCIOTO_METRIC_CTR(me, metrics::Ctr::TdWaves, 1);
+      SCIOTO_COUNT(me, stats_, waves_started, 1);
       st.wave_begin = SCIOTO_METRICS_ON() ? rt_.now() : 0;
       SCIOTO_TRACE_EVENT(me, trace::Ev::WaveStart, st.wave_seen, 0, 0);
       put_kids(st, offsetof(TdCtl, down_wave),
@@ -326,11 +322,9 @@ TerminationDetector::Status TerminationDetector::step() {
       bool black = children_black || st.self_black || dirty;
       st.self_black = false;
       st.voted_wave = st.wave_seen;
-      counters_.waves_voted++;
-      SCIOTO_METRIC_CTR(me, metrics::Ctr::TdVotes, 1);
+      SCIOTO_COUNT(me, stats_, td_waves_voted, 1);
       if (black) {
-        counters_.black_votes++;
-        SCIOTO_METRIC_CTR(me, metrics::Ctr::TdBlackVotes, 1);
+        SCIOTO_COUNT(me, stats_, td_black_votes, 1);
       }
       SCIOTO_TRACE_EVENT(me, trace::Ev::Vote, st.wave_seen, black ? 1 : 0, 0);
       if (root && SCIOTO_METRICS_ON()) {
@@ -360,17 +354,10 @@ TerminationDetector::Status TerminationDetector::step() {
   return Status::Working;
 }
 
-TerminationDetector::Counters TerminationDetector::counters_sum() const {
-  Counters local = counters();
-  Counters total;
-  total.waves_voted = rt_.allreduce_sum(local.waves_voted);
-  total.black_votes = rt_.allreduce_sum(local.black_votes);
-  total.dirty_marks_sent = rt_.allreduce_sum(local.dirty_marks_sent);
-  total.dirty_marks_skipped = rt_.allreduce_sum(local.dirty_marks_skipped);
-  total.waves_started = rt_.allreduce_sum(local.waves_started);
-  total.resplices = rt_.allreduce_sum(local.resplices);
-  total.token_retries = rt_.allreduce_sum(local.token_retries);
-  return total;
+TcStats TerminationDetector::counters_sum() const {
+  return rt_.allreduce(stats_, [](TcStats a, const TcStats& b) {
+    return a += b;
+  });
 }
 
 }  // namespace scioto

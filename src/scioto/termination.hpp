@@ -45,6 +45,7 @@
 #include <cstdint>
 
 #include "pgas/runtime.hpp"
+#include "scioto/stats.hpp"
 
 namespace scioto {
 
@@ -57,19 +58,10 @@ class TerminationDetector {
     bool color_optimization = true;
   };
 
-  struct Counters {
-    std::uint64_t waves_voted = 0;
-    std::uint64_t black_votes = 0;
-    std::uint64_t dirty_marks_sent = 0;
-    std::uint64_t dirty_marks_skipped = 0;
-    std::uint64_t waves_started = 0;   // root only
-    std::uint64_t resplices = 0;       // tree reconfigurations observed
-    std::uint64_t token_retries = 0;   // dropped token sends retried
-  };
-
-  /// Collective: allocates the token mailboxes.
-  TerminationDetector(pgas::Runtime& rt, Config cfg);
-  explicit TerminationDetector(pgas::Runtime& rt);
+  /// Collective: allocates the token mailboxes. The detector counts its
+  /// votes, waves, marks, resplices and token retries into `stats` (the
+  /// task collection passes its own block).
+  TerminationDetector(pgas::Runtime& rt, Config cfg, TcStats& stats);
 
   /// Collective: releases shared space.
   void destroy();
@@ -150,8 +142,8 @@ class TerminationDetector {
   /// this, an idle joiner would black out one extra full wave per join.
   void arm_join_white();
 
-  const Counters& counters() const { return counters_; }
-  Counters counters_sum() const;
+  /// Collective: the stats block summed over all ranks.
+  TcStats counters_sum() const;
 
  private:
   // Mailbox words are plain integers accessed exclusively through
@@ -221,7 +213,7 @@ class TerminationDetector {
   Config cfg_;
   pgas::SegId seg_ = -1;
   LocalState state_;
-  Counters counters_;
+  TcStats& stats_;
   bool quiet_ = false;
 };
 

@@ -7,6 +7,7 @@
 
 #include "base/error.hpp"
 #include "base/log.hpp"
+#include "control/knobs.hpp"
 #include "trace/trace.hpp"
 
 namespace scioto::trace {
@@ -211,8 +212,10 @@ void emit_event(std::ostream& os, const Event& e) {
       return;
     case Ev::KnobChange:
       emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"knob\":" << e.a
-         << ",\"value\":" << e.b << ",\"reason\":" << e.c << "}}";
+      os << ",\"s\":\"t\",\"args\":{\"knob\":\""
+         << control::knob_name(static_cast<control::Knob>(e.a))
+         << "\",\"value\":" << e.b << ",\"reason\":\""
+         << control::reason_name(static_cast<int>(e.c)) << "\"}}";
       return;
     case Ev::JoinRequest:
       emit_head(os, e, ev_name(e.kind), "i", e.t);

@@ -28,6 +28,7 @@
 #include "scioto/scioto_c.h"
 #include "scioto/task_collection.hpp"
 #include "test_util.hpp"
+#include "trace/export.hpp"
 #include "trace/trace.hpp"
 
 using namespace scioto;
@@ -388,6 +389,28 @@ TEST(CtlUts, LocalControllerExactAndDeterministicOverEightSeeds) {
     // eight schedules the controller cannot have sat on its hands.
     EXPECT_GT(total_decisions, 0u) << row.name;
   }
+}
+
+// A traced controller run exports each knob change under the names the
+// decision log uses, not as enum numbers.
+TEST(CtlUts, TraceExportNamesKnobAndReason) {
+  std::string json;
+  for (std::uint64_t seed = 1; seed <= 8 && json.empty(); ++seed) {
+    trace::start(8);
+    CtlRun run = run_uts_ctl(bursty_tree(), sim::test_machine(), seed);
+    if (run.stats.decisions > 0) json = trace::chrome_trace_json();
+    trace::stop();
+  }
+  ASSERT_FALSE(json.empty()) << "no knob change in eight seeds";
+  bool named = false;
+  for (int k = 0; k < kNumKnobs; ++k) {
+    const std::string arg = std::string("\"knob\":\"") +
+                            control::knob_name(static_cast<Knob>(k)) + "\"";
+    named = named || json.find(arg) != std::string::npos;
+  }
+  EXPECT_TRUE(named);
+  EXPECT_NE(json.find("\"reason\":\"high_cov\""), std::string::npos);
+  EXPECT_EQ(json.find("\"knob\":0"), std::string::npos);
 }
 
 // ---- The control plane's win condition, pinned ----

@@ -242,7 +242,8 @@ TEST(DetectFence, AdoptionFreezesOwnerQueueUntilFenceAck) {
         qc.capacity = 64;
         qc.chunk = 4;
         qc.mode = mode;
-        SplitQueue q(rt, qc);
+        TcStats st;
+        SplitQueue q(rt, qc, st);
         std::byte buf[kSlot];
         if (rt.me() == 0) {
           for (std::uint64_t i = 0; i < 6; ++i) {
@@ -327,7 +328,8 @@ TEST(DetectFence, ConcurrentAdoptionVsOwnerPushThreads) {
           qc.slot_bytes = kSlot;
           qc.capacity = 8192;
           qc.chunk = 8;
-          SplitQueue q(rt, qc);
+          TcStats st;
+          SplitQueue q(rt, qc, st);
           std::byte buf[kSlot];
           auto drain_mine = [&] {
             std::vector<std::uint64_t> ids;

@@ -303,16 +303,14 @@ TEST_P(MetricsReconcile, UtsCountersAgreeWithTcStatsAndTrace) {
   std::vector<trace::Event> evs = trace::all_events();
   trace::stop();
 
-  // Metrics counters vs the scheduler's own TcStats: the increments sit at
-  // the same sites, so the totals must agree exactly on both backends.
-  EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::TasksExecuted),
-            res.stats.tasks_executed);
-  EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::Steals), res.stats.steals);
-  EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::StealAttempts),
-            res.stats.steal_attempts);
-  EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::TasksStolen),
-            res.stats.tasks_stolen);
-  EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::QReleases), res.stats.releases);
+  // Metrics counters vs the scheduler's own TcStats: one call bumps both
+  // sides of every twin row, so the totals must agree exactly on both
+  // backends.
+#define EXPECT_TWIN(field, group, id, name)                          \
+  EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::id), res.stats.field) << name;
+  SCIOTO_COUNTER_ROWS(SCIOTO_ROW_SKIP, EXPECT_TWIN, SCIOTO_ROW_SKIP,
+                      SCIOTO_ROW_SKIP)
+#undef EXPECT_TWIN
   EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::TasksSpawned),
             res.stats.tasks_spawned_local + res.stats.tasks_spawned_remote);
 

@@ -48,7 +48,8 @@ class QueueBackends : public ::testing::TestWithParam<BackendKind> {};
 
 TEST_P(QueueBackends, LocalPushPopIsLifo) {
   testing::run(1, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg());
+    TcStats st;
+    SplitQueue q(rt, qcfg(), st);
     std::byte buf[kSlot];
     for (std::uint64_t i = 0; i < 10; ++i) {
       make_slot(buf, i);
@@ -67,7 +68,8 @@ TEST_P(QueueBackends, LocalPushPopIsLifo) {
 
 TEST_P(QueueBackends, ReleaseMovesOldestTasksToShared) {
   testing::run(1, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg(1024, /*chunk=*/4));
+    TcStats st;
+    SplitQueue q(rt, qcfg(1024, /*chunk=*/4), st);
     std::byte buf[kSlot];
     // Push 10; release threshold is 8, so release_maybe moves half.
     for (std::uint64_t i = 0; i < 10; ++i) {
@@ -88,7 +90,8 @@ TEST_P(QueueBackends, ReleaseMovesOldestTasksToShared) {
 
 TEST_P(QueueBackends, ReacquirePullsSharedBack) {
   testing::run(1, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg());
+    TcStats st;
+    SplitQueue q(rt, qcfg(), st);
     std::byte buf[kSlot];
     for (std::uint64_t i = 0; i < 12; ++i) {
       make_slot(buf, i);
@@ -110,7 +113,8 @@ TEST_P(QueueBackends, ReacquirePullsSharedBack) {
 
 TEST_P(QueueBackends, LowAffinityEntersStealEnd) {
   testing::run(2, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg(1024, /*chunk=*/1));
+    TcStats st;
+    SplitQueue q(rt, qcfg(1024, /*chunk=*/1), st);
     std::byte buf[kSlot];
     if (rt.me() == 0) {
       make_slot(buf, 111);  // low affinity: should be stolen first
@@ -139,7 +143,8 @@ TEST_P(QueueBackends, LowAffinityEntersStealEnd) {
 
 TEST_P(QueueBackends, StealTakesChunkFromOldestEnd) {
   testing::run(2, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg(1024, /*chunk=*/3));
+    TcStats st;
+    SplitQueue q(rt, qcfg(1024, /*chunk=*/3), st);
     std::byte buf[kSlot];
     if (rt.me() == 0) {
       for (std::uint64_t i = 0; i < 10; ++i) {
@@ -166,7 +171,8 @@ TEST_P(QueueBackends, StealTakesChunkFromOldestEnd) {
 
 TEST_P(QueueBackends, StealFromEmptyReturnsZero) {
   testing::run(2, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg());
+    TcStats st;
+    SplitQueue q(rt, qcfg(), st);
     rt.barrier();
     if (rt.me() == 1) {
       std::byte out[4 * kSlot];
@@ -180,7 +186,8 @@ TEST_P(QueueBackends, StealFromEmptyReturnsZero) {
 
 TEST_P(QueueBackends, RemoteAddLandsAtStealEnd) {
   testing::run(2, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg(1024, /*chunk=*/2));
+    TcStats st;
+    SplitQueue q(rt, qcfg(1024, /*chunk=*/2), st);
     std::byte buf[kSlot];
     if (rt.me() == 1) {
       make_slot(buf, 999);
@@ -202,7 +209,8 @@ TEST_P(QueueBackends, RemoteAddLandsAtStealEnd) {
 
 TEST_P(QueueBackends, CapacityEnforced) {
   testing::run(1, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg(/*cap=*/8));
+    TcStats st;
+    SplitQueue q(rt, qcfg(/*cap=*/8), st);
     std::byte buf[kSlot];
     for (std::uint64_t i = 0; i < 8; ++i) {
       make_slot(buf, i);
@@ -218,7 +226,8 @@ TEST_P(QueueBackends, CapacityEnforced) {
 
 TEST_P(QueueBackends, WrapAroundPreservesContents) {
   testing::run(1, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg(/*cap=*/16));
+    TcStats st;
+    SplitQueue q(rt, qcfg(/*cap=*/16), st);
     std::byte buf[kSlot];
     std::uint64_t next_id = 0;
     // Cycle push/pop far past the capacity to force index wrap.
@@ -239,7 +248,8 @@ TEST_P(QueueBackends, WrapAroundPreservesContents) {
 
 TEST_P(QueueBackends, ResetEmptiesAllQueues) {
   testing::run(3, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg());
+    TcStats st;
+    SplitQueue q(rt, qcfg(), st);
     std::byte buf[kSlot];
     make_slot(buf, static_cast<std::uint64_t>(rt.me()));
     ASSERT_TRUE(q.push_local(buf, kAffinityHigh));
@@ -252,7 +262,8 @@ TEST_P(QueueBackends, ResetEmptiesAllQueues) {
 
 TEST_P(QueueBackends, NoSplitModeStillMovesTasks) {
   testing::run(2, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg(1024, /*chunk=*/2, QueueMode::NoSplit));
+    TcStats st;
+    SplitQueue q(rt, qcfg(1024, /*chunk=*/2, QueueMode::NoSplit), st);
     std::byte buf[kSlot];
     if (rt.me() == 0) {
       for (std::uint64_t i = 0; i < 6; ++i) {
@@ -283,7 +294,8 @@ TEST_P(QueueBackends, NoSplitModeStillMovesTasks) {
 // can claim it.
 TEST_P(QueueBackends, RemoteAddVisibleToOwnerAndThieves) {
   testing::run(3, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg(1024, /*chunk=*/2));
+    TcStats st;
+    SplitQueue q(rt, qcfg(1024, /*chunk=*/2), st);
     std::byte buf[kSlot];
     if (rt.me() == 1) {
       make_slot(buf, 777);
@@ -317,7 +329,8 @@ TEST_P(QueueBackends, ChunkFlipTakesLiveWidthOldestFirst) {
     SplitQueue::Config c = qcfg(4096, /*chunk=*/3);
     c.chunk_max = 8;
     c.steal_half = false;
-    SplitQueue q(rt, c);
+    TcStats st;
+    SplitQueue q(rt, c, st);
     control::KnobSet& knobs = q.knobs();
     std::byte buf[kSlot];
     if (rt.me() == 0) {
@@ -361,7 +374,8 @@ TEST_P(QueueBackends, ChunkFlipTakesLiveWidthOldestFirst) {
 // steals. Exact id-set conservation after every round.
 TEST_P(QueueBackends, StealEndWraparoundConservation) {
   testing::run(2, GetParam(), [&](Runtime& rt) {
-    SplitQueue q(rt, qcfg(/*cap=*/8, /*chunk=*/4));
+    TcStats st;
+    SplitQueue q(rt, qcfg(/*cap=*/8, /*chunk=*/4), st);
     std::byte buf[kSlot];
     std::vector<std::byte> out(4 * kSlot);
     std::uint64_t sum = 0, count = 0;
@@ -406,7 +420,8 @@ TEST(QueueStealThreads, OneVictimManyThievesKnobFlipConservation) {
     SplitQueue::Config c = qcfg(4096, /*chunk=*/4);
     c.release_threshold = 4;
     c.steal_half = true;
-    SplitQueue q(rt, c);
+    TcStats st;
+    SplitQueue q(rt, c, st);
     // Per-rank queue object: its KnobSet is thief-side policy, TSan-clean.
     control::KnobSet& knobs = q.knobs();
     pgas::SegId flag_seg = rt.seg_alloc(64);
@@ -517,7 +532,8 @@ TEST_P(QueueStealProperty, NoLossNoDuplication) {
 
   testing::run(nranks, kind, [&, chunk = chunk, mode = mode](Runtime& rt) {
     auto c = qcfg(4096, chunk, mode);
-    SplitQueue q(rt, c);
+    TcStats st;
+    SplitQueue q(rt, c, st);
     std::byte buf[kSlot];
     if (rt.me() == 0) {
       for (std::uint64_t i = 0; i < kTasks; ++i) {

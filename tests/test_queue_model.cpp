@@ -275,7 +275,8 @@ void spin_phase(SplitQueue& q, int cycles, std::uint64_t* next_id) {
 /// starting each sequence at the given ring phase.
 void run_enumeration(bool half, int len, int phase_cycles) {
   testing::run_sim(1, [&](Runtime& rt) {
-    SplitQueue q(rt, model_cfg(half));
+    TcStats st;
+    SplitQueue q(rt, model_cfg(half), st);
     std::uint64_t next_id = 1;
     long total = 1;
     for (int i = 0; i < len; ++i) total *= kNumOps;
@@ -325,7 +326,8 @@ TEST(QueueModel, ExhaustiveLength4AcrossKnobsAndPhases) {
 // every transition.
 TEST(QueueModel, RandomWalkLongWrap) {
   testing::run_sim(1, [&](Runtime& rt) {
-    SplitQueue q(rt, model_cfg(/*half=*/true));
+    TcStats st;
+    SplitQueue q(rt, model_cfg(/*half=*/true), st);
     Model m;
     std::multiset<std::uint64_t> removed;
     std::uint64_t next_id = 1, pushed = 0;

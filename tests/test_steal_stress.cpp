@@ -67,7 +67,8 @@ class StealStressModeThreads
 TEST_P(StealStressModeThreads, OneVictimManyThievesConservation) {
   constexpr std::uint64_t kTasks = 2000;
   testing::run_threads(kRanks, [&](Runtime& rt) {
-    SplitQueue q(rt, stress_cfg(GetParam()));
+    TcStats st;
+    SplitQueue q(rt, stress_cfg(GetParam()), st);
     pgas::SegId flag_seg = rt.seg_alloc(64);
     auto* done =
         reinterpret_cast<std::atomic<std::uint64_t>*>(rt.seg_ptr(flag_seg, 0));

@@ -15,6 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "apps/uts/uts.hpp"
+#include "apps/uts/uts_drivers.hpp"
+#include "base/sha1.hpp"
 #include "dag/dag.hpp"
 #include "pgas/sim_backend.hpp"
 #include "scioto/scioto_c.h"
@@ -715,6 +718,54 @@ TEST(TcIdle, ArmedPeriodicHookSleepsToItsDeadline) {
         << "period " << period << ": " << sleeping.resumes << " vs "
         << polling.resumes << " resumes";
   }
+}
+
+// The stats table of a fixed sim UTS run, with and without the fault
+// group, is pinned byte for byte; and the C view of the stats carries
+// every counter the C++ one does.
+TEST(TcStatsTable, PinnedForSimUtsAndCViewMatches) {
+  TcStats uts;
+  testing::run_sim(8, [&](Runtime& rt) {
+    apps::UtsRunConfig rc;
+    rc.chunk = 4;
+    apps::UtsResult r = apps::uts_run_scioto(rt, apps::uts_small(), rc);
+    if (rt.me() == 0) uts = r.stats;
+  });
+  TcStats faulted = uts;
+  faulted.td_resplices = 1;
+  const std::string text = tc_stats_table(uts).render("uts") +
+                           tc_stats_table(faulted).render("faulted");
+  EXPECT_EQ(Sha1::hex(Sha1::hash(text.data(), text.size())),
+            "fe4fea7da796dab3d6e053590a23650aa1d1eddd")
+      << text;
+
+  testing::run_sim(3, [&](Runtime& rt) {
+    capi::RuntimeBinding bind(rt);
+    tc_t tc = tc_create(16, 2, 1024);
+    task_handle_t h = tc_register_callback(tc, [](tc_t, task_t*) {
+      capi::bound_runtime().charge(us(5));
+    });
+    task_t* task = tc_task_create(0, h);
+    if (tc_mype() == 0) {
+      for (int i = 0; i < 60; ++i) {
+        tc_add(tc, 0, i % 2 ? TC_AFFINITY_HIGH : TC_AFFINITY_LOW, task);
+        tc_task_reuse(task);
+      }
+    }
+    tc_process(tc);
+    scioto_stats_t c;
+    tc_stats_get(tc, &c);  // collective
+    const TcStats s = capi::lookup_collection(tc).stats_global();
+    EXPECT_GT(s.steals, 0u);
+#define EXPECT_C_FIELD(field, ...) EXPECT_EQ(c.field, s.field) << #field;
+#define EXPECT_C_TIME(field) EXPECT_EQ(c.field##_ns, s.field) << #field;
+    SCIOTO_COUNTER_ROWS(EXPECT_C_FIELD, EXPECT_C_FIELD, SCIOTO_ROW_SKIP,
+                        EXPECT_C_TIME)
+#undef EXPECT_C_FIELD
+#undef EXPECT_C_TIME
+    tc_task_destroy(task);
+    tc_destroy(tc);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TcBackends,

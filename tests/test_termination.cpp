@@ -24,7 +24,8 @@ class TdBackends : public ::testing::TestWithParam<BackendKind> {};
 TEST_P(TdBackends, ImmediateTerminationWhenNothingHappens) {
   for (int n : {1, 2, 3, 8, 17}) {
     testing::run(n, GetParam(), [&](Runtime& rt) {
-      TerminationDetector td(rt);
+      TcStats st;
+      TerminationDetector td(rt, {}, st);
       td.reset();
       int steps = 0;
       while (td.step() == TerminationDetector::Status::Working) {
@@ -39,7 +40,8 @@ TEST_P(TdBackends, ImmediateTerminationWhenNothingHappens) {
 
 TEST_P(TdBackends, ReusableAcrossPhases) {
   testing::run(4, GetParam(), [&](Runtime& rt) {
-    TerminationDetector td(rt);
+    TcStats st;
+    TerminationDetector td(rt, {}, st);
     for (int phase = 0; phase < 3; ++phase) {
       td.reset();
       int steps = 0;
@@ -55,7 +57,8 @@ TEST_P(TdBackends, ReusableAcrossPhases) {
 
 TEST_P(TdBackends, LbOpForcesBlackVoteAndRevote) {
   testing::run(4, GetParam(), [&](Runtime& rt) {
-    TerminationDetector td(rt);
+    TcStats st;
+    TerminationDetector td(rt, {}, st);
     td.reset();
     // Rank 3 "moves work" once before going idle: at least one wave must
     // come back black, and detection still completes.
@@ -68,7 +71,7 @@ TEST_P(TdBackends, LbOpForcesBlackVoteAndRevote) {
       ASSERT_LT(++steps, 1000000);
     }
     auto sum = td.counters_sum();
-    EXPECT_GE(sum.black_votes, 1u);
+    EXPECT_GE(sum.td_black_votes, 1u);
     td.destroy();
   });
 }
@@ -81,7 +84,8 @@ TEST_P(TdBackends, NeverFiresWhileRanksAreBusy) {
   std::atomic<int> busy_ranks{kRanks};
   std::atomic<bool> early{false};
   testing::run(kRanks, GetParam(), [&](Runtime& rt) {
-    TerminationDetector td(rt);
+    TcStats st;
+    TerminationDetector td(rt, {}, st);
     td.reset();
     // Deterministic staggered busy phases: rank r is busy for r rounds of
     // work; each round ends with an LB op against the next rank.
@@ -114,12 +118,13 @@ TEST_P(TdBackends, ColoringOptimizationSkipsMarks) {
   testing::run(4, GetParam(), [&](Runtime& rt) {
     TerminationDetector::Config cfg;
     cfg.color_optimization = true;
-    TerminationDetector td(rt, cfg);
+    TcStats st;
+    TerminationDetector td(rt, cfg, st);
     td.reset();
     if (rt.me() == 2) {
       td.note_lb_op(0);  // before any vote: must be skipped
-      EXPECT_EQ(td.counters().dirty_marks_sent, 0u);
-      EXPECT_EQ(td.counters().dirty_marks_skipped, 1u);
+      EXPECT_EQ(st.td_marks_sent, 0u);
+      EXPECT_EQ(st.td_marks_skipped, 1u);
     }
     int steps = 0;
     while (td.step() == TerminationDetector::Status::Working) {
@@ -134,12 +139,13 @@ TEST_P(TdBackends, WithoutOptimizationMarksAreSent) {
   testing::run(4, GetParam(), [&](Runtime& rt) {
     TerminationDetector::Config cfg;
     cfg.color_optimization = false;
-    TerminationDetector td(rt, cfg);
+    TcStats st;
+    TerminationDetector td(rt, cfg, st);
     td.reset();
     if (rt.me() == 2) {
       td.note_lb_op(0);
-      EXPECT_EQ(td.counters().dirty_marks_sent, 1u);
-      EXPECT_EQ(td.counters().dirty_marks_skipped, 0u);
+      EXPECT_EQ(st.td_marks_sent, 1u);
+      EXPECT_EQ(st.td_marks_skipped, 0u);
     }
     int steps = 0;
     while (td.step() == TerminationDetector::Status::Working) {
@@ -157,7 +163,8 @@ TEST_P(TdBackends, DescendantRuleSkipsMark) {
   // rank 1 (child of 0) marking rank 3 (its own child) skips once voted;
   // we exercise the accounting by noting ops at both protocol stages.
   testing::run(7, GetParam(), [&](Runtime& rt) {
-    TerminationDetector td(rt);
+    TcStats st;
+    TerminationDetector td(rt, {}, st);
     td.reset();
     int steps = 0;
     while (td.step() == TerminationDetector::Status::Working) {
@@ -167,12 +174,12 @@ TEST_P(TdBackends, DescendantRuleSkipsMark) {
     // After termination every rank has voted; marking a descendant now
     // must be skipped, a non-descendant must be sent.
     if (rt.me() == 1) {
-      auto before = td.counters();
+      auto before = st;
       td.note_lb_op(3);  // 3 is a child of 1 -> descendant -> skip
-      EXPECT_EQ(td.counters().dirty_marks_skipped,
-                before.dirty_marks_skipped + 1);
+      EXPECT_EQ(st.td_marks_skipped,
+                before.td_marks_skipped + 1);
       td.note_lb_op(2);  // sibling subtree -> must mark
-      EXPECT_EQ(td.counters().dirty_marks_sent, before.dirty_marks_sent + 1);
+      EXPECT_EQ(st.td_marks_sent, before.td_marks_sent + 1);
     }
     rt.barrier();
     td.destroy();
@@ -190,11 +197,12 @@ TEST_P(TdBackends, BlackVoteConsumesDirtyMark) {
   testing::run(7, GetParam(), [&](Runtime& rt) {
     TerminationDetector::Config cfg;
     cfg.color_optimization = false;
-    TerminationDetector td(rt, cfg);
+    TcStats st;
+    TerminationDetector td(rt, cfg, st);
     td.reset();
     if (rt.me() == 3) {
       td.note_lb_op(1);
-      EXPECT_EQ(td.counters().dirty_marks_sent, 1u);
+      EXPECT_EQ(st.td_marks_sent, 1u);
     }
     rt.barrier();  // the mark has landed before any wave starts
     int steps = 0;
@@ -204,7 +212,7 @@ TEST_P(TdBackends, BlackVoteConsumesDirtyMark) {
     }
     auto sum = td.counters_sum();
     EXPECT_EQ(sum.waves_started, 2u) << "stale dirty mark blacked out a wave";
-    EXPECT_EQ(sum.black_votes, 3u);
+    EXPECT_EQ(sum.td_black_votes, 3u);
     td.destroy();
   });
 }
@@ -236,13 +244,14 @@ TEST(TdFaultSim, VictimDeathAfterStealNeverFiresEarly) {
   ::unsetenv("SCIOTO_DETECTOR");
   fault::start(kRanks, fault::FaultPlan{}, 7);
   testing::run_sim(kRanks, [&](Runtime& rt) {
-    TerminationDetector td(rt);
+    TcStats st;
+    TerminationDetector td(rt, {}, st);
     td.reset();
     if (rt.me() == kVictim) {
       // Step until this rank has cast at least one (white) vote. Global
       // termination cannot complete yet: the thief has not voted.
       int steps = 0;
-      while (td.counters().waves_voted == 0) {
+      while (st.td_waves_voted == 0) {
         if (td.step() != TerminationDetector::Status::Working) {
           early.store(true);
           break;
@@ -295,7 +304,8 @@ TEST(TdSim, DetectionCostScalesLogarithmically) {
   auto detect_time = [](int n) {
     TimeNs t = 0;
     testing::run_sim(n, [&](Runtime& rt) {
-      TerminationDetector td(rt);
+      TcStats st;
+      TerminationDetector td(rt, {}, st);
       td.reset();
       rt.barrier();
       TimeNs t0 = rt.now();
