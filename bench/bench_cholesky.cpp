@@ -117,14 +117,13 @@ int main(int argc, char** argv) {
     trace::lineage_table(rep).print(
         "lineage span analytics, DAG schedule at max tiles");
     // The TC runs one dispatch task per *firing*, and a node whose
-    // conflict-group CAS lost (or whose version gate was not open yet)
-    // parks and re-fires as a fresh task -- so lineage execs exceed tile
-    // kernels by exactly the re-dispatches.
+    // conflict-group CAS lost parks and re-fires as a fresh task -- so
+    // lineage execs exceed tile kernels by exactly the re-dispatches.
     SCIOTO_CHECK_MSG(rep.execs >= tasks_run,
                      "lineage execs " << rep.execs
                                       << " < tile tasks " << tasks_run);
     std::printf("lineage: %llu dispatch tasks for %llu tile kernels "
-                "(%llu conflict/version re-fires)\n",
+                "(%llu conflict re-fires)\n",
                 static_cast<unsigned long long>(rep.execs),
                 static_cast<unsigned long long>(tasks_run),
                 static_cast<unsigned long long>(rep.execs - tasks_run));

@@ -47,12 +47,11 @@ int main(int argc, char** argv) {
               threads ? "threads" : "sim", res.residual,
               ok ? "OK" : "FAILED");
   std::printf("dag: %llu tasks (%llu fired remotely), depth %llu, "
-              "%llu conflict retries, %llu version waits, %.3f ms %s\n",
+              "%llu conflict retries, %.3f ms %s\n",
               static_cast<unsigned long long>(res.dag.nodes_run),
               static_cast<unsigned long long>(res.dag.remote_fires),
               static_cast<unsigned long long>(res.dag.max_depth),
               static_cast<unsigned long long>(res.dag.conflict_retries),
-              static_cast<unsigned long long>(res.dag.version_waits),
               res.elapsed_ms, threads ? "wall" : "virtual");
   return ok ? 0 : 1;
 }

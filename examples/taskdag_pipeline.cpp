@@ -6,11 +6,10 @@
 // in shared space with one-sided decrements while ready tasks still
 // migrate through the normal work-stealing scheduler. Cell values live in
 // a Global Array: tasks read their predecessors' results one-sided and
-// write their own. Each edge additionally carries a data-version record
-// naming the produced cell, so a consumer only fires after the producer's
-// payload is fenced and its version bump has landed -- read-after-write
-// safety with no barrier, even when the ready decrement (a cheap control
-// message) overtakes the data on the wire.
+// write their own. Each edge additionally carries a data record naming the
+// produced cell, so the producer fences the cell's owner before its
+// decrement can fire the consumer -- read-after-write safety with no
+// barrier.
 //
 //   ./taskdag_pipeline --ranks 8 --grid 12
 #include <algorithm>
@@ -56,8 +55,8 @@ int main(int argc, char** argv) {
             });
       }
     }
-    // Version-carrying edge: (pi, pj) produced the cell the successor
-    // reads, so name those bytes on the edge.
+    // Data edge: (pi, pj) produced the cell the successor reads, so name
+    // those bytes on the edge.
     auto cell_edge = [&](int pi, int pj, int si, int sj) {
       dag::DataDep dep;
       dep.seg = grid.seg();
@@ -101,12 +100,10 @@ int main(int argc, char** argv) {
       ok = err == 0.0;
       std::printf("wavefront %dx%d on %d ranks: max_err=%.1f -> %s\n", g, g,
                   rt.nprocs(), err, ok ? "OK" : "FAILED");
-      std::printf("dag: %llu nodes run (%llu fired remotely), depth %llu, "
-                  "%llu version waits\n",
+      std::printf("dag: %llu nodes run (%llu fired remotely), depth %llu\n",
                   static_cast<unsigned long long>(ds.nodes_run),
                   static_cast<unsigned long long>(ds.remote_fires),
-                  static_cast<unsigned long long>(ds.max_depth),
-                  static_cast<unsigned long long>(ds.version_waits));
+                  static_cast<unsigned long long>(ds.max_depth));
       if (rt.simulated()) {
         std::printf("virtual makespan: %.3f ms (critical path %d stages x "
                     "20 us)\n",

@@ -137,7 +137,7 @@ CholeskyResult cholesky_dag(pgas::Runtime& rt, const CholeskyConfig& cfg) {
   TileBuf tb(b);
 
   auto tile_owner = [&](int i) { return m.owner_of_row(i * b); };
-  // Version record naming tile (i, j)'s bytes: b rows of n doubles
+  // Data record naming tile (i, j)'s bytes: b rows of n doubles
   // starting at the tile's first element inside the owner's panel.
   auto tile_dep = [&](int i, int j) {
     dag::DataDep d;
@@ -192,7 +192,7 @@ CholeskyResult cholesky_dag(pgas::Runtime& rt, const CholeskyConfig& cfg) {
   }
   for (int k = 0; k < nt; ++k) {
     // Everything that downdated tile (k, k) must land before potrf reads
-    // it; the data edge carries the tile's version.
+    // it; the data edge names the tile's owner to fence.
     for (int kp = 0; kp < k; ++kp) {
       dg.add_edge(upd_id[static_cast<std::size_t>((k * nt + k) * nt + kp)],
                   potrf_id[static_cast<std::size_t>(k)], tile_dep(k, k));

@@ -6,9 +6,8 @@
 // dense true-dependence structure, so it exercises everything src/dag
 // adds: dependency edges (potrf -> trsm -> update chains), conflict
 // groups (the k-indexed downdates of one trailing tile commute, so they
-// only need mutual exclusion, not order), and data-version edges (a
-// consumer must not fire until the producer's tile bytes are fenced,
-// even when the ready decrement overtakes them).
+// only need mutual exclusion, not order), and data edges (the producer
+// fences its tile's owner before the decrement that fires a consumer).
 //
 // Two schedules over the identical tile kernels and identical virtual
 // charges:

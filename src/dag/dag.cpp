@@ -55,7 +55,6 @@ DagScheduler::DagScheduler(TaskCollection& tc, DagConfig cfg)
       tc_.register_callback([this](TaskContext& ctx) { run_node(ctx); });
   const std::size_t n = static_cast<std::size_t>(rt_.nprocs());
   slots_per_rank_.assign(n, 0);
-  vslots_per_rank_.assign(n, 0);
   desc_stride_ = align_up(
       sizeof(DynHeader) +
           static_cast<std::size_t>(cfg_.max_dynamic_succ) * sizeof(NodeId) +
@@ -106,17 +105,12 @@ void DagScheduler::add_edge(NodeId pred, NodeId succ, const DataDep& data) {
                      data.owner < rt_.nprocs(),
                  "add_edge: malformed DataDep (seg=" << data.seg << ", owner="
                      << data.owner << ", len=" << data.len << ")");
-  add_edge(pred, succ);  // the version edge is also a control edge
-  Node& s = nodes_[static_cast<std::size_t>(succ)];
-  VEdge e;
-  e.pred = pred;
-  e.succ = succ;
-  e.data = data;
-  e.slot = vslots_per_rank_[static_cast<std::size_t>(s.home)]++;
-  const auto ei = static_cast<std::int32_t>(vedges_.size());
-  vedges_.push_back(e);
-  s.vin.push_back(ei);
-  nodes_[static_cast<std::size_t>(pred)].vout.push_back(ei);
+  add_edge(pred, succ);
+  std::vector<Rank>& owners =
+      nodes_[static_cast<std::size_t>(pred)].fence_owners;
+  if (std::find(owners.begin(), owners.end(), data.owner) == owners.end()) {
+    owners.push_back(data.owner);
+  }
 }
 
 GroupId DagScheduler::conflict_group() {
@@ -252,17 +246,13 @@ void DagScheduler::execute() {
   // Control-segment layout: identical on every rank (maxima over ranks).
   const int n = rt_.nprocs();
   std::int64_t max_slots = 1;
-  std::int64_t max_vslots = 1;
   for (int r = 0; r < n; ++r) {
     max_slots = std::max(max_slots, slots_per_rank_[static_cast<std::size_t>(r)]);
-    max_vslots =
-        std::max(max_vslots, vslots_per_rank_[static_cast<std::size_t>(r)]);
   }
   const std::int64_t lock_slots =
       std::max<std::int64_t>((ngroups_ + n - 1) / n, 1);
   ctr_base_ = sizeof(std::int64_t);  // word 0: dynamic-arena cursor
-  v_base_ = ctr_base_ + static_cast<std::size_t>(max_slots) * 8;
-  lock_base_ = v_base_ + static_cast<std::size_t>(max_vslots) * 8;
+  lock_base_ = ctr_base_ + static_cast<std::size_t>(max_slots) * 8;
   dyn_ctr_base_ = lock_base_ + static_cast<std::size_t>(lock_slots) * 8;
   desc_base_ =
       dyn_ctr_base_ + static_cast<std::size_t>(cfg_.max_dynamic_per_rank) * 8;
@@ -367,20 +357,6 @@ void DagScheduler::run_node(TaskContext& tctx) {
     Node& nd = nodes_[static_cast<std::size_t>(id)];
     group = nd.group;
     depth = nd.depth;
-    // Version gate (the RAW check): every versioned in-edge's bump must
-    // have landed. The ready-decrement is a cheap control message that can
-    // overtake the producer's bulk payload; this gate is what makes the
-    // overtake harmless.
-    for (std::int32_t ei : nd.vin) {
-      const VEdge& e = vedges_[static_cast<std::size_t>(ei)];
-      std::uint64_t v = 0;
-      pgas::OpStatus st = rt_.get_u64_with_retry(
-          seg_, nd.home, v_base_ + static_cast<std::size_t>(e.slot) * 8, &v);
-      if (st == pgas::OpStatus::Dropped || v == 0) {
-        defer(id, group, /*version_wait=*/true);
-        return;
-      }
-    }
     fn = &nd.fn;
   } else {
     // Dynamic node: fetch its descriptor from the home-rank arena.
@@ -413,7 +389,7 @@ void DagScheduler::run_node(TaskContext& tctx) {
                                          lock_offset(group), 0,
                                          lock_token(id));
     if (prev != 0) {
-      defer(id, group, /*version_wait=*/false);
+      defer(id, group);
       return;
     }
   }
@@ -445,20 +421,20 @@ void DagScheduler::run_node(TaskContext& tctx) {
                          << " corrupted while node " << id << " held it");
   }
 
-  // Completion protocol, in order: (1) publish this invocation's dynamic
-  // children, (2) release all successors via one-sided decrements -- the
-  // parent hold makes children fireable only now, (3) bump data versions
-  // LAST. (3) after (2) deliberately models the network race where the
-  // control decrement overtakes the payload: the consumer's version gate,
-  // not delivery order, provides the RAW safety.
+  // Completion protocol, in order: (1) fence every owner this node's data
+  // edges name, so the payload is complete before anything it releases can
+  // run, (2) publish this invocation's dynamic children, (3) release all
+  // successors via one-sided decrements -- the parent hold makes children
+  // fireable only now.
+  if (!is_dyn(id)) {
+    for (Rank owner : nodes_[static_cast<std::size_t>(id)].fence_owners) {
+      rt_.fence(owner);
+    }
+  }
   publish_and_release_children();
   if (!is_dyn(id)) {
-    Node& nd = nodes_[static_cast<std::size_t>(id)];
-    for (NodeId s : nd.successors) {
+    for (NodeId s : nodes_[static_cast<std::size_t>(id)].successors) {
       decrement(s, 1);
-    }
-    if (!nd.vout.empty()) {
-      bump_versions(nd);
     }
   } else {
     for (NodeId s : dyn_succ) {
@@ -519,17 +495,11 @@ int DagScheduler::affinity(bool critical) const {
   return critical || rt_.nprocs() == 1 ? kAffinityHigh : kAffinityLow;
 }
 
-void DagScheduler::defer(NodeId id, GroupId group, bool version_wait) {
+void DagScheduler::defer(NodeId id, GroupId group) {
   const Rank me = rt_.me();
-  SCIOTO_TRACE_EVENT(me, trace::Ev::ConflictRetry, id32(id),
-                     version_wait ? 1 : 0, group);
-  if (version_wait) {
-    stats_.version_waits++;
-    SCIOTO_METRIC_CTR(me, metrics::Ctr::DagVersionWaits, 1);
-  } else {
-    stats_.conflict_retries++;
-    SCIOTO_METRIC_CTR(me, metrics::Ctr::DagConflictRetries, 1);
-  }
+  SCIOTO_TRACE_EVENT(me, trace::Ev::ConflictRetry, id32(id), group, 0);
+  stats_.conflict_retries++;
+  SCIOTO_METRIC_CTR(me, metrics::Ctr::DagConflictRetries, 1);
   if (fault::active()) {
     // Parked memory is rank-local and dies with the rank. Under a fault
     // session deferred nodes go back through the queue instead -- queue
@@ -544,30 +514,12 @@ void DagScheduler::defer(NodeId id, GroupId group, bool version_wait) {
   SCIOTO_METRIC_GAUGE(me, metrics::Gauge::DagParked, parked_.size());
 }
 
-bool DagScheduler::gates_look_open(const ParkEntry& e) {
-  // Advisory one-sided reads; the dispatch re-checks authoritatively (the
+bool DagScheduler::lock_looks_free(GroupId group) {
+  // Advisory one-sided read; the dispatch re-checks authoritatively (the
   // CAS can still lose a race and re-defer, which is harmless).
-  if (!is_dyn(e.id)) {
-    const Node& nd = nodes_[static_cast<std::size_t>(e.id)];
-    for (std::int32_t ei : nd.vin) {
-      const VEdge& ve = vedges_[static_cast<std::size_t>(ei)];
-      std::uint64_t v = 0;
-      rt_.get_u64_with_retry(
-          seg_, nd.home, v_base_ + static_cast<std::size_t>(ve.slot) * 8, &v);
-      if (v == 0) {
-        return false;
-      }
-    }
-  }
-  if (e.group != kNoGroup) {
-    std::uint64_t w = 0;
-    rt_.get_u64_with_retry(seg_, lock_home(e.group), lock_offset(e.group),
-                           &w);
-    if (w != 0) {
-      return false;
-    }
-  }
-  return true;
+  std::uint64_t w = 0;
+  rt_.get_u64_with_retry(seg_, lock_home(group), lock_offset(group), &w);
+  return w == 0;
 }
 
 std::uint64_t DagScheduler::retry_parked() {
@@ -580,7 +532,7 @@ std::uint64_t DagScheduler::retry_parked() {
   const std::uint64_t running = trace::lineage::current(me);
   std::uint64_t injected = 0;
   for (std::size_t i = 0; i < parked_.size();) {
-    if (gates_look_open(parked_[i])) {
+    if (lock_looks_free(parked_[i].group)) {
       Task t = tc_.task_create(sizeof(DagBody), dispatch_handle_);
       t.body_as<DagBody>().node = parked_[i].id;
       trace::lineage::set_current(me, parked_[i].lineage);
@@ -701,57 +653,12 @@ void DagScheduler::publish_and_release_children() {
   staged_.clear();
 }
 
-// ---- Data versioning -----------------------------------------------------
-
-void DagScheduler::bump_versions(const Node& nd) {
-  // Flush the payload before announcing it: one fence per distinct data
-  // owner covers all edges naming it.
-  for (std::size_t i = 0; i < nd.vout.size(); ++i) {
-    const Rank owner =
-        vedges_[static_cast<std::size_t>(nd.vout[i])].data.owner;
-    bool seen = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (vedges_[static_cast<std::size_t>(nd.vout[j])].data.owner == owner) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      rt_.fence(owner);
-    }
-  }
-  for (std::int32_t ei : nd.vout) {
-    const VEdge& e = vedges_[static_cast<std::size_t>(ei)];
-    const Node& succ = nodes_[static_cast<std::size_t>(e.succ)];
-    rt_.put_word_reliable(seg_, succ.home,
-                          v_base_ + static_cast<std::size_t>(e.slot) * 8, 1,
-                          sizeof(std::uint64_t));
-  }
-}
-
 // ---- Statistics ----------------------------------------------------------
 
 DagStats DagScheduler::stats_global() {
-  struct Packed {
-    std::uint64_t v[8];
-  } p{{stats_.nodes_run, stats_.nodes_fired, stats_.remote_fires,
-       stats_.conflict_retries, stats_.version_waits, stats_.dyn_spawned,
-       stats_.satisfies, stats_.max_depth}};
-  Packed sum = rt_.allreduce(p, [](Packed a, const Packed& b) {
-    for (int i = 0; i < 7; ++i) a.v[i] += b.v[i];
-    a.v[7] = std::max(a.v[7], b.v[7]);
-    return a;
+  return rt_.allreduce(stats_, [](DagStats a, const DagStats& b) {
+    return a += b;
   });
-  DagStats g;
-  g.nodes_run = sum.v[0];
-  g.nodes_fired = sum.v[1];
-  g.remote_fires = sum.v[2];
-  g.conflict_retries = sum.v[3];
-  g.version_waits = sum.v[4];
-  g.dyn_spawned = sum.v[5];
-  g.satisfies = sum.v[6];
-  g.max_depth = sum.v[7];
-  return g;
 }
 
 }  // namespace scioto::dag

@@ -2,22 +2,22 @@
 //
 // This subsystem promotes the paper's §8 sketch ("extending our independent
 // task model with support for tasks that exhibit arbitrary inter-task
-// dependencies") from the old TaskDag stub into a real engine, borrowing
-// two ideas from the related work:
+// dependencies") from the old TaskDag stub into a real engine, with two
+// mechanisms on top of the dependency counters:
 //
 //   * swiftsim-style *conflict edges*: nodes sharing a conflict group
 //     serialize without ordering. Each group owns one CAS lock word in
 //     PGAS (homed round-robin); a dispatch that finds it held defers the
 //     node and retries, so mutually exclusive updates to the same datum
 //     need no artificial ordering edges and keep full commutativity.
-//   * DuctTeip-style *data versioning* for remote dependencies: an edge
-//     may carry a (seg, owner, offset, len) record describing the payload
-//     the producer writes. The producer bumps a per-edge version slot
-//     homed on the consumer's home rank only after fencing the payload;
-//     the consumer's dispatch re-checks the slot and defers until the bump
-//     lands. This gives read-after-write safety for PGAS data without any
-//     barrier, even though the ready-decrement (a cheap control message)
-//     can overtake the bulk data on the wire.
+//   * *fence before release* for remote data: an edge may carry a
+//     (seg, owner, offset, len) record naming the payload the producer
+//     writes. On completion the producer fences each distinct owner its
+//     data edges name, and only then decrements its successors, so the
+//     decrement that fires a consumer is ordered after the payload. This
+//     gives read-after-write safety for PGAS data without any barrier and
+//     without a readiness check at dispatch: the dependency counter alone
+//     says when the data is there.
 //
 // Mechanics (same counter discipline as the retired stub, hardened):
 // every node carries a remaining-dependency counter homed on the node's
@@ -63,10 +63,9 @@ using KindId = std::int32_t;
 
 inline constexpr GroupId kNoGroup = -1;
 
-/// DuctTeip-style data-version record attached to an edge: the producer
-/// writes `len` bytes at (seg, owner, offset); the consumer's dispatch
-/// waits until the producer's post-fence version bump lands. The record is
-/// descriptive (it names the payload for the fence), not a transfer.
+/// Data record attached to an edge: the producer writes `len` bytes at
+/// (seg, owner, offset). The record is descriptive, not a transfer: it
+/// names the owner the producer fences before releasing its successors.
 struct DataDep {
   pgas::SegId seg = -1;
   Rank owner = kNoRank;
@@ -89,10 +88,24 @@ struct DagStats {
   std::uint64_t nodes_fired = 0;      // zero-reaching decrements + roots
   std::uint64_t remote_fires = 0;     // fired nodes homed on another rank
   std::uint64_t conflict_retries = 0; // dispatches bounced off a held lock
-  std::uint64_t version_waits = 0;    // dispatches deferred on a version
+  std::uint64_t version_waits = 0;    // always 0; kept while
+                                      // perfbench/scioto_bench.cpp reads it
   std::uint64_t dyn_spawned = 0;      // dynamic children this rank spawned
   std::uint64_t satisfies = 0;        // manual satisfy() decrements issued
   std::uint64_t max_depth = 0;        // deepest node this rank executed
+
+  DagStats& operator+=(const DagStats& o) {
+    nodes_run += o.nodes_run;
+    nodes_fired += o.nodes_fired;
+    remote_fires += o.remote_fires;
+    conflict_retries += o.conflict_retries;
+    version_waits += o.version_waits;
+    dyn_spawned += o.dyn_spawned;
+    satisfies += o.satisfies;
+    max_depth = max_depth > o.max_depth ? max_depth : o.max_depth;
+    return *this;
+  }
+  bool operator==(const DagStats&) const = default;
 };
 
 class DagScheduler;
@@ -157,9 +170,9 @@ class DagScheduler : private LoopHook {
   /// `succ` cannot start until `pred` completed. Rejects self-edges,
   /// out-of-range ids, and dynamic ids at call time.
   void add_edge(NodeId pred, NodeId succ);
-  /// Same, with a data-version record: `succ`'s dispatch additionally
-  /// waits until `pred`'s post-fence version bump for this payload lands
-  /// (read-after-write safety for the named PGAS bytes, no barrier).
+  /// Same, with a data record: `pred` fences `data.owner` before it
+  /// decrements `succ` (read-after-write safety for the named PGAS bytes,
+  /// no barrier).
   void add_edge(NodeId pred, NodeId succ, const DataDep& data);
   /// Creates a conflict group: nodes given this group serialize without
   /// ordering (at most one runs at a time, in any order). A node belongs
@@ -195,25 +208,17 @@ class DagScheduler : private LoopHook {
     Rank home = 0;
     NodeFn fn;
     GroupId group = kNoGroup;
-    std::int64_t deps = 0;          // control in-degree (incl. versioned)
+    std::int64_t deps = 0;          // in-degree
     std::int32_t depth = 0;         // longest path from a root
     bool critical = false;          // on a longest root-to-sink path
     std::int64_t home_slot = -1;    // counter index on the home rank
     std::vector<NodeId> successors;
-    std::vector<std::int32_t> vin;  // versioned in-edges (vedges_ indices)
-    std::vector<std::int32_t> vout; // versioned out-edges to bump
-  };
-  /// A versioned edge; `slot` indexes the version word on succ's home.
-  struct VEdge {
-    NodeId pred = -1;
-    NodeId succ = -1;
-    DataDep data;
-    std::int64_t slot = -1;
+    std::vector<Rank> fence_owners;  // distinct DataDep owners, first-named
   };
   struct DagBody {
     NodeId node;
   };
-  /// A deferred node parked on this rank until its gate opens.
+  /// A deferred node parked on this rank until its group lock looks free.
   struct ParkEntry {
     NodeId id;
     GroupId group;
@@ -250,8 +255,8 @@ class DagScheduler : private LoopHook {
   /// Queue affinity of a node entering the collection: high for a critical
   /// node or on a one-rank fleet, low (the steal end) otherwise.
   int affinity(bool critical) const;
-  void defer(NodeId id, GroupId group, bool version_wait);
-  bool gates_look_open(const ParkEntry& e);
+  void defer(NodeId id, GroupId group);
+  bool lock_looks_free(GroupId group);
   std::uint64_t retry_parked();
   std::uint64_t idle() override { return retry_parked(); }
   bool pending() override { return !parked_.empty(); }
@@ -261,7 +266,6 @@ class DagScheduler : private LoopHook {
     return parked_.empty() ? kForever : now;
   }
   void publish_and_release_children();
-  void bump_versions(const Node& n);
   void check_acyclic_and_levels();
 
   Rank lock_home(GroupId g) const { return g % rt_.nprocs(); }
@@ -280,17 +284,14 @@ class DagScheduler : private LoopHook {
   DagConfig cfg_;
   TaskHandle dispatch_handle_ = kInvalidHandle;
   std::vector<Node> nodes_;
-  std::vector<VEdge> vedges_;
   std::vector<NodeFn> kinds_;
   GroupId ngroups_ = 0;
   std::int64_t nedges_ = 0;
-  std::vector<std::int64_t> slots_per_rank_;   // static counter slots
-  std::vector<std::int64_t> vslots_per_rank_;  // version slots
+  std::vector<std::int64_t> slots_per_rank_;  // static counter slots
   pgas::SegId seg_ = -1;
   // Per-rank patch layout (identical on every rank): [dyn cursor][static
-  // counters][version slots][group locks][dyn counters][descriptor arena].
+  // counters][group locks][dyn counters][descriptor arena].
   std::size_t ctr_base_ = 0;
-  std::size_t v_base_ = 0;
   std::size_t lock_base_ = 0;
   std::size_t dyn_ctr_base_ = 0;
   std::size_t desc_base_ = 0;

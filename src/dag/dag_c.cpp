@@ -118,7 +118,6 @@ void scioto_dag_stats_get(scioto_dag_t dag, scioto_dag_stats_t* out) {
   out->nodes_fired = g.nodes_fired;
   out->remote_fires = g.remote_fires;
   out->conflict_retries = g.conflict_retries;
-  out->version_waits = g.version_waits;
   out->dyn_spawned = g.dyn_spawned;
   out->satisfies = g.satisfies;
   out->max_depth = g.max_depth;

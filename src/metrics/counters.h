@@ -89,12 +89,10 @@
   /* DAG scheduler (src/dag), all zero when no DagScheduler runs: nodes */  \
   /* run here; nodes this rank made ready (fleet fired - fleet run = */     \
   /* ready or running nodes); dispatches bounced off a held conflict */     \
-  /* lock; dispatches deferred on an unbumped data version; the subset */   \
-  /* of fired nodes homed on another rank */                                \
+  /* lock; the subset of fired nodes homed on another rank */               \
   CTR(DagNodesRun, "dag_nodes_run")                                         \
   CTR(DagNodesFired, "dag_nodes_fired")                                     \
   CTR(DagConflictRetries, "dag_conflict_retries")                           \
-  CTR(DagVersionWaits, "dag_version_waits")                                 \
   CTR(DagRemoteFires, "dag_remote_fires")                                   \
   /* control plane (src/control): epochs evaluated, knob changes */         \
   /* applied, knob rows inherited from dead ranks at adoption */            \

@@ -420,9 +420,12 @@ void Runtime::atomic_publish_charge() {
 }
 
 void Runtime::fence(Rank target) {
-  // Within one address space puts complete immediately; the fence costs a
-  // round trip (flush + ack) under the model and a memory fence for real.
-  backend_.rma_charge(target, 0);
+  // Within one address space puts complete immediately; a fence to another
+  // rank costs a round trip (flush + ack) under the model, one to self
+  // nothing (local puts are free), and a memory fence for real either way.
+  if (target != me()) {
+    backend_.rma_charge(target, 0);
+  }
   std::atomic_thread_fence(std::memory_order_seq_cst);
 }
 

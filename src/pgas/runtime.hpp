@@ -203,7 +203,7 @@ class Runtime {
     }
   }
   /// Blocks until previously issued one-sided ops to `target` complete
-  /// (ARMCI_Fence analog).
+  /// (ARMCI_Fence analog). Free when `target` is this rank.
   void fence(Rank target);
 
   // ---- Remote mutexes ----

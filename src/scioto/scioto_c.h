@@ -333,7 +333,6 @@ typedef struct scioto_dag_stats {
   uint64_t nodes_fired;
   uint64_t remote_fires;
   uint64_t conflict_retries;
-  uint64_t version_waits;
   uint64_t dyn_spawned;
   uint64_t satisfies;
   uint64_t max_depth;

@@ -207,8 +207,7 @@ void emit_event(std::ostream& os, const Event& e) {
     case Ev::ConflictRetry:
       emit_head(os, e, ev_name(e.kind), "i", e.t);
       os << ",\"s\":\"t\",\"args\":{\"node\":" << e.a
-         << ",\"reason\":\"" << (e.b == 1 ? "version" : "lock")
-         << "\",\"group\":" << e.c << "}}";
+         << ",\"group\":" << e.b << "}}";
       return;
     case Ev::KnobChange:
       emit_head(os, e, ev_name(e.kind), "i", e.t);

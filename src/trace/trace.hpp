@@ -113,8 +113,7 @@ namespace scioto::trace {
   X(NodeReady, "node_ready", "dag")                                           \
   /* a=node id (low 32 bits), b=conflict group, c=depth */                    \
   X(NodeRun, "node_run", "dag")                                               \
-  /* a=node id (low 32 bits), b=reason (0=group lock busy, 1=version          \
-       wait), c=conflict group (-1 for version) */                            \
+  /* a=node id (low 32 bits), b=conflict group whose lock was busy */         \
   X(ConflictRetry, "conflict_retry", "dag")                                   \
   /* Adaptive control plane (src/control). Appended so controller-off         \
      traces stay byte-identical to pre-control baselines. */                  \

@@ -72,7 +72,7 @@ TEST(GoldenArmed, LocalControllerRunOutputs) {
   EXPECT_FALSE(log.empty());
   EXPECT_EQ(sha1_hex(jsonl), "ed28135c2054a814c524b87a6fd5f33a439e6b16")
       << jsonl.size() << " B metrics JSONL";
-  EXPECT_EQ(sha1_hex(prom), "6b68a81dac99c2702a24d5b3f6e7ec0b238c3e66")
+  EXPECT_EQ(sha1_hex(prom), "b970bfe0e267c06e70f0f57e2f626cda616a6692")
       << prom.size() << " B Prometheus dump";
   EXPECT_EQ(sha1_hex(log), "9389b5cf61d141689ff76c1503fd7dd3836863dc")
       << log.size() << " B decision log";
@@ -93,7 +93,7 @@ TEST(GoldenArmed, MetricsOnlyRunOutputs) {
   const std::string prom = slurp(base + ".prom");
   EXPECT_EQ(sha1_hex(jsonl), "57ecccde889d312ed6f7e618560d42fb77d6c43d")
       << jsonl.size() << " B metrics JSONL";
-  EXPECT_EQ(sha1_hex(prom), "500f0345baefc45cee6daa09b14e4c66c9c6b6f2")
+  EXPECT_EQ(sha1_hex(prom), "a3169de9483f8f6fe0889b7e710ed9b0e0483c0d")
       << prom.size() << " B Prometheus dump";
   std::remove((base + ".jsonl").c_str());
   std::remove((base + ".prom").c_str());

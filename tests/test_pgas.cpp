@@ -440,6 +440,38 @@ TEST(PgasSim, OwnLockCostsTheSameAsAnIdleRemoteLock) {
   EXPECT_EQ(own, 10187);  // round trip + one-way unlock, in ns
 }
 
+// A fence to self has no outstanding remote put to flush, so it is free,
+// like a put or get to self. A fence to another rank pays the same round
+// trip as a 0-byte get from it.
+TEST(PgasSim, FenceChargesOnlyARemoteTarget) {
+  pgas::Config cfg = testing::make_cfg(2, BackendKind::Sim);
+  cfg.machine = sim::cluster2008_uniform();
+  TimeNs self = -1;
+  TimeNs remote = -1;
+  TimeNs get0 = -1;
+  pgas::run_spmd(cfg, [&](Runtime& rt) {
+    pgas::SegId seg = rt.seg_alloc(64);
+    rt.barrier();
+    if (rt.me() == 0) {
+      TimeNs t0 = rt.now();
+      rt.fence(0);
+      self = rt.now() - t0;
+      t0 = rt.now();
+      rt.fence(1);
+      remote = rt.now() - t0;
+      std::byte none{};
+      t0 = rt.now();
+      rt.get(seg, 1, 0, &none, 0);
+      get0 = rt.now() - t0;
+    }
+    rt.barrier();
+    rt.seg_free(seg);
+  });
+  EXPECT_EQ(self, 0);
+  EXPECT_GT(remote, 0);
+  EXPECT_EQ(remote, get0);
+}
+
 TEST(PgasSim, DeterministicElapsed) {
   auto body = [](Runtime& rt) {
     pgas::SegId seg = rt.seg_alloc(256);
