@@ -56,15 +56,11 @@ int main(int argc, char** argv) {
       }
     }
     // Data edge: (pi, pj) produced the cell the successor reads, so name
-    // those bytes on the edge.
+    // the rank holding it on the edge.
     auto cell_edge = [&](int pi, int pj, int si, int sj) {
-      dag::DataDep dep;
-      dep.seg = grid.seg();
-      dep.owner = grid.owner_of_row(pi);
-      dep.offset = grid.elem_offset(pi, pj);
-      dep.len = sizeof(double);
       dag.add_edge(id[static_cast<std::size_t>(pi * g + pj)],
-                   id[static_cast<std::size_t>(si * g + sj)], dep);
+                   id[static_cast<std::size_t>(si * g + sj)],
+                   dag::DataDep{grid.owner_of_row(pi)});
     };
     for (int i = 0; i < g; ++i) {
       for (int j = 0; j < g; ++j) {

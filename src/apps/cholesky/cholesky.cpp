@@ -137,16 +137,8 @@ CholeskyResult cholesky_dag(pgas::Runtime& rt, const CholeskyConfig& cfg) {
   TileBuf tb(b);
 
   auto tile_owner = [&](int i) { return m.owner_of_row(i * b); };
-  // Data record naming tile (i, j)'s bytes: b rows of n doubles
-  // starting at the tile's first element inside the owner's panel.
-  auto tile_dep = [&](int i, int j) {
-    dag::DataDep d;
-    d.seg = m.seg();
-    d.owner = tile_owner(i);
-    d.offset = m.elem_offset(i * b, j * b);
-    d.len = static_cast<std::size_t>(b * n) * sizeof(double);
-    return d;
-  };
+  // Data record of tile row i: the rank whose panel holds its bytes.
+  auto tile_dep = [&](int i) { return dag::DataDep{tile_owner(i)}; };
 
   // Node ids: potrf[k]; trsm[(i,k)] for i>k; update[(i,j,k)] for
   // k<j<=i. Downdates of one trailing tile commute, so they share a
@@ -195,22 +187,22 @@ CholeskyResult cholesky_dag(pgas::Runtime& rt, const CholeskyConfig& cfg) {
     // it; the data edge names the tile's owner to fence.
     for (int kp = 0; kp < k; ++kp) {
       dg.add_edge(upd_id[static_cast<std::size_t>((k * nt + k) * nt + kp)],
-                  potrf_id[static_cast<std::size_t>(k)], tile_dep(k, k));
+                  potrf_id[static_cast<std::size_t>(k)], tile_dep(k));
     }
     for (int i = k + 1; i < nt; ++i) {
       const dag::NodeId t = trsm_id[static_cast<std::size_t>(i * nt + k)];
-      dg.add_edge(potrf_id[static_cast<std::size_t>(k)], t, tile_dep(k, k));
+      dg.add_edge(potrf_id[static_cast<std::size_t>(k)], t, tile_dep(k));
       for (int kp = 0; kp < k; ++kp) {
         dg.add_edge(upd_id[static_cast<std::size_t>((i * nt + k) * nt + kp)],
-                    t, tile_dep(i, k));
+                    t, tile_dep(i));
       }
       for (int j = k + 1; j <= i; ++j) {
         const dag::NodeId u =
             upd_id[static_cast<std::size_t>((i * nt + j) * nt + k)];
-        dg.add_edge(t, u, tile_dep(i, k));
+        dg.add_edge(t, u, tile_dep(i));
         if (j != i) {
           dg.add_edge(trsm_id[static_cast<std::size_t>(j * nt + k)], u,
-                      tile_dep(j, k));
+                      tile_dep(j));
         }
       }
     }

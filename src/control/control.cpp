@@ -13,6 +13,7 @@
 #include "detect/membership.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/monitor.hpp"
+#include "scioto/stats.hpp"
 #include "trace/trace.hpp"
 
 namespace scioto::control {
@@ -198,9 +199,8 @@ bool apply_owner(Rank r, RankRow& row, const Decision& d, TimeNs t) {
   if (!row.knobs->set(d.knob, d.value)) return false;
   std::int64_t applied = row.knobs->get(d.knob);
   publish_row(row);
-  SCIOTO_TRACE_EVENT(r, trace::Ev::KnobChange, static_cast<int>(d.knob),
-                     applied, d.reason);
-  SCIOTO_METRIC_CTR(r, metrics::Ctr::CtlDecisions, 1);
+  SCIOTO_EVENT(r, kNoStats, KnobChange, static_cast<int>(d.knob), applied,
+               d.reason);
   SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlChunk,
                       row.knobs->get(Knob::StealChunk));
   SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlRelease,

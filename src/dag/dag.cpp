@@ -101,10 +101,10 @@ void DagScheduler::add_edge(NodeId pred, NodeId succ) {
 }
 
 void DagScheduler::add_edge(NodeId pred, NodeId succ, const DataDep& data) {
-  SCIOTO_REQUIRE(data.seg >= 0 && data.len > 0 && data.owner >= 0 &&
-                     data.owner < rt_.nprocs(),
-                 "add_edge: malformed DataDep (seg=" << data.seg << ", owner="
-                     << data.owner << ", len=" << data.len << ")");
+  SCIOTO_REQUIRE(data.owner >= 0 && data.owner < rt_.nprocs(),
+                 "add_edge: DataDep owner " << data.owner
+                                            << " out of range [0, "
+                                            << rt_.nprocs() << ")");
   add_edge(pred, succ);
   std::vector<Rank>& owners =
       nodes_[static_cast<std::size_t>(pred)].fence_owners;
@@ -394,11 +394,9 @@ void DagScheduler::run_node(TaskContext& tctx) {
     }
   }
 
-  SCIOTO_TRACE_EVENT(me, trace::Ev::NodeRun, id32(id), group, depth);
-  SCIOTO_METRIC_CTR(me, metrics::Ctr::DagNodesRun, 1);
+  SCIOTO_EVENT(me, stats_, NodeRun, id32(id), group, depth);
   SCIOTO_METRIC_HIST(me, metrics::Hist::DagNodeDepth,
                      static_cast<std::uint64_t>(depth));
-  stats_.nodes_run++;
   if (static_cast<std::uint64_t>(depth) > stats_.max_depth) {
     stats_.max_depth = static_cast<std::uint64_t>(depth);
     SCIOTO_METRIC_GAUGE(me, metrics::Gauge::DagDepthMax, depth);
@@ -470,9 +468,7 @@ void DagScheduler::decrement(NodeId succ, std::int64_t delta) {
 
 void DagScheduler::fire(NodeId id, Rank home, std::int32_t depth) {
   const Rank me = rt_.me();
-  SCIOTO_TRACE_EVENT(me, trace::Ev::NodeReady, id32(id), home, depth);
-  SCIOTO_METRIC_CTR(me, metrics::Ctr::DagNodesFired, 1);
-  stats_.nodes_fired++;
+  SCIOTO_EVENT(me, stats_, NodeReady, id32(id), home, depth);
   if (home != me) {
     stats_.remote_fires++;
     SCIOTO_METRIC_CTR(me, metrics::Ctr::DagRemoteFires, 1);
@@ -497,9 +493,7 @@ int DagScheduler::affinity(bool critical) const {
 
 void DagScheduler::defer(NodeId id, GroupId group) {
   const Rank me = rt_.me();
-  SCIOTO_TRACE_EVENT(me, trace::Ev::ConflictRetry, id32(id), group, 0);
-  stats_.conflict_retries++;
-  SCIOTO_METRIC_CTR(me, metrics::Ctr::DagConflictRetries, 1);
+  SCIOTO_EVENT(me, stats_, ConflictRetry, id32(id), group, 0);
   if (fault::active()) {
     // Parked memory is rank-local and dies with the rank. Under a fault
     // session deferred nodes go back through the queue instead -- queue

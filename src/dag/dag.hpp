@@ -63,14 +63,11 @@ using KindId = std::int32_t;
 
 inline constexpr GroupId kNoGroup = -1;
 
-/// Data record attached to an edge: the producer writes `len` bytes at
-/// (seg, owner, offset). The record is descriptive, not a transfer: it
+/// Data record attached to an edge: the producer writes data the successor
+/// reads on rank `owner`. The record is descriptive, not a transfer: it
 /// names the owner the producer fences before releasing its successors.
 struct DataDep {
-  pgas::SegId seg = -1;
   Rank owner = kNoRank;
-  std::size_t offset = 0;
-  std::size_t len = 0;
 };
 
 struct DagConfig {

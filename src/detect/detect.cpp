@@ -5,7 +5,7 @@
 
 #include "base/error.hpp"
 #include "metrics/metrics.hpp"
-#include "trace/trace.hpp"
+#include "scioto/stats.hpp"
 
 namespace scioto::detect {
 
@@ -49,11 +49,11 @@ void HeartbeatProbe::destroy() {
 }
 
 void HeartbeatProbe::flush_stats() {
-  add_heartbeats(n_heartbeats_);
-  add_probes(n_probes_);
-  add_suspects(n_suspects_);
-  add_refutes(n_refutes_);
-  n_heartbeats_ = n_probes_ = n_suspects_ = n_refutes_ = 0;
+  add_heartbeats(counts_.heartbeats);
+  add_probes(counts_.probes);
+  add_suspects(counts_.suspects);
+  add_refutes(counts_.refutes);
+  counts_ = Stats{};
 }
 
 void HeartbeatProbe::reset_observations() {
@@ -91,7 +91,7 @@ void HeartbeatProbe::poll() {
 void HeartbeatProbe::publish(TimeNs now) {
   last_pub_ = now;
   ++hb_count_;
-  ++n_heartbeats_;
+  ++counts_.heartbeats;
   SCIOTO_METRIC_CTR(me_, metrics::Ctr::Heartbeats, 1);
   auto* w = reinterpret_cast<std::uint64_t*>(rt_.seg_ptr(seg_, me_));
   std::atomic_ref<std::uint64_t>(w[kHbWord + 1])
@@ -118,7 +118,7 @@ void HeartbeatProbe::probe_one(TimeNs now) {
   last_probe_ = now;
   Rank peer = neighbors_[next_neighbor_ % neighbors_.size()];
   ++next_neighbor_;
-  ++n_probes_;
+  ++counts_.probes;
   SCIOTO_METRIC_CTR(me_, metrics::Ctr::Probes, 1);
   std::uint64_t hb = 0, ep = 0;
   pgas::OpStatus st = rt_.probe_pair_checked(seg_, peer, 0, &hb, &ep);
@@ -138,28 +138,23 @@ void HeartbeatProbe::probe_one(TimeNs now) {
     p.last_change = now;
     if (p.suspected) {
       p.suspected = false;
-      ++n_refutes_;
       note_suspect(peer, false);
-      SCIOTO_METRIC_CTR(me_, metrics::Ctr::Refutes, 1);
       publish_view_gauges();
-      SCIOTO_TRACE_EVENT(me_, trace::Ev::Refute, peer, 0, 0);
+      SCIOTO_EVENT(me_, counts_, Refute, peer, 0, 0);
     }
     return;
   }
   TimeNs silence = now - p.last_change;
   if (!p.suspected && silence > cfg_.suspect_after) {
     p.suspected = true;
-    ++n_suspects_;
     note_suspect(peer, true);
-    SCIOTO_METRIC_CTR(me_, metrics::Ctr::Suspects, 1);
     publish_view_gauges();
-    SCIOTO_TRACE_EVENT(me_, trace::Ev::Suspect, peer, 0, silence);
+    SCIOTO_EVENT(me_, counts_, Suspect, peer, 0, silence);
   }
   if (p.suspected && silence > cfg_.confirm_after) {
     if (confirm_dead(peer, me_)) {
       note_detect_latency(silence);
-      SCIOTO_METRIC_CTR(me_, metrics::Ctr::Confirms, 1);
-      SCIOTO_TRACE_EVENT(me_, trace::Ev::ConfirmDead, peer, 0, silence);
+      SCIOTO_EVENT(me_, kNoStats, ConfirmDead, peer, 0, silence);
     }
     // The suspicion resolved into a death; either way the dashboard
     // should now show the peer dead, not suspect.

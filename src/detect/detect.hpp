@@ -87,12 +87,10 @@ class HeartbeatProbe {
   std::vector<Rank> neighbors_;
   std::size_t next_neighbor_ = 0;
 
-  // Local stat accumulators, flushed to the global view on destroy() so
-  // the hot path never takes the stats mutex.
-  std::uint64_t n_heartbeats_ = 0;
-  std::uint64_t n_probes_ = 0;
-  std::uint64_t n_suspects_ = 0;
-  std::uint64_t n_refutes_ = 0;
+  // Local stat accumulators (heartbeats, probes, suspects, refutes),
+  // flushed to the global view on destroy() so the hot path never takes
+  // the stats mutex.
+  Stats counts_;
 };
 
 }  // namespace scioto::detect

@@ -5,8 +5,7 @@
  *
  *   STAT(field, group)             a TcStats counter
  *   TWIN(field, group, Ctr, name)  a TcStats counter that is also metrics
- *                                  counter Ctr, exposed as "name"; one
- *                                  SCIOTO_COUNT bumps both
+ *                                  counter Ctr, exposed as "name"
  *   CTR(Ctr, name)                 a metrics counter only
  *   TIME(field)                    a TcStats phase time (ns)
  *
@@ -19,8 +18,12 @@
  * generate, in row order, metrics::Ctr, ctr_name() and so the layout of
  * every metrics patch and the Prometheus exposition.
  *
- * Adding a counter is adding a row. Plain C preprocessor: the C API
- * header expands it too.
+ * A counter that counts a trace event's occurrences or payload is also
+ * named by that event's row in SCIOTO_TRACE_EV_KINDS (trace/trace.hpp),
+ * and one SCIOTO_EVENT call records the event and bumps it (both sides of
+ * a TWIN). Adding such a counter is adding a row here and naming it in
+ * the event's row; any other counter is a row here plus its increment.
+ * Plain C preprocessor: the C API header expands it too.
  */
 #ifndef SCIOTO_METRICS_COUNTERS_H
 #define SCIOTO_METRICS_COUNTERS_H
@@ -35,7 +38,8 @@
   STAT(tasks_spawned_local, MAIN)                                           \
   /* tasks added to another rank's queue */                                 \
   TWIN(tasks_spawned_remote, MAIN, RemoteSpawns, "remote_spawns")           \
-  /* local queue pushes and pops */                                         \
+  /* local push attempts (full and fenced ones included), and successful */ \
+  /* local pops */                                                          \
   CTR(QPushes, "q_pushes")                                                  \
   CTR(QPops, "q_pops")                                                      \
   /* steal attempts that transferred >= 1 task */                           \
@@ -79,7 +83,8 @@
   STAT(op_retries, FAULT)                                                   \
   /* spanning-tree reconfigurations */                                      \
   STAT(td_resplices, FAULT)                                                 \
-  /* one-sided ops on remote targets, and the bytes gets and puts moved */  \
+  /* one-sided ops on remote targets (termination tokens count as puts), */ \
+  /* and the bytes gets and puts moved */                                   \
   CTR(PgasGets, "pgas_gets")                                                \
   CTR(PgasPuts, "pgas_puts")                                                \
   CTR(PgasAccs, "pgas_accs")                                                \

@@ -17,6 +17,7 @@
 #include "metrics/monitor.hpp"
 #include "pgas/sim_backend.hpp"
 #include "pgas/thread_backend.hpp"
+#include "scioto/stats.hpp"
 #include "trace/export.hpp"
 #include "trace/lineage.hpp"
 #include "trace/trace.hpp"
@@ -100,9 +101,7 @@ void Runtime::get(SegId id, Rank target, std::size_t offset, void* dst,
   SCIOTO_CHECK(offset + n <= seg_bytes(id));
   if (target != me()) {
     backend_.rma_charge(target, n);
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasGet, target, 0, n);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGets, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGetBytes, n);
+    SCIOTO_EVENT(me(), kNoStats, PgasGet, target, 0, n);
   }
   std::memcpy(dst, seg_ptr(id, target) + offset, n);
 }
@@ -112,9 +111,7 @@ void Runtime::put(SegId id, Rank target, std::size_t offset, const void* src,
   SCIOTO_CHECK(offset + n <= seg_bytes(id));
   if (target != me()) {
     backend_.rma_charge(target, n);
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasPut, target, 0, n);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPuts, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPutBytes, n);
+    SCIOTO_EVENT(me(), kNoStats, PgasPut, target, 0, n);
   }
   std::memcpy(seg_ptr(id, target) + offset, src, n);
 }
@@ -130,10 +127,7 @@ void Runtime::get_strided(SegId id, Rank target, std::size_t offset,
                seg_bytes(id));
   rma_charge_span(target, nrows * row_bytes);
   if (target != me()) {
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasGet, target, 0,
-                       nrows * row_bytes);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGets, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGetBytes, nrows * row_bytes);
+    SCIOTO_EVENT(me(), kNoStats, PgasGet, target, 0, nrows * row_bytes);
   }
   const std::byte* base = seg_ptr(id, target) + offset;
   auto* out = static_cast<std::byte*>(dst);
@@ -153,10 +147,7 @@ void Runtime::put_strided(SegId id, Rank target, std::size_t offset,
                seg_bytes(id));
   rma_charge_span(target, nrows * row_bytes);
   if (target != me()) {
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasPut, target, 0,
-                       nrows * row_bytes);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPuts, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPutBytes, nrows * row_bytes);
+    SCIOTO_EVENT(me(), kNoStats, PgasPut, target, 0, nrows * row_bytes);
   }
   std::byte* base = seg_ptr(id, target) + offset;
   const auto* in = static_cast<const std::byte*>(src);
@@ -231,9 +222,7 @@ OpStatus Runtime::get_checked(SegId id, Rank target, std::size_t offset,
       backend_, fault::OpKind::Get, me(), target, n,
       [&] { std::memcpy(dst, seg_ptr(id, target) + offset, n); });
   if (target != me() && st != OpStatus::Dropped) {
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasGet, target, 0, n);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGets, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGetBytes, n);
+    SCIOTO_EVENT(me(), kNoStats, PgasGet, target, 0, n);
   }
   return st;
 }
@@ -245,9 +234,7 @@ OpStatus Runtime::put_checked(SegId id, Rank target, std::size_t offset,
       backend_, fault::OpKind::Put, me(), target, n,
       [&] { std::memcpy(seg_ptr(id, target) + offset, src, n); });
   if (target != me() && st != OpStatus::Dropped) {
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasPut, target, 0, n);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPuts, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPutBytes, n);
+    SCIOTO_EVENT(me(), kNoStats, PgasPut, target, 0, n);
   }
   return st;
 }
@@ -282,11 +269,8 @@ OpStatus Runtime::probe_pair_checked(SegId id, Rank target,
             std::memory_order_acquire);
       });
   if (target != me() && st != OpStatus::Dropped) {
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasGet, target, 0,
-                       2 * sizeof(std::uint64_t));
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGets, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGetBytes,
-                      2 * sizeof(std::uint64_t));
+    SCIOTO_EVENT(me(), kNoStats, PgasGet, target, 0,
+                 2 * sizeof(std::uint64_t));
   }
   return st;
 }
@@ -305,11 +289,8 @@ OpStatus Runtime::get_u64_with_retry(SegId id, Rank target,
               std::memory_order_acquire);
         });
     if (target != me() && st != OpStatus::Dropped) {
-      SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasGet, target, 0,
-                         sizeof(std::uint64_t));
-      SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGets, 1);
-      SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGetBytes,
-                        sizeof(std::uint64_t));
+      SCIOTO_EVENT(me(), kNoStats, PgasGet, target, 0,
+                   sizeof(std::uint64_t));
     }
     return st;
   });
@@ -344,10 +325,6 @@ OpStatus Runtime::put_word_reliable(SegId id, Rank target, std::size_t offset,
   if (retries > 0) {
     SCIOTO_METRIC_CTR(me(), metrics::Ctr::OpRetries, retries);
   }
-  if (target != me()) {
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPuts, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPutBytes, width);
-  }
   std::byte* p = seg_ptr(id, target) + offset;
   if (width == 8) {
     std::atomic_ref<std::uint64_t>(*reinterpret_cast<std::uint64_t*>(p))
@@ -367,10 +344,7 @@ void Runtime::acc(SegId id, Rank target, std::size_t offset,
   SCIOTO_CHECK(offset + n * sizeof(double) <= seg_bytes(id));
   if (target != me()) {
     backend_.rma_charge(target, n * sizeof(double));
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasAcc, target, 0,
-                       n * sizeof(double));
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasAccs, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPutBytes, n * sizeof(double));
+    SCIOTO_EVENT(me(), kNoStats, PgasAcc, target, 0, n * sizeof(double));
   } else {
     // Local accumulate still pays a memory-system cost under sim.
     backend_.charge(static_cast<TimeNs>(n / 4) + 100);
@@ -387,8 +361,7 @@ std::int64_t* Runtime::rmw_word(SegId id, Rank target, std::size_t offset) {
   SCIOTO_CHECK(offset % alignof(std::int64_t) == 0);
   SCIOTO_CHECK(offset + sizeof(std::int64_t) <= seg_bytes(id));
   backend_.rmw_charge(target);
-  SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasRmw, target, 0, 0);
-  SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasRmws, 1);
+  SCIOTO_EVENT(me(), kNoStats, PgasRmw, target, 0, 0);
   return reinterpret_cast<std::int64_t*>(seg_ptr(id, target) + offset);
 }
 

@@ -165,7 +165,8 @@ class Runtime {
   /// through atomic_ref, race-free against the owner's polling loads.
   /// Returns TargetDead -- after storing; the mailbox stays addressable --
   /// when the membership view says the target is gone. `attempts` reports
-  /// the number of retries (dropped sends) performed.
+  /// the number of retries (dropped sends) performed. The caller records
+  /// the put (the termination detector's TokenSend event counts it).
   OpStatus put_word_reliable(SegId id, Rank target, std::size_t offset,
                              std::uint64_t value, std::size_t width,
                              int* attempts = nullptr);

@@ -255,8 +255,7 @@ bool SplitQueue::pop_local(std::byte* out) {
     c.split.store(pt - 1, std::memory_order_release);
     rt_.unlock(locks_, me);
     rt_.charge(rt_.machine().local_get);
-    SCIOTO_TRACE_EVENT(me, trace::Ev::Pop, 0, 0, (pt - 1) - sh);
-    SCIOTO_METRIC_CTR(me, metrics::Ctr::QPops, 1);
+    SCIOTO_EVENT(me, stats_, Pop, 0, 0, (pt - 1) - sh);
     metrics_owner_op(metrics::Hist::PopNs, t0);
     return true;
   }
@@ -289,9 +288,8 @@ bool SplitQueue::pop_local(std::byte* out) {
     c.priv_tail.store(pt - 1, std::memory_order_release);
   }
   rt_.charge(rt_.machine().local_get);
-  SCIOTO_TRACE_EVENT(me, trace::Ev::Pop, 0, 0,
-                     (pt - 1) - c.steal_head.load(std::memory_order_relaxed));
-  SCIOTO_METRIC_CTR(me, metrics::Ctr::QPops, 1);
+  SCIOTO_EVENT(me, stats_, Pop, 0, 0,
+               (pt - 1) - c.steal_head.load(std::memory_order_relaxed));
   metrics_owner_op(metrics::Hist::PopNs, t0);
   return true;
 }
@@ -318,10 +316,8 @@ std::uint64_t SplitQueue::reacquire() {
   std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
   c.split.store(sp - take, std::memory_order_release);
   rt_.unlock(locks_, me);
-  SCIOTO_COUNT(me, stats_, reacquires, 1);
-  SCIOTO_TRACE_EVENT(me, trace::Ev::Reacquire, take, 0,
-                     c.priv_tail.load(std::memory_order_relaxed) - sh);
-  SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, take);
+  SCIOTO_EVENT(me, stats_, Reacquire, take, 0,
+               c.priv_tail.load(std::memory_order_relaxed) - sh);
   metrics_queue_gauges();
   return take;
 }
@@ -365,11 +361,9 @@ std::uint64_t SplitQueue::release_maybe() {
     sp = c.split.load(std::memory_order_relaxed);
     c.split.store(sp + give, std::memory_order_release);
   }
-  SCIOTO_COUNT(rt_.me(), stats_, releases, 1);
-  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::Release, give, 0,
-                     c.priv_tail.load(std::memory_order_relaxed) -
-                         c.steal_head.load(std::memory_order_relaxed));
-  SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::QReleasedTasks, give);
+  SCIOTO_EVENT(rt_.me(), stats_, Release, give, 0,
+               c.priv_tail.load(std::memory_order_relaxed) -
+                   c.steal_head.load(std::memory_order_relaxed));
   metrics_queue_gauges();
   return give;
 }
@@ -437,8 +431,7 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
     int allowed = fault::truncate_steal(me, victim, static_cast<int>(n));
     if (allowed == 0) {
       rt_.unlock(locks_, victim);
-      stats_.steals_aborted++;
-      SCIOTO_TRACE_EVENT(me, trace::Ev::StealAborted, victim, 0, 0);
+      SCIOTO_EVENT(me, stats_, StealAborted, victim, 0, 0);
       return 0;
     }
     n = static_cast<std::uint64_t>(allowed);
@@ -534,11 +527,9 @@ std::uint64_t SplitQueue::recover_open_txns() {
       }
     }
     rec.state.store(0, std::memory_order_release);
-    SCIOTO_COUNT(me, stats_, tasks_recovered, n);
     total += n;
     metrics_queue_gauges();
-    SCIOTO_TRACE_EVENT(me, trace::Ev::TaskRecovered, t,
-                       static_cast<std::uint64_t>(n), rt_.now() - t0);
+    SCIOTO_EVENT(me, stats_, TaskRecovered, t, n, rt_.now() - t0);
   }
   return total;
 }
@@ -665,10 +656,8 @@ std::uint64_t SplitQueue::drain_dead(Rank dead) {
   }
   rt_.unlock(locks_, dead);
   if (adopted > 0) {
-    SCIOTO_COUNT(me, stats_, tasks_recovered, adopted);
     metrics_queue_gauges();
-    SCIOTO_TRACE_EVENT(me, trace::Ev::TaskRecovered, dead, adopted,
-                       rt_.now() - t0);
+    SCIOTO_EVENT(me, stats_, TaskRecovered, dead, adopted, rt_.now() - t0);
   }
   return adopted;
 }
@@ -762,14 +751,11 @@ std::uint64_t SplitQueue::flush_overflow() {
 }
 
 int SplitQueue::steal_from(Rank victim, std::byte* out) {
-  SCIOTO_COUNT(rt_.me(), stats_, steal_attempts, 1);
-  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealAttempt, victim, 0, 0);
+  SCIOTO_EVENT(rt_.me(), stats_, StealAttempt, victim, 0, 0);
   TimeNs t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
   int n = steal_from_locked(victim, out);
   if (n > 0) {
-    SCIOTO_COUNT(rt_.me(), stats_, steals, 1);
-    SCIOTO_COUNT(rt_.me(), stats_, tasks_stolen, n);
-    SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealOk, victim, n, 0);
+    SCIOTO_EVENT(rt_.me(), stats_, StealOk, victim, n, 0);
     if (cfg_.lineage_off != 0 && victim != rt_.me()) {
       // The thief stamps the migration into its landed copy (the
       // victim's slots are dead or replayable either way): one hop bump
@@ -795,8 +781,7 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
                                std::max<TimeNs>(rt_.now() - t0, 0)));
     }
   } else {
-    SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealFail, victim, 0, 0);
-    SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::StealFails, 1);
+    SCIOTO_EVENT(rt_.me(), stats_, StealFail, victim, 0, 0);
   }
   return n;
 }
@@ -818,7 +803,7 @@ bool SplitQueue::add_remote(Rank target, const std::byte* task) {
   std::memcpy(slot(target, sh - 1), task, cfg_.slot_bytes);
   c.steal_head.store(sh - 1, std::memory_order_seq_cst);
   rt_.unlock(locks_, target);
-  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::RemoteAdd, target, 0, 0);
+  SCIOTO_EVENT(rt_.me(), stats_, RemoteAdd, target, 0, 0);
   return true;
 }
 

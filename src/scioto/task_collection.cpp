@@ -339,7 +339,6 @@ void TaskCollection::add_raw(Rank where, int affinity,
   } else {
     ok = queue_->add_remote(where, scratch_.data());
     if (ok) {
-      SCIOTO_COUNT(rt_.me(), stats_, tasks_spawned_remote, 1);
       // A remote add moves work: termination detection must know (§5.2).
       td_->note_lb_op(where);
     }
@@ -356,15 +355,12 @@ void TaskCollection::execute(std::byte* descriptor) {
   auto* hdr = reinterpret_cast<TaskHeader*>(descriptor);
   const TaskFn& fn = registry_.lookup(hdr->callback);
   TaskContext ctx{*this, *hdr, descriptor + sizeof(TaskHeader), rt_.me()};
-  // One clock read serves time_working, the trace span and the metrics
+  // One duration serves time_working, the trace span and the metrics
   // histogram, so the trace-derived working time reconciles with TcStats
-  // exactly under sim.
+  // exactly.
   const TimeNs t0 = rt_.now();
-  const bool tracing = trace::active();
-  if (tracing) {
-    trace::record(rt_.me(), trace::Ev::TaskBegin, hdr->callback,
-                  hdr->affinity);
-  }
+  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::TaskBegin, hdr->callback,
+                     hdr->affinity, 0);
   // Read the trailer, announce the span (after TaskBegin, so the flow
   // arrow's finish binds inside the task slice), and make this task the
   // current parent for any spawns the callback performs. Saved/restored
@@ -384,17 +380,10 @@ void TaskCollection::execute(std::byte* descriptor) {
   if (lineage_on) {
     trace::lineage::set_current(rt_.me(), lineage_prev);
   }
-  if (tracing) {
-    trace::record(rt_.me(), trace::Ev::TaskEnd, hdr->callback, 0,
-                  rt_.now() - t0);
-  }
-  SCIOTO_COUNT(rt_.me(), stats_, tasks_executed, 1);
-  if (SCIOTO_METRICS_ON()) {
-    metrics::hist_record(rt_.me(), metrics::Hist::TaskExecNs,
-                         static_cast<std::uint64_t>(
-                             std::max<TimeNs>(rt_.now() - t0, 0)));
-  }
-  stats_.time_working += rt_.now() - t0;
+  const TimeNs dur = rt_.now() - t0;
+  SCIOTO_EVENT(rt_.me(), stats_, TaskEnd, hdr->callback, 0, dur);
+  SCIOTO_METRIC_HIST(rt_.me(), metrics::Hist::TaskExecNs,
+                     std::max<TimeNs>(dur, 0));
   queue_->release_maybe();
 }
 
@@ -745,9 +734,7 @@ void TaskCollection::leave_phase(TimeNs t_begin) {
   if (elastic_) {
     elastic_->leave();
   }
-  const TimeNs phase_dur = rt_.now() - t_begin;
-  stats_.time_total += phase_dur;
-  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::PhaseEnd, 0, 0, phase_dur);
+  SCIOTO_EVENT(rt_.me(), stats_, PhaseEnd, 0, 0, rt_.now() - t_begin);
 }
 
 void TaskCollection::reset() {

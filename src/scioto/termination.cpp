@@ -105,9 +105,7 @@ bool TerminationDetector::maybe_resplice(LocalState& st) {
   st.voted_wave = 0;
   st.self_black = !st.join_white;
   st.join_white = false;
-  stats_.td_resplices++;
-  SCIOTO_TRACE_EVENT(me, trace::Ev::TreeRespliced, static_cast<long long>(e),
-                     static_cast<long long>(st.alive.size()), 0);
+  SCIOTO_EVENT(me, stats_, TreeRespliced, e, st.alive.size(), 0);
   return true;
 }
 
@@ -122,11 +120,13 @@ void TerminationDetector::put_kids(const LocalState& st, std::size_t offset,
 
 void TerminationDetector::put_token(Rank target, std::size_t offset,
                                     std::uint64_t value, std::size_t width,
-                                    [[maybe_unused]] int what) {
+                                    int what) {
   int retries = 0;
   rt_.put_word_reliable(seg_, target, offset, value, width, &retries);
   stats_.op_retries += static_cast<std::uint64_t>(retries);
-  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::TokenSend, target, what, 0);
+  // Tokens go to tree neighbours and dirty-mark partners, never to this
+  // rank, so the event counts one remote put.
+  SCIOTO_EVENT(rt_.me(), stats_, TokenSend, target, what, width);
 }
 
 void TerminationDetector::reset_local() {
@@ -282,9 +282,8 @@ TerminationDetector::Status TerminationDetector::step() {
       // Previous wave concluded (or none started): launch the next one.
       quiet = false;
       ++st.wave_seen;
-      SCIOTO_COUNT(me, stats_, waves_started, 1);
       st.wave_begin = SCIOTO_METRICS_ON() ? rt_.now() : 0;
-      SCIOTO_TRACE_EVENT(me, trace::Ev::WaveStart, st.wave_seen, 0, 0);
+      SCIOTO_EVENT(me, stats_, WaveStart, st.wave_seen, 0, 0);
       put_kids(st, offsetof(TdCtl, down_wave),
                tag(st.epoch_seen, st.wave_seen), /*what=*/0);
     }
@@ -322,11 +321,7 @@ TerminationDetector::Status TerminationDetector::step() {
       bool black = children_black || st.self_black || dirty;
       st.self_black = false;
       st.voted_wave = st.wave_seen;
-      SCIOTO_COUNT(me, stats_, td_waves_voted, 1);
-      if (black) {
-        SCIOTO_COUNT(me, stats_, td_black_votes, 1);
-      }
-      SCIOTO_TRACE_EVENT(me, trace::Ev::Vote, st.wave_seen, black ? 1 : 0, 0);
+      SCIOTO_EVENT(me, stats_, Vote, st.wave_seen, black ? 1 : 0, 0);
       if (root && SCIOTO_METRICS_ON()) {
         // Root vote closes the wave it launched: wave latency = launch ->
         // all votes in (the paper's Figure 4 latency, live).

@@ -64,216 +64,84 @@ std::string fmt_us(TimeNs t_ns) {
 }
 
 /// Common prefix: {"name":"...","cat":"...","ph":"X","ts":...,"pid":R,"tid":0
-void emit_head(std::ostream& os, const Event& e, const char* name,
-               const char* ph, TimeNs ts_ns) {
+void emit_head(std::ostream& os, const Event& e, const EvInfo& info,
+               const char* name, TimeNs ts_ns) {
   os << "{\"name\":\"";
   write_json_escaped(os, name);
-  os << "\",\"cat\":\"" << ev_category(e.kind) << "\",\"ph\":\"" << ph
+  os << "\",\"cat\":\"" << info.category << "\",\"ph\":\"" << info.phase
      << "\",\"ts\":" << fmt_us(ts_ns) << ",\"pid\":" << e.rank
      << ",\"tid\":0";
 }
 
-void emit_event(std::ostream& os, const Event& e) {
+/// The name a payload is exported as, where the trace stores an index
+/// into a name list; nullptr for a plain number.
+const char* payload_name(const Event& e, char which) {
   switch (e.kind) {
-    case Ev::TaskBegin:
-      emit_head(os, e, ev_name(e.kind), "B", e.t);
-      os << ",\"args\":{\"callback\":" << e.a << ",\"affinity\":" << e.b
-         << "}}";
-      return;
-    case Ev::TaskEnd:
-      emit_head(os, e, ev_name(e.kind), "E", e.t);
-      os << ",\"args\":{\"callback\":" << e.a << "}}";
-      return;
-    case Ev::PhaseBegin:
-      emit_head(os, e, ev_name(e.kind), "B", e.t);
-      os << ",\"args\":{}}";
-      return;
-    case Ev::PhaseEnd:
-      emit_head(os, e, ev_name(e.kind), "E", e.t);
-      os << ",\"args\":{\"dur_ns\":" << e.c << "}}";
-      return;
-    case Ev::Search:
-      // One coalesced idle/steal/TD-poll spell, drawn over its duration.
-      emit_head(os, e, ev_name(e.kind), "X", e.t - e.c);
-      os << ",\"dur\":" << fmt_us(e.c) << ",\"args\":{}}";
-      return;
-    case Ev::Push:
-    case Ev::Pop:
-    case Ev::Release:
-    case Ev::Reacquire:
-      // Queue ops double as occupancy counter samples; the op itself and
-      // its magnitude ride along in args.
-      emit_head(os, e, "queue", "C", e.t);
-      os << ",\"args\":{\"tasks\":" << e.c << "}}";
-      return;
-    case Ev::StealAttempt:
-    case Ev::StealFail:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"victim\":" << e.a << "}}";
-      return;
-    case Ev::StealOk:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"victim\":" << e.a
-         << ",\"tasks\":" << e.b << "}}";
-      return;
-    case Ev::RemoteAdd:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"target\":" << e.a << "}}";
-      return;
     case Ev::TokenSend: {
       static const char* kFields[] = {"down", "up", "term", "dirty"};
-      const char* field =
-          (e.b >= 0 && e.b < 4) ? kFields[e.b] : "?";
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"target\":" << e.a << ",\"field\":\""
-         << field << "\"}}";
-      return;
+      if (which != 'b') break;
+      return (e.b >= 0 && e.b < 4) ? kFields[e.b] : "?";
     }
-    case Ev::Vote:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"wave\":" << e.a
-         << ",\"black\":" << e.b << "}}";
-      return;
-    case Ev::WaveStart:
-    case Ev::Terminate:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"wave\":" << e.a << "}}";
-      return;
-    case Ev::PgasPut:
-    case Ev::PgasGet:
-    case Ev::PgasAcc:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"target\":" << e.a
-         << ",\"bytes\":" << e.c << "}}";
-      return;
-    case Ev::PgasRmw:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"target\":" << e.a << "}}";
-      return;
-    case Ev::Barrier:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{}}";
-      return;
-    case Ev::FaultInjected:
-      // Process-scope instant: a fault is a machine event, not a rank op.
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"p\",\"args\":{\"fault\":" << e.a
-         << ",\"target\":" << e.b << ",\"param\":" << e.c << "}}";
-      return;
-    case Ev::StealAborted:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"victim\":" << e.a
-         << ",\"reason\":" << e.b << "}}";
-      return;
-    case Ev::TaskRecovered:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"source\":" << e.a
-         << ",\"tasks\":" << e.b << ",\"dur_ns\":" << e.c << "}}";
-      return;
-    case Ev::TreeRespliced:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"epoch\":" << e.a
-         << ",\"alive\":" << e.b << "}}";
-      return;
-    case Ev::ReacquireFast:
-      emit_head(os, e, "queue", "C", e.t);
-      os << ",\"args\":{\"tasks\":" << e.c << "}}";
-      return;
-    case Ev::Suspect:
-    case Ev::ConfirmDead:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"rank\":" << e.a
-         << ",\"silence_ns\":" << e.c << "}}";
-      return;
-    case Ev::Refute:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"rank\":" << e.a << "}}";
-      return;
-    case Ev::FenceAbort:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"adopter\":" << e.a
-         << ",\"epoch\":" << e.b << "}}";
-      return;
-    case Ev::NodeReady:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"node\":" << e.a
-         << ",\"home\":" << e.b << ",\"depth\":" << e.c << "}}";
-      return;
-    case Ev::NodeRun:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"node\":" << e.a
-         << ",\"group\":" << e.b << ",\"depth\":" << e.c << "}}";
-      return;
-    case Ev::ConflictRetry:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"node\":" << e.a
-         << ",\"group\":" << e.b << "}}";
-      return;
     case Ev::KnobChange:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"knob\":\""
-         << control::knob_name(static_cast<control::Knob>(e.a))
-         << "\",\"value\":" << e.b << ",\"reason\":\""
-         << control::reason_name(static_cast<int>(e.c)) << "\"}}";
-      return;
-    case Ev::JoinRequest:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"rank\":" << e.a << "}}";
-      return;
-    case Ev::JoinAdmit:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"joiner\":" << e.a
-         << ",\"admitter\":" << e.b << ",\"epoch\":" << e.c << "}}";
-      return;
-    case Ev::Quiesce:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"gen\":" << e.a
-         << ",\"participants\":" << e.b << ",\"dur_ns\":" << e.c << "}}";
-      return;
-    case Ev::Checkpoint:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"gen\":" << e.a
-         << ",\"tasks\":" << e.b << ",\"bytes\":" << e.c << "}}";
-      return;
-    case Ev::Restore:
-      emit_head(os, e, ev_name(e.kind), "i", e.t);
-      os << ",\"s\":\"t\",\"args\":{\"parts\":" << e.a
-         << ",\"tasks\":" << e.b << ",\"bytes\":" << e.c << "}}";
-      return;
+      if (which == 'a') {
+        return control::knob_name(static_cast<control::Knob>(e.a));
+      }
+      if (which == 'c') return control::reason_name(static_cast<int>(e.c));
+      break;
+    default:
+      break;
+  }
+  return nullptr;
+}
+
+void emit_event(std::ostream& os, const Event& e) {
+  const EvInfo* info = ev_info(e.kind);
+  // A kind past the table would otherwise emit *nothing*, leaving the
+  // caller's separator dangling and the whole file invalid JSON. Fail by
+  // name instead.
+  SCIOTO_REQUIRE(info != nullptr, "chrome trace exporter: unknown event kind "
+                                      << static_cast<int>(e.kind));
+  const char ph = info->phase[0];
+  if (ph == 's' || ph == 't' || ph == 'f') {
     // Causal lineage maps onto the format's *flow events*: one flow per
     // task id, started ("s") on the spawning rank, stepped ("t") at each
     // migration landing, finished ("f") on the executing rank, bound to
     // the enclosing task slice (bp:"e") -- Perfetto then draws the
     // spawn -> steal -> exec arrows across rank tracks. All three phases
     // must share the same name and id: the id is the join key.
-    case Ev::SpawnEdge: {
-      const std::uint64_t parent =
-          static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.a))
-              << 32 |
-          static_cast<std::uint32_t>(e.b);
-      emit_head(os, e, "task_flow", "s", e.t);
-      os << ",\"id\":" << e.c << ",\"args\":{\"parent\":" << parent
-         << "}}";
-      return;
-    }
-    case Ev::MigrateEdge:
-      emit_head(os, e, "task_flow", "t", e.t);
-      os << ",\"id\":" << e.c << ",\"args\":{\"victim\":" << e.a
-         << ",\"hops\":" << e.b << "}}";
-      return;
-    case Ev::ExecSpan:
-      emit_head(os, e, "task_flow", "f", e.t);
-      os << ",\"id\":" << e.c << ",\"bp\":\"e\",\"args\":{\"hops\":" << e.a
-         << ",\"callback\":" << e.b << "}}";
-      return;
+    emit_head(os, e, *info, "task_flow", e.t);
+    os << ",\"id\":" << e.c;
+    if (ph == 'f') os << ",\"bp\":\"e\"";
+  } else if (ph == 'X') {
+    emit_head(os, e, *info, info->name, e.t - e.c);
+    os << ",\"dur\":" << fmt_us(e.c);
+  } else {
+    emit_head(os, e, *info, ph == 'C' ? info->category : info->name, e.t);
+    if (info->scope[0] != '\0') os << ",\"s\":\"" << info->scope << '"';
   }
-  // A kind the switch does not know would otherwise emit *nothing*,
-  // leaving the caller's separator dangling and the whole file invalid
-  // JSON -- the silent failure mode each appended-event PR had to patch
-  // reactively. Fail by name instead.
-  SCIOTO_REQUIRE(false, "chrome trace exporter: unknown event kind "
-                            << static_cast<int>(e.kind)
-                            << " (trace::Ev grew without an exporter case)");
+  os << ",\"args\":{";
+  if (e.kind == Ev::SpawnEdge) {
+    const std::uint64_t parent =
+        static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.a)) << 32 |
+        static_cast<std::uint32_t>(e.b);
+    os << "\"parent\":" << parent;
+  } else {
+    const char* sep = "";
+    auto arg = [&](const char* label, char which, std::int64_t v) {
+      if (label[0] == '\0') return;
+      os << sep << '"' << label << "\":";
+      sep = ",";
+      if (const char* name = payload_name(e, which)) {
+        os << '"' << name << '"';
+      } else {
+        os << v;
+      }
+    };
+    arg(info->a, 'a', e.a);
+    arg(info->b, 'b', e.b);
+    arg(info->c, 'c', e.c);
+  }
+  os << "}}";
 }
 
 }  // namespace

@@ -17,23 +17,20 @@ namespace scioto::trace {
 
 namespace {
 
-struct EvInfo {
-  const char* name;
-  const char* category;
-};
-
 constexpr EvInfo kEvInfo[] = {
-#define SCIOTO_TRACE_EV_INFO(kind, name, category) {name, category},
-    SCIOTO_TRACE_EV_KINDS(SCIOTO_TRACE_EV_INFO)
+#define SCIOTO_TRACE_EV_INFO(kind, name, category, ph, scope, a, b, c, bumps) \
+  {name, category, ph, scope, a, b, c},
+    SCIOTO_TRACE_EV_KINDS(SCIOTO_TRACE_EV_INFO, SCIOTO_ROW_SKIP,
+                          SCIOTO_ROW_SKIP, SCIOTO_ROW_SKIP)
 #undef SCIOTO_TRACE_EV_INFO
 };
+
+}  // namespace
 
 const EvInfo* ev_info(Ev kind) {
   const auto i = static_cast<std::size_t>(kind);
   return i < std::size(kEvInfo) ? &kEvInfo[i] : nullptr;
 }
-
-}  // namespace
 
 const char* ev_name(Ev kind) {
   const EvInfo* info = ev_info(kind);

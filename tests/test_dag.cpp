@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -21,9 +22,11 @@
 
 #include "apps/cholesky/cholesky.hpp"
 #include "dag/dag.hpp"
+#include "detect/membership.hpp"
 #include "fault/fault.hpp"
 #include "metrics/metrics.hpp"
 #include "pgas/sim_backend.hpp"
+#include "row_reconcile.hpp"
 #include "scioto/scioto_c.h"
 #include "scioto/task_collection.hpp"
 #include "test_util.hpp"
@@ -210,12 +213,7 @@ TEST_P(DagBackends, DataEdgeRemoteRAW) {
       rt.get(data, 1, 0, &v, sizeof(v));
       seen.store(v);
     });
-    dag::DataDep dep;
-    dep.seg = data;
-    dep.owner = 1;
-    dep.offset = 0;
-    dep.len = sizeof(std::uint64_t);
-    dag.add_edge(prod, cons, dep);
+    dag.add_edge(prod, cons, dag::DataDep{1});
     dag.execute();
     dag::DagStats g = dag.stats_global();
     TcStats ts = tc.stats_global();
@@ -376,6 +374,14 @@ TEST(DagValidation, AddEdgeRejectsBadArgsAtCallTime) {
     EXPECT_THROW(dag.add_edge(a, a), Error);           // self-edge
     EXPECT_THROW(dag.add_edge(a, b + 7), Error);       // out of range
     EXPECT_THROW(dag.add_edge(-1, b), Error);          // negative
+    try {
+      dag.add_edge(a, b, dag::DataDep{rt.nprocs()});
+      ADD_FAILURE() << "DataDep owner past the fleet accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("DataDep owner 2 out of range"),
+                std::string::npos)
+          << e.what();
+    }
     EXPECT_THROW(dag.add_node(rt.nprocs(), [] {}), Error);  // bad home
     EXPECT_THROW(dag.add_node(0, dag::NodeFn([](dag::NodeCtx&) {}), 5),
                  Error);  // unknown group
@@ -539,12 +545,8 @@ TimeNs run_mixed_dag(std::uint64_t seed, std::vector<TcStats>* per_rank) {
                            id[static_cast<std::size_t>(i * kGrid + j)]);
           }
         }
-        dag::DataDep dep;
-        dep.seg = data;
-        dep.owner = 1;
-        dep.offset = 0;
-        dep.len = 8;
-        dag.add_edge(id[0], id[kGrid], dep);  // (0,0) -> (1,0), data edge
+        // (0,0) -> (1,0), data edge
+        dag.add_edge(id[0], id[kGrid], dag::DataDep{1});
         dag.execute();
         (*per_rank)[static_cast<std::size_t>(rt.me())] = tc.stats_local();
         rt.seg_free(data);
@@ -823,6 +825,7 @@ TEST_P(DagReconcile, CountersAgreeWithStatsAndTrace) {
   trace::start(nranks);
   metrics::start(nranks);
   dag::DagStats g;
+  TcStats ts;
   testing::run(nranks, GetParam(), [&](Runtime& rt) {
     TaskCollection tc(rt, small_cfg());
     dag::DagScheduler dag(tc);
@@ -836,7 +839,8 @@ TEST_P(DagReconcile, CountersAgreeWithStatsAndTrace) {
     }
     dag.execute();
     dag::DagStats s = dag.stats_global();
-    if (rt.me() == 0) g = s;
+    TcStats t = tc.stats_global();
+    if (rt.me() == 0) g = s, ts = t;
     tc.destroy();
   });
   std::vector<metrics::Snapshot> snaps(nranks);
@@ -844,32 +848,26 @@ TEST_P(DagReconcile, CountersAgreeWithStatsAndTrace) {
     ASSERT_TRUE(metrics::scrape(r, &snaps[static_cast<std::size_t>(r)]));
   }
   metrics::stop();
+  ASSERT_EQ(trace::total_dropped(), 0u);
   std::vector<trace::Event> evs = trace::all_events();
   trace::stop();
 
-  auto fleet = [&](metrics::Ctr c) {
-    std::uint64_t sum = 0;
-    for (const auto& s : snaps) sum += s.ctr(c);
-    return sum;
-  };
-  std::uint64_t tr_run = 0, tr_ready = 0, tr_retry = 0;
-  for (const trace::Event& e : evs) {
-    if (e.kind == trace::Ev::NodeRun) ++tr_run;
-    if (e.kind == trace::Ev::NodeReady) ++tr_ready;
-    if (e.kind == trace::Ev::ConflictRetry) ++tr_retry;
-  }
-
   EXPECT_EQ(g.nodes_run, 40u);
   EXPECT_EQ(g.nodes_fired, g.nodes_run);  // every fired node ran
-  // DagStats vs metrics counters: increments sit at the same sites.
-  EXPECT_EQ(fleet(metrics::Ctr::DagNodesRun), g.nodes_run);
-  EXPECT_EQ(fleet(metrics::Ctr::DagNodesFired), g.nodes_fired);
-  EXPECT_EQ(fleet(metrics::Ctr::DagRemoteFires), g.remote_fires);
-  EXPECT_EQ(fleet(metrics::Ctr::DagConflictRetries), g.conflict_retries);
-  // ... and vs the trace stream's independent record of the same run.
-  EXPECT_EQ(g.nodes_run, tr_run);
-  EXPECT_EQ(g.nodes_fired, tr_ready);
-  EXPECT_EQ(g.conflict_retries, tr_retry);
+  // Every counter the DAG's trace kinds name, and the scheduler's.
+  std::map<std::string, std::uint64_t> sums =
+      testing::expect_rows_reconcile(evs, snaps, ts, g, detect::Stats{});
+  EXPECT_EQ(sums["stats.nodes_run"], 40u);
+  if (GetParam() == BackendKind::Sim) {  // real threads may never collide
+    EXPECT_GT(sums["stats.conflict_retries"], 0u);
+  }
+  // remote_fires counts only the fires homed elsewhere, so no row names
+  // it; its metrics counter sits at the same site.
+  std::uint64_t remote_fires = 0;
+  for (const auto& s : snaps) {
+    remote_fires += s.ctr(metrics::Ctr::DagRemoteFires);
+  }
+  EXPECT_EQ(remote_fires, g.remote_fires);
   // Every executed node fed the depth histogram.
   std::uint64_t hist_depth = 0;
   for (const auto& s : snaps) {

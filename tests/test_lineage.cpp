@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/cholesky/cholesky.hpp"
 #include "apps/uts/uts_drivers.hpp"
 #include "fault/fault.hpp"
+#include "json.hpp"
 #include "scioto/scioto_c.h"
 #include "scioto/task_collection.hpp"
 #include "test_util.hpp"
@@ -337,6 +340,50 @@ TEST(LineageExport, ChromeFlowEventsPairUpWithTheReport) {
   EXPECT_EQ(count("\"bp\":\"e\""), run.rep.execs);
   EXPECT_EQ(count("\"name\":\"task_flow\""),
             run.rep.spawns + run.rep.migrations + run.rep.execs);
+
+  // Well-formed Perfetto flow syntax: every leg in the lineage category;
+  // one start and one slice-bound finish per task id, paired up; steps
+  // only on started ids; no finish before its start. Ids are compared by
+  // their exact text (they need up to 63 bits).
+  std::unique_ptr<testing::Json> root;
+  ASSERT_NO_THROW(root = testing::JsonParser(run.json).parse());
+  std::map<std::string, double> starts, fins;
+  std::vector<std::string> steps;
+  for (const auto& ev : root->at("traceEvents").array) {
+    const testing::Json& e = *ev;
+    if (!e.has("name") || e.at("name").str != "task_flow") continue;
+    EXPECT_EQ(e.at("cat").str, "lineage");
+    ASSERT_TRUE(e.has("id") && e.has("ts") && e.has("pid"));
+    const std::string& id = e.at("id").str;
+    const testing::Json& args = e.at("args");
+    const std::string& ph = e.at("ph").str;
+    if (ph == "s") {
+      EXPECT_TRUE(args.has("parent"));
+      EXPECT_TRUE(starts.emplace(id, e.at("ts").num).second)
+          << "duplicate spawn of task " << id;
+    } else if (ph == "t") {
+      EXPECT_TRUE(args.has("victim") && args.has("hops"));
+      steps.push_back(id);
+    } else if (ph == "f") {
+      EXPECT_TRUE(e.has("bp") && e.at("bp").str == "e")
+          << "finish of task " << id << " not slice-bound";
+      EXPECT_TRUE(fins.emplace(id, e.at("ts").num).second)
+          << "duplicate finish of task " << id;
+    } else {
+      ADD_FAILURE() << "unexpected flow phase " << ph;
+    }
+  }
+  ASSERT_FALSE(starts.empty());
+  ASSERT_FALSE(fins.empty());
+  EXPECT_EQ(starts.size(), fins.size()) << "unpaired flow events";
+  for (const auto& [id, ts] : fins) {
+    auto s = starts.find(id);
+    ASSERT_NE(s, starts.end()) << "finish without spawn: task " << id;
+    EXPECT_GE(ts, s->second) << "finish before spawn: task " << id;
+  }
+  for (const std::string& id : steps) {
+    EXPECT_EQ(starts.count(id), 1u) << "step without spawn: task " << id;
+  }
 }
 
 // ---- C API round-trip ----

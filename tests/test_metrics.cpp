@@ -9,18 +9,22 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/uts/uts_drivers.hpp"
 #include "base/stats.hpp"
+#include "dag/dag.hpp"
+#include "detect/membership.hpp"
+#include "fault/fault.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/monitor.hpp"
+#include "row_reconcile.hpp"
 #include "scioto/scioto_c.h"
 #include "scioto/task_collection.hpp"
 #include "test_util.hpp"
-#include "trace/analysis.hpp"
 #include "trace/trace.hpp"
 
 using namespace scioto;
@@ -300,29 +304,27 @@ TEST_P(MetricsReconcile, UtsCountersAgreeWithTcStatsAndTrace) {
   });
   std::vector<metrics::Snapshot> snaps = scrape_all(nranks);
   metrics::stop();
+  ASSERT_EQ(trace::total_dropped(), 0u);
   std::vector<trace::Event> evs = trace::all_events();
   trace::stop();
 
-  // Metrics counters vs the scheduler's own TcStats: one call bumps both
-  // sides of every twin row, so the totals must agree exactly on both
-  // backends.
+  // Metrics counters vs the scheduler's own TcStats, for every twin row.
 #define EXPECT_TWIN(field, group, id, name)                          \
   EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::id), res.stats.field) << name;
   SCIOTO_COUNTER_ROWS(SCIOTO_ROW_SKIP, EXPECT_TWIN, SCIOTO_ROW_SKIP,
                       SCIOTO_ROW_SKIP)
 #undef EXPECT_TWIN
+  // Every counter a trace kind's row names -- TcStats field, metrics
+  // counter, or both -- against the trace stream's record of the run.
+  std::map<std::string, std::uint64_t> sums = expect_rows_reconcile(
+      evs, snaps, res.stats, dag::DagStats{}, detect::Stats{});
+  EXPECT_GT(sums["metrics.q_pops"], 0u);
+  if (GetParam() == pgas::BackendKind::Sim) {  // threads may never steal
+    EXPECT_GT(sums["stats.steals"], 0u);
+    EXPECT_GT(sums["stats.td_waves_voted"], 0u);
+  }
   EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::TasksSpawned),
             res.stats.tasks_spawned_local + res.stats.tasks_spawned_remote);
-
-  // ... and vs the trace stream's independent record of the same run.
-  std::uint64_t trace_exec = 0;
-  for (const trace::Event& e : evs) {
-    if (e.kind == trace::Ev::TaskEnd) ++trace_exec;
-  }
-  EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::TasksExecuted), trace_exec);
-  trace::StealMatrix sm = trace::steal_matrix(evs, nranks);
-  EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::Steals), sm.total_steals());
-  EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::TasksStolen), sm.total_tasks());
 
   // Every executed task fed the exec-time histogram.
   std::uint64_t hist_exec = 0;
@@ -330,6 +332,59 @@ TEST_P(MetricsReconcile, UtsCountersAgreeWithTcStatsAndTrace) {
     hist_exec += s.hist(metrics::Hist::TaskExecNs).count;
   }
   EXPECT_EQ(hist_exec, res.stats.tasks_executed);
+}
+
+TEST(MetricsReconcileFault, FaultRowsAgreeOnTheSurvivors) {
+  // A killed rank's TcStats leave the fleet sum with it, so the rows are
+  // reconciled over the survivors' events and patches. The kill drives
+  // adoption and a resplice, the truncation aborts steals, and the armed
+  // heartbeat detector suspects and confirms the dead rank.
+  const int nranks = 8;
+  const apps::UtsParams tree = apps::uts_small();
+  const detect::Config staged = detect::config();
+  detect::Config armed = staged;
+  armed.enabled = true;
+  detect::set_config(armed);
+  fault::start(nranks,
+               fault::FaultPlan::parse(
+                   "kill:rank=2,at=400us;truncate:keep=0,count=3"),
+               42);
+  trace::start(nranks);
+  metrics::start(nranks);
+  apps::UtsResult res;
+  run_sim(nranks, [&](pgas::Runtime& rt) {
+    apps::UtsResult r = apps::uts_run_scioto_ft(rt, tree, {});
+    if (rt.me() == 0) res = r;
+  });
+  std::vector<Rank> survivors;
+  for (Rank r = 0; r < nranks; ++r) {
+    if (fault::alive(r)) survivors.push_back(r);
+  }
+  fault::stop();
+  detect::set_config(staged);
+  std::vector<metrics::Snapshot> snaps;
+  for (Rank r : survivors) {
+    snaps.emplace_back();
+    ASSERT_TRUE(metrics::scrape(r, &snaps.back()));
+  }
+  metrics::stop();
+  ASSERT_EQ(trace::total_dropped(), 0u);
+  std::vector<trace::Event> evs;
+  for (Rank r : survivors) {
+    std::vector<trace::Event> mine = trace::events(r);
+    evs.insert(evs.end(), mine.begin(), mine.end());
+  }
+  trace::stop();
+  ASSERT_EQ(survivors.size(), static_cast<std::size_t>(nranks - 1));
+  EXPECT_TRUE(res.counts == apps::uts_sequential(tree));
+
+  std::map<std::string, std::uint64_t> sums = expect_rows_reconcile(
+      evs, snaps, res.stats, dag::DagStats{}, detect::stats());
+  EXPECT_GT(sums["stats.suspects"], 0u);
+  EXPECT_GT(sums["metrics.confirms"], 0u);
+  EXPECT_GT(sums["stats.tasks_recovered"], 0u);
+  EXPECT_GT(sums["stats.steals_aborted"], 0u);
+  EXPECT_GT(sums["stats.td_resplices"], 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, MetricsReconcile,
