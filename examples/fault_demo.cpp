@@ -14,6 +14,7 @@
 // and seed the whole run, trace included, replays bit-for-bit.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,13 @@
 
 using namespace scioto;
 using namespace scioto::apps;
+
+namespace {
+
+/// Trace ring sizing: events per tree node, spread over the fleet.
+constexpr std::uint64_t kTraceEventsPerNode = 6;
+
+}  // namespace
 
 int main(int argc, char** argv) {
   Options opts("fault_demo", "UTS recovery under injected rank failures");
@@ -114,7 +122,18 @@ int main(int argc, char** argv) {
   cfg.machine = sim::cluster2008_uniform();
   cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed"));
 
-  trace::start(nranks);
+  // Each rank records a few events per tree node it runs (task begin/end,
+  // push, pop), so rings sized from the tree keep the whole run -- the
+  // deaths, suspicions and recoveries included -- where the default 32k
+  // events per rank would drop them. SCIOTO_TRACE_CAP still wins.
+  std::size_t trace_cap = 0;
+  if (std::getenv("SCIOTO_TRACE_CAP") == nullptr) {
+    trace_cap = std::max(
+        trace::default_capacity(),
+        static_cast<std::size_t>(kTraceEventsPerNode * expected.nodes /
+                                 static_cast<std::uint64_t>(nranks)));
+  }
+  trace::start(nranks, trace_cap);
   fault::start(nranks, plan, cfg.seed);
 
   // --live: demo-owned metrics session + TTY dashboard. With --detector
@@ -235,7 +254,8 @@ int main(int argc, char** argv) {
 
   const std::string& out = opts.get_string("out");
   if (!out.empty() && trace::write_chrome_trace_file(out)) {
-    std::printf("trace: wrote %s\n", out.c_str());
+    std::printf("trace: wrote %s (%llu events dropped)\n", out.c_str(),
+                static_cast<unsigned long long>(trace::total_dropped()));
   }
   trace::stop();
 

@@ -20,8 +20,8 @@
 // fences, trivially TSan-clean.
 //
 // Every set() clamps to per-knob bounds fixed at init. The steal-chunk
-// bound matters most: steal/reacquire buffers are sized for `chunk_max`
-// at queue construction, so the live chunk may never exceed it.
+// bound matters most: the fault-mode steal-transaction log is sized for
+// `chunk_max` at queue construction, so the live chunk may never exceed it.
 #pragma once
 
 #include <cstdint>

@@ -21,7 +21,7 @@
 //   * Checkpoint/restore. A checkpoint rule quiesces the fleet (every
 //     joined-alive rank drains its recovery paths and rendezvouses through
 //     arrival words in the elastic segment; in-flight steals drain because
-//     a steal's copy->requeue->commit completes within one work-loop
+//     a steal's copy->publish->commit completes within one work-loop
 //     iteration with no interior safepoint), then each rank serializes its
 //     queue's descriptor span plus a user blob into an SHA1-framed part
 //     file and the leader writes a manifest. A later run -- on a DIFFERENT

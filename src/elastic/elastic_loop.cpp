@@ -311,7 +311,7 @@ bool ElasticLoop::quiesce_and_checkpoint(std::uint64_t gen) {
   }
   ElasticCtl* my = ectl(rt_, seg_, me);
   // 2. Publish arrival. In-flight steals need no explicit draining: a
-  // steal's copy -> requeue -> commit runs inside one work-loop iteration
+  // steal's copy -> publish -> commit runs inside one work-loop iteration
   // with no interior safepoint or pump, so a rank standing at this
   // rendezvous has no open thief-side transaction -- and by the time ALL
   // participants stand here, every stolen chunk is committed exactly once

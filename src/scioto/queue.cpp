@@ -165,7 +165,7 @@ SplitQueue::PushOutcome SplitQueue::try_push_local(const std::byte* task,
       rt_.unlock(locks_, me);
       return PushOutcome::Full;
     }
-    std::memcpy(slot(me, pt), task, cfg_.slot_bytes);
+    copy_slot(slot(me, pt), task);
     c.priv_tail.store(pt + 1, std::memory_order_release);
     c.split.store(pt + 1, std::memory_order_release);
     rt_.unlock(locks_, me);
@@ -187,7 +187,7 @@ SplitQueue::PushOutcome SplitQueue::try_push_local(const std::byte* task,
     if (pt - sh >= cfg_.capacity) {
       return PushOutcome::Full;
     }
-    std::memcpy(slot(me, pt), task, cfg_.slot_bytes);
+    copy_slot(slot(me, pt), task);
     if (ft_) {
       // The CAS arbitrates against a ward freezing priv_tail mid-adoption
       // (priv_tail has no other concurrent writer): the freeze installs
@@ -378,6 +378,27 @@ std::uint64_t SplitQueue::peek_shared(Rank victim) {
   return bd > sh ? bd - sh : 0;
 }
 
+void SplitQueue::copy_slot(std::byte* dst, const std::byte* src) {
+  // A published landed task already sits in the slot it is pushed to.
+  if (dst != src) {
+    std::memcpy(dst, src, cfg_.slot_bytes);
+  }
+}
+
+void SplitQueue::copy_ring_raw(Rank from, std::uint64_t first,
+                               std::uint64_t count, std::uint64_t dst) {
+  // Both spans may wrap: copy up to the nearer wrap point at a time.
+  while (count > 0) {
+    const std::uint64_t n =
+        std::min({count, internal_cap_ - first % internal_cap_,
+                  internal_cap_ - dst % internal_cap_});
+    std::memcpy(slot(rt_.me(), dst), slot(from, first), n * cfg_.slot_bytes);
+    first += n;
+    dst += n;
+    count -= n;
+  }
+}
+
 void SplitQueue::copy_out_span(Rank victim, std::uint64_t first,
                                std::uint64_t count, std::byte* out) {
   // Contiguous modulo wrap-around: at most two memcpys, one RMA charge.
@@ -397,21 +418,32 @@ void SplitQueue::copy_span_raw(Rank victim, std::uint64_t first,
   }
 }
 
-std::uint64_t SplitQueue::steal_width(std::uint64_t avail) const {
+std::uint64_t SplitQueue::steal_width(std::uint64_t avail,
+                                      std::uint64_t room) const {
   // Thief-side policy: the *caller's* live chunk and steal-half config
   // decide how much to take (the victim never constrains width beyond
   // what is visible/available).
   const auto chunk = static_cast<std::uint64_t>(live_chunk());
-  if (!cfg_.steal_half) {
-    return std::min(avail, chunk);
+  std::uint64_t cap = chunk;
+  if (cfg_.steal_half) {
+    // A deep victim, whose shared portion alone would give every rank a
+    // chunk, gives half. NoSplit keeps the chunk cap: there `avail` is the
+    // owner's whole queue, not what it chose to release.
+    if (cfg_.mode == QueueMode::Split &&
+        avail >= chunk * static_cast<std::uint64_t>(rt_.nprocs())) {
+      cap = std::max<std::uint64_t>(chunk, kDeepStealCap);
+      if (ft_) {
+        // The victim-side transaction log holds chunk_max_ (>= the live
+        // chunk) slots per thief.
+        cap = std::min<std::uint64_t>(cap, chunk_max_);
+      }
+    }
+    avail = (avail + 1) / 2;
   }
-  // Steal-half: take ceil(avail / 2), capped at the live chunk, which the
-  // KnobSet in turn clamps to the chunk_max the caller's buffers (and the
-  // fault-mode transaction log) are sized for.
-  return std::min((avail + 1) / 2, chunk);
+  return std::min({avail, cap, room});
 }
 
-int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
+int SplitQueue::steal_from_locked(Rank victim, std::byte* first) {
   // The lock word is co-located with the queue's control block, so the
   // indices arrive with the lock-acquisition response -- no separate
   // round trip (this is what keeps the paper's remote ops near 5 one-way
@@ -424,7 +456,18 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
                          ? unfrozen(c.priv_tail.load(std::memory_order_acquire))
                          : c.split.load(std::memory_order_seq_cst);
   std::uint64_t avail = bd > sh ? bd - sh : 0;
-  std::uint64_t n = steal_width(avail);
+  // The stolen tasks land above our own priv_tail, which only we advance:
+  // at most capacity - depth of them fit, and none while a ward holds our
+  // queue frozen (it may be copying those very slots out).
+  Ctl& own = ctl(me);
+  const std::uint64_t pt = own.priv_tail.load(std::memory_order_relaxed);
+  std::uint64_t room = first != nullptr ? 1 : 0;
+  if ((pt & kFrozenBit) == 0) {
+    const std::uint64_t depth =
+        pt - own.steal_head.load(std::memory_order_acquire);
+    room += depth < cfg_.capacity ? cfg_.capacity - depth : 0;
+  }
+  std::uint64_t n = steal_width(avail, room);
   if (ft_ && n > 0 && victim != me) {
     // Injected message truncation: the steal response carries fewer tasks
     // than requested, possibly none at all.
@@ -441,22 +484,23 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
     return 0;
   }
   // The copy happens under the lock: the moment steal_head moves, a
-  // remote add may reuse the slot just below it.
-  copy_out_span(victim, sh, n, out);
+  // remote add may reuse the slot just below it. One transfer carries the
+  // whole chunk.
+  rt_.rma_charge(victim, n * cfg_.slot_bytes);
+  const std::uint64_t skip = first != nullptr ? 1 : 0;
+  if (first != nullptr) {
+    copy_span_raw(victim, sh, 1, first);
+  }
+  land_base_ = pt;
+  landed_ = n - skip;
+  copy_ring_raw(victim, sh + skip, landed_, land_base_);
   if (ft_ && victim != me) {
     // Log the in-flight chunk victim-side before releasing the lock: if we
-    // die before requeue+commit, the victim (or its ward) replays it from
+    // die before publish+commit, the victim (or its ward) replays it from
     // this buffer. The ring itself cannot serve as the log -- remote adds
     // overwrite slots just below steal_head. The data already lives on the
     // victim, so only the 16-byte record publish is charged.
-    std::byte* buf = txn_buf(victim, me);
-    std::uint64_t first_mod = sh % internal_cap_;
-    std::uint64_t n1 = std::min(n, internal_cap_ - first_mod);
-    std::memcpy(buf, slot(victim, sh), n1 * cfg_.slot_bytes);
-    if (n1 < n) {
-      std::memcpy(buf + n1 * cfg_.slot_bytes, slot(victim, sh + n1),
-                  (n - n1) * cfg_.slot_bytes);
-    }
+    copy_span_raw(victim, sh, n, txn_buf(victim, me));
     TxnRecord& t = txn(victim, me);
     t.count.store(n, std::memory_order_relaxed);
     t.state.store(1, std::memory_order_release);
@@ -465,6 +509,19 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
   c.steal_head.store(sh + n, std::memory_order_seq_cst);
   rt_.unlock(locks_, victim);
   return static_cast<int>(n);
+}
+
+bool SplitQueue::publish_landed() {
+  const std::uint64_t n = landed_;
+  landed_ = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    // In place while priv_tail still sits at the task's slot; a lost CAS
+    // (our queue was adopted) stashes it, as for any push.
+    if (!push_local(slot(rt_.me(), land_base_ + i), kAffinityHigh)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void SplitQueue::commit_steal(Rank victim) {
@@ -481,7 +538,7 @@ void SplitQueue::commit_steal(Rank victim) {
     fault::OpFate f = fault::one_sided_fate(fault::OpKind::Commit, me, victim);
     if (f.fate == fault::Fate::Fail) {
       // A lost commit would make the victim replay a chunk we already
-      // requeued, so commits retry past the drop budget (finite by plan).
+      // published, so commits retry past the drop budget (finite by plan).
       stats_.op_retries++;
       rt_.charge(fault::backoff(me, attempt++));
       rt_.relax();
@@ -750,10 +807,11 @@ std::uint64_t SplitQueue::flush_overflow() {
   return moved;
 }
 
-int SplitQueue::steal_from(Rank victim, std::byte* out) {
+int SplitQueue::steal_from(Rank victim, std::byte* first) {
   SCIOTO_EVENT(rt_.me(), stats_, StealAttempt, victim, 0, 0);
   TimeNs t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
-  int n = steal_from_locked(victim, out);
+  landed_ = 0;
+  int n = steal_from_locked(victim, first);
   if (n > 0) {
     SCIOTO_EVENT(rt_.me(), stats_, StealOk, victim, n, 0);
     if (cfg_.lineage_off != 0 && victim != rt_.me()) {
@@ -762,20 +820,24 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
       // and one MigrateEdge per task, so per-task hop counts and the
       // steal matrix reconcile one-for-one. A rank stealing from itself
       // migrates nothing, so it stays out of the lineage stream.
-      for (int i = 0; i < n; ++i) {
-        std::byte* slot =
-            out + static_cast<std::size_t>(i) * cfg_.slot_bytes;
+      auto stamp = [&](std::byte* task) {
         trace::lineage::LineageRec rec;
-        std::memcpy(&rec, slot + cfg_.lineage_off, sizeof(rec));
+        std::memcpy(&rec, task + cfg_.lineage_off, sizeof(rec));
         rec.hops += 1;
-        std::memcpy(slot + cfg_.lineage_off, &rec, sizeof(rec));
+        std::memcpy(task + cfg_.lineage_off, &rec, sizeof(rec));
         SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::MigrateEdge, victim,
                            rec.hops, rec.id);
+      };
+      if (first != nullptr) {
+        stamp(first);
+      }
+      for (std::uint64_t i = 0; i < landed_; ++i) {
+        stamp(slot(rt_.me(), land_base_ + i));
       }
     }
     if (SCIOTO_METRICS_ON()) {
-      // Attempt -> tasks landed in our buffer; the thief's own gauges are
-      // untouched (the stolen chunk is not in its queue yet).
+      // Attempt -> tasks landed; the thief's own gauges are untouched
+      // (the landed chunk is not published yet).
       metrics::hist_record(rt_.me(), metrics::Hist::StealNs,
                            static_cast<std::uint64_t>(
                                std::max<TimeNs>(rt_.now() - t0, 0)));
@@ -867,6 +929,7 @@ void SplitQueue::reset_collective() {
   c.split.store(kIndexBase, std::memory_order_relaxed);
   c.priv_tail.store(kIndexBase, std::memory_order_relaxed);
   c.fence.store(0, std::memory_order_relaxed);
+  landed_ = 0;
   if (ft_) {
     for (Rank t = 0; t < rt_.nprocs(); ++t) {
       txn(rt_.me(), t).state.store(0, std::memory_order_relaxed);

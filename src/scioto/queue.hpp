@@ -28,10 +28,14 @@
 //   one region, every operation -- including the owner's local push/pop --
 //   takes the lock. Figure 7 measures the collapse this causes.
 //
-// Steal width is the one policy both modes share: with steal-half (the
-// default) min(ceil(shared depth / 2), chunk), else the thief's live chunk
-// (the paper's fixed-chunk steal). Steals block on the victim's lock and
-// copy the chunk inside the critical section, as in the paper.
+// Steal width (steal_width): with steal-half (the default) a steal takes
+// min(ceil(avail / 2), chunk), else the thief's live chunk (the paper's
+// fixed-chunk steal). A deep split-queue victim -- one whose shared portion
+// alone would hand every rank a chunk -- gives half, up to kDeepStealCap.
+// Steals block on the victim's lock and copy the chunk inside the critical
+// section, as in the paper. The copy lands straight in the thief's own
+// ring above its priv_tail, where no other rank reads; publish_landed()
+// then makes it private work one push at a time.
 //
 // Cost model: local unlocked ops charge MachineModel::local_insert/get;
 // remote ops charge lock/RMA/RMW costs through the runtime, which under
@@ -39,17 +43,17 @@
 //
 // Fault tolerance (runs with an active fault session only): each rank's
 // patch additionally carries a steal-transaction table -- one record and
-// one chunk-sized buffer per potential thief. A locked steal logs the
+// one chunk_max-slot buffer per potential thief. A locked steal logs the
 // stolen chunk into the victim's buffer and opens the record before
 // releasing the victim's lock; the thief closes it (commit_steal) only
-// after requeueing every stolen task locally. If the thief dies in
+// after publishing every stolen task locally. If the thief dies in
 // between, the victim replays the chunk from its own buffer
 // (recover_open_txns); if the victim dies, its successor ward adopts the
 // whole queue plus any orphaned transactions (drain_dead). Because a
 // remote add overwrites ring slots just below steal_head, the ring itself
 // cannot serve as the recovery log -- the side buffer can. Exactly-once
 // completion holds because kills fire only at safepoints and the
-// requeue+commit sequence contains none.
+// publish+commit sequence contains none.
 #pragma once
 
 #include <atomic>
@@ -87,26 +91,33 @@ class SplitQueue {
     /// Steal granularity in tasks (the paper's chunk_size): the initial
     /// value of the queue's live StealChunk knob.
     int chunk = 10;
-    /// Upper bound for the live steal-chunk knob. Steal/reacquire buffers
-    /// and the fault-mode transaction log are sized for this at
-    /// construction, so the control plane can raise the chunk at runtime
-    /// without reallocation. 0 means "= chunk" (no headroom), which keeps
-    /// control-off layouts and traces byte-identical to pre-control runs.
-    /// Collective: must match across ranks (it shapes the patch layout).
+    /// Upper bound for the live steal-chunk knob. The fault-mode
+    /// transaction log (one chunk_max-slot buffer per thief) and a ward's
+    /// drain buffer are sized for this at construction, so the control
+    /// plane can raise the chunk at runtime without reallocation; it also
+    /// caps a deep-victim steal under a fault session. 0 means "= chunk"
+    /// (no headroom), which keeps control-off layouts and traces
+    /// byte-identical to pre-control runs. Collective: must match across
+    /// ranks (it shapes the patch layout).
     int chunk_max = 0;
     QueueMode mode = QueueMode::Split;
     /// Owner releases work when private > release_threshold tasks and the
     /// shared portion has fewer than `chunk` tasks. Must be >= 1 (the
     /// initial ReleaseThreshold knob, whose lower bound is 1).
     std::uint64_t release_threshold = 2 * 10;
-    /// Steal-half: a steal takes min(ceil(shared_depth / 2), chunk) tasks
-    /// instead of the fixed `chunk`, so a deep victim sheds half its
-    /// exposed work in one get while a nearly-dry one is not stripped
-    /// bare. Fixed for the queue's lifetime (not a live knob). The same
-    /// default as TcConfig::steal_half; false is the paper's fixed-chunk
-    /// steal.
+    /// Steal-half: a steal takes min(ceil(avail / 2), chunk) tasks instead
+    /// of the fixed `chunk`, so a nearly-dry victim is not stripped bare,
+    /// and a deep split-queue victim (avail >= chunk * nprocs) sheds half
+    /// its exposed work in one get, up to kDeepStealCap (see
+    /// steal_width). Fixed for the queue's lifetime (not a live knob). The
+    /// same default as TcConfig::steal_half; false is the paper's
+    /// fixed-chunk steal.
     bool steal_half = true;
   };
+
+  /// Widest steal from a deep victim (never narrower than the live chunk),
+  /// and the steal-chunk ceiling TaskCollection gives the controller.
+  static constexpr int kDeepStealCap = 64;
 
   /// Collective: allocates the queue segment and its lock set. The queue
   /// counts its steals, releases, reacquires and recovery work into
@@ -139,17 +150,31 @@ class SplitQueue {
   // ---- Remote operations ----
   /// Unlocked peek at a victim's stealable-task count (one 16-byte get).
   std::uint64_t peek_shared(Rank victim);
-  /// Steals up to cfg.chunk tasks from the victim's shared portion into
-  /// `out` (which must hold chunk * slot_bytes). Returns tasks stolen.
-  int steal_from(Rank victim, std::byte* out);
+  /// Steals from the tail of the victim's shared portion (width:
+  /// steal_width). The first stolen task is copied to `first` (one slot)
+  /// when it is non-null; the others, all of them when it is null, land in
+  /// this rank's own ring just above priv_tail, unpublished. Returns tasks
+  /// stolen. A later steal_from drops whatever the last one landed.
+  int steal_from(Rank victim, std::byte* first);
+  /// Tasks the last steal_from landed that are not yet published.
+  std::uint64_t landed() const { return landed_; }
+  /// The i-th landed task, in stolen order (i < landed()).
+  const std::byte* landed_task(std::uint64_t i) {
+    return slot(rt_.me(), land_base_ + i);
+  }
+  /// Makes the landed tasks private work in stolen order, each as one
+  /// high-affinity push_local (its charge, Push event and metrics sample),
+  /// so the last one stolen runs first. Returns false if the queue filled
+  /// (remote adds raced the steal), as push_local does.
+  bool publish_landed();
   /// Adds one descriptor to `target`'s shared end.
   /// Returns false if the target queue is full.
   bool add_remote(Rank target, const std::byte* task);
 
   // ---- Fault recovery (active fault session only; no-ops otherwise) ----
   /// Thief side: closes the steal transaction opened by the last
-  /// steal_from(victim). Call only after every stolen task has been
-  /// requeued locally -- with no safepoint in between (exactly-once).
+  /// steal_from(victim). Call only after publish_landed() -- with no
+  /// safepoint in between (exactly-once).
   void commit_steal(Rank victim);
   /// Victim side: replays chunks whose thief died mid-steal from our own
   /// transaction buffers. Returns tasks re-enqueued.
@@ -171,7 +196,7 @@ class SplitQueue {
   std::uint64_t fence_ack();
   /// Thief side, after discovering we were falsely confirmed dead with a
   /// steal transaction still open on `victim`: tries to take the open txn
-  /// back (CAS state 1 -> 0). True: the chunk is ours again, requeue our
+  /// back (CAS state 1 -> 0). True: the chunk is ours again, publish our
   /// copy. False: a replayer (victim or ward) owns it, discard our copy.
   bool reclaim_txn(Rank victim);
   /// True when recovered tasks are parked in the local overflow stash
@@ -186,7 +211,7 @@ class SplitQueue {
   /// appended to `out` as raw slot-sized records. Call only while the
   /// fleet is quiesced: no concurrent thief can move steal_head and every
   /// steal transaction is closed (an open one would double-count its chunk
-  /// -- the thief requeues it locally before arriving at the rendezvous).
+  /// -- the thief publishes it locally before arriving at the rendezvous).
   /// Returns the number of descriptors appended. Restore is plain
   /// push_local of each record (the private/shared split is not
   /// checkpointed: it is policy, not state, and the restored owner's
@@ -254,11 +279,11 @@ class SplitQueue {
   };
 
   /// Per-thief steal-transaction record in the victim's patch. `state` is
-  /// 0 closed, 1 open (chunk copied out but not yet requeued+committed by
+  /// 0 closed, 1 open (chunk copied out but not yet published+committed by
   /// the thief), 2 replay-in-progress. Replayers claim an open record with
   /// CAS 1 -> 2 and close it with a store; a falsely-dead thief reclaims
   /// with CAS 1 -> 0 (reclaim_txn) -- exactly one side wins, so the chunk
-  /// is requeued exactly once even when detection was wrong.
+  /// is published exactly once even when detection was wrong.
   struct TxnRecord {
     std::atomic<std::uint64_t> state{0};
     std::atomic<std::uint64_t> count{0};
@@ -274,6 +299,12 @@ class SplitQueue {
   /// Steal boundary as seen by thieves: split in Split mode, the whole
   /// deque in NoSplit.
   std::uint64_t steal_boundary(const Ctl& c) const;
+  /// Slot copy that skips a slot copied onto itself.
+  void copy_slot(std::byte* dst, const std::byte* src);
+  /// Raw copy of `count` slots from `from`'s ring at `first` into our own
+  /// ring at `dst`; either span may wrap.
+  void copy_ring_raw(Rank from, std::uint64_t first, std::uint64_t count,
+                     std::uint64_t dst);
   void copy_out_span(Rank victim, std::uint64_t first, std::uint64_t count,
                      std::byte* out);
   /// The raw two-segment ring copy of copy_out_span without its RMA
@@ -287,10 +318,10 @@ class SplitQueue {
     return static_cast<std::uint64_t>(
         knobs_.get(control::Knob::ReleaseThreshold));
   }
-  /// Steal width: fixed live chunk, or ceil(avail/2) capped at the live
-  /// chunk when steal-half is on.
-  std::uint64_t steal_width(std::uint64_t avail) const;
-  int steal_from_locked(Rank victim, std::byte* out);
+  /// Steal width for `avail` stealable tasks when `room` of them fit the
+  /// thief (see steal_from_locked).
+  std::uint64_t steal_width(std::uint64_t avail, std::uint64_t room) const;
+  int steal_from_locked(Rank victim, std::byte* first);
   /// Telemetry: record an owner-op latency sample (t0 taken at op entry)
   /// and refresh this rank's queue gauges. One predicted-false branch when
   /// no metrics session is active.
@@ -325,6 +356,10 @@ class SplitQueue {
   std::vector<std::byte> drain_buf_;
   /// Stash for recovered tasks that did not fit the queue.
   std::vector<std::byte> overflow_;
+  /// The last steal's landed tasks: ring indices [land_base_, land_base_ +
+  /// landed_) of our own ring, above priv_tail until published.
+  std::uint64_t land_base_ = 0;
+  std::uint64_t landed_ = 0;
 };
 
 }  // namespace scioto

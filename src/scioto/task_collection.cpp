@@ -189,7 +189,7 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
       // Give the controller headroom to raise the steal chunk. active()
       // reads collectively uniform session state, so every rank widens
       // identically (the bound shapes the collectively allocated patch).
-      cfg_.chunk_max = std::max(cfg_.chunk_size, 64);
+      cfg_.chunk_max = std::max(cfg_.chunk_size, SplitQueue::kDeepStealCap);
     }
   }
   SCIOTO_REQUIRE(cfg_.chunk_max >= cfg_.chunk_size,
@@ -247,7 +247,6 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
   detector_hook_ = std::make_unique<DetectorHook>(*this);
 
   scratch_.resize(qc.slot_bytes);
-  steal_buf_.resize(qc.slot_bytes * static_cast<std::size_t>(cfg_.chunk_max));
   exec_buf_.resize(qc.slot_bytes);
   rt_.barrier();
 }
@@ -525,7 +524,14 @@ void TaskCollection::flush_search() {
 bool TaskCollection::steal(TimeNs idle_begin) {
   const Rank me = rt_.me();
   const bool txn = fault::active();
-  std::byte* buf = steal_buf_.data();
+  // Outside a fault session the first stolen task runs straight from the
+  // execute slot and the rest land in our ring. This guarantees progress
+  // per successful steal: published tasks are instantly stealable again
+  // (always so under no-split queues), and without it two mutually
+  // stealing ranks can bounce a task chunk forever -- a genuine livelock,
+  // not a performance nicety. Under a fault session the whole chunk lands
+  // in the ring.
+  std::byte* first = txn ? nullptr : exec_buf_.data();
   for (int attempt = 0; attempt < cfg_.steals_per_td_poll; ++attempt) {
     Rank victim = victims_->pick();
     if (victim == kNoRank) {
@@ -533,11 +539,11 @@ bool TaskCollection::steal(TimeNs idle_begin) {
     }
     int got = queue_->peek_shared(victim) == 0
                   ? 0
-                  : queue_->steal_from(victim, buf);
+                  : queue_->steal_from(victim, first);
     if (got > 0 && txn) {
       // This is the window the victim-side transaction log protects: the
-      // chunk is copied out but not yet requeued. A kill here loses only
-      // our private copy -- the victim (or its ward) replays the chunk
+      // chunk is landed but not yet published. A kill here loses only our
+      // unpublished copy -- the victim (or its ward) replays the chunk
       // from the log.
       fault::poll_safepoint(me);
       if (hb_ && !detect::alive(me)) {
@@ -568,26 +574,17 @@ bool TaskCollection::steal(TimeNs idle_begin) {
     // (working and searching partition the phase).
     charge_search(idle_begin);
     flush_search();
-    // Under a fault session the whole chunk is requeued, then the
-    // transaction closes. No safepoint separates the requeue from the
-    // commit, so the chunk is either fully on our queue (committed) or
-    // fully replayable from the victim's log -- never both, never
-    // neither: completion is exactly-once. Otherwise all but the first
-    // stolen task are requeued and that one runs straight from the steal
-    // buffer. This guarantees progress per successful steal: requeued
-    // tasks are instantly stealable again (always so under no-split
-    // queues), and without it two mutually stealing ranks can bounce a
-    // task chunk forever -- a genuine livelock, not a performance
-    // nicety.
-    for (int i = txn ? 0 : 1; i < got; ++i) {
-      bool ok = queue_->push_local(
-          buf + static_cast<std::size_t>(i) * slot_bytes(), kAffinityHigh);
-      SCIOTO_CHECK_MSG(ok, "local queue overflow requeueing steal");
-    }
+    // Under a fault session the transaction closes once the whole chunk
+    // is published. No safepoint separates the publish from the commit,
+    // so the chunk is either fully on our queue (committed) or fully
+    // replayable from the victim's log -- never both, never neither:
+    // completion is exactly-once.
+    const bool published = queue_->publish_landed();
+    SCIOTO_CHECK_MSG(published, "local queue overflow publishing a steal");
     if (txn) {
       queue_->commit_steal(victim);
     } else {
-      execute(buf);
+      execute(first);
     }
     return true;
   }

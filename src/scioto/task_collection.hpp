@@ -47,11 +47,12 @@ struct TcConfig {
   /// Steal granularity in tasks (the paper's chunk_sz). With the control
   /// plane this is the *initial* value of the steal_chunk knob.
   int chunk_size = 10;
-  /// Upper bound for the live steal-chunk knob; steal buffers and the
-  /// fault-mode transaction log are sized for it at construction.
+  /// Upper bound for the live steal-chunk knob; the fault-mode
+  /// transaction log is sized for it at construction.
   /// 0 = auto: chunk_size (no headroom, pre-control layouts), except when
   /// a control session is active at construction, where it becomes
-  /// max(chunk_size, 64) so the controller has room to raise the chunk.
+  /// max(chunk_size, SplitQueue::kDeepStealCap = 64) so the controller has
+  /// room to raise the chunk.
   /// Collective: must match across ranks (it shapes the queue layout).
   int chunk_max = 0;
   /// Per-rank queue capacity in tasks (the paper's max_sz).
@@ -84,7 +85,9 @@ struct TcConfig {
   /// victim selection.
   double node_steal_bias = 0.0;
   /// Steal-half: steals take min(ceil(depth/2), chunk_size) tasks based
-  /// on the victim's shared depth instead of the fixed chunk_size. Fixed
+  /// on the victim's shared depth instead of the fixed chunk_size, and up
+  /// to 64 from a victim whose shared depth reaches chunk_size * nprocs
+  /// (SplitQueue::Config::steal_half). Fixed
   /// for the collection's lifetime (not a live knob). On by default: it
   /// beat the paper's fixed-chunk steals on UTS makespan (EXPERIMENTS.md,
   /// "Steal-half as the default"); false restores the paper's §5 steal.
@@ -293,10 +296,9 @@ class TaskCollection {
   /// Searching time charged since the last Search trace event: one
   /// coalesced event per idle spell instead of one per poll.
   TimeNs search_accum_ = 0;
-  /// Slot-sized scratch for padding descriptors; a chunk_max-slot steal
-  /// buffer; the slot a locally popped task runs from.
+  /// Slot-sized scratch for padding descriptors; the slot a locally
+  /// popped or stolen task runs from.
   std::vector<std::byte> scratch_;
-  std::vector<std::byte> steal_buf_;
   std::vector<std::byte> exec_buf_;
   /// Dead ranks whose queues this rank adopts (successor(dead) == me), as
   /// of membership epoch ward_epoch_ (~0: not yet computed).

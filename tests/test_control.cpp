@@ -471,7 +471,7 @@ TEST(CtlBudget, AdaptiveLocalBeatsBestStaticChunkOnT2) {
     CtlGuard guard(control::Mode::Local);
     adaptive = t2_makespan(10, TcConfig{}.steal_half);
   }
-  EXPECT_EQ(adaptive, TimeNs{10040210}) << "adaptive local";
+  EXPECT_EQ(adaptive, TimeNs{9821567}) << "adaptive local";
   EXPECT_LE(adaptive, best_static);
   EXPECT_GT(control::stats().decisions, 0u);
 }
@@ -535,8 +535,8 @@ TEST(CtlSweep, ArmedVsUnarmedMakespansPinned) {
     TimeNs unarmed, armed;
   };
   const Shape shapes[] = {
-      {"T2, 8 cluster ranks", true, 0, 8, false, 12503002, 9958342},
-      {"T2, 32 cluster ranks", true, 0, 32, false, 7650642, 5466865},
+      {"T2, 8 cluster ranks", true, 0, 8, false, 10109633, 9667799},
+      {"T2, 32 cluster ranks", true, 0, 32, false, 6535896, 5466865},
       {"geo d10, 32 cluster ranks", false, 10, 32, false, 5737552, 7153653},
       {"geo d11, 64 cluster ranks", false, 11, 64, false, 7816987, 15736688},
       {"geo d11, 256 XT4 ranks", false, 11, 256, true, 4599908, 27948367},

@@ -3,13 +3,17 @@
 // scrape protocol under concurrent writers, the zero-cost-off guarantee
 // (metrics-off traces identical to baseline), metrics-on sim determinism,
 // the three-way reconciliation metrics == TcStats == trace on a fixed-seed
-// UTS run over both backends, and the C API surface.
+// UTS run over both backends, the schema of the monitor's JSONL stream,
+// and the C API surface.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +23,7 @@
 #include "dag/dag.hpp"
 #include "detect/membership.hpp"
 #include "fault/fault.hpp"
+#include "json.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/monitor.hpp"
 #include "row_reconcile.hpp"
@@ -393,6 +398,114 @@ INSTANTIATE_TEST_SUITE_P(Backends, MetricsReconcile,
                          [](const auto& info) {
                            return backend_name(info.param);
                          });
+
+// ---- The monitor's JSONL stream keeps its schema ----
+
+namespace {
+
+/// Runs `body` with the telemetry plane armed through its env knobs, as
+/// SCIOTO_METRICS=1 arms any binary, and returns the JSONL stream the
+/// monitor wrote. `period` (SCIOTO_METRICS_PERIOD) may be null.
+std::string metrics_stream(const std::string& name, int nranks,
+                           pgas::BackendKind kind, const char* period,
+                           const std::function<void(pgas::Runtime&)>& body) {
+  const std::string path = ::testing::TempDir() + name;
+  setenv("SCIOTO_METRICS", "1", 1);
+  setenv("SCIOTO_METRICS_OUT", path.c_str(), 1);
+  if (period != nullptr) {
+    setenv("SCIOTO_METRICS_PERIOD", period, 1);
+  }
+  run(nranks, kind, body);
+  unsetenv("SCIOTO_METRICS");
+  unsetenv("SCIOTO_METRICS_OUT");
+  unsetenv("SCIOTO_METRICS_PERIOD");
+  std::string text = slurp(path);
+  std::remove(path.c_str());
+  return text;
+}
+
+/// Checks every line of a monitor stream against the sample schema: the
+/// fleet keys, one entry per rank with the per-rank keys, a closed
+/// liveness rollup and indices in range. Returns the samples seen and how
+/// many of them count a dead rank.
+std::pair<int, int> expect_jsonl_schema(const std::string& text,
+                                        const std::string& what) {
+  static const char* const kFleetKeys[] = {
+      "t",      "nranks",       "alive",         "suspect",
+      "dead",   "depth_sum",    "executed",      "steal_attempts",
+      "steals", "tasks_stolen", "steal_success", "cov",
+      "gini",   "trace_dropped", "ranks"};
+  static const char* const kRankKeys[] = {
+      "r", "state", "depth", "shared", "executed", "steals", "stolen", "tdrop"};
+  int samples = 0;
+  int with_dead = 0;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line); ++samples) {
+    const std::string at = what + " sample " + std::to_string(samples);
+    std::unique_ptr<scioto::testing::Json> s;
+    EXPECT_NO_THROW(s = scioto::testing::JsonParser(line).parse()) << at;
+    if (!s) break;
+    bool complete = true;
+    for (const char* key : kFleetKeys) {
+      complete &= s->has(key);
+      EXPECT_TRUE(s->has(key)) << at << " lacks " << key;
+    }
+    if (!complete) continue;
+    const double nranks = s->at("nranks").num;
+    EXPECT_EQ(nranks, static_cast<double>(s->at("ranks").array.size())) << at;
+    EXPECT_EQ(s->at("alive").num + s->at("suspect").num + s->at("dead").num,
+              nranks)
+        << at;
+    EXPECT_GE(s->at("gini").num, 0.0) << at;
+    EXPECT_LE(s->at("gini").num, 1.0) << at;
+    EXPECT_GE(s->at("cov").num, 0.0) << at;
+    EXPECT_GE(s->at("steal_success").num, 0.0) << at;
+    EXPECT_LE(s->at("steal_success").num, 1.0) << at;
+    for (const auto& r : s->at("ranks").array) {
+      for (const char* key : kRankKeys) {
+        EXPECT_TRUE(r->has(key)) << at << " rank entry lacks " << key;
+      }
+    }
+    with_dead += s->at("dead").num > 0 ? 1 : 0;
+  }
+  return {samples, with_dead};
+}
+
+}  // namespace
+
+// A sim stream, a fault-armed one (a kill and the heartbeat detector, so
+// ranks walk alive -> suspect -> dead) and a threads one, whose wall-clock
+// sampler scrapes a really concurrent fleet: every sample of each parses
+// and holds the schema.
+TEST(MetricsJsonl, SimFaultAndThreadsStreamsKeepTheSchema) {
+  const apps::UtsParams tree = apps::uts_small();
+  const std::string sim = metrics_stream(
+      "scioto_jsonl_sim.jsonl", 8, pgas::BackendKind::Sim, nullptr,
+      [&](pgas::Runtime& rt) { apps::uts_run_scioto(rt, tree, {}); });
+  const auto [sim_n, sim_dead] = expect_jsonl_schema(sim, "sim");
+  EXPECT_GT(sim_n, 0);
+  EXPECT_EQ(sim_dead, 0);
+
+  const detect::Config staged = detect::config();
+  detect::Config armed = staged;
+  armed.enabled = true;
+  detect::set_config(armed);
+  fault::start(8, fault::FaultPlan::parse("kill:rank=2,at=400us"), 42);
+  const std::string fault_armed = metrics_stream(
+      "scioto_jsonl_fault.jsonl", 8, pgas::BackendKind::Sim, nullptr,
+      [&](pgas::Runtime& rt) { apps::uts_run_scioto_ft(rt, tree, {}); });
+  fault::stop();
+  detect::set_config(staged);
+  const auto [fault_n, fault_dead] =
+      expect_jsonl_schema(fault_armed, "fault-armed");
+  EXPECT_GT(fault_n, 0);
+  EXPECT_GT(fault_dead, 0);
+
+  const std::string threads = metrics_stream(
+      "scioto_jsonl_threads.jsonl", 4, pgas::BackendKind::Threads, "20us",
+      [](pgas::Runtime& rt) { tree_workload(rt, 14); });
+  EXPECT_GT(expect_jsonl_schema(threads, "threads").first, 0);
+}
 
 // ---- Monitor aggregates ----
 

@@ -1,7 +1,8 @@
 // Tests for the split task queue: LIFO local semantics, release/reacquire
 // split-pointer moves, steal correctness (no task lost or duplicated),
-// affinity ordering, capacity handling, live steal-width knobs, ring
-// wraparound, and the no-split ablation -- on both backends.
+// affinity ordering, capacity handling, live steal-width knobs, the
+// deep-victim steal width, landing in the thief's ring, ring wraparound,
+// and the no-split ablation -- on both backends.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,7 @@
 #include <set>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "scioto/queue.hpp"
 #include "scioto/task.hpp"
 #include "test_util.hpp"
@@ -42,6 +44,19 @@ std::uint64_t slot_id(const std::byte* buf) {
   std::uint64_t id;
   std::memcpy(&id, buf, sizeof(id));
   return id;
+}
+
+/// Steals from `victim` with every stolen task landing in the thief's
+/// ring, and returns their ids in stolen order (oldest first). The landed
+/// tasks stay unpublished, so the next steal lands in the same slots.
+std::vector<std::uint64_t> steal_ids(SplitQueue& q, Rank victim) {
+  std::vector<std::uint64_t> ids;
+  const int n = q.steal_from(victim, nullptr);
+  EXPECT_EQ(static_cast<std::uint64_t>(n), q.landed());
+  for (std::uint64_t i = 0; i < q.landed(); ++i) {
+    ids.push_back(slot_id(q.landed_task(i)));
+  }
+  return ids;
 }
 
 class QueueBackends : public ::testing::TestWithParam<BackendKind> {};
@@ -155,13 +170,8 @@ TEST_P(QueueBackends, StealTakesChunkFromOldestEnd) {
     }
     rt.barrier();
     if (rt.me() == 1) {
-      std::byte out[3 * kSlot];
-      int n = q.steal_from(0, out);
-      ASSERT_EQ(n, 3);
       // Oldest tasks (0,1,2) move, in order.
-      for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(slot_id(out + i * kSlot), static_cast<std::uint64_t>(i));
-      }
+      EXPECT_EQ(steal_ids(q, 0), (std::vector<std::uint64_t>{0, 1, 2}));
       EXPECT_EQ(q.peek_shared(0), 2u);  // 5 shared - 3 stolen
     }
     rt.barrier();
@@ -275,10 +285,7 @@ TEST_P(QueueBackends, NoSplitModeStillMovesTasks) {
     }
     rt.barrier();
     if (rt.me() == 1) {
-      std::byte out[2 * kSlot];
-      EXPECT_EQ(q.steal_from(0, out), 2);
-      EXPECT_EQ(slot_id(out), 0u);
-      EXPECT_EQ(slot_id(out + kSlot), 1u);
+      EXPECT_EQ(steal_ids(q, 0), (std::vector<std::uint64_t>{0, 1}));
     }
     rt.barrier();
     if (rt.me() == 0) {
@@ -343,28 +350,149 @@ TEST_P(QueueBackends, ChunkFlipTakesLiveWidthOldestFirst) {
     rt.barrier();
 
     if (rt.me() == 1) {
-      std::vector<std::byte> out(8 * kSlot);
-      ASSERT_EQ(q.steal_from(0, out.data()), 3);
-      EXPECT_EQ(slot_id(out.data()), 12u);
-      EXPECT_EQ(slot_id(out.data() + kSlot), 11u);
-      EXPECT_EQ(slot_id(out.data() + 2 * kSlot), 10u);
+      EXPECT_EQ(steal_ids(q, 0), (std::vector<std::uint64_t>{12, 11, 10}));
 
       // Live flip: the thief's own KnobSet governs its next take width.
       ASSERT_TRUE(knobs.set(control::Knob::StealChunk, 5));
-      ASSERT_EQ(q.steal_from(0, out.data()), 5);
-      for (int i = 0; i < 5; ++i) {
-        EXPECT_EQ(slot_id(out.data() + static_cast<std::size_t>(i) * kSlot),
-                  static_cast<std::uint64_t>(9 - i));
-      }
+      EXPECT_EQ(steal_ids(q, 0),
+                (std::vector<std::uint64_t>{9, 8, 7, 6, 5}));
 
-      // Clamp: requests above chunk_max are bounded by the buffers'
-      // sizing, never by luck.
+      // Clamp: requests above chunk_max are bounded by the knob's init
+      // bounds, never by luck.
       knobs.set(control::Knob::StealChunk, 99);
       EXPECT_EQ(knobs.get(control::Knob::StealChunk), 8);
-      ASSERT_EQ(q.steal_from(0, out.data()), 4);  // 4 tasks remain
+      EXPECT_EQ(steal_ids(q, 0).size(), 4u);  // 4 tasks remain
     }
     rt.barrier();
     EXPECT_EQ(q.peek_shared(0), 0u);
+    q.destroy();
+  });
+}
+
+/// One steal by rank 1 from rank 0 on a 4-rank sim fleet, after rank 0
+/// exposes `avail` tasks at its steal end and rank 1 holds `thief_depth`
+/// private tasks. `first` passes an execute slot. Returns the width taken.
+int one_steal_width(const SplitQueue::Config& c, std::uint64_t avail,
+                    std::uint64_t thief_depth = 0, bool first = false) {
+  int width = -1;
+  testing::run_sim(4, [&](Runtime& rt) {
+    TcStats st;
+    SplitQueue q(rt, c, st);
+    std::byte buf[kSlot];
+    if (rt.me() == 0) {
+      // Low affinity enters the shared portion (NoSplit: the one region).
+      for (std::uint64_t id = 1; id <= avail; ++id) {
+        make_slot(buf, id);
+        EXPECT_TRUE(q.push_local(buf, kAffinityLow));
+      }
+    }
+    if (rt.me() == 1) {
+      for (std::uint64_t id = 1; id <= thief_depth; ++id) {
+        make_slot(buf, 1000 + id);
+        EXPECT_TRUE(q.push_local(buf, kAffinityHigh));
+      }
+    }
+    rt.barrier();
+    if (rt.me() == 1) {
+      width = q.steal_from(0, first ? buf : nullptr);
+    }
+    rt.barrier();
+    q.destroy();
+  });
+  return width;
+}
+
+// A victim whose shared portion holds at least chunk * P tasks gives half,
+// up to kDeepStealCap; a shallower one gives at most the chunk. Chunk 2 on
+// 4 ranks puts the threshold at 8.
+TEST(QueueStealWidth, DeepVictimGivesHalfFromChunkTimesRanks) {
+  const SplitQueue::Config c = qcfg(1024, /*chunk=*/2);
+  EXPECT_EQ(one_steal_width(c, 7), 2);    // just below chunk * P
+  EXPECT_EQ(one_steal_width(c, 8), 4);    // at it
+  EXPECT_EQ(one_steal_width(c, 101), 51);
+  EXPECT_EQ(one_steal_width(c, 127), 64);
+  EXPECT_EQ(one_steal_width(c, 300), SplitQueue::kDeepStealCap);
+}
+
+// The fixed-chunk steal and the no-split ablation keep the chunk cap: a
+// NoSplit victim's whole queue is stealable, not what it chose to release.
+TEST(QueueStealWidth, FixedChunkAndNoSplitKeepTheChunk) {
+  SplitQueue::Config fixed = qcfg(1024, /*chunk=*/2);
+  fixed.steal_half = false;
+  EXPECT_EQ(one_steal_width(fixed, 300), 2);
+  const SplitQueue::Config nosplit =
+      qcfg(1024, /*chunk=*/2, QueueMode::NoSplit);
+  EXPECT_EQ(one_steal_width(nosplit, 7), 2);
+  EXPECT_EQ(one_steal_width(nosplit, 300), 2);
+}
+
+// Stolen tasks land in the thief's own ring: no more of them than its
+// free room (capacity - depth) fit, plus the one an execute slot takes.
+TEST(QueueStealWidth, ThiefsFreeRoomCapsTheWidth) {
+  const SplitQueue::Config c = qcfg(/*cap=*/100, /*chunk=*/2);
+  EXPECT_EQ(one_steal_width(c, 99, /*thief_depth=*/90), 10);
+  EXPECT_EQ(one_steal_width(c, 99, /*thief_depth=*/90, /*first=*/true), 11);
+  EXPECT_EQ(one_steal_width(c, 99, /*thief_depth=*/100), 0);
+  EXPECT_EQ(one_steal_width(c, 99, /*thief_depth=*/10), 50);
+}
+
+// Under a fault session the victim-side transaction log holds chunk_max
+// slots per thief, so a deep steal takes no more than that; with no
+// headroom (chunk_max = chunk) fault-armed steals keep the chunk.
+TEST(QueueStealWidth, FaultSessionCapsDeepStealsAtChunkMax) {
+  fault::start(4, fault::FaultPlan{}, 1);
+  SplitQueue::Config c = qcfg(1024, /*chunk=*/2);
+  EXPECT_EQ(one_steal_width(c, 300), 2);
+  c.chunk_max = 8;
+  EXPECT_EQ(one_steal_width(c, 300), 8);
+  EXPECT_EQ(one_steal_width(c, 7), 2);
+  c.chunk_max = 100;
+  EXPECT_EQ(one_steal_width(c, 300), SplitQueue::kDeepStealCap);
+  fault::stop();
+}
+
+// The first stolen task goes to the execute slot; the rest land just above
+// the thief's priv_tail (here across the physical ring's wrap point),
+// invisible until publish_landed makes them private work in stolen order.
+TEST(QueueStealLanding, LandedTasksPublishAboveTheThiefsTail) {
+  testing::run_sim(4, [&](Runtime& rt) {
+    TcStats st;
+    // Internal capacity 16 + 4 + 2 * 2 = 24; the indices start at 2^32,
+    // ring position 16, so the thief's slots wrap after 8.
+    SplitQueue q(rt, qcfg(/*cap=*/16, /*chunk=*/2), st);
+    std::byte buf[kSlot];
+    if (rt.me() == 0) {
+      for (std::uint64_t id = 1; id <= 12; ++id) {  // 12 is the oldest
+        make_slot(buf, id);
+        ASSERT_TRUE(q.push_local(buf, kAffinityLow));
+      }
+    }
+    if (rt.me() == 1) {
+      for (std::uint64_t id = 101; id <= 103; ++id) {
+        make_slot(buf, id);
+        ASSERT_TRUE(q.push_local(buf, kAffinityHigh));
+      }
+    }
+    rt.barrier();
+    if (rt.me() == 1) {
+      std::byte first[kSlot];
+      ASSERT_EQ(q.steal_from(0, first), 6);  // 12 >= 2 * 4: half
+      EXPECT_EQ(slot_id(first), 12u);
+      ASSERT_EQ(q.landed(), 5u);
+      for (std::uint64_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(slot_id(q.landed_task(i)), 11 - i);
+      }
+      EXPECT_EQ(q.private_size(), 3u);  // not published yet
+      ASSERT_TRUE(q.publish_landed());
+      EXPECT_EQ(q.landed(), 0u);
+      EXPECT_EQ(q.private_size(), 8u);
+      for (std::uint64_t want : {7, 8, 9, 10, 11, 103, 102, 101}) {
+        ASSERT_TRUE(q.pop_local(buf));
+        EXPECT_EQ(slot_id(buf), want);
+      }
+      EXPECT_TRUE(q.empty());
+    }
+    rt.barrier();
     q.destroy();
   });
 }
@@ -377,7 +505,6 @@ TEST_P(QueueBackends, StealEndWraparoundConservation) {
     TcStats st;
     SplitQueue q(rt, qcfg(/*cap=*/8, /*chunk=*/4), st);
     std::byte buf[kSlot];
-    std::vector<std::byte> out(4 * kSlot);
     std::uint64_t sum = 0, count = 0;
     for (int round = 0; round < 100; ++round) {
       if (rt.me() == 0) {
@@ -389,10 +516,8 @@ TEST_P(QueueBackends, StealEndWraparoundConservation) {
       rt.barrier();
       if (rt.me() == 1) {
         while (q.peek_shared(0) > 0) {
-          int got = q.steal_from(0, out.data());
-          ASSERT_GE(got, 0);
-          for (int i = 0; i < got; ++i) {
-            sum += slot_id(out.data() + static_cast<std::size_t>(i) * kSlot);
+          for (std::uint64_t id : steal_ids(q, 0)) {
+            sum += id;
             ++count;
           }
         }
@@ -440,8 +565,6 @@ TEST(QueueStealThreads, OneVictimManyThievesKnobFlipConservation) {
     };
 
     std::byte buf[kSlot];
-    std::vector<std::byte> steal_buf(
-        static_cast<std::size_t>(q.config().chunk_max) * kSlot);
 
     if (rt.me() == 0) {
       for (std::uint64_t id = 1; id <= kTasks; ++id) {
@@ -467,7 +590,7 @@ TEST(QueueStealThreads, OneVictimManyThievesKnobFlipConservation) {
       std::uint64_t steals = 0;
       int readds_left = 20;  // bounded: guarantees global termination
       for (;;) {
-        int got = q.steal_from(0, steal_buf.data());
+        int got = q.steal_from(0, nullptr);
         ASSERT_GE(got, 0);
         if (got > 0) {
           ++steals;
@@ -476,11 +599,9 @@ TEST(QueueStealThreads, OneVictimManyThievesKnobFlipConservation) {
             knobs.set(control::Knob::StealChunk,
                       knobs.get(control::Knob::StealChunk) == 4 ? 1 : 4);
           }
-          for (int i = 0; i < got; ++i) {
-            const std::byte* t =
-                steal_buf.data() + static_cast<std::size_t>(i) * kSlot;
-            if (readds_left > 0 &&
-                (steals + static_cast<std::uint64_t>(i)) % 7 == 0 &&
+          for (std::uint64_t i = 0; i < q.landed(); ++i) {
+            const std::byte* t = q.landed_task(i);
+            if (readds_left > 0 && (steals + i) % 7 == 0 &&
                 q.add_remote(0, t)) {
               --readds_left;
             } else {
@@ -562,10 +683,9 @@ TEST_P(QueueStealProperty, NoLossNoDuplication) {
           progressed = true;
         }
       } else {
-        std::vector<std::byte> out(static_cast<std::size_t>(chunk) * kSlot);
-        int n = q.steal_from(0, out.data());
-        for (int i = 0; i < n; ++i) {
-          consume(out.data() + static_cast<std::size_t>(i) * kSlot);
+        int n = q.steal_from(0, nullptr);
+        for (std::uint64_t i = 0; i < q.landed(); ++i) {
+          consume(q.landed_task(i));
         }
         progressed = n > 0;
       }

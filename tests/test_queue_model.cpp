@@ -7,7 +7,8 @@
 //   * sizes of the private/shared portions match the model exactly,
 //   * every operation's return value matches the model's prediction,
 //   * every task that comes back out (pop or steal) carries exactly the
-//     id the model says occupies that position,
+//     id the model says occupies that position, and every stolen task the
+//     ring lands and publishes sits where the model says,
 //   * after draining, nothing was lost and nothing was duplicated.
 //
 // The ring is deliberately minuscule (capacity 8 -> internal capacity 13
@@ -16,7 +17,11 @@
 // only four slots of advance -- wrap-around coverage is automatic, and a
 // phase-spin between sequences shifts the wrap point through the ring.
 //
-// Runs the enumeration with steal-half off and on.
+// Runs the enumeration with steal-half off and on. With one rank and chunk
+// 2, any shared portion of two or more tasks is a deep victim (chunk * P),
+// so every steal-half self-steal takes ceil(avail / 2), bounded by the
+// free room of the same ring its tasks land in -- landing, publishing and
+// their wrap-around are all enumerated.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -119,17 +124,33 @@ struct Model {
     }
     return take;
   }
+  /// SplitQueue::steal_width on one rank: steal-half takes ceil(avail /
+  /// 2), at most the chunk unless the victim is deep (avail >= chunk * 1),
+  /// then at most kDeepStealCap; every steal takes at most the execute
+  /// slot plus the ring's free room.
   std::uint64_t steal_width(bool half) const {
     std::uint64_t avail = shared_.size();
     const auto chunk = static_cast<std::uint64_t>(kChunk);
-    if (!half) return std::min(avail, chunk);
-    return std::min((avail + 1) / 2, chunk);
+    std::uint64_t cap = chunk;
+    if (half) {
+      if (avail >= chunk) {
+        cap = std::max<std::uint64_t>(chunk, SplitQueue::kDeepStealCap);
+      }
+      avail = (avail + 1) / 2;
+    }
+    const std::uint64_t room = kCapacity - size() + 1;
+    return std::min({avail, cap, room});
   }
-  /// Removes the n oldest shared tasks (what a steal takes) into `out`.
+  /// Removes the n oldest shared tasks (what a steal takes) into `out`;
+  /// all but the first, which runs from the execute slot, are published
+  /// as private pushes in stolen order.
   void steal(std::uint64_t n, std::vector<std::uint64_t>* out) {
     for (std::uint64_t i = 0; i < n; ++i) {
       out->push_back(shared_.front());
       shared_.pop_front();
+      if (i > 0) {
+        priv_.push_back(out->back());
+      }
     }
   }
 };
@@ -152,7 +173,6 @@ void apply_checked(SplitQueue& q, Model& m, Op op, bool half,
                    std::multiset<std::uint64_t>* removed,
                    const std::string& ctx) {
   std::byte buf[kSlot];
-  std::byte steal_buf[kChunk * kSlot];
   switch (op) {
     case Op::PushHigh: {
       make_slot(buf, *next_id);
@@ -197,14 +217,17 @@ void apply_checked(SplitQueue& q, Model& m, Op op, bool half,
       std::uint64_t want_n = m.steal_width(half);
       std::vector<std::uint64_t> want_ids;
       m.steal(want_n, &want_ids);
-      int got = q.steal_from(q.runtime().me(), steal_buf);
+      int got = q.steal_from(q.runtime().me(), buf);
       ASSERT_GE(got, 0) << ctx;  // single rank: the lock is never busy
       ASSERT_EQ(static_cast<std::uint64_t>(got), want_n) << ctx;
-      for (int i = 0; i < got; ++i) {
-        std::uint64_t id = slot_id(steal_buf + i * kSlot);
-        ASSERT_EQ(id, want_ids[static_cast<std::size_t>(i)]) << ctx;
-        removed->insert(id);
+      if (got == 0) break;
+      ASSERT_EQ(slot_id(buf), want_ids[0]) << ctx;
+      removed->insert(want_ids[0]);
+      ASSERT_EQ(q.landed(), want_n - 1) << ctx;
+      for (std::uint64_t i = 0; i < q.landed(); ++i) {
+        ASSERT_EQ(slot_id(q.landed_task(i)), want_ids[i + 1]) << ctx;
       }
+      ASSERT_TRUE(q.publish_landed()) << ctx;
       break;
     }
   }
@@ -254,7 +277,6 @@ void drain_checked(SplitQueue& q, Model& m, std::uint64_t pushed,
 /// wrap-around point at different logical positions.
 void spin_phase(SplitQueue& q, int cycles, std::uint64_t* next_id) {
   std::byte buf[kSlot];
-  std::byte steal_buf[kChunk * kSlot];
   for (int i = 0; i < cycles; ++i) {
     for (int j = 0; j < 4; ++j) {
       make_slot(buf, *next_id + static_cast<std::uint64_t>(j));
@@ -263,7 +285,8 @@ void spin_phase(SplitQueue& q, int cycles, std::uint64_t* next_id) {
     *next_id += 4;
     ASSERT_EQ(q.release_maybe(), 2u);
     while (q.shared_size() > 0) {
-      ASSERT_GT(q.steal_from(q.runtime().me(), steal_buf), 0);
+      // Nothing is published: the landed tasks are dropped.
+      ASSERT_GT(q.steal_from(q.runtime().me(), buf), 0);
     }
     while (q.pop_local(buf)) {
     }

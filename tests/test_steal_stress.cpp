@@ -5,7 +5,11 @@
 //
 // Conservation: every task the victim produces is consumed exactly once,
 // by the victim itself or by exactly one thief -- checked with an id-sum /
-// id-square-sum fingerprint reduced over all ranks.
+// id-square-sum fingerprint reduced over all ranks. Thieves run the first
+// stolen task from an execute slot, publish the landed rest and pop them.
+// The victim opens with a burst that makes it a deep victim, so under
+// split queues with steal-half at least one steal takes more than the
+// chunk; every other mode never does.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -66,14 +70,25 @@ class StealStressModeThreads
 
 TEST_P(StealStressModeThreads, OneVictimManyThievesConservation) {
   constexpr std::uint64_t kTasks = 2000;
+  // 128 of these are shared when the thieves start: chunk 4 * 8 ranks = 32
+  // makes that a deep victim.
+  constexpr std::uint64_t kBurst = 256;
+  const StressMode mode = GetParam();
+  std::atomic<std::uint64_t> deep_steals{0};
   testing::run_threads(kRanks, [&](Runtime& rt) {
     TcStats st;
-    SplitQueue q(rt, stress_cfg(GetParam()), st);
+    SplitQueue q(rt, stress_cfg(mode), st);
     pgas::SegId flag_seg = rt.seg_alloc(64);
     auto* done =
         reinterpret_cast<std::atomic<std::uint64_t>*>(rt.seg_ptr(flag_seg, 0));
+    std::byte buf[kSlot];
     if (rt.me() == 0) {
       done->store(0, std::memory_order_release);
+      for (std::uint64_t id = 1; id <= kBurst; ++id) {
+        make_slot(buf, id);
+        ASSERT_TRUE(q.push_local(buf, kAffinityHigh));
+      }
+      q.release_maybe();
     }
     rt.barrier();
 
@@ -84,15 +99,11 @@ TEST_P(StealStressModeThreads, OneVictimManyThievesConservation) {
       sumsq += id * id;
     };
 
-    std::byte buf[kSlot];
-    std::vector<std::byte> steal_buf(
-        static_cast<std::size_t>(q.config().chunk) * kSlot);
-
     if (rt.me() == 0) {
       // Victim: produce kTasks, keep feeding the shared portion, consume
       // part of the stream itself (pops + reacquires race the thieves the
       // whole time).
-      for (std::uint64_t id = 1; id <= kTasks; ++id) {
+      for (std::uint64_t id = kBurst + 1; id <= kTasks; ++id) {
         make_slot(buf, id);
         ASSERT_TRUE(q.push_local(buf, kAffinityHigh));
         q.release_maybe();
@@ -113,12 +124,16 @@ TEST_P(StealStressModeThreads, OneVictimManyThievesConservation) {
       // Thieves: steal until the victim says it is done AND its shared
       // portion is drained.
       for (;;) {
-        int got = q.steal_from(0, steal_buf.data());
+        int got = q.steal_from(0, buf);
         if (got > 0) {
-          ASSERT_LE(got, q.config().chunk);
-          for (int i = 0; i < got; ++i) {
-            record(slot_id(steal_buf.data() +
-                           static_cast<std::size_t>(i) * kSlot));
+          ASSERT_LE(got, SplitQueue::kDeepStealCap);
+          if (got > q.config().chunk) {
+            deep_steals.fetch_add(1, std::memory_order_relaxed);
+          }
+          record(slot_id(buf));
+          ASSERT_TRUE(q.publish_landed());
+          while (q.pop_local(buf)) {
+            record(slot_id(buf));
           }
           continue;
         }
@@ -146,6 +161,11 @@ TEST_P(StealStressModeThreads, OneVictimManyThievesConservation) {
     rt.seg_free(flag_seg);
     q.destroy();
   });
+  if (mode.mode == QueueMode::Split && mode.half) {
+    EXPECT_GT(deep_steals.load(), 0u);
+  } else {
+    EXPECT_EQ(deep_steals.load(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, StealStressModeThreads,

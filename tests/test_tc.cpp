@@ -9,6 +9,7 @@
 #endif
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -525,16 +526,27 @@ std::size_t heap_in_use() {
 #endif
 }
 
+// True when heap_in_use() sees a 1 MiB allocation (not under a sanitizer
+// or a non-glibc allocator).
+bool heap_counter_tracks_allocations() {
+  constexpr std::size_t kProbe = 1 << 20;
+  const std::size_t h0 = heap_in_use();
+  auto probe = std::make_unique<std::byte[]>(kProbe);
+  asm volatile("" : : "g"(probe.get()) : "memory");  // the probe escapes
+  return heap_in_use() >= h0 + kProbe;
+}
+
 // Bytes one TaskCollection adds per rank on an n-rank sim fleet, by the
 // `in_use` counter. All sim ranks share one thread, so rank 0's readings
 // between barriers see every rank's construction and nothing else.
 double tc_bytes_per_rank(int n, std::size_t (*in_use)(),
-                         std::size_t* slot_bytes) {
+                         std::size_t* slot_bytes, int chunk_max = 0) {
   std::size_t before = 0;
   std::size_t after = 0;
   testing::run_sim(n, [&](Runtime& rt) {
     TcConfig cfg = small_cfg();
     cfg.max_tasks_per_rank = 64;
+    cfg.chunk_max = chunk_max;
     rt.barrier();
     if (rt.me() == 0) {
       before = in_use();
@@ -579,15 +591,10 @@ TEST(TcEnv, RemovedQueueModeRejectedByName) {
 }
 
 TEST(TcMemory, PerRankHeapIndependentOfFleetSize) {
-  constexpr std::size_t kProbe = 1 << 20;
-  const std::size_t h0 = heap_in_use();
-  auto probe = std::make_unique<std::byte[]>(kProbe);
-  asm volatile("" : : "g"(probe.get()) : "memory");  // the probe escapes
-  if (heap_in_use() < h0 + kProbe) {
+  if (!heap_counter_tracks_allocations()) {
     GTEST_SKIP() << "heap counter does not track allocations (sanitizer "
                     "or non-glibc allocator)";
   }
-  probe.reset();
   std::size_t slot = 0;
   const double small = tc_bytes_per_rank(64, heap_in_use, &slot);
   const double large = tc_bytes_per_rank(512, heap_in_use, &slot);
@@ -597,6 +604,24 @@ TEST(TcMemory, PerRankHeapIndependentOfFleetSize) {
   EXPECT_LE(large - small, 2.0 * static_cast<double>(slot) * (512 - 64))
       << "per-rank heap " << small << " B at 64 ranks, " << large
       << " B at 512 ranks (slot " << slot << " B)";
+}
+
+TEST(TcMemory, PerRankHeapIndependentOfChunkMax) {
+  // Stolen chunks land in the thief's ring, so no per-rank buffer is sized
+  // for the widest steal: the controller's chunk_max headroom costs no
+  // heap.
+  if (!heap_counter_tracks_allocations()) {
+    GTEST_SKIP() << "heap counter does not track allocations (sanitizer "
+                    "or non-glibc allocator)";
+  }
+  std::size_t slot = 0;
+  const double narrow =
+      tc_bytes_per_rank(64, heap_in_use, &slot, small_cfg().chunk_size);
+  const double wide =
+      tc_bytes_per_rank(64, heap_in_use, &slot, SplitQueue::kDeepStealCap);
+  EXPECT_LE(std::abs(wide - narrow), static_cast<double>(slot))
+      << "per-rank heap " << narrow << " B at chunk_max = chunk, " << wide
+      << " B at chunk_max = 64 (slot " << slot << " B)";
 }
 
 TEST(TcMemory, CommittedBytesPerRankIndependentOfFleetSize) {
